@@ -25,10 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use esm_bench::results::BenchResults;
-use esm_engine::{
-    Durability, DurabilityConfig, Engine, EngineServer, FailPoint, Session, ShardRouter,
-    ShardedEngineServer,
-};
+use esm_engine::{DurabilityConfig, Engine, FailPoint, Session, ShardRouter, ShardedEngineServer};
 use esm_net::{NetServer, NetServerConfig, RemoteEngine};
 use esm_obs::{Histogram, TelemetryConfig, TraceRecord};
 use esm_relational::ViewDef;
@@ -113,7 +110,7 @@ fn main() {
         .group_commit(1)
         .telemetry_config(traced.clone())
         .sync_delay_handle(Arc::clone(&sync_delay));
-    let engine = EngineServer::with_durability(seed_db(), 16, Durability::Durable(durability))
+    let engine = ShardedEngineServer::with_durability(seed_db(), ShardRouter::single(), durability)
         .expect("durable engine");
     for b in 0..VIEWS {
         engine

@@ -7,7 +7,7 @@
 //! every operation pays a full request/response round trip before the
 //! next can start. With many connections, the server's readiness loop
 //! overlaps those round trips and its worker pool executes requests in
-//! parallel against the engine's striped pipelines, so aggregate
+//! parallel against the engine, so aggregate
 //! throughput climbs past the one-client line. The acceptance gate
 //! asserts 16 socket clients deliver ≥ 0.8x the read throughput of
 //! one socket client — no collapse under multiplexing. The margin

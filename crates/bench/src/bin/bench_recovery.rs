@@ -6,7 +6,7 @@
 
 use esm_bench::results::BenchResults;
 use esm_bench::{fmt_ns, median_ns_per_call};
-use esm_engine::{Durability, DurabilityConfig, EngineServer, RecoveryReport};
+use esm_engine::{DurabilityConfig, RecoveryReport, ShardRouter, ShardedEngineServer};
 use esm_relational::ViewDef;
 use esm_store::{row, Database, Schema, Table, ValueType};
 
@@ -31,10 +31,10 @@ fn baseline() -> Database {
     db
 }
 
-/// Commit `COMMITS` records durably under `cfg`, then return the live
-/// snapshot for the recovery equality check.
+/// Commit `COMMITS` records durably under `cfg` on a one-shard engine,
+/// then return the live snapshot for the recovery equality check.
 fn record_history(cfg: DurabilityConfig) -> Database {
-    let engine = EngineServer::with_durability(baseline(), 4, Durability::Durable(cfg))
+    let engine = ShardedEngineServer::with_durability(baseline(), ShardRouter::single(), cfg)
         .expect("durable engine");
     engine
         .define_view("all", "accounts", &ViewDef::base())
@@ -54,16 +54,18 @@ fn record_history(cfg: DurabilityConfig) -> Database {
     engine.snapshot()
 }
 
+/// Recover the engine and time recoveries; the report is the one
+/// shard's.
 fn measure(cfg: &DurabilityConfig) -> (f64, RecoveryReport, Database) {
-    let (engine, report) = EngineServer::recover_with(cfg.clone()).expect("recovers");
+    let (engine, mut report) = ShardedEngineServer::recover_with(cfg.clone()).expect("recovers");
     let snapshot = engine.snapshot();
     drop(engine);
     let cfg = cfg.clone();
     let median = median_ns_per_call(7, 1, || {
-        let (engine, _report) = EngineServer::recover_with(cfg.clone()).expect("recovers");
+        let (engine, _report) = ShardedEngineServer::recover_with(cfg.clone()).expect("recovers");
         std::hint::black_box(engine.snapshot());
     });
-    (median, report, snapshot)
+    (median, report.shards.swap_remove(0), snapshot)
 }
 
 fn main() {
@@ -122,9 +124,10 @@ fn main() {
             .group_commit(8)
             .checkpoint_every(0);
         let live = record_history(cfg.clone());
-        let scan = esm_engine::scan_segments(&dir).expect("scan");
+        let shard_dir = dir.join("shard-0");
+        let scan = esm_engine::scan_segments(&shard_dir).expect("scan");
         let (records, _stale) = esm_engine::plan_recovery(0, &scan).expect("plan");
-        for entry in std::fs::read_dir(&dir).expect("read dir") {
+        for entry in std::fs::read_dir(&shard_dir).expect("read dir") {
             let entry = entry.expect("entry");
             if entry
                 .file_name()
@@ -135,7 +138,7 @@ fn main() {
             }
         }
         let text: String = records.iter().map(esm_engine::encode_framed).collect();
-        std::fs::write(dir.join(format!("wal-{:020}.seg", 1)), text).expect("write text log");
+        std::fs::write(shard_dir.join(format!("wal-{:020}.seg", 1)), text).expect("write text log");
         let (median, report, recovered) = measure(&cfg);
         assert_eq!(recovered, live, "text recovery reproduces the live state");
         assert_eq!(report.last_seq as usize, COMMITS);

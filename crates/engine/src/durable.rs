@@ -87,23 +87,6 @@ use crate::segment::{
 };
 use crate::wal::{WalOp, WalRecord};
 
-/// Whether (and how) an engine persists its WAL.
-#[derive(Debug, Clone, Default)]
-pub enum Durability {
-    /// Keep the WAL in memory only (the default; tests and benches).
-    #[default]
-    InMemory,
-    /// Persist to file-backed segments with checkpoints.
-    Durable(DurabilityConfig),
-}
-
-impl Durability {
-    /// Durable persistence into `dir` with default tuning.
-    pub fn durable(dir: impl Into<PathBuf>) -> Durability {
-        Durability::Durable(DurabilityConfig::new(dir))
-    }
-}
-
 /// Tuning for a durable WAL directory.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {

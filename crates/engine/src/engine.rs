@@ -6,11 +6,14 @@
 //! This module makes the engine side of that contract a trait: an
 //! [`Engine`] owns base tables and named bidirectional views, commits
 //! transactions with first-committer-wins, and answers reads from
-//! maintained materialized windows. Three implementations share it:
+//! maintained materialized windows. One engine implements the state,
+//! and two hosts front it:
 //!
-//! * [`crate::EngineServer`] — one lock-striped in-process engine;
-//! * [`crate::shard::ShardedEngineServer`] — key-range shards with
-//!   cross-shard two-phase commit;
+//! * [`crate::shard::ShardedEngineServer`] — the engine: key-range
+//!   shards with cross-shard two-phase commit, whose one-shard case
+//!   ([`crate::EngineServer`]) is the plain in-process engine;
+//! * [`crate::ReplicaEngine`] — the same state read from a replica of
+//!   its log, refusing writes;
 //! * `RemoteEngine` (the `esm-net` crate) — the same surface spoken
 //!   over a length-prefixed socket protocol, so an
 //!   [`crate::EntangledView`] is **host-location-oblivious**: the same
@@ -26,7 +29,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use esm_relational::ViewDef;
-use esm_store::{Database, Delta, Table};
+use esm_store::{Database, Delta, Row, Table};
 
 use crate::error::EngineError;
 use crate::metrics::MetricsSnapshot;
@@ -37,6 +40,9 @@ use crate::view::EntangledView;
 /// [`EntangledView`] and a [`crate::Session`] hold.
 pub type ArcEngine = Arc<dyn Engine>;
 
+/// How many attempts an optimistic edit makes by default.
+pub const DEFAULT_OPTIMISTIC_ATTEMPTS: u32 = 16;
+
 /// What a committed transaction did: its position in the engine-wide
 /// serialization order, the shards it touched, and the per-table deltas.
 #[derive(Debug, Clone)]
@@ -44,11 +50,10 @@ pub struct CommitReceipt {
     /// Commit stamp: taken while every participant lock was held, so
     /// sorting receipts by stamp is a valid serialization order of the
     /// workload (the model-based suite re-executes it single-threaded).
-    /// On an unsharded engine this is the WAL sequence number of the
-    /// transaction's terminator record.
+    /// It is also the subscription cursor the commit advances to.
     pub stamp: u64,
-    /// Topology indexes of the shards the transaction wrote (empty on an
-    /// unsharded engine).
+    /// Topology indexes of the shards the transaction wrote (empty when
+    /// it wrote nothing).
     pub shards: Vec<usize>,
     /// The committed per-table deltas (merged across shards).
     pub deltas: BTreeMap<String, Delta>,
@@ -56,21 +61,27 @@ pub struct CommitReceipt {
     pub gtx: Option<String>,
 }
 
-/// Validate and apply one table's client-computed delta in place: every
-/// row must fit the schema's arity (wire-decoded deltas arrive
-/// unvalidated), every deleted row must still be present exactly as the
-/// client saw it (its pre-image), and every inserted key must be free
-/// once the pre-images are gone. [`Delta::between`] renders a
-/// modification as delete(old) + insert(new), so this is
-/// first-committer-wins at row granularity against the client's
-/// snapshot.
-pub fn apply_table_delta_checked(
-    table: &mut Table,
-    name: &str,
-    delta: &Delta,
+/// Rows that earlier deltas of one checked request touched, by
+/// `(table, key)`: `None` where a delta deleted the key.
+pub(crate) type Staged<'a> = BTreeMap<(&'a str, Row), Option<&'a Row>>;
+
+/// Validate one table's client-computed delta without applying it: every
+/// row must fit the schema (wire-decoded deltas arrive unvalidated),
+/// every deleted row must still be present exactly as the client saw it
+/// (its pre-image), and every inserted key must be free once the
+/// pre-images are gone. `staged` overlays `table` with what earlier
+/// deltas of the same request did, and takes this delta's effect.
+/// [`Delta::between`] renders a modification as delete(old) +
+/// insert(new), so this is first-committer-wins at row granularity
+/// against the client's snapshot.
+pub(crate) fn check_table_delta<'a>(
+    table: &Table,
+    name: &'a str,
+    delta: &'a Delta,
+    staged: &mut Staged<'a>,
 ) -> Result<(), EngineError> {
     let arity = table.schema().columns().len();
-    for row in delta.deleted.iter().chain(delta.inserted.iter()) {
+    for row in &delta.deleted {
         if row.len() != arity {
             return Err(EngineError::Store(esm_store::StoreError::Arity {
                 expected: arity,
@@ -78,29 +89,51 @@ pub fn apply_table_delta_checked(
             }));
         }
     }
+    for row in &delta.inserted {
+        table.schema().check_row(row)?;
+    }
+    let conflict = |detail: String| EngineError::Conflict {
+        table: name.to_string(),
+        detail,
+    };
     for row in &delta.deleted {
         let key = table.key_of(row);
-        if table.get_by_key(&key) != Some(row) {
-            return Err(EngineError::Conflict {
-                table: name.to_string(),
-                detail: format!("pre-image of key {key:?} changed since the client's snapshot"),
-            });
+        let current = match staged.get(&(name, key.clone())) {
+            Some(row) => *row,
+            None => table.get_by_key(&key),
+        };
+        if current != Some(row) {
+            return Err(conflict(format!(
+                "pre-image of key {key:?} changed since the client's snapshot"
+            )));
         }
     }
     for row in &delta.deleted {
-        let key = table.key_of(row);
-        table.delete_by_key(&key);
+        staged.insert((name, table.key_of(row)), None);
     }
     for row in &delta.inserted {
         let key = table.key_of(row);
-        if table.get_by_key(&key).is_some() {
-            return Err(EngineError::Conflict {
-                table: name.to_string(),
-                detail: format!("key {key:?} was created concurrently"),
-            });
+        let taken = match staged.get(&(name, key.clone())) {
+            Some(row) => row.is_some(),
+            None => table.get_by_key(&key).is_some(),
+        };
+        if taken {
+            return Err(conflict(format!("key {key:?} was created concurrently")));
         }
-        table.upsert(row.clone())?;
+        staged.insert((name, key), Some(row));
     }
+    Ok(())
+}
+
+/// Validate ([`check_table_delta`]) and apply one table's
+/// client-computed delta in place.
+pub fn apply_table_delta_checked(
+    table: &mut Table,
+    name: &str,
+    delta: &Delta,
+) -> Result<(), EngineError> {
+    check_table_delta(table, name, delta, &mut Staged::new())?;
+    delta.apply_in_place(table)?;
     Ok(())
 }
 
@@ -118,7 +151,7 @@ pub fn apply_deltas_checked(
 
 /// A concurrent, transactional, bidirectional database engine.
 ///
-/// One trait, three hosts (in-process, sharded, remote): every method a
+/// One trait, three hosts (in-process, replica, remote): every method a
 /// client needs to run the paper's entangled sessions against shared
 /// state lives here, and nothing engine-shape-specific does. Sharded
 /// topology control (`split_shard`, `merge_shards`), durability tuning
@@ -139,9 +172,8 @@ pub trait Engine: Send + Sync + std::fmt::Debug {
     /// A snapshot of one base table.
     fn table(&self, name: &str) -> Result<Table, EngineError>;
 
-    /// A snapshot of the whole database (consistency per implementation:
-    /// the sharded engine holds all shard read locks together; the
-    /// unsharded engine is atomic per stripe).
+    /// A snapshot of the whole database, consistent across tables and
+    /// shards (all shard read locks are held together).
     fn snapshot(&self) -> Result<Database, EngineError>;
 
     /// Compile and register a named entangled view over `table`,
@@ -278,111 +310,10 @@ pub trait Engine: Send + Sync + std::fmt::Debug {
 
     /// A WAL-shipping source over this engine's durable log, when it can
     /// act as a replication primary. `None` (the default) means this
-    /// engine cannot be replicated from — in-memory engines, replicas,
-    /// and the unsharded server. The net layer routes the `REPL_*` verbs
-    /// through this.
+    /// engine cannot be replicated from — in-memory engines and
+    /// replicas. The net layer routes the `REPL_*` verbs through this.
     fn repl_source(&self) -> Option<Arc<dyn crate::repl::WalSource>> {
         None
-    }
-}
-
-impl Engine for crate::EngineServer {
-    fn as_engine(&self) -> ArcEngine {
-        Arc::new(self.clone())
-    }
-
-    fn table_names(&self) -> Result<Vec<String>, EngineError> {
-        Ok(crate::EngineServer::table_names(self))
-    }
-
-    fn table(&self, name: &str) -> Result<Table, EngineError> {
-        crate::EngineServer::table(self, name)
-    }
-
-    fn snapshot(&self) -> Result<Database, EngineError> {
-        Ok(crate::EngineServer::snapshot(self))
-    }
-
-    fn define_view(
-        &self,
-        name: &str,
-        table: &str,
-        def: &ViewDef,
-    ) -> Result<EntangledView, EngineError> {
-        crate::EngineServer::define_view(self, name, table, def)
-    }
-
-    fn view(&self, name: &str) -> Result<EntangledView, EngineError> {
-        crate::EngineServer::view(self, name)
-    }
-
-    fn view_names(&self) -> Result<Vec<String>, EngineError> {
-        Ok(crate::EngineServer::view_names(self))
-    }
-
-    fn read_view(&self, name: &str) -> Result<Table, EngineError> {
-        crate::EngineServer::read_view(self, name)
-    }
-
-    fn write_view(&self, name: &str, view: Table) -> Result<Delta, EngineError> {
-        crate::EngineServer::write_view(self, name, view)
-    }
-
-    fn edit_view_optimistic(
-        &self,
-        name: &str,
-        attempts: u32,
-        edit: &dyn Fn(&mut Table) -> Result<(), EngineError>,
-    ) -> Result<Delta, EngineError> {
-        crate::EngineServer::edit_view_optimistic(self, name, attempts, edit)
-    }
-
-    fn transact(
-        &self,
-        max_attempts: u32,
-        body: &dyn Fn(&mut Database) -> Result<(), EngineError>,
-    ) -> Result<CommitReceipt, EngineError> {
-        crate::EngineServer::transact(self, max_attempts, body)
-    }
-
-    fn commit_checked(&self, deltas: &[(String, Delta)]) -> Result<CommitReceipt, EngineError> {
-        crate::EngineServer::commit_deltas_checked(self, deltas)
-    }
-
-    fn metrics(&self) -> Result<MetricsSnapshot, EngineError> {
-        Ok(crate::EngineServer::metrics(self))
-    }
-
-    fn telemetry(&self) -> Result<esm_obs::TelemetrySnapshot, EngineError> {
-        Ok(crate::EngineServer::telemetry(self))
-    }
-
-    fn traces(&self) -> Result<esm_obs::TraceReport, EngineError> {
-        Ok(crate::EngineServer::telemetry_registry(self).traces_report())
-    }
-
-    fn telemetry_handle(&self) -> Option<Arc<esm_obs::Telemetry>> {
-        Some(Arc::clone(crate::EngineServer::telemetry_registry(self)))
-    }
-
-    fn checkpoint(&self) -> Result<Option<u64>, EngineError> {
-        crate::EngineServer::checkpoint(self)
-    }
-
-    fn sync_wal(&self) -> Result<(), EngineError> {
-        crate::EngineServer::sync_wal(self)
-    }
-
-    fn commit_notifier(&self) -> Option<Arc<CommitNotifier>> {
-        Some(crate::EngineServer::commit_notifier(self))
-    }
-
-    fn view_cursor(&self, name: &str) -> Result<u64, EngineError> {
-        crate::EngineServer::view_cursor(self, name)
-    }
-
-    fn view_deltas_since(&self, name: &str, cursor: u64) -> Result<ViewDeltas, EngineError> {
-        crate::EngineServer::view_deltas_since(self, name, cursor)
     }
 }
 
@@ -446,10 +377,6 @@ impl Engine for crate::shard::ShardedEngineServer {
     }
 
     fn commit_checked(&self, deltas: &[(String, Delta)]) -> Result<CommitReceipt, EngineError> {
-        // Declare the touched keys so only their shards are snapshotted
-        // and locked (the single-shard fast path end to end for most
-        // remote commits); validation still runs row-for-row against
-        // the pre-images inside the engine's own transaction.
         crate::shard::ShardedEngineServer::commit_deltas_checked(self, deltas)
     }
 

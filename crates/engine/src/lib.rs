@@ -8,33 +8,35 @@
 //! view write is a lens `put` whose effect every other view observes.
 //! This crate scales that idea from a single-threaded session to a real
 //! engine: snapshot transactions, a write-ahead log, secondary-index
-//! seeks, and lock-striped concurrent access.
+//! seeks, and key-range shards that commit in parallel.
 //!
 //! ## Architecture
 //!
-//! Clients never see an engine *shape* — they see the [`Engine`] trait.
-//! Handles ([`EntangledView`]) and per-client state ([`Session`]) are
-//! written against `dyn Engine`, so the same client code (and the same
-//! conformance suite, [`testkit`]) runs against the lock-striped
-//! in-process engine, the key-range-sharded engine, and — via the
-//! `esm-net` crate's `RemoteEngine`/`NetServer` pair — an engine on the
-//! far side of a socket:
+//! One engine holds the state: [`ShardedEngineServer`], whose one-shard
+//! case ([`EngineServer`]) is the plain in-process engine. Clients never
+//! see its shape — they see the [`Engine`] trait. Handles
+//! ([`EntangledView`]) and per-client state ([`Session`]) are written
+//! against `dyn Engine`, so the same client code (and the same
+//! conformance suite, [`testkit`]) runs against one shard or many, a
+//! read replica, and — via the `esm-net` crate's
+//! `RemoteEngine`/`NetServer` pair — an engine on the far side of a
+//! socket:
 //!
 //! ```text
-//!   client state                 the one trait            implementations
+//!   client state                 the one trait            hosts
 //!  ┌────────────────┐    ┌───────────────────────┐   ┌──────────────────────────┐
-//!  │ Session        │    │ Engine                │   │ EngineServer             │
-//!  │  ├ view handles├───▶│  transact             │◀──┤  ├ Stripes<Table>        │
-//!  │  ├ retry policy│    │  define_view / view   │   │  ├ views: DeltaLens +    │
-//!  │  └ commit stamp│    │  read_view            │   │  │   materialized window │
-//!  ├────────────────┤    │  write_view           │   │  ├ Wal ── DurableWal ──▶ │ wal-*.seg
-//!  │ EntangledView  ├───▶│  edit_view_optimistic │   │  └ FCW via key overlap   │ checkpoint-*.ckpt
-//!  │  .get/.put     │    │  metrics / checkpoint │   ├──────────────────────────┤
-//!  │  .edit(f)      │    │  snapshot / sync_wal  │   │ ShardedEngineServer      │
-//!  └────────────────┘    └───────────┬───────────┘   │  ├ ShardRouter (ranges)  │
-//!                                    │               │  ├ Shard ×N: db+wal each │──▶ shard-<id>/
-//!        the same handles, over ─────┘               │  ├ ShardCoordinator (2PC)│    topology.esm
-//!        a wire (esm-net):                           │  └ rebalance split/merge │
+//!  │ Session        │    │ Engine                │   │ ShardedEngineServer      │
+//!  │  ├ view handles├───▶│  transact             │◀──┤  ├ ShardRouter (ranges)  │
+//!  │  ├ retry policy│    │  define_view / view   │   │  ├ Shard ×N: db + wal +  │──▶ shard-<id>/
+//!  │  └ commit stamp│    │  read_view            │   │  │   stamp index each    │    wal-*.seg
+//!  ├────────────────┤    │  write_view           │   │  ├ views: DeltaLens +    │    checkpoint-*.ckpt
+//!  │ EntangledView  ├───▶│  edit_view_optimistic │   │  │   per-shard windows   │──▶ topology.esm
+//!  │  .get/.put     │    │  metrics / checkpoint │   │  ├ ShardCoordinator (2PC)│
+//!  │  .edit(f)      │    │  snapshot / sync_wal  │   │  └ rebalance split/merge │
+//!  └────────────────┘    └───────────┬───────────┘   ├──────────────────────────┤
+//!                                    │               │ ReplicaEngine            │
+//!        the same handles, over ─────┘               │  mirrored log → a one-   │
+//!        a wire (esm-net):                           │  shard serving engine    │
 //!  ┌────────────────┐  frames   ┌────────────────┐   ├──────────────────────────┤
 //!  │ RemoteEngine   ├─[len|crc|─▶ NetServer      │   │ RemoteEngine (esm-net)   │
 //!  │ impl Engine    │  payload] │  poller+workers├──▶│  CAS edits, pre-image-   │
@@ -51,9 +53,9 @@
 //! creates one `Session` per accepted connection, so "per-client"
 //! means the same thing in-process and on a socket.
 //! [`Engine::transact`] commits multi-table snapshot transactions
-//! atomically on every implementation: chained WAL record groups on the
-//! unsharded engine, per-key routing with two-phase commit across
-//! shards, and client-driven pre-image validation over the wire.
+//! atomically on every host: chained WAL record groups within a shard,
+//! per-key routing with two-phase commit across shards, and
+//! client-driven pre-image validation over the wire.
 //!
 //! ### Sharding ([`shard`])
 //!
@@ -61,7 +63,8 @@
 //! [`shard::Shard`]s by primary-key range ([`shard::ShardRouter`]): each
 //! shard owns its own committed database piece, in-memory WAL and
 //! (optionally) durable segment log under `base-dir/shard-<id>/`, so
-//! disjoint traffic shares neither a lock nor a commit pipeline.
+//! disjoint traffic shares neither a lock nor a commit pipeline. With
+//! one shard every commit takes the fast path below.
 //!
 //! * **Single-shard fast path**: a transaction whose keys route to one
 //!   shard validates first-committer-wins against that shard's WAL
@@ -82,7 +85,7 @@
 //!   `topology.esm` manifest is rewritten atomically and recovery prunes
 //!   whatever a mid-rebalance crash left out of place.
 //! * **Routing-oblivious clients**: `define_view` hands out the same
-//!   [`EntangledView`] handles as the unsharded engine; `get`/`put`/
+//!   [`EntangledView`] handles whatever the shard count; `get`/`put`/
 //!   `edit` assemble consistent cross-shard snapshots and coordinate
 //!   writes per key automatically.
 //!
@@ -91,15 +94,13 @@
 //! Views are first-class materialized objects, not queries re-run per
 //! read. The lifecycle has four phases:
 //!
-//! 1. **Register** ([`EngineServer::define_view`] /
-//!    [`shard::ShardedEngineServer::define_view`]): the [`ViewDef`
-//!    pipeline](esm_relational::ViewDef) compiles to a
+//! 1. **Register** ([`shard::ShardedEngineServer::define_view`]): the
+//!    [`ViewDef` pipeline](esm_relational::ViewDef) compiles to a
 //!    [`esm_lens::DeltaLens`] — `get`/`put` as ever, plus `get_delta`
 //!    mapping a committed base [`esm_store::Delta`] to the view's
 //!    coordinates (select filters the delta's rows, project maps them,
-//!    rename passes them through). This is the one sanctioned full lens
-//!    `get`: the unsharded engine materializes the window here; the
-//!    sharded engine materializes per-shard windows on first read.
+//!    rename passes them through). This is the one sanctioned full
+//!    lens `get`: registration materializes one window per shard.
 //! 2. **Maintain** (`read_view`): each window remembers the WAL
 //!    position it reflects. A read drains the committed records past
 //!    that cursor, translates them through `get_delta`, and folds the
@@ -109,7 +110,7 @@
 //!    (prepared chains count only at their commit resolution), and all
 //!    consulted shard read locks are held together so no cross-shard
 //!    transaction is ever observed half-applied.
-//! 3. **Prune** (sharded only): the view definition's base-schema
+//! 3. **Prune** (more than one shard): the view definition's base-schema
 //!    selects imply bounds on the key
 //!    ([`esm_relational::ViewDef::key_bounds`] →
 //!    [`esm_store::Predicate::value_bounds`]); the router maps them to
@@ -135,23 +136,26 @@
 //!
 //! * **Commit notification** ([`Engine::commit_notifier`] →
 //!   [`CommitNotifier`]): every committed transaction publishes its
-//!   final WAL sequence number on a shared condvar. A push loop parks
+//!   commit stamp on a shared condvar. A push loop parks
 //!   in `CommitNotifier::wait_past(seen, timeout)` and wakes exactly
 //!   when there is something it has not yet fanned out — no polling of
 //!   table contents, no wakeups on idle databases. Engines without a
 //!   notifier (the trait default returns `None`) still work; callers
 //!   fall back to a coarse tick.
 //! * **Cursor drains** ([`Engine::view_deltas_since`] →
-//!   [`ViewDeltas`]): given a view name and the WAL stamp the consumer
-//!   last saw, return the settled base-table deltas past that stamp
-//!   translated through the view's lens — the same `get_delta`
+//!   [`ViewDeltas`]): given a view name and the commit stamp the
+//!   consumer last saw, return the settled base-table deltas past that
+//!   stamp translated through the view's lens — the same `get_delta`
 //!   machinery `read_view` uses, so a drain costs O(deltas in the gap),
-//!   not O(window). Three answers are possible: a **delta batch**
+//!   not O(window), on any shard count. Each shard indexes the stamps it
+//!   committed against its WAL positions, so a stamp maps to a position
+//!   in every shard's log. Three answers are possible: a **delta batch**
 //!   (`resync: None`, apply in order), an **empty batch** (cursor is
 //!   current), or a **resync** (`resync: Some(window)`) when the cursor
-//!   predates the truncated WAL prefix, falls outside the live window,
-//!   or is the explicit `u64::MAX` force-resync sentinel — the consumer
-//!   replaces its replica wholesale and resumes from `to_seq`.
+//!   predates the truncated WAL prefix or the last split/merge, falls
+//!   outside the live window, or is the explicit `u64::MAX`
+//!   force-resync sentinel — the consumer replaces its replica
+//!   wholesale and resumes from `to_seq`.
 //!   Unsettled trailing transactions (an open chain, an unresolved 2PC
 //!   prepare) are never handed out; the cursor simply does not advance
 //!   past them.
@@ -177,15 +181,18 @@
 //! discards (and truncates) an unterminated trailing chain — a
 //! multi-table commit can never recover as a prefix.
 //!
-//! ### Transaction lifecycle ([`tx`])
+//! ### Transaction lifecycle
 //!
-//! [`TxStore::begin`] snapshots the committed database; the [`Tx`] works
-//! on its private copy; [`Tx::commit`] diffs every table with
-//! [`esm_store::Delta::between`], validates **first-committer-wins** (a
-//! commit conflicts iff a WAL record newer than its snapshot touches one
-//! of the same primary keys), then publishes the deltas and appends them
-//! to the WAL. Disjoint concurrent commits rebase cleanly; overlapping
-//! ones abort with [`EngineError::Conflict`].
+//! [`ShardedEngineServer::transact`] snapshots the participant shards
+//! under their read locks together; the body works on a private copy;
+//! the commit diffs every table with [`esm_store::Delta::between`],
+//! validates **first-committer-wins** per shard (a commit conflicts iff
+//! a WAL record newer than its snapshot touches one of the same primary
+//! keys), then appends the deltas to the WAL and publishes them.
+//! Disjoint concurrent commits rebase cleanly; overlapping ones retry
+//! and finally abort with [`EngineError::Conflict`]. The wire's checked
+//! commit skips the snapshot: it validates the client's pre-images
+//! against the live piece under the shard lock.
 //!
 //! ### WAL format ([`wal`])
 //!
@@ -200,9 +207,9 @@
 //!
 //! The in-memory log is **bounded**: once every materialized view's
 //! window cursor (and the durable checkpoint, when one exists) has
-//! passed a prefix, [`EngineServer::truncate_wal`] (and the sharded
-//! `truncate_wals`, both run by maintenance) folds that prefix into the
-//! replay baseline and drops it — always cutting at a settled
+//! passed a prefix, [`ShardedEngineServer::truncate_wals`] (run by
+//! maintenance) folds that prefix into each shard's replay baseline and
+//! drops it, with the matching stamp-index entries — always cutting at a settled
 //! transaction boundary ([`Wal::settled_prefix_end`]), never through a
 //! chain or an unresolved 2PC prepare. First-committer-wins validation
 //! is truncation-aware: a snapshot older than the log's start
@@ -210,13 +217,14 @@
 //!
 //! ### Durability ([`durable`], [`segment`], [`checkpoint`])
 //!
-//! In-memory is the default; pass [`Durability::Durable`] to
-//! [`EngineServer::with_durability`] / [`TxStore::with_durability`] and
-//! every commit is *written ahead* to an on-disk log before it is
-//! applied. One directory holds the whole log:
+//! In-memory is the default; pass a [`DurabilityConfig`] to
+//! [`ShardedEngineServer::with_durability`] and every commit is
+//! *written ahead* to an on-disk log before it is applied. The base
+//! directory holds the `topology.esm` manifest and one log directory
+//! per shard:
 //!
 //! ```text
-//! wal-dir/
+//! base-dir/shard-0/
 //!   checkpoint-00000000000000000000.ckpt   genesis snapshot (seq 0)
 //!   checkpoint-00000000000000000256.ckpt   newest checkpoint
 //!   wal-00000000000000000201.seg           segment: records 201..=262
@@ -279,8 +287,8 @@
 //! failed leader fsync poisons the gate (fail-stop — the log's tail is
 //! unknowable), and every current and future waiter gets the error.
 //!
-//! **Recovery** ([`EngineServer::recover`]) is a four-step state
-//! machine — *checkpoint scan* (newest valid checkpoint; torn ones are
+//! **Recovery** ([`ShardedEngineServer::recover`]) runs, per shard, a
+//! four-step state machine — *checkpoint scan* (newest valid checkpoint; torn ones are
 //! skipped), *segment scan* (decode each segment's longest
 //! complete-record prefix; [`segment::decode_segment_prefix`] tolerates
 //! tails cut mid-line or mid-code-point), *plan*
@@ -342,7 +350,7 @@
 //! log-bucketed histogram per instrumented phase — threaded through the
 //! hot paths in three layers: **recorders** ([`esm_obs::Span`] /
 //! [`esm_obs::Timer`]) time the phase at the call site (commit snapshot
-//! acquire, FCW validate, WAL append, fsync, stripe-lock hold, the 2PC
+//! acquire, FCW validate, WAL append, fsync, shard-lock hold, the 2PC
 //! prepare/resolve/fsync trio, view drain/fold/rebuild) and cost one
 //! relaxed atomic add each; the **registry** aggregates them and keeps a
 //! bounded **slow-op ring** (operations crossing
@@ -383,14 +391,14 @@
 //! instead of scanning; lens `put` paths that clone the base keep its
 //! indexes warm.
 //!
-//! ### Concurrency ([`server`], [`stripe`])
+//! ### Concurrency
 //!
-//! Tables are spread over [`Stripes`] (rwlocks chosen by stable name
-//! hash): traffic on different tables never shares a lock. View writes
-//! come in a serialized pessimistic flavour ([`EngineServer::write_view`])
+//! The shard is the lock: reads take its read lock, commits its write
+//! lock, and traffic on different shards never shares one. View writes
+//! come in a last-writer-wins flavour ([`ShardedEngineServer::write_view`])
 //! and an optimistic flavour with first-committer-wins retries
-//! ([`EngineServer::edit_view_optimistic`]); both report the base-table
-//! [`esm_store::Delta`] they committed.
+//! ([`ShardedEngineServer::edit_view_optimistic`]); both report the
+//! base-table [`esm_store::Delta`] they committed.
 //!
 //! ## Quickstart
 //!
@@ -432,23 +440,21 @@ pub mod error;
 pub mod metrics;
 pub mod repl;
 pub mod segment;
-pub mod server;
 pub mod session;
 pub mod shard;
-pub mod stripe;
 pub mod sub;
 pub mod testkit;
-pub mod tx;
 pub mod view;
 pub mod wal;
 
 pub use checkpoint::Checkpoint;
 pub use durable::{
-    plan_recovery, resolve_transactions, scan_segments, Durability, DurabilityConfig, DurableWal,
+    plan_recovery, resolve_transactions, scan_segments, DurabilityConfig, DurableWal,
     RecoveryReport, ResolvedLog, ScannedSegment,
 };
 pub use engine::{
     apply_deltas_checked, apply_table_delta_checked, ArcEngine, CommitReceipt, Engine,
+    DEFAULT_OPTIMISTIC_ATTEMPTS,
 };
 pub use error::EngineError;
 pub use esm_obs::{
@@ -466,11 +472,12 @@ pub use segment::{
     crc32, decode_segment_prefix, encode_framed, encode_framed_binary, SegmentFile, SegmentPrefix,
     SegmentWriter, SimFile, BINARY_FRAME_MAGIC,
 };
-pub use server::{EngineServer, DEFAULT_OPTIMISTIC_ATTEMPTS};
 pub use session::{RetryPolicy, Session};
 pub use shard::{FailPoint, Shard, ShardRecoveryReport, ShardRouter, ShardedEngineServer};
-pub use stripe::Stripes;
 pub use sub::{CommitNotifier, ViewDeltas};
-pub use tx::{delta_keys, deltas_conflict, Tx, TxStore};
 pub use view::EntangledView;
+
+/// The engine under its in-process name: [`ShardedEngineServer::new`]
+/// builds its one-shard case.
+pub type EngineServer = ShardedEngineServer;
 pub use wal::{reserved_table_name, Wal, WalOp, WalRecord};

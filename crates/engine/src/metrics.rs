@@ -36,7 +36,7 @@ pub struct ViewStats {
     /// one per propagation escape hatch or shard-topology change.
     pub rebuilds: u64,
     /// Shard windows skipped by key-range pruning, summed over reads
-    /// (zero for unsharded engines and unbounded views).
+    /// (zero for one-shard engines and unbounded views).
     pub shards_pruned: u64,
 }
 
@@ -61,7 +61,8 @@ pub struct WalStats {
     pub segments_compacted: u64,
 }
 
-/// Counters kept by the sharding layer (all zero for unsharded engines).
+/// Counters kept by the sharding layer (splits, merges and 2PC stay zero
+/// on a one-shard engine).
 /// Updated by [`crate::shard::ShardedEngineServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStats {
@@ -188,12 +189,12 @@ pub struct MetricsSnapshot {
     pub wal_records_truncated: u64,
     /// Durable-WAL counters (all zero for in-memory engines).
     pub wal: WalStats,
-    /// Sharding counters (all zero for unsharded engines).
+    /// Sharding counters.
     pub shard: ShardStats,
     /// Materialized-view maintenance counters.
     pub view: ViewStats,
-    /// Per-shard load samples, in topology order (empty for unsharded
-    /// engines).
+    /// Per-shard load samples, in topology order (empty until a
+    /// rebalance policy runs).
     pub shard_load: Vec<ShardLoad>,
     /// Replication counters (empty except on replica engines).
     pub repl: ReplStats,

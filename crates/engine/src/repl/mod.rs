@@ -16,7 +16,7 @@
 //!  │ shard-1/ wal-*.seg ──────┼────────▶ │ mirror/shard-1/ …        │
 //!  │ topology.esm ────────────┼────────▶ │ mirror/topology.esm      │
 //!  └──────────────────────────┘          │   │ decode + apply       │
-//!         ▲ WalSource                    │   ▼ serving EngineServer │
+//!         ▲ WalSource                    │   ▼ one-shard serving    │
 //!         │ (REPL_* verbs or fs)        │ reads, views, subs       │
 //!                                        └──────────────────────────┘
 //!                                              │ promote()
@@ -32,7 +32,7 @@
 //!   disk outlives the process — how a promotion drains a dead
 //!   primary's tail), and `esm-net`'s `RemoteWalSource` over the wire.
 //! * [`replica::ReplicaEngine`] — mirrors the files, applies settled
-//!   transactions through a flat serving engine (so views,
+//!   transactions through a one-shard serving engine (so views,
 //!   subscriptions and `view_deltas_since` stay incremental), and
 //!   serves the whole read side of [`crate::Engine`]. Write paths
 //!   return [`crate::EngineError::NotPrimary`] carrying the primary's

@@ -1,7 +1,7 @@
 //! [`ReplicaEngine`]: a continuously-recovering read replica.
 //!
 //! The replica mirrors a primary's WAL directories byte-for-byte from a
-//! [`WalSource`] and keeps a flat serving [`EngineServer`] converged to
+//! [`WalSource`] and keeps a one-shard serving [`EngineServer`] converged to
 //! the primary's settled state. Bootstrap runs the exact recovery
 //! pipeline ([`latest_valid_checkpoint`] → [`scan_segments`] →
 //! [`plan_recovery`] → [`resolve_transactions`]); steady state decodes
@@ -31,9 +31,9 @@ use crate::durable::{plan_recovery, resolve_transactions, scan_segments, Mainten
 use crate::error::EngineError;
 use crate::metrics::{MetricsSnapshot, ReplStats, ReplicaLag};
 use crate::segment::{decode_segment_prefix, parse_segment_name, segment_file_name};
-use crate::server::EngineServer;
 use crate::shard::{read_topology, TOPOLOGY_FILE};
 use crate::wal::{WalOp, WalRecord};
+use crate::EngineServer;
 
 /// Tuning for a replica.
 #[derive(Debug, Clone)]
@@ -220,7 +220,7 @@ impl ReplicaEngine {
             .unwrap_or_default()
     }
 
-    /// The flat engine serving this replica's reads (views registered
+    /// The one-shard engine serving this replica's reads (views registered
     /// here serve `read_view` / `view_deltas_since` incrementally).
     pub fn serving(&self) -> &EngineServer {
         &self.inner.serving

@@ -28,9 +28,9 @@ use std::sync::Mutex;
 use esm_relational::ViewDef;
 use esm_store::{Database, Delta, Table};
 
+use crate::engine::DEFAULT_OPTIMISTIC_ATTEMPTS;
 use crate::engine::{ArcEngine, CommitReceipt, Engine};
 use crate::error::EngineError;
-use crate::server::DEFAULT_OPTIMISTIC_ATTEMPTS;
 use crate::view::EntangledView;
 
 /// How stubbornly a session's optimistic operations retry
@@ -197,7 +197,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::EngineServer;
+    use crate::EngineServer;
     use esm_store::{row, Schema, ValueType};
 
     fn engine() -> ArcEngine {

@@ -100,19 +100,20 @@ impl ShardCoordinator {
     ///
     /// `stamp` is called once, while every participant lock is held,
     /// with no conflicts remaining — its return value is the commit's
-    /// position in the engine-wide serialization order.
+    /// position in the engine-wide serialization order, and each
+    /// participant records it in its stamp index at its resolution.
     ///
     /// With `telemetry`, each participant's prepare append, resolve
     /// append and both fsyncs time into the `Twopc*` phases — one
     /// sample per participant per phase, so the histograms expose the
     /// per-shard cost, not just the transaction total.
-    pub(crate) fn commit_cross<R>(
+    pub(crate) fn commit_cross(
         &self,
         participants: &[Participant<'_>],
         failpoint: FailPoint,
         telemetry: Option<&Telemetry>,
-        stamp: impl FnOnce() -> R,
-    ) -> Result<(String, R), EngineError> {
+        stamp: impl FnOnce() -> u64,
+    ) -> Result<(String, u64), EngineError> {
         debug_assert!(
             participants.windows(2).all(|w| w[0].index < w[1].index),
             "participants must be locked in index order"
@@ -250,6 +251,7 @@ impl ShardCoordinator {
             let resolve_span = Span::start();
             let resolve_tspan = under(i).map(|ctx| ctx.child("twopc_resolve", ""));
             guard.resolve(&gtx, true, &p.deltas, true)?;
+            guard.note_stamp(receipt);
             drop(resolve_tspan);
             if let Some(tel) = telemetry {
                 tel.record(Phase::TwopcResolve, resolve_span.elapsed_ns());
@@ -315,6 +317,8 @@ mod tests {
             .unwrap();
         assert_eq!(stamp, 42);
         assert!(gtx.starts_with('g'));
+        // Each participant indexed the stamp at its resolution.
+        assert_eq!(a.read().seq_at_stamp(42), Some(a.read().wal.last_seq()));
         assert!(a.read().db.table("t").unwrap().contains(&row![10, "x"]));
         assert!(b.read().db.table("t").unwrap().contains(&row![1010, "x"]));
         // Both shard logs replay to their live pieces.
@@ -342,7 +346,7 @@ mod tests {
                 &[stale_a, participant(1, &b, 1010)],
                 FailPoint::None,
                 None,
-                || (),
+                || 1,
             )
             .unwrap_err();
         assert!(matches!(err, EngineError::Conflict { .. }));
@@ -359,7 +363,7 @@ mod tests {
                 &[participant(0, &a, 10), participant(1, &b, 1010)],
                 FailPoint::AfterPrepare,
                 None,
-                || (),
+                || 1,
             )
             .unwrap_err();
         assert!(matches!(err, EngineError::Io(msg) if msg.contains("failpoint")));
@@ -374,7 +378,7 @@ mod tests {
         let coord = ShardCoordinator::starting_after(41);
         let a = Shard::new_in_memory(0, piece(0));
         let (gtx, _) = coord
-            .commit_cross(&[participant(0, &a, 10)], FailPoint::None, None, || ())
+            .commit_cross(&[participant(0, &a, 10)], FailPoint::None, None, || 1)
             .unwrap();
         assert_eq!(gtx, "g42");
     }

@@ -1,4 +1,5 @@
-//! Key-range sharding: many shards, one engine.
+//! The engine: one or many key-range shards behind one commit, view and
+//! recovery path.
 //!
 //! [`ShardedEngineServer`] partitions every table across N [`Shard`]s by
 //! primary-key range ([`ShardRouter`]). Each shard owns its own
@@ -21,10 +22,12 @@
 //!   fence) or merge adjacent shards, while other shards keep
 //!   committing.
 //!
+//! The one-shard case ([`ShardedEngineServer::new`], also reachable as
+//! [`crate::EngineServer`]) is the plain in-process engine: every
+//! commit takes the single-shard path and nothing is coordinated.
 //! Clients stay routing-oblivious: [`ShardedEngineServer::define_view`]
-//! hands out the same [`crate::EntangledView`] handles the unsharded
-//! engine does, and `get`/`put`/`edit` route (and coordinate) per key
-//! under the hood.
+//! hands out [`crate::EntangledView`] handles whatever the shard count,
+//! and `get`/`put`/`edit` route (and coordinate) per key under the hood.
 //!
 //! ## Durable layout
 //!
@@ -59,7 +62,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use esm_lens::DeltaLens;
+use esm_lens::{DeltaLens, DeltaOutcome};
 use esm_obs::{Phase, Span, Telemetry, TelemetrySnapshot};
 use esm_relational::ViewDef;
 use esm_store::{Database, Delta, Row, Schema, Table, Value};
@@ -90,6 +93,9 @@ pub(crate) struct Topology {
     /// against; a mismatch invalidates them (shard WAL cursors do not
     /// survive a layout change).
     pub epoch: u64,
+    /// The commit stamp the last split/merge happened at. Subscription
+    /// cursors below it predate the current layout and resync.
+    pub layout_stamp: u64,
 }
 
 pub use crate::engine::CommitReceipt;
@@ -125,10 +131,13 @@ struct ViewReg {
     /// The view's output schema (for assembling an empty result when the
     /// bounds prune every shard).
     schema: Schema,
-    /// Per-shard materialized windows, built lazily on first read and
-    /// invalidated by topology epoch changes. Lock order is always view
-    /// windows → topology → shard locks.
-    mat: Mutex<Option<ShardedMat>>,
+    /// The output schema's key column indices — what subscription drains
+    /// coalesce view deltas by.
+    view_keys: Vec<usize>,
+    /// Per-shard materialized windows, built at registration and
+    /// rebuilt on the first read after a topology epoch change. Lock
+    /// order is always view windows → topology → shard locks.
+    mat: Mutex<ShardedMat>,
 }
 
 /// A sharded view's materialized state: one window per in-range shard,
@@ -189,33 +198,40 @@ pub struct ShardedEngineServer {
 /// table is cut with [`Table::split_off_key`] at the router's split
 /// points — one O(log n) tree split per boundary instead of routing
 /// row by row.
-fn partition(db: &Database, router: &ShardRouter) -> Result<Vec<Database>, EngineError> {
+fn partition(mut db: Database, router: &ShardRouter) -> Vec<Database> {
     let mut pieces: Vec<Database> = (0..router.shard_count()).map(|_| Database::new()).collect();
-    for name in db.table_names() {
-        let mut remaining = db.table(name)?.clone();
+    let names: Vec<String> = db.table_names().into_iter().map(String::from).collect();
+    for name in names {
+        let mut remaining = db.drop_table(&name).expect("name came from the database");
         for (i, split) in router.splits().iter().enumerate().rev() {
             let upper = remaining.split_off_key(split);
-            pieces[i + 1].replace_table(name.to_string(), upper);
+            pieces[i + 1].replace_table(name.clone(), upper);
         }
-        pieces[0].replace_table(name.to_string(), remaining);
+        pieces[0].replace_table(name, remaining);
     }
-    Ok(pieces)
+    pieces
 }
 
 /// Merge shard pieces into one database (shards hold disjoint keys, so
-/// upserts never collide).
-pub(crate) fn assemble(pieces: impl Iterator<Item = Database>) -> Result<Database, EngineError> {
-    let mut out = Database::new();
-    for piece in pieces {
-        for name in piece.table_names() {
-            let table = piece.table(name)?;
-            if out.table(name).is_err() {
-                out.replace_table(name.to_string(), table.clone());
-            } else {
-                let merged = out.table_mut(name)?;
-                for row in table.rows() {
-                    merged.upsert(row.clone())?;
+/// upserts never collide). The first piece's tables move into the result
+/// whole; later pieces' rows are upserted into them.
+pub(crate) fn assemble(
+    mut pieces: impl Iterator<Item = Database>,
+) -> Result<Database, EngineError> {
+    let Some(mut out) = pieces.next() else {
+        return Ok(Database::new());
+    };
+    for mut piece in pieces {
+        let names: Vec<String> = piece.table_names().into_iter().map(String::from).collect();
+        for name in names {
+            let table = piece.drop_table(&name).expect("name came from the piece");
+            match out.table_mut(&name) {
+                Ok(merged) => {
+                    for row in table.rows() {
+                        merged.upsert(row.clone())?;
+                    }
                 }
+                Err(_) => out.replace_table(name, table),
             }
         }
     }
@@ -305,20 +321,32 @@ impl ShardedEngineServer {
     // Construction.
     // ------------------------------------------------------------------
 
-    /// An in-memory sharded engine over `db`, cut into (up to) `shards`
-    /// ranges at key quantiles of the existing data. Use
-    /// [`ShardedEngineServer::with_router`] to control the split points.
-    pub fn new(db: Database, shards: usize) -> Result<ShardedEngineServer, EngineError> {
-        ShardedEngineServer::with_router(db.clone(), quantile_router(&db, shards))
+    /// An in-memory one-shard engine over the tables of `db`, which
+    /// becomes the recovery baseline.
+    ///
+    /// # Panics
+    ///
+    /// If `db` holds a reserved (`!`-prefixed) table name.
+    pub fn new(db: Database) -> ShardedEngineServer {
+        ShardedEngineServer::with_router(db, ShardRouter::single())
+            .expect("in-memory engines over unreserved table names cannot fail to construct")
     }
 
-    /// An in-memory sharded engine with explicit split points.
+    /// An in-memory engine over `db`, cut into (up to) `shards` ranges
+    /// at key quantiles of the existing data. Use
+    /// [`ShardedEngineServer::with_router`] to control the split points.
+    pub fn with_shards(db: Database, shards: usize) -> Result<ShardedEngineServer, EngineError> {
+        let router = quantile_router(&db, shards);
+        ShardedEngineServer::with_router(db, router)
+    }
+
+    /// An in-memory engine with explicit split points.
     pub fn with_router(
         db: Database,
         router: ShardRouter,
     ) -> Result<ShardedEngineServer, EngineError> {
         check_table_names(&db)?;
-        let pieces = partition(&db, &router)?;
+        let pieces = partition(db, &router);
         let shards: Vec<Shard> = pieces
             .into_iter()
             .enumerate()
@@ -332,7 +360,7 @@ impl ShardedEngineServer {
         ))
     }
 
-    /// A durable sharded engine: `config.dir` becomes the base
+    /// A durable engine: `config.dir` becomes the base
     /// directory, each shard logs into `shard-<id>/` within it, and the
     /// topology manifest is written atomically. Refuses a directory that
     /// already holds a topology — recover it instead.
@@ -349,7 +377,7 @@ impl ShardedEngineServer {
                 config.dir.display()
             )));
         }
-        let pieces = partition(&db, &router)?;
+        let pieces = partition(db, &router);
         let mut shards = Vec::with_capacity(pieces.len());
         for (i, piece) in pieces.into_iter().enumerate() {
             shards.push(Shard::create_durable(
@@ -368,7 +396,7 @@ impl ShardedEngineServer {
         ))
     }
 
-    /// Recover a sharded engine from its base directory with default
+    /// Recover an engine from its base directory with default
     /// durability tuning; see [`ShardedEngineServer::recover_with`].
     pub fn recover(
         dir: impl Into<std::path::PathBuf>,
@@ -376,7 +404,7 @@ impl ShardedEngineServer {
         ShardedEngineServer::recover_with(DurabilityConfig::new(dir))
     }
 
-    /// Recover a sharded engine: read the topology manifest, recover
+    /// Recover an engine: read the topology manifest, recover
     /// every shard's WAL directory, then settle what a crash left
     /// half-done —
     ///
@@ -470,17 +498,21 @@ impl ShardedEngineServer {
 
         // Prune rebalance debris: rows living outside their shard's
         // range (and therefore unreachable through the router) are
-        // deleted with a logged repair delta.
+        // deleted with a logged repair delta. Only the key ranges below
+        // and above the shard's own are visited.
         for (index, shard) in shards.iter().enumerate() {
             let mut state = shard.write();
+            let (lo, hi) = router.range_of(index)?;
             let mut repairs: Vec<(String, Delta)> = Vec::new();
             for name in state.db.table_names().into_iter().map(String::from) {
                 let table = state.db.table(&name)?;
-                let stray: Vec<Row> = table
-                    .rows()
-                    .filter(|row| router.shard_of(&table.key_of(row)) != index)
-                    .cloned()
-                    .collect();
+                let below = lo
+                    .into_iter()
+                    .flat_map(|lo| table.rows_in_key_range(None, Some(lo)));
+                let above = hi
+                    .into_iter()
+                    .flat_map(|hi| table.rows_in_key_range(Some(hi), None));
+                let stray: Vec<Row> = below.chain(above).cloned().collect();
                 if !stray.is_empty() {
                     report.repaired_rows += stray.len() as u64;
                     repairs.push((
@@ -540,15 +572,21 @@ impl ShardedEngineServer {
             Some(c) => Telemetry::with_config(c.telemetry.clone()),
             None => Telemetry::new(),
         });
+        let first_stamp = first_stamp();
         for shard in &shards {
-            if let Some(d) = shard.write().durable.as_mut() {
+            let mut state = shard.write();
+            if let Some(d) = state.durable.as_mut() {
                 d.set_telemetry(Some(Arc::clone(&telemetry)));
             }
+            // Everything logged so far is this instance's starting state.
+            state.stamps.clear();
+            state.note_stamp(first_stamp - 1);
         }
         let topology = Arc::new(RwLock::new(Topology {
             router,
             shards,
             epoch: 0,
+            layout_stamp: first_stamp - 1,
         }));
         let maintenance = durable_base.as_ref().and_then(|cfg| {
             if cfg.checkpoint_every == 0 || cfg.maintenance_interval_ms == 0 {
@@ -573,7 +611,7 @@ impl ShardedEngineServer {
                 topology,
                 views: RwLock::new(BTreeMap::new()),
                 coordinator,
-                stamp: AtomicU64::new(1),
+                stamp: AtomicU64::new(first_stamp),
                 notifier: Arc::new(CommitNotifier::new()),
                 metrics: Metrics::default(),
                 shard_metrics,
@@ -622,10 +660,25 @@ impl ShardedEngineServer {
         }
     }
 
-    /// A consistent snapshot of one table, assembled across shards.
+    /// A consistent snapshot of one table, assembled across shards
+    /// under all shard read locks. Only that table is copied.
     pub fn table(&self, name: &str) -> Result<Table, EngineError> {
-        let db = self.snapshot();
-        Ok(db.table(name)?.clone())
+        let topo = self.topology();
+        let guards: Vec<_> = topo.shards.iter().map(Shard::read).collect();
+        let mut pieces = guards.iter().map(|g| {
+            g.db.table(name)
+                .map_err(|_| EngineError::NoSuchTable(name.to_string()))
+        });
+        let mut out = match pieces.next() {
+            Some(first) => first?.clone(),
+            None => return Err(EngineError::NoSuchTable(name.to_string())),
+        };
+        for piece in pieces {
+            for row in piece?.rows() {
+                out.upsert(row.clone())?;
+            }
+        }
+        Ok(out)
     }
 
     /// A consistent snapshot of the whole database: all shard read locks
@@ -783,7 +836,7 @@ impl ShardedEngineServer {
         }
     }
 
-    /// The base directory of a durable sharded engine (`None` when in
+    /// The base directory of a durable engine (`None` when in
     /// memory) — where the topology manifest and `shard-<id>/` WAL
     /// directories live, and what [`crate::repl`] ships from.
     pub fn durable_base_dir(&self) -> Option<std::path::PathBuf> {
@@ -878,14 +931,11 @@ impl ShardedEngineServer {
         {
             let views = self.inner.views.read().expect("views lock poisoned");
             for reg in views.values() {
-                let mat_slot = reg.mat.lock().expect("view windows lock poisoned");
-                let Some(mat) = mat_slot.as_ref() else {
-                    continue;
-                };
+                let mat = reg.mat.lock().expect("view windows lock poisoned");
                 if mat.epoch != topo.epoch {
                     continue; // stale: the next read rebuilds, needs no log
                 }
-                let run = self.view_shard_run(&topo, reg);
+                let run = shard_run(&topo, &reg.bounds);
                 for (window, &shard_index) in mat.windows.iter().zip(run.iter()) {
                     floors[shard_index] = floors[shard_index].min(window.applied_seq);
                 }
@@ -951,29 +1001,39 @@ impl ShardedEngineServer {
         self.run_transact(Some(keys), max_attempts, failpoint, body)
     }
 
-    /// Checked delta commit pruned to the touched shards: derive the
-    /// key set from the delta rows, snapshot and lock only the shards
-    /// those keys route to, and validate each row against its
-    /// pre-image ([`crate::engine::apply_table_delta_checked`]) inside
-    /// one transaction attempt — the sharded engine side of the wire
-    /// protocol's `commit` request. A single-shard delta takes the
-    /// single-shard fast path end to end.
+    /// Delta-direct checked commit — the engine side of the wire
+    /// protocol's `commit` request. When every row routes to one shard
+    /// (always, on a one-shard engine) it is O(delta): no snapshot and no
+    /// re-diff. Pre-image validation against the live piece under the
+    /// shard's write lock (`ShardState::check_pre_images`) is
+    /// the first-committer-wins check, then the deltas append as one
+    /// chain. Deltas spanning shards run one checked transaction
+    /// attempt over just the touched shards (two-phase commit).
     pub fn commit_deltas_checked(
         &self,
         deltas: &[(String, Delta)],
     ) -> Result<CommitReceipt, EngineError> {
+        let nonempty: Vec<(String, Delta)> = deltas
+            .iter()
+            .filter(|(_, d)| !d.is_empty())
+            .cloned()
+            .collect();
+        let topo = self.topology();
         let mut keys: Vec<Row> = Vec::new();
+        let mut touched: BTreeSet<usize> = BTreeSet::new();
         {
-            let topo = self.topology();
             let Some(first) = topo.shards.first() else {
                 return Err(EngineError::ShardTopology("no shards".into()));
             };
             let state = first.read();
-            for (name, delta) in deltas {
+            for (name, delta) in &nonempty {
                 // Every shard holds every table's schema; key extraction
                 // needs only that. Reject wrong-arity rows here, before
                 // key projection can panic on them.
-                let table = state.db.table(name)?;
+                let table = state
+                    .db
+                    .table(name)
+                    .map_err(|_| EngineError::NoSuchTable(name.clone()))?;
                 let arity = table.schema().columns().len();
                 for row in delta.inserted.iter().chain(delta.deleted.iter()) {
                     if row.len() != arity {
@@ -982,13 +1042,97 @@ impl ShardedEngineServer {
                             got: row.len(),
                         }));
                     }
-                    keys.push(table.key_of(row));
+                    let key = table.key_of(row);
+                    touched.insert(topo.router.shard_of(&key));
+                    keys.push(key);
                 }
             }
         }
-        self.transact_keys(&keys, 1, |db| {
-            crate::engine::apply_deltas_checked(db, deltas)
+        let index = match touched.len() {
+            0 => {
+                return Ok(CommitReceipt {
+                    stamp: self.last_stamp(),
+                    shards: Vec::new(),
+                    deltas: BTreeMap::new(),
+                    gtx: None,
+                })
+            }
+            1 => *touched.first().expect("one shard"),
+            _ => {
+                drop(topo);
+                return self.transact_keys(&keys, 1, |db| {
+                    crate::engine::apply_deltas_checked(db, deltas)
+                });
+            }
+        };
+        let stamp = self.commit_on_shard(index, &topo.shards[index], &nonempty, |state| {
+            state.check_pre_images(&nonempty)
+        })?;
+        let mut merged: BTreeMap<String, Delta> = BTreeMap::new();
+        for (name, delta) in nonempty {
+            let entry = merged.entry(name).or_default();
+            entry.inserted.extend(delta.inserted);
+            entry.deleted.extend(delta.deleted);
+        }
+        Ok(CommitReceipt {
+            stamp,
+            shards: vec![index],
+            deltas: merged,
+            gtx: None,
         })
+    }
+
+    /// The single-shard commit: under `shard`'s write lock run
+    /// `validate`, append `deltas` as one chain, issue the commit stamp
+    /// and index it, then (locks dropped) wait for the group fsync and
+    /// publish the stamp. Returns the stamp.
+    fn commit_on_shard(
+        &self,
+        index: usize,
+        shard: &Shard,
+        deltas: &[(String, Delta)],
+        validate: impl FnOnce(&shard::ShardState) -> Result<(), EngineError>,
+    ) -> Result<u64, EngineError> {
+        let tel = &self.inner.telemetry;
+        let mut guard = shard.write();
+        let lock_span = Span::start();
+        let validate_span = Span::start();
+        let validate_tspan =
+            esm_obs::trace::span_tagged("commit_validate", format!("shard:{index}"));
+        let validated = validate(&guard);
+        let validate_ns = validate_span.elapsed_ns();
+        drop(validate_tspan);
+        tel.record(Phase::CommitValidate, validate_ns);
+        if let Err(e) = validated {
+            drop(guard);
+            tel.record(Phase::CommitLockHold, lock_span.elapsed_ns());
+            return Err(e);
+        }
+        // Defer the fsync when the shard has a group-commit gate: after
+        // the lock drops, this session parks on the gate and one leader
+        // fsyncs the whole cross-session batch.
+        let appended = guard.append_group(deltas, GroupEnd::Commit, shard.has_group_commit())?;
+        let stamp = self.inner.stamp.fetch_add(1, Ordering::SeqCst);
+        guard.note_stamp(stamp);
+        drop(guard);
+        shard.wait_group(appended.end.saturating_sub(1))?;
+        let lock_ns = lock_span.elapsed_ns();
+        tel.record(Phase::CommitLockHold, lock_ns);
+        tel.record_slow(
+            "commit:single-shard",
+            lock_ns,
+            &[
+                (Phase::CommitValidate, validate_ns),
+                (Phase::CommitLockHold, lock_ns),
+            ],
+        );
+        self.inner
+            .metrics
+            .commit(deltas.iter().map(|(_, d)| d.len() as u64).sum());
+        self.inner.shard_metrics.single_shard_commit();
+        shard.note_commit();
+        self.inner.notifier.publish(stamp);
+        Ok(stamp)
     }
 
     fn run_transact(
@@ -1117,51 +1261,25 @@ impl ShardedEngineServer {
             let shard_deltas: Vec<(String, Delta)> =
                 tables.iter().map(|(t, d)| (t.clone(), d.clone())).collect();
             let keys = keys_of(snapshot, &shard_deltas)?;
-            let shard = &topo.shards[index];
-            let tel = &self.inner.telemetry;
-            let mut guard = shard.write();
-            let lock_span = Span::start();
-            let validate_span = Span::start();
-            let validate_tspan =
-                esm_obs::trace::span_tagged("commit_validate", format!("shard:{index}"));
-            let conflict = guard.fcw_conflict(snap_seqs[&index], &keys)?;
-            let validate_ns = validate_span.elapsed_ns();
-            drop(validate_tspan);
-            tel.record(Phase::CommitValidate, validate_ns);
-            if let Some((table, seq)) = conflict {
-                drop(guard);
-                tel.record(Phase::CommitLockHold, lock_span.elapsed_ns());
-                self.inner.metrics.conflict();
-                return Err(EngineError::Conflict {
-                    table,
-                    detail: format!(
-                        "snapshot at seq {} overlaps commit seq {seq} on shard {index}",
-                        snap_seqs[&index]
-                    ),
-                });
-            }
-            // Defer the fsync when the shard has a group-commit gate:
-            // after the lock drops, this session parks on the gate and
-            // one leader fsyncs the whole cross-session batch.
-            let appended =
-                guard.append_group(&shard_deltas, GroupEnd::Commit, shard.has_group_commit())?;
-            let stamp = self.inner.stamp.fetch_add(1, Ordering::SeqCst);
-            drop(guard);
-            shard.wait_group(appended.end.saturating_sub(1))?;
-            let lock_ns = lock_span.elapsed_ns();
-            tel.record(Phase::CommitLockHold, lock_ns);
-            tel.record_slow(
-                "commit:single-shard",
-                lock_ns,
-                &[
-                    (Phase::CommitValidate, validate_ns),
-                    (Phase::CommitLockHold, lock_ns),
-                ],
-            );
-            self.inner.metrics.commit(rows);
-            self.inner.shard_metrics.single_shard_commit();
-            shard.note_commit();
-            self.inner.notifier.publish(stamp);
+            let snap_seq = snap_seqs[&index];
+            let stamp = self.commit_on_shard(
+                index,
+                &topo.shards[index],
+                &shard_deltas,
+                |state| match state.fcw_conflict(snap_seq, &keys)? {
+                    None => Ok(()),
+                    Some((table, seq)) => {
+                        self.inner.metrics.conflict();
+                        Err(EngineError::Conflict {
+                            table,
+                            detail: format!(
+                                "snapshot at seq {snap_seq} overlaps commit seq {seq} \
+                                     on shard {index}"
+                            ),
+                        })
+                    }
+                },
+            )?;
             return Ok(CommitReceipt {
                 stamp,
                 shards: vec![index],
@@ -1227,11 +1345,14 @@ impl ShardedEngineServer {
     // Views (the EntangledView facade).
     // ------------------------------------------------------------------
 
-    /// Compile and register a named entangled view over `table` — same
-    /// contract as [`crate::EngineServer::define_view`], except the base
-    /// table spans shards and clients stay routing-oblivious. Columns
-    /// the view's select stages constrain get secondary indexes on every
-    /// shard's piece.
+    /// Compile and register a named entangled view over `table`.
+    ///
+    /// The definition is validated against the current table state, and
+    /// base columns its select stages constrain get secondary indexes on
+    /// every shard's piece (reads seek instead of scanning). Registration
+    /// runs the one sanctioned full lens `get`: the view's windows are
+    /// materialized here, and every later read maintains them from
+    /// committed deltas.
     pub fn define_view(
         &self,
         name: impl Into<String>,
@@ -1271,7 +1392,7 @@ impl ShardedEngineServer {
             };
             (lens, schema, bounds)
         };
-        {
+        let mat = {
             let topo = self.topology();
             for col in def.index_candidates() {
                 for shard in &topo.shards {
@@ -1279,7 +1400,12 @@ impl ShardedEngineServer {
                     state.db.table_mut(&table)?.create_index(&col)?;
                 }
             }
-        }
+            let guards: Vec<_> = shard_run(&topo, &bounds)
+                .into_iter()
+                .map(|i| topo.shards[i].read())
+                .collect();
+            self.materialize(&lens, &table, topo.epoch, &guards)?
+        };
         let mut views = self.inner.views.write().expect("views lock poisoned");
         if views.contains_key(&name) {
             return Err(EngineError::ViewExists(name));
@@ -1290,8 +1416,9 @@ impl ShardedEngineServer {
                 table,
                 lens,
                 bounds,
+                view_keys: schema.key_indices(),
                 schema,
-                mat: Mutex::new(None),
+                mat: Mutex::new(mat),
             },
         );
         drop(views);
@@ -1314,46 +1441,87 @@ impl ShardedEngineServer {
         Arc::clone(&self.inner.notifier)
     }
 
-    /// The last *issued* global commit stamp (the stamp counter starts
-    /// at 1, so an untouched engine reports 0).
+    /// The last *issued* global commit stamp (one below the instance's
+    /// first stamp on an untouched engine).
     fn last_stamp(&self) -> u64 {
         self.inner.stamp.load(Ordering::SeqCst).saturating_sub(1)
     }
 
     /// The subscription cursor a fresh subscriber of `name` should start
-    /// from: the current global commit stamp. Anything committed after
-    /// this call surfaces through [`Self::view_deltas_since`].
+    /// from: the current global commit stamp. A subscriber that adopts a
+    /// window from [`Self::read_view`] taken *after* this call misses
+    /// nothing by draining from here.
     pub fn view_cursor(&self, name: &str) -> Result<u64, EngineError> {
         self.with_view(name, |_| Ok(self.last_stamp()))
     }
 
-    /// Everything settled past `cursor` for view `name`.
+    /// Everything settled past `cursor` (a commit stamp) for view
+    /// `name`, coalesced into one view-level delta — the subscription
+    /// fan-out primitive.
     ///
-    /// The sharded engine's cursor is the global commit *stamp*, which
-    /// is coarser than a per-shard WAL sequence: when anything has
-    /// committed past the cursor the whole current window is returned as
-    /// a resync (reflecting at least the stamp read before the window).
-    /// Subscribers stay correct — they just pay resync granularity
-    /// rather than O(delta) — and an idle view still short-circuits to
-    /// an empty batch.
+    /// O(delta) on every shard count: under the read locks of the view's
+    /// shard run, each shard's stamp index maps the cursor to a position
+    /// in its log, and the committed records past it are translated
+    /// through the lens's propagator **without touching the view's
+    /// windows**, so subscriber drains never serialize against readers
+    /// or each other. Falls back to a full-window *resync* batch only
+    /// when the cursor is outside the live window (truncated away,
+    /// ahead of the last stamp, or before the last split/merge) or a
+    /// record hits the propagation escape hatch.
     pub fn view_deltas_since(&self, name: &str, cursor: u64) -> Result<ViewDeltas, EngineError> {
-        // Read the stamp *before* the window so the window reflects at
-        // least `cur` and advancing the subscriber to it loses nothing.
-        let cur = self.last_stamp();
-        if cursor == cur {
-            // Nothing stamped past the cursor; still validate the name.
-            return self.with_view(name, |_| Ok(ViewDeltas::empty(cursor)));
+        let drain_span = Span::start();
+        let tspan = esm_obs::trace::span_tagged("sub_drain", name);
+        let drained = self.with_view(name, |reg| {
+            let topo = self.topology();
+            let run = shard_run(&topo, &reg.bounds);
+            let guards: Vec<_> = run.iter().map(|&i| topo.shards[i].read()).collect();
+            // Under the run's read locks every commit stamped so far is
+            // fully applied on these shards, and none can land.
+            let to = self.last_stamp();
+            if cursor < topo.layout_stamp || cursor > to {
+                return Ok(None);
+            }
+            let mut view_deltas = Vec::new();
+            for guard in &guards {
+                let Some(from) = guard.seq_at_stamp(cursor) else {
+                    return Ok(None);
+                };
+                let Some(pending) =
+                    committed_table_deltas(&reg.table, guard.wal.records_after(from))
+                else {
+                    // Unsettled trailing transaction: push once it settles.
+                    return Ok(Some(ViewDeltas::empty(cursor)));
+                };
+                for delta in pending {
+                    match reg.lens.get_delta(delta) {
+                        DeltaOutcome::View(vd) => view_deltas.push(vd),
+                        DeltaOutcome::Rebuild => return Ok(None),
+                    }
+                }
+            }
+            Ok(Some(ViewDeltas {
+                from_seq: cursor,
+                to_seq: to,
+                delta: Delta::coalesce(view_deltas, &reg.view_keys),
+                resync: None,
+            }))
+        });
+        self.inner
+            .telemetry
+            .record(Phase::SubDrain, drain_span.elapsed_ns());
+        drop(tspan);
+        match drained? {
+            Some(batch) => Ok(batch),
+            None => {
+                let (window, stamp) = self.read_view_at(name)?;
+                Ok(ViewDeltas {
+                    from_seq: cursor,
+                    to_seq: stamp,
+                    delta: Delta::empty(),
+                    resync: Some(window),
+                })
+            }
         }
-        // A cursor that isn't exactly the current stamp — behind it,
-        // ahead of it (a stale or corrupt resume), or the explicit
-        // u64::MAX force-resync sentinel — gets the full window.
-        let window = self.read_view(name)?;
-        Ok(ViewDeltas {
-            from_seq: cursor,
-            to_seq: cur,
-            delta: Delta::empty(),
-            resync: Some(window),
-        })
     }
 
     /// Registered view names, sorted.
@@ -1379,16 +1547,26 @@ impl ShardedEngineServer {
         f(reg)
     }
 
-    /// The contiguous shard run the view's key bounds can touch under
-    /// the current router.
-    fn view_shard_run(&self, topo: &Topology, reg: &ViewReg) -> Vec<usize> {
-        match topo
-            .router
-            .shards_in_value_range(&reg.bounds.0, &reg.bounds.1)
-        {
-            Some((a, b)) => (a..=b).collect(),
-            None => Vec::new(),
+    /// (Re)build a view's windows from the live pieces of its shard run
+    /// (`guards`, read-locked by the caller in run order) — the one full
+    /// lens `get`, at registration and after a topology change.
+    fn materialize(
+        &self,
+        lens: &DeltaLens<Table, Table, Delta>,
+        table: &str,
+        epoch: u64,
+        guards: &[std::sync::RwLockReadGuard<'_, shard::ShardState>],
+    ) -> Result<ShardedMat, EngineError> {
+        let _rebuild = self.inner.telemetry.timer(Phase::ViewRebuild);
+        let mut windows = Vec::with_capacity(guards.len());
+        for guard in guards {
+            windows.push(Window {
+                table: lens.get(guard.db.table(table)?),
+                applied_seq: guard.wal.last_seq(),
+            });
         }
+        self.inner.metrics.view_rebuild();
+        Ok(ShardedMat { epoch, windows })
     }
 
     /// Read a view against a consistent cross-shard state of its base
@@ -1400,14 +1578,21 @@ impl ShardedEngineServer {
     /// the committed WAL records since its window's cursor, translated
     /// through the lens's delta propagator — O(changes) per read, never
     /// a whole-database assembly. Full per-shard lens `get`s happen only
-    /// on the first read, after a topology change (split/merge), or on a
+    /// at registration, after a topology change (split/merge), or on a
     /// propagation escape hatch.
     pub fn read_view(&self, name: &str) -> Result<Table, EngineError> {
+        self.read_view_at(name).map(|(window, _)| window)
+    }
+
+    /// [`Self::read_view`] plus the commit stamp the returned window
+    /// reflects — the cursor a subscriber that adopts this window
+    /// resumes draining from.
+    fn read_view_at(&self, name: &str) -> Result<(Table, u64), EngineError> {
         self.inner.metrics.view_read();
         self.with_view(name, |reg| {
-            let mut mat_slot = reg.mat.lock().expect("view windows lock poisoned");
+            let mut mat = reg.mat.lock().expect("view windows lock poisoned");
             let topo = self.topology();
-            let run = self.view_shard_run(&topo, reg);
+            let run = shard_run(&topo, &reg.bounds);
             let pruned = topo.shards.len() - run.len();
             if pruned > 0 {
                 self.inner.metrics.view_pruned(pruned as u64);
@@ -1419,35 +1604,18 @@ impl ShardedEngineServer {
             // rows, so their in-flight halves are invisible by
             // construction.
             let guards: Vec<_> = run.iter().map(|&i| topo.shards[i].read()).collect();
+            let stamp = self.last_stamp();
 
-            let stale = match mat_slot.as_ref() {
-                Some(mat) => mat.epoch != topo.epoch,
-                None => true,
-            };
-            if stale {
-                // (Re)build every window from the live shard pieces.
-                let _rebuild = self.inner.telemetry.timer(Phase::ViewRebuild);
-                let mut windows = Vec::with_capacity(guards.len());
-                for guard in &guards {
-                    windows.push(Window {
-                        table: reg.lens.get(guard.db.table(&reg.table)?),
-                        applied_seq: guard.wal.last_seq(),
-                    });
-                }
-                *mat_slot = Some(ShardedMat {
-                    epoch: topo.epoch,
-                    windows,
-                });
-                self.inner.metrics.view_rebuild();
+            if mat.epoch != topo.epoch {
+                *mat = self.materialize(&reg.lens, &reg.table, topo.epoch, &guards)?;
             } else {
-                let mat = mat_slot.as_mut().expect("checked above");
                 let mut clean = true;
                 for (window, guard) in mat.windows.iter_mut().zip(&guards) {
                     clean &= self.drain_shard_window(reg, window, guard)?;
                 }
                 drop(guards);
                 // A materialized read means *no* window re-ran its lens
-                // get — same accounting as the unsharded engine.
+                // get.
                 if clean {
                     self.inner.metrics.view_materialized();
                 }
@@ -1455,7 +1623,6 @@ impl ShardedEngineServer {
 
             // Concatenate the windows (disjoint keys: the lens retains
             // the base key, and shards own disjoint key ranges).
-            let mat = mat_slot.as_ref().expect("materialized above");
             let mut parts = mat.windows.iter();
             let mut out = match parts.next() {
                 Some(w) => w.table.clone(),
@@ -1466,7 +1633,7 @@ impl ShardedEngineServer {
                     out.upsert(row.clone())?;
                 }
             }
-            Ok(out)
+            Ok((out, stamp))
         })
     }
 
@@ -1540,7 +1707,7 @@ impl ShardedEngineServer {
     /// anywhere, and an empty snapshot could not even name the base
     /// table).
     fn view_write_participants(&self, topo: &Topology, reg: &ViewReg) -> Option<BTreeSet<usize>> {
-        let run = self.view_shard_run(topo, reg);
+        let run = shard_run(topo, &reg.bounds);
         if run.is_empty() || run.len() == topo.shards.len() {
             None
         } else {
@@ -1552,8 +1719,10 @@ impl ShardedEngineServer {
     /// view's whole visible window; the resulting base delta routes per
     /// key and commits like any transaction (2PC when it spans shards),
     /// retrying internally until it lands — concurrent putters are
-    /// last-writer-wins, like the unsharded engine. Returns the
-    /// base-table delta.
+    /// last-writer-wins; use [`Self::edit_view_optimistic`] for
+    /// read-modify-write edits that must not lose concurrent updates.
+    /// A put that does not fit the view is rejected with an error, never
+    /// a panic. Returns the base-table delta.
     ///
     /// Snapshots are pruned to the shards the view's key bounds can
     /// touch; a write that strays outside them (a client inserting an
@@ -1608,9 +1777,10 @@ impl ShardedEngineServer {
         })
     }
 
-    /// Transactionally edit a view (optimistic, first-committer-wins
-    /// with up to `attempts` retries) — the sharded
-    /// [`crate::EngineServer::edit_view_optimistic`]. Snapshots are
+    /// Transactionally edit a view: snapshot, apply `edit`, run the lens
+    /// `put`, then commit iff no record since the snapshot touches a
+    /// primary key this edit touches (first-committer-wins), retrying
+    /// with a fresh snapshot up to `attempts` times. Snapshots are
     /// pruned like [`ShardedEngineServer::write_view`]'s, with the same
     /// widen-on-stray fallback.
     pub fn edit_view_optimistic(
@@ -1673,6 +1843,27 @@ impl std::fmt::Debug for ShardedEngineServer {
             topo.shards.len(),
             topo.router.splits()
         )
+    }
+}
+
+/// The first commit stamp a new engine instance issues: the wall clock in
+/// microseconds. Stamps then never repeat across restarts (no engine
+/// commits more than once a microsecond), so a subscription cursor from
+/// an earlier instance falls below this one's live window and resyncs
+/// instead of being read as a position in the new log.
+fn first_stamp() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(1, |d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX / 2))
+        .max(1)
+}
+
+/// The contiguous shard run first-key-component `bounds` can touch under
+/// the current router.
+fn shard_run(topo: &Topology, bounds: &(Bound<Value>, Bound<Value>)) -> Vec<usize> {
+    match topo.router.shards_in_value_range(&bounds.0, &bounds.1) {
+        Some((a, b)) => (a..=b).collect(),
+        None => Vec::new(),
     }
 }
 
@@ -1871,7 +2062,7 @@ mod tests {
 
     #[test]
     fn quantile_router_balances_seed_data() {
-        let engine = ShardedEngineServer::new(seed_db(100), 4).unwrap();
+        let engine = ShardedEngineServer::with_shards(seed_db(100), 4).unwrap();
         assert_eq!(engine.shard_count(), 4);
         let topo = engine.topology();
         for shard in &topo.shards {
@@ -1881,13 +2072,13 @@ mod tests {
         drop(topo);
         // Degenerate cases collapse gracefully.
         assert_eq!(
-            ShardedEngineServer::new(seed_db(1), 4)
+            ShardedEngineServer::with_shards(seed_db(1), 4)
                 .unwrap()
                 .shard_count(),
             1, // one row → no usable quantiles → one shard
         );
         assert_eq!(
-            ShardedEngineServer::new(seed_db(3), 1)
+            ShardedEngineServer::with_shards(seed_db(3), 1)
                 .unwrap()
                 .shard_count(),
             1
@@ -2048,8 +2239,8 @@ mod tests {
                 &ViewDef::base().select(Predicate::lt(Operand::col("id"), Operand::val(10))),
             )
             .unwrap();
-        // First read materializes one window — for the single shard the
-        // key bound can touch; the other three are pruned uncloned.
+        // Registration materialized one window — for the single shard
+        // the key bound can touch; reads prune the other three uncloned.
         assert_eq!(low.get().unwrap().len(), 10);
         let m = engine.metrics();
         assert_eq!(m.view.rebuilds, 1);
@@ -2074,7 +2265,7 @@ mod tests {
         assert_eq!(window.len(), 10);
         let m = engine.metrics();
         assert_eq!(m.view.rebuilds, 1, "steady-state reads never rebuild");
-        assert_eq!(m.view.materialized_reads, 1);
+        assert_eq!(m.view.materialized_reads, 2);
         assert_eq!(
             m.view.deltas_applied, 1,
             "only the in-window commit drained"
@@ -2134,8 +2325,207 @@ mod tests {
         let schema = Schema::build(&[("id", ValueType::Int)], &["id"]).unwrap();
         db.create_table("!sneaky", Table::new(schema)).unwrap();
         assert!(matches!(
-            ShardedEngineServer::new(db, 2),
+            ShardedEngineServer::with_shards(db, 2),
             Err(EngineError::ReservedTableName(_))
         ));
+    }
+
+    #[test]
+    fn subscription_drains_stay_incremental_across_shards() {
+        let engine = sharded(40, 4); // splits at 10 / 20 / 30
+        let all = engine
+            .define_view("all", "accounts", &ViewDef::base())
+            .unwrap();
+        let first = engine.view_cursor("all").unwrap();
+        let mut replica = all.get().unwrap();
+        let bump = |id: i64, balance: i64| {
+            engine
+                .transact_keys(&[row![id]], 1, move |db| {
+                    db.table_mut("accounts")?
+                        .upsert(row![id, format!("o{id}"), balance])?;
+                    Ok(())
+                })
+                .unwrap()
+        };
+        bump(5, 1);
+        bump(25, 2);
+        // A cross-shard 2PC counts once, at its resolution.
+        engine
+            .transact_keys(&[row![6], row![36]], 1, |db| {
+                let t = db.table_mut("accounts")?;
+                t.delete_by_key(&row![6]);
+                t.upsert(row![36, "moved", 3])?;
+                Ok(())
+            })
+            .unwrap();
+        let batch = engine.view_deltas_since("all", first).unwrap();
+        assert!(batch.resync.is_none(), "drained O(delta), not resynced");
+        assert_eq!(batch.to_seq, engine.view_cursor("all").unwrap());
+        batch.delta.apply_in_place(&mut replica).unwrap();
+        assert_eq!(replica, all.get().unwrap());
+        // Current cursors drain nothing; cursors from the future resync.
+        assert!(engine
+            .view_deltas_since("all", batch.to_seq)
+            .unwrap()
+            .is_empty());
+        let future = engine.view_deltas_since("all", batch.to_seq + 1).unwrap();
+        assert!(future.resync.is_some());
+
+        // A split changes no data, so the current cursor still drains
+        // nothing; cursors from before the split resync, and cursors
+        // taken after it drain incrementally again.
+        engine.split_shard(row![15]).unwrap();
+        assert!(engine
+            .view_deltas_since("all", batch.to_seq)
+            .unwrap()
+            .is_empty());
+        assert!(engine
+            .view_deltas_since("all", first)
+            .unwrap()
+            .resync
+            .is_some());
+        let cursor = engine.view_cursor("all").unwrap();
+        let mut replica = all.get().unwrap();
+        bump(17, 4);
+        let batch = engine.view_deltas_since("all", cursor).unwrap();
+        assert!(batch.resync.is_none());
+        batch.delta.apply_in_place(&mut replica).unwrap();
+        assert_eq!(replica, all.get().unwrap());
+
+        // Truncating the log past a cursor takes it out of the window.
+        engine.truncate_wals().unwrap();
+        assert!(engine
+            .view_deltas_since("all", cursor)
+            .unwrap()
+            .resync
+            .is_some());
+
+        // A cursor from an earlier engine instance (a restart) is outside
+        // a later instance's window, however many commits it has taken.
+        let restarted = sharded(40, 4);
+        restarted
+            .define_view("all", "accounts", &ViewDef::base())
+            .unwrap();
+        for id in 0..8 {
+            restarted
+                .transact_keys(&[row![id]], 1, move |db| {
+                    db.table_mut("accounts")?.upsert(row![id, "again", id])?;
+                    Ok(())
+                })
+                .unwrap();
+        }
+        assert!(restarted
+            .view_deltas_since("all", first)
+            .unwrap()
+            .resync
+            .is_some());
+    }
+
+    #[test]
+    fn duplicate_views_and_unknown_tables_are_rejected() {
+        let engine = ShardedEngineServer::new(seed_db(4));
+        engine
+            .define_view("all", "accounts", &ViewDef::base())
+            .unwrap();
+        assert!(matches!(
+            engine.define_view("all", "accounts", &ViewDef::base()),
+            Err(EngineError::ViewExists(_))
+        ));
+        assert!(matches!(
+            engine.define_view("x", "ghost", &ViewDef::base()),
+            Err(EngineError::NoSuchTable(_))
+        ));
+    }
+
+    #[test]
+    fn ill_fitting_view_writes_error_without_wedging_the_engine() {
+        let engine = ShardedEngineServer::new(seed_db(4));
+        let all = engine
+            .define_view("all", "accounts", &ViewDef::base())
+            .unwrap();
+        // A window of the wrong arity: the lens put would panic; the
+        // engine must surface an error and stay fully usable.
+        let bad = Table::from_rows(
+            Schema::build(&[("id", ValueType::Int)], &["id"]).unwrap(),
+            vec![row![1]],
+        )
+        .unwrap();
+        assert!(matches!(all.put(bad), Err(EngineError::Store(_))));
+        assert_eq!(all.get().unwrap().len(), 4);
+        let mut window = all.get().unwrap();
+        window.upsert(row![9, "ok", 1]).unwrap();
+        assert!(!all.put(window).unwrap().is_empty());
+    }
+
+    #[test]
+    fn failing_bodies_commit_nothing() {
+        let engine = ShardedEngineServer::new(seed_db(4));
+        let err = engine
+            .transact(4, |db| {
+                db.table_mut("accounts")?.upsert(row![7, "doomed", 0])?;
+                Err(EngineError::Io("body gave up".into()))
+            })
+            .unwrap_err();
+        assert!(matches!(err, EngineError::Io(_)));
+        assert_eq!(engine.table("accounts").unwrap().len(), 4);
+        assert!(engine.shard_wals()[0].is_empty());
+        assert_eq!(engine.metrics().commits, 0);
+    }
+
+    #[test]
+    fn multi_table_commits_chain_in_the_wal() {
+        let mut db = seed_db(2);
+        let schema =
+            Schema::build(&[("id", ValueType::Int), ("v", ValueType::Str)], &["id"]).unwrap();
+        db.create_table("audit", Table::new(schema)).unwrap();
+        let engine = ShardedEngineServer::new(db);
+        engine
+            .transact(1, |db| {
+                db.table_mut("accounts")?.upsert(row![1, "x", 1])?;
+                db.table_mut("audit")?.upsert(row![1, "y"])?;
+                Ok(())
+            })
+            .unwrap();
+        let wal = engine.shard_wals().swap_remove(0);
+        // First record chained, terminator unchained: one atomic unit.
+        let chained: Vec<bool> = wal
+            .records()
+            .iter()
+            .map(|r| matches!(r.op, crate::wal::WalOp::Delta { chained: true, .. }))
+            .collect();
+        assert_eq!(chained, vec![true, false]);
+        assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
+    }
+
+    #[test]
+    fn background_maintenance_checkpoints_off_the_commit_path() {
+        let dir = std::env::temp_dir().join(format!("esm-shard-maint-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = DurabilityConfig::new(&dir)
+            .checkpoint_every(4)
+            .maintenance_interval_ms(1);
+        let engine =
+            ShardedEngineServer::with_durability(seed_db(4), ShardRouter::single(), cfg).unwrap();
+        for i in 0..12i64 {
+            engine
+                .transact(1, |db| {
+                    db.table_mut("accounts")?.upsert(row![i, "r", i])?;
+                    Ok(())
+                })
+                .unwrap();
+        }
+        // The committing thread never checkpointed; the background loop
+        // catches up on its own.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while engine.metrics().wal.checkpoints < 2 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert!(
+            engine.metrics().wal.checkpoints >= 2,
+            "the maintenance thread checkpointed: {:?}",
+            engine.metrics().wal
+        );
+        drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

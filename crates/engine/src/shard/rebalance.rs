@@ -110,13 +110,19 @@ impl ShardedEngineServer {
             state.append_group(&deletions, GroupEnd::Commit, true)?;
         }
         state.sync()?;
+        // The fence holds every commit out, so the last stamp is settled:
+        // both logs reflect it through their current ends.
+        let stamp = self.last_stamp();
+        state.note_stamp(stamp);
         drop(state);
+        new_shard.write().note_stamp(stamp);
 
         topo.router = router;
         topo.shards.insert(new_index, new_shard);
         // Materialized view windows hold per-shard WAL cursors; a layout
         // change invalidates them (they rebuild on next read).
         topo.epoch += 1;
+        topo.layout_stamp = stamp;
         self.inner.shard_metrics.split(moved_rows);
         Ok(new_index)
     }
@@ -183,12 +189,15 @@ impl ShardedEngineServer {
         if let Some(base) = &self.inner.durable_base {
             std::fs::remove_dir_all(shard_config(base, donor.id()).dir)?;
         }
+        let stamp = self.last_stamp();
+        survivor_state.note_stamp(stamp);
         drop(donor_state);
         drop(survivor_state);
 
         topo.router = router;
         topo.shards.remove(left + 1);
         topo.epoch += 1;
+        topo.layout_stamp = stamp;
         self.inner.shard_metrics.merge(moved_rows);
         Ok(())
     }

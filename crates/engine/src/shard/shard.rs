@@ -13,12 +13,22 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use esm_store::{Database, Delta, Row};
+use esm_store::{Database, Delta, Row, Table};
 
 use crate::durable::{DurabilityConfig, DurableWal, GroupCommit, RecoveryReport};
+use crate::engine::{check_table_delta, Staged};
 use crate::error::EngineError;
-use crate::tx::delta_keys;
 use crate::wal::{Wal, WalRecord};
+
+/// The primary keys a delta touches, projected with `table`'s schema.
+fn delta_keys(table: &Table, delta: &Delta) -> BTreeSet<Row> {
+    delta
+        .inserted
+        .iter()
+        .chain(delta.deleted.iter())
+        .map(|row| table.key_of(row))
+        .collect()
+}
 
 /// How a transaction's chain of records on one shard terminates.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,9 +53,31 @@ pub(crate) struct ShardState {
     /// The state the in-memory WAL replays over (construction snapshot
     /// or recovery result).
     pub baseline: Database,
+    /// `(commit stamp, WAL seq)` pairs in log order: after the commit
+    /// stamped `s`, every commit stamped up to `s` is in this shard's
+    /// log through `seq`. How a subscription cursor (a stamp) maps to a
+    /// position in this log. The first entry is the floor the last
+    /// truncation left; the list is empty until the engine seeds it.
+    pub stamps: Vec<(u64, u64)>,
 }
 
 impl ShardState {
+    /// Record that every commit stamped up to `stamp` is in the log
+    /// through its current end. Called under the write lock whenever a
+    /// commit stamp is issued or resolved on this shard.
+    pub fn note_stamp(&mut self, stamp: u64) {
+        self.stamps.push((stamp, self.wal.last_seq()));
+    }
+
+    /// The log position reflecting every commit stamped up to `stamp`,
+    /// or `None` when that position is outside the live window (before
+    /// the floor, or truncated away).
+    pub fn seq_at_stamp(&self, stamp: u64) -> Option<u64> {
+        let after = self.stamps.partition_point(|&(s, _)| s <= stamp);
+        let &(_, seq) = self.stamps.get(after.checked_sub(1)?)?;
+        (seq >= self.wal.start_seq()).then_some(seq)
+    }
+
     /// First-committer-wins: does any record committed after `snap_seq`
     /// touch a key in `our_keys`? Markers carry no keys and never
     /// conflict. Returns the conflicting `(table, seq)` if so.
@@ -75,6 +107,22 @@ impl ShardState {
             }
         }
         Ok(None)
+    }
+
+    /// [`crate::engine::apply_table_delta_checked`]'s validation for every
+    /// delta, without applying anything: earlier deltas of the request
+    /// count through a staged overlay, so [`ShardState::append_group`]
+    /// can then apply the lot without failing.
+    pub fn check_pre_images(&self, deltas: &[(String, Delta)]) -> Result<(), EngineError> {
+        let mut staged = Staged::new();
+        for (name, delta) in deltas {
+            let table = self
+                .db
+                .table(name)
+                .map_err(|_| EngineError::NoSuchTable(name.clone()))?;
+            check_table_delta(table, name, delta, &mut staged)?;
+        }
+        Ok(())
     }
 
     /// Append one transaction's chain of per-table deltas, write-ahead
@@ -114,7 +162,7 @@ impl ShardState {
         }
         // Write ahead: the durable log sees every record before anything
         // is applied; an I/O failure publishes nothing here and poisons
-        // the durable log (fail-stop, like the unsharded paths).
+        // the durable log (fail-stop).
         if let Some(durable) = self.durable.as_mut() {
             for rec in &records {
                 if defer_sync {
@@ -131,10 +179,7 @@ impl ShardState {
                 .expect("fresh seqs under the shard lock continue the log");
         }
         if matches!(end, GroupEnd::Commit) {
-            for (table, delta) in deltas {
-                let next = delta.apply(self.db.table(table)?)?;
-                self.db.replace_table(table.clone(), next);
-            }
+            self.apply(deltas)?;
         }
         Ok(first_seq..end_seq)
     }
@@ -164,10 +209,18 @@ impl ShardState {
             .push(rec)
             .expect("fresh seq under the shard lock continues the log");
         if committed {
-            for (table, delta) in deltas {
-                let next = delta.apply(self.db.table(table)?)?;
-                self.db.replace_table(table.clone(), next);
-            }
+            self.apply(deltas)?;
+        }
+        Ok(())
+    }
+
+    /// Apply logged deltas to the live piece in place, under the write
+    /// lock: O(delta), no table copy. Every delta reaching here was
+    /// diffed from, or validated against, tables of the same schema, so
+    /// it applies whole.
+    fn apply(&mut self, deltas: &[(String, Delta)]) -> Result<(), EngineError> {
+        for (table, delta) in deltas {
+            delta.apply_in_place(self.db.table_mut(table)?)?;
         }
         Ok(())
     }
@@ -199,6 +252,10 @@ impl ShardState {
         let dropped = self.wal.truncate_through(cut)?;
         let count = dropped.len() as u64;
         self.baseline = Wal::from_records(dropped).replay(&self.baseline)?;
+        // The stamp index goes with the log: keep the last entry at or
+        // below the cut as the new floor.
+        let floor = self.stamps.partition_point(|&(_, seq)| seq <= cut);
+        self.stamps.drain(..floor.saturating_sub(1));
         Ok(count)
     }
 }
@@ -236,6 +293,7 @@ impl Shard {
                     db,
                     wal: Wal::new(),
                     durable: None,
+                    stamps: Vec::new(),
                 }),
                 group: None,
                 commits: AtomicU64::new(0),
@@ -260,6 +318,7 @@ impl Shard {
                     db,
                     wal: Wal::new(),
                     durable: Some(durable),
+                    stamps: Vec::new(),
                 }),
                 group,
                 commits: AtomicU64::new(0),
@@ -285,6 +344,7 @@ impl Shard {
                         db,
                         wal: Wal::starting_at(report.last_seq),
                         durable: Some(durable),
+                        stamps: Vec::new(),
                     }),
                     group: group.map(|()| Arc::new(GroupCommit::new(report.last_seq))),
                     commits: AtomicU64::new(0),

@@ -15,12 +15,14 @@
 //!   (cursor truncated out of the WAL, a lens propagation escape hatch,
 //!   or an engine without incremental support).
 //!
-//! The cursor contract: a subscriber holds an opaque `u64` cursor (a WAL
-//! sequence number on [`crate::EngineServer`], a commit epoch elsewhere).
-//! `Engine::view_deltas_since(name, cursor)` returns everything settled
-//! past it, O(delta) where the engine supports it; applying `delta` to a
-//! window that reflects `from_seq` (or adopting `resync` wholesale)
-//! yields the window at `to_seq`, the subscriber's next cursor.
+//! The cursor contract: a subscriber's cursor is always a commit stamp
+//! (the engine-wide serialization order every [`crate::CommitReceipt`]
+//! carries; stamps never repeat across engine restarts, so a cursor
+//! carried over a restart resyncs). `Engine::view_deltas_since(name,
+//! cursor)` returns everything settled past it, O(delta) on any shard
+//! count; applying `delta` to a window that reflects `from_seq` (or
+//! adopting `resync` wholesale) yields the window at `to_seq`, the
+//! subscriber's next cursor.
 
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;

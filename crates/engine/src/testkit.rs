@@ -1,12 +1,11 @@
 //! The engine conformance suite: one body of checks, any [`Engine`].
 //!
 //! Everything here is written against `&dyn Engine` — no downcasts, no
-//! host-shape branches — so the *same code path* exercises the
-//! unsharded [`crate::EngineServer`], the sharded
-//! [`crate::shard::ShardedEngineServer`], and (from the `esm-net`
-//! crate's tests) a `RemoteEngine` talking to either of them over a
-//! real socket. A handle that behaves differently under any of these
-//! checks is not an [`Engine`].
+//! host-shape branches — so the *same code path* exercises the engine
+//! ([`crate::shard::ShardedEngineServer`]) on one shard or many, a
+//! promoted replica, and (from the `esm-net` crate's tests) a
+//! `RemoteEngine` talking to it over a real socket. A handle that
+//! behaves differently under any of these checks is not an [`Engine`].
 //!
 //! The central law is the **incremental/recompute equivalence** from
 //! the materialized-view work: after any sequence of committed
@@ -178,10 +177,8 @@ pub fn check_view_maintenance(engine: &dyn Engine, ops: &[(u8, i64, i64)]) {
     for (name, def) in &defs {
         engine.define_view(name, "t", def).expect("view compiles");
     }
-    // Warm-up read: the unsharded engine materializes at registration,
-    // the sharded one lazily on first read — after one read of each
-    // view, every host's windows exist and the rebuild counter is at
-    // its registration plateau.
+    // Warm-up read: after one read of each view, every host's windows
+    // exist and the rebuild counter is at its registration plateau.
     for (name, _) in &defs {
         engine.read_view(name).expect("view readable");
     }
@@ -334,6 +331,178 @@ pub fn check_concurrent_edits(clients: Vec<ArcEngine>, edits_per_client: usize) 
 const COUNTER_ID: i64 = 1_000_000;
 const PRIVATE_BASE: i64 = 2_000_000;
 
+/// The paper's set-bx laws, observed through [`crate::EntangledView`] get/put
+/// on a live engine seeded with [`seed_db`] and otherwise idle. For
+/// every view of [`view_defs`]:
+///
+/// * **(GS)** putting back what was read commits nothing: the returned
+///   delta is empty and neither `metrics().commits`, the WAL counters
+///   nor the view's subscription cursor move;
+/// * **(SG)** a read after a put returns what was put;
+/// * **(SS)** two puts equal the second put: `put(v1); put(v2)` leaves
+///   the same base as `put(v2)` from the state before `v1`;
+/// * **entanglement**: after every put, every view's read equals
+///   [`recompute`] over the live base — a put through one view is
+///   exactly what every other view's get then sees.
+///
+/// Panics with a descriptive message on the first violation.
+pub fn check_bx_laws(engine: &dyn Engine) {
+    check_bx_laws_with(engine, &mut || {});
+}
+
+/// [`check_bx_laws`] with `between` run after every law step, where a
+/// sharded host can split and merge shards so the laws are checked
+/// across topology changes.
+pub fn check_bx_laws_with(engine: &dyn Engine, between: &mut dyn FnMut()) {
+    let defs = view_defs();
+    for (name, def) in &defs {
+        engine.define_view(name, "t", def).expect("view compiles");
+    }
+    for (name, _) in &defs {
+        let view = engine.view(name).expect("view registered");
+        let window = view.get().expect("view readable");
+
+        // (GS): get then put back is a no-op, through put and edit alike.
+        let before = engine.metrics().expect("metrics readable");
+        let cursor = engine.view_cursor(name).expect("cursor readable");
+        let put_back = view.put(window.clone()).expect("put back commits");
+        let edit_back = view.edit(|_| Ok(())).expect("identity edit commits");
+        assert!(
+            put_back.is_empty(),
+            "(GS) put of the read window changed {name}"
+        );
+        assert!(edit_back.is_empty(), "(GS) identity edit changed {name}");
+        let after = engine.metrics().expect("metrics readable");
+        assert_eq!(
+            (after.commits, after.rows_written, after.wal.appends),
+            (before.commits, before.rows_written, before.wal.appends),
+            "(GS) putting back view {name} committed"
+        );
+        assert_eq!(
+            engine.view_cursor(name).expect("cursor readable"),
+            cursor,
+            "(GS) putting back view {name} moved the log"
+        );
+        assert_entangled(engine, &defs, name);
+        between();
+
+        // (SG): a read after a put returns what was put.
+        let base0 = engine.table("t").expect("base table exists");
+        let (first, second) = law_edits(name);
+        let mut v1 = window.clone();
+        first(&mut v1);
+        view.put(v1.clone()).expect("put commits");
+        assert_eq!(view.get().expect("view readable"), v1, "(SG) on {name}");
+        assert_entangled(engine, &defs, name);
+        between();
+
+        // (SS): put(v1); put(v2) == put(v2) from the state before v1.
+        let mut v2 = window;
+        second(&mut v2);
+        view.put(v2.clone()).expect("put commits");
+        let after_both = engine.table("t").expect("base table exists");
+        assert_entangled(engine, &defs, name);
+        engine
+            .transact(4, &|db: &mut Database| {
+                let t = db.table_mut("t")?;
+                t.clear();
+                for r in base0.rows() {
+                    t.upsert(r.clone())?;
+                }
+                Ok(())
+            })
+            .expect("restore commits");
+        between();
+        view.put(v2.clone()).expect("put commits");
+        assert_eq!(
+            engine.table("t").expect("base table exists"),
+            after_both,
+            "(SS) on {name}: put(v1); put(v2) != put(v2)"
+        );
+        assert_eq!(view.get().expect("view readable"), v2, "(SG) on {name}");
+        assert_entangled(engine, &defs, name);
+        between();
+    }
+}
+
+/// Entanglement: every view's read equals a fresh recomputation over
+/// the live base.
+fn assert_entangled(engine: &dyn Engine, defs: &[(&str, ViewDef)], after: &str) {
+    let base = engine.table("t").expect("base table exists");
+    for (name, def) in defs {
+        assert_eq!(
+            engine.read_view(name).expect("view readable"),
+            recompute(def, &base),
+            "view {name} diverged from recomputation after a put on {after}"
+        );
+    }
+}
+
+type WindowEdit = fn(&mut Table);
+
+/// Two in-range edits of a [`view_defs`] window for the put laws. The
+/// first inserts a row and changes another; the second changes a third
+/// and deletes a fourth, so `v2` never revives a key `v1` deleted —
+/// the condition under which projections satisfy (SS).
+fn law_edits(view: &str) -> (WindowEdit, WindowEdit) {
+    fn up(t: &mut Table, r: Row) {
+        t.upsert(r).expect("row fits the window");
+    }
+    match view {
+        "all" => (
+            |t| {
+                up(t, row![1, "g1", 11]);
+                up(t, row![2, "g2", 99]);
+            },
+            |t| {
+                up(t, row![4, "g4", 44]);
+                t.delete_by_key(&row![6]);
+            },
+        ),
+        "low" => (
+            |t| {
+                up(t, row![3, "g3", 9]);
+                up(t, row![2, "g2", 100]);
+            },
+            |t| {
+                up(t, row![8, "g3", 1]);
+                t.delete_by_key(&row![10]);
+            },
+        ),
+        "grp1" => (
+            |t| {
+                up(t, row![7, "g1", 70]);
+                up(t, row![6, "g1", 600]);
+            },
+            |t| {
+                up(t, row![16, "g1", 160]);
+                t.delete_by_key(&row![26]);
+            },
+        ),
+        "teams" => (
+            |t| {
+                up(t, row![9, "g4"]);
+                up(t, row![2, "g0"]);
+            },
+            |t| {
+                up(t, row![12, "g1"]);
+                t.delete_by_key(&row![14]);
+            },
+        ),
+        "band" => (
+            |t| {
+                up(t, row![41, 7]);
+                up(t, row![20, 1]);
+            },
+            |t| {
+                up(t, row![22, 2]);
+                t.delete_by_key(&row![24]);
+            },
+        ),
+        other => panic!("no law edits for view {other}"),
+    }
+}
+
 /// A quick smoke pass over the whole trait surface — used by example
 /// code and the remote suite to prove a connection end to end.
 pub fn check_surface_smoke(engine: &dyn Engine) {
@@ -370,7 +539,7 @@ pub fn check_surface_smoke(engine: &dyn Engine) {
         assert!(metrics.wal.appends >= 2, "durable host dropped wal stats");
     }
     // Telemetry reaches every implementor: the commits above must have
-    // timed their stripe-lock hold (in-memory and durable, local and
+    // timed their shard-lock hold (in-memory and durable, local and
     // remote alike), and the snapshot carries a live capture policy.
     let tel = engine.telemetry().expect("telemetry readable");
     assert!(

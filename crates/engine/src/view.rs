@@ -8,10 +8,9 @@
 //! state is entangled, not copied.
 //!
 //! A view handle is **host-location-oblivious**: it fronts any
-//! [`Engine`] — a single [`crate::EngineServer`], a
-//! [`crate::shard::ShardedEngineServer`] whose base table is partitioned
-//! over many shards, or a `RemoteEngine` speaking the wire protocol from
-//! another process. The client API is identical everywhere; routing,
+//! [`Engine`] — a [`crate::shard::ShardedEngineServer`] with one shard
+//! or with its base table partitioned over many, a read replica, or a
+//! `RemoteEngine` speaking the wire protocol from another process. The client API is identical everywhere; routing,
 //! two-phase commit and network framing all stay under the trait.
 
 use std::sync::Arc;
@@ -19,9 +18,8 @@ use std::sync::Arc;
 use esm_lens::{DeltaLens, DeltaOutcome};
 use esm_store::{Delta, Table};
 
-use crate::engine::{ArcEngine, Engine};
+use crate::engine::{ArcEngine, Engine, DEFAULT_OPTIMISTIC_ATTEMPTS};
 use crate::error::EngineError;
-use crate::server::DEFAULT_OPTIMISTIC_ATTEMPTS;
 
 /// A client handle onto one named view of an engine. Cheap to clone and
 /// [`Send`], so each worker thread can own one.
@@ -48,8 +46,8 @@ impl EntangledView {
         &self.name
     }
 
-    /// The engine hosting this view — uniform across unsharded, sharded
-    /// and remote hosts (downcast-free: everything a client needs is on
+    /// The engine hosting this view — uniform across local, replica and
+    /// remote hosts (downcast-free: everything a client needs is on
     /// the [`Engine`] trait).
     pub fn engine(&self) -> &dyn Engine {
         &*self.host
@@ -100,7 +98,7 @@ impl EntangledView {
     }
 }
 
-/// The one maintenance algorithm both engines share: translate a
+/// The window maintenance algorithm: translate a
 /// drained run of committed base deltas through the view's propagator,
 /// coalesce it into a single delta, and fold it into the window in
 /// place. Returns the number of committed deltas folded in, or `None`
@@ -131,7 +129,7 @@ pub(crate) fn drain_into_window<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::EngineServer;
+    use crate::EngineServer;
     use esm_relational::ViewDef;
     use esm_store::{row, Database, Operand, Predicate, Schema, Table, ValueType};
 
@@ -183,7 +181,7 @@ mod tests {
         v.delete_by_key(&row![2]);
         let delta = all.put(v).unwrap();
         assert_eq!(delta.deleted, vec![row![2, "b", 20]]);
-        assert_eq!(e.wal().len(), 1);
+        assert_eq!(e.shard_wals()[0].len(), 1);
         // The host is reachable uniformly through the trait, whatever
         // kind of engine it is.
         assert_eq!(all.engine().table_names().unwrap(), vec!["t"]);

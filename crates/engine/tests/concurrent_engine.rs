@@ -12,7 +12,7 @@
 
 use std::thread;
 
-use esm_engine::{EngineError, EngineServer, TxStore};
+use esm_engine::{EngineError, EngineServer};
 use esm_relational::ViewDef;
 use esm_store::{row, Database, Operand, Predicate, Schema, Table, Value, ValueType};
 
@@ -215,31 +215,32 @@ fn mixed_view_traffic_stays_consistent_and_recoverable() {
         h.join().expect("no thread panicked");
     }
 
-    // The WAL text round-trip preserves recovery exactly.
-    let wal = engine.wal();
+    // The WAL text round-trip preserves recovery exactly (nothing was
+    // truncated, so the log replays over the construction state).
+    let wal = engine.shard_wals().swap_remove(0);
     let decoded = esm_engine::Wal::decode(&wal.encode()).expect("codec round-trips");
     assert_eq!(decoded, wal);
     assert_eq!(
-        decoded.replay(&engine.baseline()).expect("replays"),
+        decoded.replay(&accounts_db()).expect("replays"),
         engine.snapshot()
     );
 }
 
 #[test]
-fn txstore_concurrent_transactions_serialize() {
+fn concurrent_transactions_serialize() {
     const THREADS: i64 = 4;
     const TXNS: i64 = 10;
 
-    let store = TxStore::new(accounts_db());
+    let engine = EngineServer::new(accounts_db());
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
-            let store = store.clone();
+            let engine = engine.clone();
             thread::spawn(move || {
                 for i in 0..TXNS {
                     // Disjoint insert + contended increment in one tx.
-                    store
-                        .transact(u32::MAX, |tx| {
-                            let table = tx.table_mut("accounts")?;
+                    engine
+                        .transact(u32::MAX, |db| {
+                            let table = db.table_mut("accounts")?;
                             table.upsert(row![500 + t * TXNS + i, "tx", "txn", t])?;
                             let cur = table.get_by_key(&row![0]).expect("counter row exists")[3]
                                 .as_int()
@@ -256,40 +257,45 @@ fn txstore_concurrent_transactions_serialize() {
         h.join().expect("no tx thread panicked");
     }
 
-    let db = store.db();
+    let db = engine.snapshot();
     let accounts = db.table("accounts").expect("exists");
     assert_eq!(
         accounts.get_by_key(&row![0]).expect("counter")[3],
         Value::Int(THREADS * TXNS)
     );
     assert_eq!(accounts.len() as i64, 4 + THREADS * TXNS);
-    assert_eq!(store.wal().replay(&accounts_db()).expect("replays"), db);
-    assert_eq!(store.metrics().commits, (THREADS * TXNS) as u64);
+    assert_eq!(engine.recovered_database().expect("replays"), db);
+    assert_eq!(engine.metrics().commits, (THREADS * TXNS) as u64);
 }
 
 #[test]
 fn stale_committers_lose_first_committer_wins() {
     // A stale writer whose snapshot predates an overlapping commit must
     // abort with a conflict, and the first committer's write must stand.
-    let store = TxStore::new(accounts_db());
-    let mut stale = store.begin();
-    stale
-        .table_mut("accounts")
-        .expect("exists")
-        .upsert(row![1, "a", "ada", 111])
-        .expect("fits");
-    store
-        .transact(1, |tx| {
-            tx.table_mut("accounts")?.upsert(row![1, "a", "ada", 999])?;
+    // The overlapping commit lands from another thread while the stale
+    // transaction's body runs on its snapshot.
+    let engine = EngineServer::new(accounts_db());
+    let err = engine
+        .transact(1, |db| {
+            thread::scope(|s| {
+                s.spawn(|| {
+                    engine.transact(1, |db| {
+                        db.table_mut("accounts")?.upsert(row![1, "a", "ada", 999])?;
+                        Ok(())
+                    })
+                })
+                .join()
+                .expect("no panic")
+            })
+            .expect("first committer");
+            db.table_mut("accounts")?.upsert(row![1, "a", "ada", 111])?;
             Ok(())
         })
-        .expect("first committer");
-    let err = stale.commit().expect_err("second committer must lose");
+        .expect_err("second committer must lose");
     assert!(matches!(err, EngineError::Conflict { ref table, .. } if table == "accounts"));
-    assert!(store
-        .db()
+    assert!(engine
         .table("accounts")
         .expect("exists")
         .contains(&row![1, "a", "ada", 999]));
-    assert_eq!(store.metrics().conflicts, 1);
+    assert_eq!(engine.metrics().conflicts, 1);
 }

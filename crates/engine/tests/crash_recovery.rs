@@ -3,15 +3,17 @@
 //! *exhaustively* against simulated crashes.
 //!
 //! A recorded run commits ≥100 times through entangled views over a
-//! durable engine while snapshotting the live database after every
-//! commit. The harness then:
+//! durable one-shard engine while snapshotting the live database after
+//! every commit. The harness then works on the shard's log directory
+//! (`shard-0/` under the engine's base directory):
 //!
 //! * truncates the durable segment stream at **every byte offset** and
 //!   asserts the recovered state equals the live snapshot at the longest
 //!   durable prefix of complete records (torn tails included — a crash
 //!   can stop mid-line, mid-cell, even mid-code-point);
 //! * re-runs a sample of those truncations through the full filesystem
-//!   path (`EngineServer::recover` on a reconstructed directory);
+//!   path (`ShardedEngineServer::recover_with` on a reconstructed
+//!   directory);
 //! * injects duplicate and stale segment files and asserts they are
 //!   skipped, never re-applied;
 //! * corrupts the newest checkpoint and asserts recovery falls back to
@@ -22,8 +24,8 @@
 use std::path::{Path, PathBuf};
 
 use esm_engine::{
-    decode_segment_prefix, plan_recovery, resolve_transactions, scan_segments, Durability,
-    DurabilityConfig, EngineError, EngineServer, ScannedSegment, TxStore,
+    decode_segment_prefix, plan_recovery, resolve_transactions, scan_segments, DurabilityConfig,
+    EngineError, EngineServer, RecoveryReport, ScannedSegment, ShardRouter, ShardedEngineServer,
 };
 use esm_relational::ViewDef;
 use esm_store::{row, Database, Operand, Predicate, Schema, Table};
@@ -76,6 +78,25 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The one shard's log directory under an engine's base directory.
+fn shard0(dir: &Path) -> PathBuf {
+    dir.join("shard-0")
+}
+
+/// A durable one-shard engine over [`baseline`].
+fn durable(cfg: DurabilityConfig) -> EngineServer {
+    ShardedEngineServer::with_durability(baseline(), ShardRouter::single(), cfg)
+        .expect("durable engine")
+}
+
+/// Recover the engine under `cfg`, with the one shard's report.
+fn recover(cfg: DurabilityConfig) -> Result<(EngineServer, RecoveryReport), EngineError> {
+    ShardedEngineServer::recover_with(cfg).map(|(engine, mut report)| {
+        assert_eq!(report.shards.len(), 1, "one-shard engine");
+        (engine, report.shards.swap_remove(0))
+    })
+}
+
 /// Run `commits` single-record commits through entangled views, durably,
 /// snapshotting the live database after each. Returns the engine and the
 /// per-seq snapshots (`states[k]` = live state after WAL seq `k`).
@@ -85,8 +106,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// (`maintenance_interval_ms(0)`) and this function drives the identical
 /// maintenance pass synchronously after every commit.
 fn recorded_run(cfg: DurabilityConfig, commits: usize) -> (EngineServer, Vec<Database>) {
-    let engine = EngineServer::with_durability(baseline(), 4, Durability::Durable(cfg))
-        .expect("durable engine");
+    let engine = durable(cfg);
     engine
         .define_view(
             "shard_a",
@@ -149,8 +169,10 @@ fn recorded_run(cfg: DurabilityConfig, commits: usize) -> (EngineServer, Vec<Dat
     (engine, states)
 }
 
-/// The segment files of `dir`, as (first_seq, bytes), in log order.
+/// The segment files of the shard log under `dir`, as (first_seq,
+/// bytes), in log order.
 fn segment_bytes(dir: &Path) -> Vec<(u64, Vec<u8>)> {
+    let dir = &shard0(dir);
     scan_segments(dir)
         .expect("scan")
         .iter()
@@ -196,11 +218,15 @@ fn apply_records(db: &mut Database, records: &[esm_engine::WalRecord]) {
     }
 }
 
-/// Write a truncated copy of the WAL directory: all checkpoint files,
-/// plus the segment stream cut at `cut`.
+/// Write a truncated copy of the engine directory: the topology, all
+/// checkpoint files, plus the segment stream cut at `cut`.
 fn write_truncated_dir(src: &Path, segments: &[(u64, Vec<u8>)], cut: usize, tag: &str) -> PathBuf {
-    let dst = fresh_dir(tag);
-    for entry in std::fs::read_dir(src).expect("read src") {
+    let base = fresh_dir(tag);
+    let topology = esm_engine::shard::TOPOLOGY_FILE;
+    std::fs::copy(src.join(topology), base.join(topology)).expect("copy topology");
+    let dst = shard0(&base);
+    std::fs::create_dir_all(&dst).expect("shard dir");
+    for entry in std::fs::read_dir(shard0(src)).expect("read src") {
         let entry = entry.expect("entry");
         let name = entry.file_name();
         if name.to_str().is_some_and(|n| n.ends_with(".ckpt")) {
@@ -221,7 +247,7 @@ fn write_truncated_dir(src: &Path, segments: &[(u64, Vec<u8>)], cut: usize, tag:
             break;
         }
     }
-    dst
+    base
 }
 
 #[test]
@@ -283,7 +309,8 @@ fn truncation_at_every_byte_recovers_the_longest_durable_prefix() {
         let (records, _) = plan_recovery(0, &scan).expect("plans");
         let k = records.len();
         let case_dir = write_truncated_dir(&dir, &segments, cut, "every-byte-case");
-        let (recovered_engine, report) = EngineServer::recover(&case_dir).expect("recovers");
+        let (recovered_engine, report) =
+            recover(DurabilityConfig::new(&case_dir)).expect("recovers");
         assert_eq!(
             recovered_engine.snapshot(),
             states[k],
@@ -321,7 +348,7 @@ fn checkpointed_recovery_replays_strictly_fewer_records() {
 
     // Recovery starts from the newest checkpoint and replays strictly
     // fewer records than a genesis replay (which would need all of them).
-    let (recovered_engine, report) = EngineServer::recover_with(cfg).expect("recovers");
+    let (recovered_engine, report) = recover(cfg).expect("recovers");
     assert_eq!(recovered_engine.snapshot(), live);
     assert_eq!(report.last_seq as usize, COMMITS);
     assert!(report.checkpoint_seq >= 100);
@@ -373,7 +400,8 @@ fn duplicate_and_stale_segments_are_skipped_not_reapplied() {
             stale_text.push_str(&esm_engine::encode_framed(&rec));
         }
     }
-    std::fs::write(dir.join(format!("wal-{:020}.seg", 1)), stale_text).expect("inject stale");
+    std::fs::write(shard0(&dir).join(format!("wal-{:020}.seg", 1)), stale_text)
+        .expect("inject stale");
 
     // A duplicate of a live segment's content under an overlapping name:
     // the same records delivered twice. The injected file mixes codecs
@@ -393,10 +421,13 @@ fn duplicate_and_stale_segments_are_skipped_not_reapplied() {
         .collect::<String>()
         .into_bytes();
     dup_file.extend_from_slice(&dup_bytes);
-    std::fs::write(dir.join(format!("wal-{:020}.seg", dup_first - 1)), dup_file)
-        .expect("inject duplicate");
+    std::fs::write(
+        shard0(&dir).join(format!("wal-{:020}.seg", dup_first - 1)),
+        dup_file,
+    )
+    .expect("inject duplicate");
 
-    let (recovered_engine, report) = EngineServer::recover_with(cfg).expect("recovers");
+    let (recovered_engine, report) = recover(cfg).expect("recovers");
     assert_eq!(
         recovered_engine.snapshot(),
         live,
@@ -441,23 +472,22 @@ fn multi_table_transactions_recover_all_or_nothing_at_every_byte() {
     // Every transaction touches BOTH tables, so its WAL shape is a
     // 2-record chain; a crash between the records must recover to the
     // previous transaction boundary, never to half a transaction.
-    let store = TxStore::with_durability(baseline(), Durability::Durable(cfg.clone()))
-        .expect("durable store");
-    let mut states = vec![store.db()];
+    let engine = durable(cfg.clone());
+    let mut states = vec![engine.snapshot()];
     for i in 0..TXS as i64 {
-        store
-            .transact(1, |tx| {
-                tx.table_mut("accounts")?
+        engine
+            .transact(1, |db| {
+                db.table_mut("accounts")?
                     .upsert(row![500 + i, "a", format!("tx\t{i}"), i])?;
-                tx.table_mut("audit")?
+                db.table_mut("audit")?
                     .upsert(row![i, format!("paired {i}")])?;
                 Ok(())
             })
             .expect("commits");
-        states.push(store.db());
+        states.push(engine.snapshot());
     }
-    store.sync_wal().expect("final sync");
-    drop(store);
+    engine.sync_wal().expect("final sync");
+    drop(engine);
 
     let segments = segment_bytes(&dir);
     let total: usize = segments.iter().map(|(_, b)| b.len()).sum();
@@ -494,7 +524,7 @@ fn multi_table_transactions_recover_all_or_nothing_at_every_byte() {
     );
 
     // Sampled full-path recoveries: the interrupted chain is discarded,
-    // truncated off disk, and the store keeps committing.
+    // truncated off disk, and the engine keeps committing.
     let mut cuts: Vec<usize> = (0..=total).step_by(211).collect();
     cuts.push(total);
     for cut in cuts {
@@ -511,8 +541,12 @@ fn multi_table_transactions_recover_all_or_nothing_at_every_byte() {
             .group_commit(3)
             .checkpoint_every(0)
             .maintenance_interval_ms(0);
-        let (recovered, report) = TxStore::recover(case_cfg).expect("recovers");
-        assert_eq!(recovered.db(), states[kept / 2], "full path, cut {cut}");
+        let (recovered, report) = recover(case_cfg).expect("recovers");
+        assert_eq!(
+            recovered.snapshot(),
+            states[kept / 2],
+            "full path, cut {cut}"
+        );
         assert_eq!(report.last_seq as usize, kept);
         assert_eq!(
             report.tail_records_discarded as usize,
@@ -520,12 +554,12 @@ fn multi_table_transactions_recover_all_or_nothing_at_every_byte() {
             "full path, cut {cut}"
         );
         recovered
-            .transact(1, |tx| {
-                tx.table_mut("audit")?
+            .transact(1, |db| {
+                db.table_mut("audit")?
                     .upsert(row![9_000, "post-recovery"])?;
                 Ok(())
             })
-            .expect("recovered stores keep committing");
+            .expect("recovered engines keep committing");
         std::fs::remove_dir_all(&case_dir).ok();
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -542,17 +576,17 @@ fn recovery_falls_back_when_the_newest_checkpoint_is_torn() {
     let (engine, _states) = recorded_run(cfg.clone(), COMMITS);
     let live = engine.snapshot();
 
-    let clean = EngineServer::recover_with(cfg.clone()).expect("recovers");
+    let clean = recover(cfg.clone()).expect("recovers");
     let newest = clean.1.checkpoint_seq;
     assert!(newest >= 40);
 
     // Tear the newest checkpoint (crash mid-checkpoint-write: the file
     // exists but the trailer never landed).
-    let ckpt_path = dir.join(format!("checkpoint-{newest:020}.ckpt"));
+    let ckpt_path = shard0(&dir).join(format!("checkpoint-{newest:020}.ckpt"));
     let bytes = std::fs::read(&ckpt_path).expect("read ckpt");
     std::fs::write(&ckpt_path, &bytes[..bytes.len() / 2]).expect("tear ckpt");
 
-    let (recovered_engine, report) = EngineServer::recover_with(cfg).expect("falls back");
+    let (recovered_engine, report) = recover(cfg).expect("falls back");
     assert_eq!(recovered_engine.snapshot(), live);
     assert!(report.checkpoint_seq < newest, "older checkpoint used");
     assert!(report.corrupt_checkpoints_skipped >= 1);
@@ -578,8 +612,8 @@ fn a_missing_segment_is_corruption_not_silent_data_loss() {
     // Delete a middle segment: the log now has a hole that no crash can
     // produce.
     let (victim, _) = segments[1];
-    std::fs::remove_file(dir.join(format!("wal-{victim:020}.seg"))).expect("remove");
-    match EngineServer::recover_with(cfg) {
+    std::fs::remove_file(shard0(&dir).join(format!("wal-{victim:020}.seg"))).expect("remove");
+    match recover(cfg) {
         Err(EngineError::WalCorrupt(msg)) => {
             assert!(msg.contains("gap"), "useful diagnostics: {msg}")
         }
@@ -599,7 +633,7 @@ fn recovered_engines_keep_committing_durably() {
 
     // First recovery, then new traffic, then a second recovery: the
     // durable log is a continuous history across restarts.
-    let (second, report) = EngineServer::recover_with(cfg.clone()).expect("recovers");
+    let (second, report) = recover(cfg.clone()).expect("recovers");
     assert_eq!(second.snapshot(), states[COMMITS]);
     second
         .define_view("all_accounts", "accounts", &ViewDef::base())
@@ -610,11 +644,11 @@ fn recovered_engines_keep_committing_durably() {
             Ok(())
         })
         .expect("commits");
-    assert_eq!(second.wal().records()[0].seq, report.last_seq + 1);
+    assert_eq!(second.shard_wals()[0].records()[0].seq, report.last_seq + 1);
     second.sync_wal().expect("syncs");
     let live = second.snapshot();
 
-    let (third, report2) = EngineServer::recover_with(cfg).expect("recovers again");
+    let (third, report2) = recover(cfg).expect("recovers again");
     assert_eq!(third.snapshot(), live);
     assert_eq!(report2.last_seq, report.last_seq + 1);
     assert!(third
@@ -641,8 +675,8 @@ fn live_and_durable_views_of_state_agree() {
         .maintenance_interval_ms(0);
     let (engine, states) = recorded_run(cfg.clone(), 23);
     let ckpt = engine.checkpoint().expect("checkpoints").expect("durable");
-    assert_eq!(ckpt, 23);
-    let (recovered_engine, report) = EngineServer::recover_with(cfg).expect("recovers");
+    assert_eq!(ckpt, vec![23]);
+    let (recovered_engine, report) = recover(cfg).expect("recovers");
     assert_eq!(report.checkpoint_seq, 23);
     assert_eq!(report.records_replayed, 0, "checkpoint covers everything");
     assert_eq!(recovered_engine.snapshot(), states[23]);
@@ -685,7 +719,7 @@ fn mixed_text_and_binary_segment_directories_recover_cleanly() {
                     text.push_str(&esm_engine::encode_framed(&rec));
                 }
             }
-            std::fs::write(dir.join(format!("wal-{first_seq:020}.seg")), text)
+            std::fs::write(shard0(&dir).join(format!("wal-{first_seq:020}.seg")), text)
                 .expect("rewrite text segment");
         } else if i == half {
             let mid = (*first_seq + last_seq) / 2;
@@ -699,13 +733,13 @@ fn mixed_text_and_binary_segment_directories_recover_cleanly() {
                     }
                 }
             }
-            std::fs::write(dir.join(format!("wal-{first_seq:020}.seg")), bytes)
+            std::fs::write(shard0(&dir).join(format!("wal-{first_seq:020}.seg")), bytes)
                 .expect("rewrite mixed segment");
         }
     }
 
     // The mixed directory recovers to exactly the live state.
-    let (recovered, report) = EngineServer::recover_with(cfg).expect("mixed recovery");
+    let (recovered, report) = recover(cfg).expect("mixed recovery");
     assert_eq!(recovered.snapshot(), live, "mixed codecs lose nothing");
     assert_eq!(report.records_replayed as usize, COMMITS);
     assert_eq!(report.last_seq as usize, COMMITS);

@@ -228,7 +228,7 @@ fn random_interleavings_match_the_single_threaded_oracle() {
         assert_eq!(final_view, engine.table("accounts").expect("exists"));
 
         let live = engine.snapshot();
-        let wal = engine.wal();
+        let wal = engine.shard_wals().swap_remove(0);
 
         // Law 0: the engine committed exactly one record per logical op.
         assert_eq!(wal.len(), THREADS * OPS_PER_THREAD, "seed {seed}");
@@ -236,7 +236,7 @@ fn random_interleavings_match_the_single_threaded_oracle() {
 
         // Law 1: replaying the recorded deltas reproduces the live state.
         assert_eq!(
-            wal.replay(&engine.baseline()).expect("replays"),
+            engine.recovered_database().expect("replays"),
             live,
             "seed {seed}"
         );

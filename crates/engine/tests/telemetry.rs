@@ -14,8 +14,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use esm_engine::{
-    Durability, DurabilityConfig, Engine, EngineServer, Phase, SegmentWriter, ShardRouter,
-    ShardedEngineServer, SimFile, Telemetry, Wal, WalRecord,
+    DurabilityConfig, Engine, EngineServer, Phase, SegmentWriter, ShardRouter, ShardedEngineServer,
+    SimFile, Telemetry, Wal, WalRecord,
 };
 use esm_store::{row, Database, Delta, Row, Schema, Table, ValueType};
 
@@ -102,15 +102,13 @@ fn a_slow_disk_shifts_only_the_fsync_histogram() {
 #[test]
 fn durable_commits_record_every_commit_phase() {
     let dir = fresh_dir("engine-phases");
-    let engine = EngineServer::with_durability(
+    let engine = ShardedEngineServer::with_durability(
         seed_db(16),
-        16,
-        Durability::Durable(
-            DurabilityConfig::new(&dir)
-                .group_commit(1)
-                .checkpoint_every(0)
-                .maintenance_interval_ms(0),
-        ),
+        ShardRouter::single(),
+        DurabilityConfig::new(&dir)
+            .group_commit(1)
+            .checkpoint_every(0)
+            .maintenance_interval_ms(0),
     )
     .unwrap();
     for i in 0..4i64 {
@@ -173,15 +171,13 @@ fn cross_shard_commits_record_the_twopc_phases_per_participant() {
 fn dyn_engine_metrics_merge_wal_stats_on_durable_hosts() {
     let dir = fresh_dir("metrics-merge");
     let single: Box<dyn Engine> = Box::new(
-        EngineServer::with_durability(
+        ShardedEngineServer::with_durability(
             seed_db(8),
-            16,
-            Durability::Durable(
-                DurabilityConfig::new(dir.join("single"))
-                    .group_commit(1)
-                    .checkpoint_every(0)
-                    .maintenance_interval_ms(0),
-            ),
+            ShardRouter::single(),
+            DurabilityConfig::new(dir.join("single"))
+                .group_commit(1)
+                .checkpoint_every(0)
+                .maintenance_interval_ms(0),
         )
         .unwrap(),
     );
@@ -254,16 +250,14 @@ fn slow_ops_capture_phase_breakdowns_and_stay_bounded() {
 #[test]
 fn wal_append_and_fsync_remain_separable_after_rotation() {
     let dir = fresh_dir("rotation");
-    let engine = EngineServer::with_durability(
+    let engine = ShardedEngineServer::with_durability(
         seed_db(8),
-        16,
-        Durability::Durable(
-            DurabilityConfig::new(&dir)
-                .group_commit(1)
-                .checkpoint_every(0)
-                .maintenance_interval_ms(0)
-                .segment_bytes(256),
-        ),
+        ShardRouter::single(),
+        DurabilityConfig::new(&dir)
+            .group_commit(1)
+            .checkpoint_every(0)
+            .maintenance_interval_ms(0)
+            .segment_bytes(256),
     )
     .unwrap();
     for i in 0..12i64 {

@@ -7,12 +7,11 @@
 //! paths may never be observably different.
 //!
 //! The law body lives in [`esm_engine::testkit`] and is written against
-//! `&dyn Engine`, so **one code path** checks every implementation: the
-//! proptests here drive it against [`EngineServer`] and
-//! [`ShardedEngineServer`]; the `esm-net` crate's suite drives the very
-//! same function against a `RemoteEngine` over a loopback socket. A
-//! sharded-only proptest keeps the topology churn (splits/merges are
-//! operator surface, not `Engine` surface).
+//! `&dyn Engine`, so **one code path** checks every host: the proptests
+//! here drive it against the engine on one to four shards; the `esm-net`
+//! crate's suite drives the very same function against a `RemoteEngine`
+//! over a loopback socket. A separate proptest keeps the topology churn
+//! (splits/merges are operator surface, not `Engine` surface).
 
 use proptest::prelude::*;
 
@@ -26,24 +25,25 @@ fn arb_ops() -> impl Strategy<Value = Vec<(u8, i64, i64)>> {
     proptest::collection::vec((0u8..10, 0i64..10_000, 0i64..10_000), 1..30)
 }
 
+/// The engine over [`seed_db`], its key space cut into `shards` equal
+/// ranges.
+fn engine(shards: usize) -> ShardedEngineServer {
+    ShardedEngineServer::with_router(
+        seed_db(),
+        ShardRouter::uniform_int(shards, 0, KEYS).expect("router"),
+    )
+    .expect("engine")
+}
+
 proptest! {
     #[test]
-    fn unsharded_views_equal_fresh_recompute(ops in arb_ops()) {
-        let engine = EngineServer::new(seed_db());
+    fn views_equal_fresh_recompute(ops in arb_ops(), shards in 1usize..5) {
+        let engine = engine(shards);
         check_view_maintenance(&engine, &ops);
-    }
-
-    #[test]
-    fn sharded_views_equal_fresh_recompute(ops in arb_ops()) {
-        let engine = ShardedEngineServer::with_router(
-            seed_db(),
-            ShardRouter::uniform_int(4, 0, KEYS).expect("router"),
-        )
-        .expect("sharded engine");
-        check_view_maintenance(&engine, &ops);
-        // The key-bounded views pruned shards along the way (the seed
-        // router has 4 shards and `low` touches at most two).
-        prop_assert!(Engine::metrics(&engine).expect("metrics").view.shards_pruned > 0);
+        // With more than one shard the key-bounded views pruned shards
+        // along the way (`low` never touches the last range).
+        let pruned = Engine::metrics(&engine).expect("metrics").view.shards_pruned;
+        prop_assert!(shards == 1 || pruned > 0);
     }
 
     /// Topology churn stays a sharded-only concern: interleave the
@@ -52,11 +52,7 @@ proptest! {
     /// rebuild correctly).
     #[test]
     fn sharded_views_survive_splits_and_merges(ops in arb_ops()) {
-        let engine = ShardedEngineServer::with_router(
-            seed_db(),
-            ShardRouter::uniform_int(4, 0, KEYS).expect("router"),
-        )
-        .expect("sharded engine");
+        let engine = engine(4);
         let defs = view_defs();
         for (name, def) in &defs {
             engine.define_view(*name, "t", def).expect("compiles");
@@ -113,37 +109,23 @@ proptest! {
 }
 
 /// Scripted (non-proptest) run so a plain `cargo test` exercises every
-/// op shape deterministically on both hosts.
+/// op shape deterministically on one shard and on four.
 #[test]
 fn scripted_ops_cover_all_shapes() {
     let script: Vec<(u8, i64, i64)> = (0..40u8)
         .map(|i| (i % 10, i as i64 * 7, i as i64 * 13))
         .collect();
-    let unsharded = EngineServer::new(seed_db());
-    check_view_maintenance(&unsharded, &script);
-    let sharded = ShardedEngineServer::with_router(
-        seed_db(),
-        ShardRouter::uniform_int(4, 0, KEYS).expect("router"),
-    )
-    .expect("sharded engine");
-    check_view_maintenance(&sharded, &script);
+    for shards in [1, 4] {
+        check_view_maintenance(&engine(shards), &script);
+    }
 }
 
-/// The trait-level concurrency oracle on both in-process hosts: racing
+/// The trait-level concurrency oracle on one shard and on four: racing
 /// optimistic editors over clones of one engine must lose no update.
 #[test]
 fn concurrent_editors_match_the_oracle_in_process() {
-    for sharded in [false, true] {
-        let engine: esm_engine::ArcEngine = if sharded {
-            ShardedEngineServer::with_router(
-                seed_db(),
-                ShardRouter::uniform_int(4, 0, KEYS).expect("router"),
-            )
-            .expect("sharded engine")
-            .as_engine()
-        } else {
-            EngineServer::new(seed_db()).as_engine()
-        };
+    for shards in [1, 4] {
+        let engine = engine(shards).as_engine();
         let clients: Vec<esm_engine::ArcEngine> = (0..8).map(|_| engine.as_engine()).collect();
         let total = testkit::check_concurrent_edits(clients, 12);
         assert_eq!(total, 8 * 12);

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use esm_engine::{TxStore, Wal, WalRecord};
+use esm_engine::{EngineServer, Wal, WalRecord};
 use esm_store::{row, Database, Delta, Row, Schema, Table, Value, ValueType};
 
 fn baseline() -> Database {
@@ -56,11 +56,11 @@ fn arb_ops(max: usize) -> impl Strategy<Value = Vec<Op>> {
     })
 }
 
-fn apply_ops(store: &TxStore, ops: &[Op], per_tx: usize) {
+fn apply_ops(engine: &EngineServer, ops: &[Op], per_tx: usize) {
     for chunk in ops.chunks(per_tx.max(1)) {
-        store
-            .transact(1, |tx| {
-                let table = tx.table_mut("items")?;
+        engine
+            .transact(1, |db| {
+                let table = db.table_mut("items")?;
                 for op in chunk {
                     match op {
                         Op::Upsert(id, label, flag) => {
@@ -75,6 +75,11 @@ fn apply_ops(store: &TxStore, ops: &[Op], per_tx: usize) {
             })
             .expect("serial transactions never conflict");
     }
+}
+
+/// The in-memory log of a one-shard engine.
+fn wal(engine: &EngineServer) -> Wal {
+    engine.shard_wals().swap_remove(0)
 }
 
 /// Characters chosen to stress the codec: everything the escaping has to
@@ -192,39 +197,51 @@ fn codec_handles_quotes_newlines_and_empty_deltas() {
 proptest! {
     #[test]
     fn wal_replay_reconstructs_live_state(ops in arb_ops(40), per_tx in 1usize..6) {
-        let store = TxStore::new(baseline());
-        apply_ops(&store, &ops, per_tx);
-        let replayed = store.wal().replay(&baseline()).expect("replays");
-        prop_assert_eq!(replayed, store.db());
+        let engine = EngineServer::new(baseline());
+        apply_ops(&engine, &ops, per_tx);
+        let replayed = wal(&engine).replay(&baseline()).expect("replays");
+        prop_assert_eq!(replayed, engine.snapshot());
     }
 
     #[test]
     fn wal_text_codec_round_trips(ops in arb_ops(30), per_tx in 1usize..4) {
-        let store = TxStore::new(baseline());
-        apply_ops(&store, &ops, per_tx);
-        let wal = store.wal();
+        let engine = EngineServer::new(baseline());
+        apply_ops(&engine, &ops, per_tx);
+        let wal = wal(&engine);
         let decoded = Wal::decode(&wal.encode()).expect("decodes");
         prop_assert_eq!(&decoded, &wal);
         // Decoded logs recover the same state as live ones.
         prop_assert_eq!(
             decoded.replay(&baseline()).expect("replays"),
-            store.db()
+            engine.snapshot()
         );
     }
 
     #[test]
     fn interleaved_disjoint_transactions_replay_exactly(seed_ops in arb_ops(20)) {
         // Two snapshot transactions over disjoint key ranges, committed in
-        // an interleaved order, still yield a WAL whose replay equals the
-        // final state.
-        let store = TxStore::new(baseline());
-        apply_ops(&store, &seed_ops, 3);
-        let mut a = store.begin();
-        let mut b = store.begin();
-        a.table_mut("items").expect("exists").upsert(row![100, "from a", true]).expect("fits");
-        b.table_mut("items").expect("exists").upsert(row![200, "from b", false]).expect("fits");
-        b.commit().expect("disjoint");
-        a.commit().expect("disjoint");
-        prop_assert_eq!(store.wal().replay(&baseline()).expect("replays"), store.db());
+        // an interleaved order (b lands while a's body runs on its
+        // snapshot), still yield a WAL whose replay equals the final
+        // state.
+        let engine = EngineServer::new(baseline());
+        apply_ops(&engine, &seed_ops, 3);
+        engine
+            .transact(1, |db| {
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        engine.transact(1, |db| {
+                            db.table_mut("items")?.upsert(row![200, "from b", false])?;
+                            Ok(())
+                        })
+                    })
+                    .join()
+                    .expect("no panic")
+                })
+                .expect("disjoint");
+                db.table_mut("items")?.upsert(row![100, "from a", true])?;
+                Ok(())
+            })
+            .expect("disjoint");
+        prop_assert_eq!(wal(&engine).replay(&baseline()).expect("replays"), engine.snapshot());
     }
 }

@@ -10,11 +10,15 @@
 
 use esm_engine::testkit::seed_db;
 use esm_engine::{
-    Durability, DurabilityConfig, EngineError, EngineServer, ShardRouter, ShardedEngineServer, Wal,
-    WalRecord,
+    DurabilityConfig, EngineError, EngineServer, ShardRouter, ShardedEngineServer, Wal, WalRecord,
 };
 use esm_relational::ViewDef;
 use esm_store::{row, Delta, Operand, Predicate};
+
+/// The in-memory log of a one-shard engine.
+fn wal(engine: &EngineServer) -> Wal {
+    engine.shard_wals().swap_remove(0)
+}
 
 fn ins(id: i64) -> Delta {
     Delta {
@@ -77,19 +81,19 @@ fn truncation_is_gated_on_the_laggard_view_cursor() {
             })
             .unwrap();
     }
-    assert_eq!(engine.truncate_wal().unwrap(), 0);
-    assert_eq!(engine.wal().len(), 10);
+    assert_eq!(engine.truncate_wals().unwrap(), 0);
+    assert_eq!(wal(&engine).len(), 10);
 
     // Only the fast view reads: the slow cursor still pins the log.
     fast.get().unwrap();
-    assert_eq!(engine.truncate_wal().unwrap(), 0);
+    assert_eq!(engine.truncate_wals().unwrap(), 0);
 
     // Once the laggard catches up the whole prefix drops…
     slow.get().unwrap();
-    let dropped = engine.truncate_wal().unwrap();
+    let dropped = engine.truncate_wals().unwrap();
     assert_eq!(dropped, 10);
-    assert_eq!(engine.wal().len(), 0);
-    assert_eq!(engine.wal().start_seq(), 10);
+    assert_eq!(wal(&engine).len(), 0);
+    assert_eq!(wal(&engine).start_seq(), 10);
     let m = engine.metrics();
     assert_eq!(m.wal_truncations, 1);
     assert_eq!(m.wal_records_truncated, 10);
@@ -126,7 +130,7 @@ fn truncation_respects_chained_transactions() {
         })
         .unwrap();
     all.get().unwrap();
-    let dropped = engine.truncate_wal().unwrap();
+    let dropped = engine.truncate_wals().unwrap();
     assert!(dropped >= 1);
     assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
 }
@@ -138,7 +142,8 @@ fn durable_truncation_waits_for_the_checkpoint() {
     let cfg = DurabilityConfig::new(&dir)
         .checkpoint_every(6)
         .maintenance_interval_ms(0);
-    let engine = EngineServer::with_durability(seed_db(), 4, Durability::Durable(cfg)).unwrap();
+    let engine =
+        ShardedEngineServer::with_durability(seed_db(), ShardRouter::single(), cfg).unwrap();
     let all = engine.define_view("all", "t", &ViewDef::base()).unwrap();
     for i in 0..4i64 {
         engine
@@ -151,7 +156,7 @@ fn durable_truncation_waits_for_the_checkpoint() {
     all.get().unwrap();
     // The view cursor passed everything, but the durable checkpoint
     // (interval 6) has not: nothing may drop yet.
-    assert_eq!(engine.truncate_wal().unwrap(), 0);
+    assert_eq!(engine.truncate_wals().unwrap(), 0);
 
     for i in 4..8i64 {
         engine
@@ -164,15 +169,16 @@ fn durable_truncation_waits_for_the_checkpoint() {
     all.get().unwrap();
     // run_maintenance checkpoints (8 records >= interval 6) and then
     // truncates below min(cursor, checkpoint).
-    let covered = engine.run_maintenance().unwrap();
-    assert!(covered.is_some());
-    assert!(engine.wal().start_seq() > 0);
+    let checkpoints = engine.metrics().wal.checkpoints;
+    engine.run_maintenance().unwrap();
+    assert!(engine.metrics().wal.checkpoints > checkpoints);
+    assert!(wal(&engine).start_seq() > 0);
     assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
     drop(engine);
 
     // Crash-recover the directory: the durable history is intact even
     // though the in-memory log was truncated.
-    let (recovered, _) = EngineServer::recover(&dir).unwrap();
+    let (recovered, _) = ShardedEngineServer::recover(&dir).unwrap();
     let snap = recovered.snapshot();
     assert_eq!(snap.table("t").unwrap().len(), 48);
     let _ = std::fs::remove_dir_all(&dir);
@@ -205,8 +211,7 @@ fn sharded_truncation_drops_per_shard_prefixes() {
     let before: usize = engine.shard_wals().iter().map(Wal::len).sum();
     assert!(before > 0);
 
-    // Un-materialized views impose no floor, but nothing has read yet —
-    // materialize, then truncate.
+    // The window cursor sits at registration until the view reads.
     all.get().unwrap();
     let dropped = engine.truncate_wals().unwrap();
     assert!(
@@ -247,11 +252,11 @@ fn maintenance_keeps_the_log_bounded_under_steady_load() {
         }
         all.get().unwrap();
         engine.run_maintenance().unwrap();
-        max_len = max_len.max(engine.wal().len());
+        max_len = max_len.max(wal(&engine).len());
     }
     // 200 commits flowed through; the log never held more than one
     // round's worth.
     assert!(max_len <= 10, "log grew unbounded: {max_len}");
-    assert_eq!(engine.wal().start_seq(), 200);
+    assert_eq!(wal(&engine).start_seq(), 200);
     assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
 }

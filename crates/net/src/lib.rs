@@ -2,10 +2,10 @@
 //!
 //! The paper's entangled state monads are client handles onto shared
 //! hidden state; this crate puts a socket between the handle and the
-//! state. One [`NetServer`] fronts any [`esm_engine::Engine`] (a
-//! lock-striped [`esm_engine::EngineServer`] or a key-range-sharded
-//! [`esm_engine::ShardedEngineServer`]) and multiplexes many client
-//! connections onto it; [`RemoteEngine`] implements the same `Engine`
+//! state. One [`NetServer`] fronts any [`esm_engine::Engine`] (the
+//! engine, [`esm_engine::ShardedEngineServer`], on one shard or many,
+//! or a read replica) and multiplexes many client connections onto it;
+//! [`RemoteEngine`] implements the same `Engine`
 //! trait on the client side, so an [`esm_engine::EntangledView`] is
 //! **host-location-oblivious** — the code (and the conformance suite)
 //! that runs in-process runs unchanged across the wire.
@@ -19,8 +19,9 @@
 //! └────────────────────┘             │  ├ worker pool ── Session   │
 //!        × thousands                 │  │   per connection         │
 //!                                    │  └ Arc<dyn Engine>          │
-//!                                    │     ├ EngineServer          │
-//!                                    │     └ ShardedEngineServer   │
+//!                                    │     ├ ShardedEngineServer   │
+//!                                    │     │   (1..N shards)       │
+//!                                    │     └ ReplicaEngine         │
 //!                                    └─────────────────────────────┘
 //! ```
 //!
@@ -43,15 +44,15 @@
 //!
 //! Protocol rev 3 adds a push channel on the same socket. A client
 //! sends `SUBSCRIBE view [cursor]` and gets back `SUBACK cursor` — the
-//! engine commit position the subscription starts from — followed (for
+//! engine commit stamp the subscription starts from — followed (for
 //! a from-now subscription) by an initial `PUSH` carrying the view's
 //! full current window. From then on, whenever a commit settles, the
 //! server drains the view's committed deltas past the subscriber's
 //! cursor ([`esm_engine::Engine::view_deltas_since`], O(changes) in the
-//! commit, not O(view)) and pushes one coalesced `PUSH` frame:
-//! `(from_seq, to_seq, delta)` or, when the engine cannot reconstruct
-//! the gap (cursor fell out of the WAL window, lens rebuild, sharded
-//! stamp granularity), a full-window `resync`. Applying frames in
+//! commit, not O(view), on any shard count) and pushes one coalesced
+//! `PUSH` frame: `(from_seq, to_seq, delta)` or, when the engine cannot
+//! reconstruct the gap (cursor fell out of the WAL window or predates a
+//! split/merge, lens rebuild), a full-window `resync`. Applying frames in
 //! arrival order — [`client::PushEvent::apply`] — reproduces the
 //! server-side view; re-delivered deltas apply idempotently.
 //!

@@ -220,7 +220,7 @@ pub enum Response {
     Receipt {
         /// Commit stamp.
         stamp: u64,
-        /// Shards touched (empty on unsharded hosts).
+        /// Shards touched (empty when the commit wrote nothing).
         shards: Vec<usize>,
         /// Cross-shard transaction id, if any.
         gtx: Option<String>,
@@ -604,8 +604,7 @@ fn stages(def: &ViewDef) -> Vec<&ViewDef> {
             ViewDef::Base => break,
             ViewDef::Select(inner, _)
             | ViewDef::Project(inner, _, _)
-            | ViewDef::Rename(inner, _)
-            | ViewDef::Eager(inner) => cur = inner,
+            | ViewDef::Rename(inner, _) => cur = inner,
         }
     }
     chain.reverse();
@@ -652,7 +651,6 @@ pub fn encode_viewdef(out: &mut String, def: &ViewDef) {
                     out.push_str(&format!("rename\t{}\n", pairs.join("\t")));
                 }
             }
-            ViewDef::Eager(_) => out.push_str("eager\n"),
         }
     }
 }
@@ -703,7 +701,6 @@ fn decode_viewdef(r: &mut Reader<'_>) -> Result<ViewDef, WireError> {
                 }
                 def = Some(ViewDef::Rename(Box::new(inner), renames));
             }
-            ("eager", _, Some(inner)) => def = Some(ViewDef::Eager(Box::new(inner))),
             _ => return Err(err(format!("bad view stage `{line}` at position {i}"))),
         }
     }
@@ -2293,7 +2290,7 @@ pub fn handle(session: &esm_engine::Session, req: Request) -> Response {
                 // Delta-direct checked commit: pre-image validation is
                 // the first-committer-wins check against the client's
                 // snapshot, and engines prune the work to the touched
-                // stripes/shards — no whole-database snapshot or
+                // shards — no whole-database snapshot or
                 // re-diff on the server hot path.
                 let receipt = engine.commit_checked(&deltas)?;
                 Response::Receipt {

@@ -64,6 +64,13 @@ fn remote_engine_satisfies_the_view_maintenance_law_sharded() {
 }
 
 #[test]
+fn bx_laws_hold_over_the_wire() {
+    let (server, addr) = serve(EngineServer::new(seed_db()).as_engine());
+    testkit::check_bx_laws(&connect(addr));
+    server.shutdown();
+}
+
+#[test]
 fn sixty_four_connections_race_the_oracle_on_one_engine() {
     let (server, addr) = serve(EngineServer::new(seed_db()).as_engine());
     // 64 independent client connections, multiplexed by the server onto

@@ -8,19 +8,17 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use esm_engine::testkit::seed_db;
-use esm_engine::{Engine, EngineError, EngineServer};
+use esm_engine::testkit::{seed_db, KEYS};
+use esm_engine::{Engine, EngineError, ShardRouter, ShardedEngineServer};
 use esm_net::{NetServer, NetServerConfig, PushEvent, RemoteEngine, SubscriptionClient};
 use esm_relational::ViewDef;
 use esm_store::Table;
 
-fn serve(config: NetServerConfig) -> (NetServer, SocketAddr) {
-    let server = NetServer::bind(
-        EngineServer::new(seed_db()).as_engine(),
-        "127.0.0.1:0",
-        config,
-    )
-    .expect("loopback bind");
+/// A server over a `shards`-shard engine seeded with [`seed_db`].
+fn serve(shards: usize, config: NetServerConfig) -> (NetServer, SocketAddr) {
+    let router = ShardRouter::uniform_int(shards, 0, KEYS).expect("router");
+    let engine = ShardedEngineServer::with_router(seed_db(), router).expect("engine");
+    let server = NetServer::bind(engine.as_engine(), "127.0.0.1:0", config).expect("loopback bind");
     let addr = server.local_addr();
     (server, addr)
 }
@@ -72,7 +70,15 @@ fn follow_until(
 
 #[test]
 fn sixty_four_subscribers_receive_every_delta_in_commit_order() {
-    let (server, addr) = serve(NetServerConfig::default());
+    // Drains are O(delta) on every shard count: both engines must
+    // deliver delta pushes, not resyncs.
+    for shards in [1, 4] {
+        sixty_four_subscribers_on(shards);
+    }
+}
+
+fn sixty_four_subscribers_on(shards: usize) {
+    let (server, addr) = serve(shards, NetServerConfig::default());
     let writer = RemoteEngine::connect(addr).expect("writer connects");
     writer
         .define_view("all", "t", &ViewDef::base())
@@ -87,11 +93,11 @@ fn sixty_four_subscribers_receive_every_delta_in_commit_order() {
         .collect();
 
     // 30 commits through the ordinary write path while everyone holds
-    // an open subscription.
+    // an open subscription, spread over the first three shards' ranges.
     for i in 0..30i64 {
         writer
             .edit_view_optimistic("all", 8, &|t: &mut Table| {
-                t.upsert(esm_store::row![1000 + i, format!("g{}", i % 5), i * 11])
+                t.upsert(esm_store::row![2 * i + 1, format!("g{}", i % 5), i * 11])
                     .map(|_| ())
                     .map_err(EngineError::from)
             })
@@ -133,7 +139,7 @@ fn stalled_subscriber_never_delays_commits_or_other_subscribers() {
     // Small output cap so the stall engages deterministically: half of
     // it (the push high-water mark) is far below what the workload
     // pushes, and single frames stay well below the drop limit.
-    let (server, addr) = serve(NetServerConfig::default().outbuf_limit(1024 * 1024));
+    let (server, addr) = serve(1, NetServerConfig::default().outbuf_limit(1024 * 1024));
     let writer = RemoteEngine::connect(addr).expect("writer connects");
     writer
         .define_view("all", "t", &ViewDef::base())
@@ -225,7 +231,7 @@ fn stalled_subscriber_never_delays_commits_or_other_subscribers() {
 
 #[test]
 fn unsubscribe_stops_the_stream() {
-    let (server, addr) = serve(NetServerConfig::default());
+    let (server, addr) = serve(1, NetServerConfig::default());
     let writer = RemoteEngine::connect(addr).expect("writer connects");
     writer
         .define_view("all", "t", &ViewDef::base())

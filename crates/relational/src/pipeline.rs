@@ -27,13 +27,6 @@ pub enum ViewDef {
     Project(Box<ViewDef>, Vec<String>, Vec<(String, Value)>),
     /// Rename columns.
     Rename(Box<ViewDef>, Vec<(String, String)>),
-    /// Maintain the wrapped view's window **eagerly at commit time**
-    /// (inside the committing transaction's critical section) instead of
-    /// lazily at the next read. Semantically transparent: the compiled
-    /// lens and every schema-discipline helper see straight through it —
-    /// only engines inspect it (via [`ViewDef::is_eager`]) to schedule
-    /// maintenance.
-    Eager(Box<ViewDef>),
 }
 
 impl ViewDef {
@@ -71,31 +64,6 @@ impl ViewDef {
         )
     }
 
-    /// Request eager commit-time maintenance for this view (idempotent).
-    /// Write-heavy views (and every view a subscriber pushes from) stay
-    /// fresh at the commit instead of paying drain latency on the next
-    /// read; the cost is window maintenance inside the commit's critical
-    /// section.
-    pub fn eager(self) -> ViewDef {
-        if self.is_eager() {
-            self
-        } else {
-            ViewDef::Eager(Box::new(self))
-        }
-    }
-
-    /// Does any stage of this definition request eager commit-time
-    /// maintenance?
-    pub fn is_eager(&self) -> bool {
-        match self {
-            ViewDef::Base => false,
-            ViewDef::Select(inner, _)
-            | ViewDef::Project(inner, _, _)
-            | ViewDef::Rename(inner, _) => inner.is_eager(),
-            ViewDef::Eager(_) => true,
-        }
-    }
-
     /// Base-table columns that this view's select stages constrain with
     /// index-servable comparisons (`col ⋈ literal` conjuncts), collected
     /// only from stages that still see the base schema (i.e. before any
@@ -121,7 +89,6 @@ impl ViewDef {
                     collect(inner, out);
                     false
                 }
-                ViewDef::Eager(inner) => collect(inner, out),
             }
         }
         let mut out = Vec::new();
@@ -151,7 +118,6 @@ impl ViewDef {
                     collect(inner, preds);
                     false
                 }
-                ViewDef::Eager(inner) => collect(inner, preds),
             }
         }
         let mut preds = Vec::new();
@@ -230,7 +196,6 @@ impl ViewDef {
                 });
                 Ok(prefix.then(stage))
             }
-            ViewDef::Eager(inner) => inner.compile_delta(base),
         }
     }
 
@@ -268,7 +233,6 @@ impl ViewDef {
                     .collect();
                 Ok(prefix.then(rename_lens(&renames_ref)))
             }
-            ViewDef::Eager(inner) => inner.compile(base),
         }
     }
 }
@@ -457,34 +421,6 @@ mod tests {
             .upsert(row![1, "ada", "research", 99_000])
             .unwrap();
         assert_incremental(&defs[2], &old_base, &salary_only);
-    }
-
-    #[test]
-    fn eager_wrapper_is_semantically_transparent() {
-        let base = employees();
-        let plain = ViewDef::base()
-            .select(Predicate::eq(
-                Operand::col("dept"),
-                Operand::val("research"),
-            ))
-            .rename(&[("name", "who")]);
-        let eager = plain.clone().eager();
-        assert!(!plain.is_eager());
-        assert!(eager.is_eager());
-        // Idempotent.
-        assert_eq!(eager.clone().eager(), eager);
-        // Compiles to the same view; schema helpers see through it.
-        assert_eq!(
-            eager.compile(&base).unwrap().get(&base),
-            plain.compile(&base).unwrap().get(&base)
-        );
-        assert_eq!(eager.index_candidates(), plain.index_candidates());
-        assert_eq!(eager.key_bounds("eid"), plain.key_bounds("eid"));
-        // Builders layered on top keep the flag.
-        assert!(ViewDef::base()
-            .eager()
-            .rename(&[("name", "who")])
-            .is_eager());
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn main() {
     let mut db = Database::new();
     db.create_table("accounts", accounts).expect("fresh table");
 
-    // The engine: lock-striped, shared by handle-clone, WAL-backed.
+    // The engine: one shard, shared by handle-clone, WAL-backed.
     let engine = EngineServer::new(db);
 
     // Entangled views: three regional selections plus a directory
@@ -110,8 +110,8 @@ fn main() {
     println!("after directory rename: {ada:?} (balance survived)");
 
     // Recovery: replay the WAL over the baseline and compare to live.
-    let wal = engine.wal();
-    println!("wal holds {} committed deltas", wal.len());
+    let wal: usize = engine.shard_wals().iter().map(|w| w.len()).sum();
+    println!("wal holds {wal} committed deltas");
     let recovered = engine.recovered_database().expect("replays");
     assert_eq!(recovered, engine.snapshot());
     println!("recovery check: WAL replay == live state ✓");

@@ -50,7 +50,7 @@ fn main() {
 
     // Client one (its own connection + session): define a view over the
     // big-ticket orders and edit it. The code below would be identical
-    // against an in-process EngineServer — EntangledView and Session
+    // against the in-process engine — EntangledView and Session
     // only ever see the Engine trait.
     let session = Session::new(RemoteEngine::connect(addr).expect("connect").as_engine());
     let big = session

@@ -2,8 +2,8 @@
 //!
 //! The paper's equivalence of state- and predicate-transformer readings
 //! licenses treating a *partitioned* store as one monolithic state: the
-//! sharded engine serves the same `EntangledView` handles as the
-//! unsharded one, while under the hood every table is cut across shards
+//! engine serves the same `EntangledView` handles on four shards as on
+//! one, while under the hood every table is cut across shards
 //! by key range, single-shard transactions commit with no coordination,
 //! and cross-shard transactions run two-phase commit over the per-shard
 //! write-ahead logs.

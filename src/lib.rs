@@ -27,9 +27,9 @@
 //!   join views as bx).
 //! - [`engine`] — the concurrent, transactional bidirectional database
 //!   engine: snapshot-isolated transactions with first-committer-wins, a
-//!   write-ahead log with replay/recovery, and a lock-striped server where
-//!   many clients hold entangled views over shared base tables — all
-//!   behind one [`engine::Engine`] trait with per-client
+//!   write-ahead log with replay/recovery, and key-range shards (one by
+//!   default) where many clients hold entangled views over shared base
+//!   tables — all behind one [`engine::Engine`] trait with per-client
 //!   [`engine::Session`]s.
 //! - [`net`] — the network front end: a CRC-framed wire protocol for the
 //!   whole `Engine` surface, a thread-pooled non-blocking socket server
