@@ -1,7 +1,9 @@
 //! Materialized-view perf trajectory: incremental delta-maintained reads
-//! vs whole-base lens re-runs (10k / 100k rows), and shard-pruned reads
-//! vs whole-database assembly on 4 shards. Emits `BENCH_view.json` so
-//! successive PRs can watch the read path stay incremental.
+//! vs whole-base lens re-runs (10k / 100k rows), shard-pruned reads vs
+//! whole-database assembly on 4 shards, and the cost of defining a view
+//! against the cost of one copy of its base table. Emits
+//! `BENCH_view.json` so successive PRs can watch the read path stay
+//! incremental and view definition stay free of table copies.
 //!
 //! Why incremental wins: a lens `get` over a view with a projection
 //! stage scans the whole base (O(rows)) per read, and the sharded read
@@ -10,6 +12,12 @@
 //! last read (O(changes)) and prunes untouched shards outright. The
 //! acceptance gate asserts incremental reads beat full recomputation by
 //! ≥ 5x at 100k rows.
+//!
+//! Defining a view compiles it against the table's schema and
+//! materializes its window through the secondary index its select
+//! stages ask for, so a select on an indexed column costs the rows it
+//! selects, not the table. The second gate asserts such a define costs
+//! at most half of one `engine.table(..)` copy at 100k rows.
 //!
 //! Usage: `cargo run --release -p esm-bench --bin bench_view [dir]`
 
@@ -26,6 +34,8 @@ const READS: usize = 16;
 const REPS: usize = 3;
 const GATE_ROWS: i64 = 100_000;
 const GATE_MIN_SPEEDUP: f64 = 5.0;
+const DEFINE_REPS: usize = 5;
+const DEFINE_GATE_MAX_COPIES: f64 = 0.5;
 
 fn seed_db(rows: i64) -> Database {
     let schema = Schema::build(
@@ -150,6 +160,39 @@ fn sharded_read_ns(rows: i64, pruned: bool) -> (f64, HistogramSnapshot) {
     (median(samples), per_read.snapshot())
 }
 
+/// Median ns to define a select view on an already-indexed column
+/// (`grp = 7` first builds the index, then `grp = 8` is timed), and
+/// median ns of one `engine.table("kv")` copy, on a one-shard engine.
+fn define_vs_copy_ns(rows: i64) -> (f64, f64) {
+    let engine = EngineServer::new(seed_db(rows));
+    let by_grp =
+        |g: i64| ViewDef::base().select(Predicate::eq(Operand::col("grp"), Operand::val(g)));
+    engine
+        .define_view("grp7", "kv", &by_grp(7))
+        .expect("compiles");
+    let define: Vec<f64> = (0..DEFINE_REPS)
+        .map(|rep| {
+            let start = Instant::now();
+            let view = engine
+                .define_view(format!("grp8-{rep}"), "kv", &by_grp(8))
+                .expect("compiles");
+            let elapsed = start.elapsed().as_nanos() as f64;
+            assert_eq!(view.get().expect("readable").len(), rows as usize / 100);
+            elapsed
+        })
+        .collect();
+    let copy: Vec<f64> = (0..DEFINE_REPS)
+        .map(|_| {
+            let start = Instant::now();
+            let table = engine.table("kv").expect("exists");
+            let elapsed = start.elapsed().as_nanos() as f64;
+            assert_eq!(table.len(), rows as usize);
+            elapsed
+        })
+        .collect();
+    (median(define), median(copy))
+}
+
 fn main() {
     let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_string());
     let mut results = BenchResults::new();
@@ -203,12 +246,42 @@ fn main() {
         assembled / pruned
     );
 
-    // The acceptance gate: maintained windows must beat whole-base
-    // recomputation by at least 5x at 100k rows.
+    let mut gate_define_copies = f64::INFINITY;
+    for rows in [10_000i64, 100_000] {
+        let (define, copy) = define_vs_copy_ns(rows);
+        let copies = define / copy;
+        if rows == GATE_ROWS {
+            gate_define_copies = copies;
+        }
+        results.record(
+            format!("view/define/{rows}"),
+            define,
+            format!("select on an indexed column (~1% window), {rows} rows, one shard"),
+        );
+        results.record(
+            format!("view/table_clone/{rows}"),
+            copy,
+            format!("one engine.table copy, {rows} rows, one shard"),
+        );
+        println!(
+            "define   {rows:>6} rows: define_view {} vs one table copy {} ({copies:.2} copies)",
+            fmt_ns(define),
+            fmt_ns(copy)
+        );
+    }
+
+    // The acceptance gates: maintained windows must beat whole-base
+    // recomputation by at least 5x at 100k rows, and defining a view on
+    // an indexed column must cost at most half of one table copy.
     assert!(
         gate_speedup >= GATE_MIN_SPEEDUP,
         "incremental reads must be >= {GATE_MIN_SPEEDUP}x full recomputation at {GATE_ROWS} rows \
          (got {gate_speedup:.2}x)"
+    );
+    assert!(
+        gate_define_copies <= DEFINE_GATE_MAX_COPIES,
+        "defining an indexed select view must cost <= {DEFINE_GATE_MAX_COPIES} table copies at \
+         {GATE_ROWS} rows (got {gate_define_copies:.2})"
     );
 
     match results.write_json(&out_dir, "view") {

@@ -177,9 +177,9 @@ pub trait Engine: Send + Sync + std::fmt::Debug {
     fn snapshot(&self) -> Result<Database, EngineError>;
 
     /// Compile and register a named entangled view over `table`,
-    /// returning a client handle. The view is validated against the
-    /// current table state, select-constrained columns get secondary
-    /// indexes, and the window is materialized for delta maintenance.
+    /// returning a client handle. The view is compiled against the
+    /// table's schema, select-constrained columns get secondary indexes,
+    /// and the window is materialized for delta maintenance.
     fn define_view(
         &self,
         name: &str,

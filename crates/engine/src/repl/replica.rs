@@ -668,18 +668,21 @@ impl Engine for ReplicaEngine {
 
     /// View *definition* is local read-serving machinery (it registers
     /// a lens and materializes a window over replicated state), so a
-    /// replica allows it; *writes* through the view are rejected.
+    /// replica allows it; *writes* through the view are rejected. The
+    /// handle routes through the replica, so its writes are rejected too.
     fn define_view(
         &self,
         name: &str,
         table: &str,
         def: &ViewDef,
     ) -> Result<EntangledView, EngineError> {
-        Engine::define_view(&self.inner.serving, name, table, def)
+        Engine::define_view(&self.inner.serving, name, table, def)?;
+        Ok(EntangledView::attach(self.as_engine(), name))
     }
 
     fn view(&self, name: &str) -> Result<EntangledView, EngineError> {
-        Engine::view(&self.inner.serving, name)
+        Engine::view(&self.inner.serving, name)?;
+        Ok(EntangledView::attach(self.as_engine(), name))
     }
 
     fn view_names(&self) -> Result<Vec<String>, EngineError> {

@@ -140,6 +140,24 @@ struct ViewReg {
     mat: Mutex<ShardedMat>,
 }
 
+impl ViewReg {
+    /// The lens `put` of an edited window into `base`, for view `name`.
+    /// The compiler types every stage, so a window of the view's schema
+    /// always puts back; any other table is refused up front.
+    fn put(&self, name: &str, base: &Table, window: Table) -> Result<Table, EngineError> {
+        if window.schema() != &self.schema {
+            return Err(EngineError::Store(esm_store::StoreError::SchemaMismatch(
+                format!(
+                    "view write rejected: the edited table {} does not have view {name}'s schema {}",
+                    window.schema(),
+                    self.schema
+                ),
+            )));
+        }
+        Ok(self.lens.put(base.clone(), window))
+    }
+}
+
 /// A sharded view's materialized state: one window per in-range shard,
 /// each with the shard-WAL position it reflects.
 struct ShardedMat {
@@ -1347,12 +1365,12 @@ impl ShardedEngineServer {
 
     /// Compile and register a named entangled view over `table`.
     ///
-    /// The definition is validated against the current table state, and
-    /// base columns its select stages constrain get secondary indexes on
-    /// every shard's piece (reads seek instead of scanning). Registration
-    /// runs the one sanctioned full lens `get`: the view's windows are
-    /// materialized here, and every later read maintains them from
-    /// committed deltas.
+    /// The definition is compiled against the table's schema (read from
+    /// the first shard piece; no rows are copied), and base columns its
+    /// select stages constrain get secondary indexes on every shard's
+    /// piece (reads seek instead of scanning). Registration runs the one
+    /// sanctioned full lens `get`: the view's windows are materialized
+    /// here, and every later read maintains them from committed deltas.
     pub fn define_view(
         &self,
         name: impl Into<String>,
@@ -1370,27 +1388,26 @@ impl ShardedEngineServer {
         {
             return Err(EngineError::ViewExists(name));
         }
-        let (lens, schema, bounds) = {
-            let snapshot = self.table(&table)?;
-            let lens = def.compile_delta(&snapshot)?;
-            let schema = lens
-                .get(&Table::new(snapshot.schema().clone()))
-                .schema()
-                .clone();
-            // The pruning hint: the view's base-schema selects constrain
-            // the first key column (whole-row-keyed tables key on their
-            // first column).
-            let bounds = match snapshot
-                .schema()
-                .key()
-                .first()
-                .map(String::as_str)
-                .or_else(|| snapshot.schema().column_names().first().copied())
-            {
-                Some(key_col) => def.key_bounds(key_col),
-                None => (Bound::Unbounded, Bound::Unbounded),
-            };
-            (lens, schema, bounds)
+        let base = {
+            let topo = self.topology();
+            let first = topo.shards.first().map(Shard::read);
+            match first.as_ref().map(|piece| piece.db.table(&table)) {
+                Some(Ok(piece)) => piece.schema().clone(),
+                _ => return Err(EngineError::NoSuchTable(table)),
+            }
+        };
+        let (lens, schema) = def.compile_schema(&base)?;
+        // The pruning hint: the view's base-schema selects constrain the
+        // first key column (whole-row-keyed tables key on their first
+        // column).
+        let bounds = match base
+            .key()
+            .first()
+            .map(String::as_str)
+            .or_else(|| base.column_names().first().copied())
+        {
+            Some(key_col) => def.key_bounds(key_col),
+            None => (Bound::Unbounded, Bound::Unbounded),
         };
         let mat = {
             let topo = self.topology();
@@ -1721,8 +1738,8 @@ impl ShardedEngineServer {
     /// retrying internally until it lands — concurrent putters are
     /// last-writer-wins; use [`Self::edit_view_optimistic`] for
     /// read-modify-write edits that must not lose concurrent updates.
-    /// A put that does not fit the view is rejected with an error, never
-    /// a panic. Returns the base-table delta.
+    /// A put that does not fit the view (a table of another schema) is
+    /// rejected with an error, never a panic. Returns the base-table delta.
     ///
     /// Snapshots are pruned to the shards the view's key bounds can
     /// touch; a write that strays outside them (a client inserting an
@@ -1741,19 +1758,7 @@ impl ShardedEngineServer {
                 let (snapshot, snap_seqs) =
                     self.snapshot_with_seqs(&topo, participants.as_ref())?;
                 let base = snapshot.table(&reg.table)?;
-                let put_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    reg.lens.put(base.clone(), view.clone())
-                }));
-                let new_base = match put_result {
-                    Ok(t) => t,
-                    Err(_) => {
-                        return Err(EngineError::Store(esm_store::StoreError::BadQuery(
-                            format!(
-                                "view write rejected: the edited table does not fit view {name}"
-                            ),
-                        )))
-                    }
-                };
+                let new_base = reg.put(name, base, view.clone())?;
                 let delta = Delta::between(base, &new_base)?;
                 if delta.is_empty() {
                     return Ok(delta);
@@ -1782,7 +1787,8 @@ impl ShardedEngineServer {
     /// primary key this edit touches (first-committer-wins), retrying
     /// with a fresh snapshot up to `attempts` times. Snapshots are
     /// pruned like [`ShardedEngineServer::write_view`]'s, with the same
-    /// widen-on-stray fallback.
+    /// widen-on-stray fallback, and an edit that leaves a table that does
+    /// not fit the view is rejected with an error, as there.
     pub fn edit_view_optimistic(
         &self,
         name: &str,
@@ -1804,7 +1810,7 @@ impl ShardedEngineServer {
                 let base = snapshot.table(&reg.table)?;
                 let mut view = reg.lens.get(base);
                 edit(&mut view)?;
-                let new_base = reg.lens.put(base.clone(), view);
+                let new_base = reg.put(name, base, view)?;
                 let delta = Delta::between(base, &new_base)?;
                 if delta.is_empty() {
                     return Ok(delta);
@@ -2455,6 +2461,65 @@ mod tests {
         let mut window = all.get().unwrap();
         window.upsert(row![9, "ok", 1]).unwrap();
         assert!(!all.put(window).unwrap().is_empty());
+    }
+
+    #[test]
+    fn ill_fitting_view_edits_error_without_wedging_the_engine() {
+        let engine = ShardedEngineServer::new(seed_db(4));
+        let all = engine
+            .define_view(
+                "all",
+                "accounts",
+                &ViewDef::base().select(Predicate::lt(Operand::col("id"), Operand::val(100))),
+            )
+            .unwrap();
+        // An edit that swaps the window for a table of another schema:
+        // the select lens put would panic; the engine must surface an
+        // error and stay fully usable.
+        let bad = Table::from_rows(
+            Schema::build(&[("id", ValueType::Int)], &["id"]).unwrap(),
+            vec![row![1]],
+        )
+        .unwrap();
+        let swap = |window: &mut Table| {
+            *window = bad.clone();
+            Ok(())
+        };
+        assert!(matches!(all.edit(swap), Err(EngineError::Store(_))));
+        assert!(matches!(all.put(bad.clone()), Err(EngineError::Store(_))));
+        assert_eq!(all.get().unwrap().len(), 4);
+        assert_eq!(engine.metrics().commits, 0);
+        let grow = |window: &mut Table| {
+            window.upsert(row![9, "ok", 1])?;
+            Ok(())
+        };
+        assert!(!all.edit(grow).unwrap().is_empty());
+        assert_eq!(all.get().unwrap().len(), 5);
+    }
+
+    #[test]
+    fn project_defaults_that_do_not_fit_are_rejected_at_definition() {
+        let engine = ShardedEngineServer::new(seed_db(4));
+        // `balance` is an Int column; `ghost` is no column at all.
+        for default in [("balance", Value::str("x")), ("ghost", Value::Int(1))] {
+            let def = ViewDef::base().project(&["id", "owner"], &[default]);
+            assert!(matches!(
+                engine.define_view("owners", "accounts", &def),
+                Err(EngineError::Store(_))
+            ));
+        }
+        assert!(engine.view_names().is_empty());
+        // A fitting default defines, and the rows its edits create get it.
+        let def = ViewDef::base().project(&["id", "owner"], &[("balance", Value::Int(7))]);
+        let owners = engine.define_view("owners", "accounts", &def).unwrap();
+        owners
+            .edit(|window: &mut Table| {
+                window.upsert(row![9, "new"])?;
+                Ok(())
+            })
+            .unwrap();
+        let base = engine.table("accounts").unwrap();
+        assert_eq!(base.get_by_key(&row![9]), Some(&row![9, "new", 7]));
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! This is the "view definition language" a database exposes to clients:
 //! a fragment of the relational algebra (select / project / rename) whose
-//! every operator is bidirectionalisable, compiled by [`ViewDef::compile`]
-//! into one `Lens<Table, Table>` via ordinary lens composition — and
-//! therefore, via Lemma 4, usable as an entangled state monad over the
-//! base table.
+//! every operator is bidirectionalisable, compiled from the base table's
+//! schema by [`ViewDef::compile_schema`] into one `Lens<Table, Table>` via
+//! ordinary lens composition — and therefore, via Lemma 4, usable as an
+//! entangled state monad over the base table.
 
 use esm_lens::{DeltaLens, DeltaOutcome, Lens};
 use esm_store::row::project_row;
@@ -15,6 +15,9 @@ use esm_store::{Delta, Predicate, Schema, StoreError, Table, Value};
 use crate::project::project_lens_checked;
 use crate::rename::rename_lens;
 use crate::select::select_lens;
+
+/// A compiled view: base table to view window, with delta propagation.
+pub type ViewLens = DeltaLens<Table, Table, Delta>;
 
 /// A bidirectional view definition over a single base table.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,45 +131,68 @@ impl ViewDef {
         }
     }
 
-    /// [`ViewDef::compile`] with a delta propagator: the returned
-    /// [`DeltaLens`] additionally maps committed base-table [`Delta`]s to
-    /// view deltas, so an engine can maintain a materialized window
-    /// incrementally instead of re-running the lens `get` per read.
+    /// Compile against the base table's schema: the view's delta lens
+    /// and the schema its windows have.
     ///
-    /// Every relational stage propagates exactly:
+    /// Each stage is validated against the schema it will see, worked out
+    /// statically ([`Schema::project`], [`Schema::rename`]); no lens runs
+    /// here, so compiling never touches a row. `Base` adds no stage of its
+    /// own — the identity lens is the unit of composition (`id ; l = l`) —
+    /// so a select over the base compiles to exactly one select lens. A
+    /// view that is `Base` alone is the whole table, and compiles to the
+    /// identity.
+    ///
+    /// The returned lens also maps committed base-table [`Delta`]s to view
+    /// deltas, so an engine can maintain a materialized window
+    /// incrementally instead of re-running the lens `get` per read. Every
+    /// relational stage propagates exactly:
     /// * **select** filters the delta's rows by its predicate (an
     ///   evaluation error falls back to [`DeltaOutcome::Rebuild`]);
     /// * **project** maps rows through the projection — exact because the
     ///   compiled lens retains the key, so distinct base rows never merge;
     /// * **rename** passes rows through untouched (schema-only change).
-    pub fn compile_delta(
-        &self,
-        base: &Table,
-    ) -> Result<DeltaLens<Table, Table, Delta>, StoreError> {
-        match self {
-            ViewDef::Base => Ok(DeltaLens::new(esm_lens::combinators::id(), |d: &Delta| {
-                DeltaOutcome::View(d.clone())
-            })),
+    pub fn compile_schema(&self, base: &Schema) -> Result<(ViewLens, Schema), StoreError> {
+        let (stages, schema) = self.compile_stages(base)?;
+        let lens =
+            stages.unwrap_or_else(|| DeltaLens::new(esm_lens::combinators::id(), rows_unchanged));
+        Ok((lens, schema))
+    }
+
+    /// [`ViewDef::compile_schema`] against `base`'s schema (its rows are
+    /// never read).
+    pub fn compile_delta(&self, base: &Table) -> Result<ViewLens, StoreError> {
+        self.compile_schema(base.schema()).map(|(lens, _)| lens)
+    }
+
+    /// [`ViewDef::compile_delta`] without the delta propagator: the plain
+    /// lens, its stages validated against `base`'s schema.
+    pub fn compile(&self, base: &Table) -> Result<Lens<Table, Table>, StoreError> {
+        self.compile_delta(base).map(|lens| lens.lens().clone())
+    }
+
+    /// The view compiler: the stages after `base` composed into one lens
+    /// (`None` for `Base`, which adds none), and the schema they output.
+    fn compile_stages(&self, base: &Schema) -> Result<(Option<ViewLens>, Schema), StoreError> {
+        let (prefix, stage, out) = match self {
+            ViewDef::Base => return Ok((None, base.clone())),
             ViewDef::Select(inner, pred) => {
-                let prefix = inner.compile_delta(base)?;
-                let mid = prefix.get(base);
-                pred.validate(mid.schema())?;
+                let (prefix, mid) = inner.compile_stages(base)?;
+                pred.validate(&mid)?;
                 let stage = DeltaLens::new(
                     select_lens(pred.clone()),
-                    select_delta(pred.clone(), mid.schema().clone()),
+                    select_delta(pred.clone(), mid.clone()),
                 );
-                Ok(prefix.then(stage))
+                (prefix, stage, mid)
             }
             ViewDef::Project(inner, cols, defaults) => {
-                let prefix = inner.compile_delta(base)?;
-                let mid = prefix.get(base);
+                let (prefix, mid) = inner.compile_stages(base)?;
                 let cols_ref: Vec<&str> = cols.iter().map(String::as_str).collect();
                 let defaults_ref: Vec<(&str, Value)> = defaults
                     .iter()
                     .map(|(c, v)| (c.as_str(), v.clone()))
                     .collect();
                 let lens = project_lens_checked(&mid, &cols_ref, &defaults_ref)?;
-                let indices = mid.schema().indices_of(cols)?;
+                let indices = mid.indices_of(cols)?;
                 let stage = DeltaLens::new(lens, move |d: &Delta| {
                     DeltaOutcome::View(Delta {
                         inserted: d
@@ -177,71 +203,50 @@ impl ViewDef {
                         deleted: d.deleted.iter().map(|r| project_row(r, &indices)).collect(),
                     })
                 });
-                Ok(prefix.then(stage))
+                (prefix, stage, mid.project(cols)?)
             }
             ViewDef::Rename(inner, renames) => {
-                let prefix = inner.compile_delta(base)?;
-                let mid = prefix.get(base);
-                for (old, _) in renames {
-                    mid.schema().index_of(old)?;
+                let (prefix, mid) = inner.compile_stages(base)?;
+                let out = mid.rename(renames)?;
+                // The put renames back; refuse renames it could not undo
+                // (one column renamed twice).
+                let back: Vec<(String, String)> = renames
+                    .iter()
+                    .map(|(old, new)| (new.clone(), old.clone()))
+                    .collect();
+                if out.rename(&back).ok().as_ref() != Some(&mid) {
+                    return Err(StoreError::BadQuery(format!(
+                        "rename {renames:?} cannot be inverted"
+                    )));
                 }
                 let renames_ref: Vec<(&str, &str)> = renames
                     .iter()
                     .map(|(o, n)| (o.as_str(), n.as_str()))
                     .collect();
-                // Renaming changes the header, not the rows: deltas pass
-                // through untouched.
-                let stage = DeltaLens::new(rename_lens(&renames_ref), |d: &Delta| {
-                    DeltaOutcome::View(d.clone())
-                });
-                Ok(prefix.then(stage))
+                // Renaming changes the header, not the rows.
+                let stage = DeltaLens::new(rename_lens(&renames_ref), rows_unchanged);
+                (prefix, stage, out)
             }
-        }
+        };
+        let lens = match prefix {
+            Some(prefix) => prefix.then(stage),
+            None => stage,
+        };
+        Ok((Some(lens), out))
     }
+}
 
-    /// Compile to a lens, validating each stage against the schema it will
-    /// actually see (computed by running the prefix against `base`).
-    pub fn compile(&self, base: &Table) -> Result<Lens<Table, Table>, StoreError> {
-        match self {
-            ViewDef::Base => Ok(esm_lens::combinators::id()),
-            ViewDef::Select(inner, pred) => {
-                let prefix = inner.compile(base)?;
-                let mid = prefix.get(base);
-                pred.validate(mid.schema())?;
-                Ok(prefix.then(select_lens(pred.clone())))
-            }
-            ViewDef::Project(inner, cols, defaults) => {
-                let prefix = inner.compile(base)?;
-                let mid = prefix.get(base);
-                let cols_ref: Vec<&str> = cols.iter().map(String::as_str).collect();
-                let defaults_ref: Vec<(&str, Value)> = defaults
-                    .iter()
-                    .map(|(c, v)| (c.as_str(), v.clone()))
-                    .collect();
-                let l = project_lens_checked(&mid, &cols_ref, &defaults_ref)?;
-                Ok(prefix.then(l))
-            }
-            ViewDef::Rename(inner, renames) => {
-                let prefix = inner.compile(base)?;
-                let mid = prefix.get(base);
-                for (old, _) in renames {
-                    mid.schema().index_of(old)?;
-                }
-                let renames_ref: Vec<(&str, &str)> = renames
-                    .iter()
-                    .map(|(o, n)| (o.as_str(), n.as_str()))
-                    .collect();
-                Ok(prefix.then(rename_lens(&renames_ref)))
-            }
-        }
-    }
+/// The delta propagator of a stage that leaves rows untouched: deltas pass
+/// through as they are.
+fn rows_unchanged(d: &Delta) -> DeltaOutcome<Delta> {
+    DeltaOutcome::View(d.clone())
 }
 
 /// The select stage's delta propagator: a base change enters the view iff
 /// it satisfies the predicate — inserted rows that satisfy it appear,
 /// deleted rows that satisfied it disappear, everything else is invisible.
-/// A predicate evaluation error (possible only for column/column
-/// comparisons over mixed-type rows) conservatively asks for a rebuild.
+/// A predicate evaluation error (impossible for a validated predicate on
+/// rows of its schema) conservatively asks for a rebuild.
 fn select_delta(
     pred: Predicate,
     schema: Schema,
@@ -269,7 +274,7 @@ fn select_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esm_store::{row, Operand, Schema, ValueType};
+    use esm_store::{row, Operand, Row, Schema, ValueType};
 
     fn employees() -> Table {
         Table::from_rows(
@@ -329,13 +334,39 @@ mod tests {
         assert!(base2.contains(&row![2, "alan", "ops", 80_000]));
     }
 
+    /// Every stage is validated against the schema it will see, which
+    /// the compiler works out from the base schema alone: compiling
+    /// against the bare schema or an empty table fails the same way as
+    /// against a populated table.
     #[test]
     fn compile_validates_against_the_intermediate_schema() {
-        // Selecting on a column that projection has already dropped.
-        let def = ViewDef::base()
-            .project(&["eid", "name"], &[])
-            .select(Predicate::eq(Operand::col("dept"), Operand::val("x")));
-        assert!(def.compile(&employees()).is_err());
+        let schema = employees().schema().clone();
+        let research = || Predicate::eq(Operand::col("dept"), Operand::val("research"));
+        let bad = [
+            // A select on a column projected away.
+            ViewDef::base()
+                .project(&["eid", "name"], &[])
+                .select(research()),
+            // A project that drops the key.
+            ViewDef::base().select(research()).project(&["name"], &[]),
+            // A rename of an unknown column.
+            ViewDef::base().rename(&[("ghost", "x")]),
+            // A rename onto an existing column, and one it cannot undo.
+            ViewDef::base().rename(&[("name", "dept")]),
+            ViewDef::base().rename(&[("name", "a"), ("name", "b")]),
+            // A comparison across types.
+            ViewDef::base().select(Predicate::eq(Operand::col("salary"), Operand::val("x"))),
+            ViewDef::base().select(Predicate::lt(Operand::col("eid"), Operand::col("name"))),
+            // Defaults that are mistyped, name no column, or name a kept one.
+            ViewDef::base().project(&["eid", "name"], &[("salary", Value::str("x"))]),
+            ViewDef::base().project(&["eid", "name"], &[("ghost", Value::Int(1))]),
+            ViewDef::base().project(&["eid", "name"], &[("name", Value::str("x"))]),
+        ];
+        for def in &bad {
+            assert!(def.compile_schema(&schema).is_err(), "{def:?}");
+            assert!(def.compile(&Table::new(schema.clone())).is_err(), "{def:?}");
+            assert!(def.compile_delta(&employees()).is_err(), "{def:?}");
+        }
     }
 
     #[test]
@@ -373,6 +404,177 @@ mod tests {
         let base = employees();
         let lens = ViewDef::base().compile(&base).unwrap();
         assert_eq!(lens.get(&base), base);
+        let (_, schema) = ViewDef::base().compile_schema(base.schema()).unwrap();
+        assert_eq!(&schema, base.schema());
+    }
+
+    /// The reference semantics: fold the definition over the store's own
+    /// relational operators.
+    fn reference(def: &ViewDef, base: &Table) -> Table {
+        match def {
+            ViewDef::Base => base.clone(),
+            ViewDef::Select(inner, pred) => reference(inner, base).select(pred).unwrap(),
+            ViewDef::Project(inner, cols, _) => reference(inner, base).project(cols).unwrap(),
+            ViewDef::Rename(inner, renames) => reference(inner, base).rename(renames).unwrap(),
+        }
+    }
+
+    /// `(id, grp, val)` rows keyed on `id`, as in the engine's
+    /// conformance seed.
+    fn grouped(ids: impl Iterator<Item = i64>, val: impl Fn(i64) -> i64) -> Table {
+        let schema = Schema::build(
+            &[
+                ("id", ValueType::Int),
+                ("grp", ValueType::Str),
+                ("val", ValueType::Int),
+            ],
+            &["id"],
+        )
+        .unwrap();
+        let rows = ids.map(|id| row![id, format!("g{}", id % 5), val(id)]);
+        Table::from_rows(schema, rows).unwrap()
+    }
+
+    /// One definition, the sources it is checked on, and a view row that
+    /// satisfies its predicates under a key no source holds.
+    struct Shape {
+        def: ViewDef,
+        sources: Vec<Table>,
+        fresh: Row,
+    }
+
+    /// The multi-stage employee view, and every shape of the engine
+    /// conformance suite's `view_defs` (whole table, key range, non-key
+    /// equality, project + rename, two selects + project).
+    fn shapes() -> Vec<Shape> {
+        let mut staff = employees();
+        staff.upsert(row![2, "alan", "research", 81_000]).unwrap();
+        staff.delete_by_key(&row![1]);
+        let research = Shape {
+            def: ViewDef::base()
+                .select(Predicate::eq(
+                    Operand::col("dept"),
+                    Operand::val("research"),
+                ))
+                .project(
+                    &["eid", "name"],
+                    &[
+                        ("dept", Value::str("research")),
+                        ("salary", Value::Int(50_000)),
+                    ],
+                )
+                .rename(&[("name", "researcher")]),
+            sources: vec![employees(), staff, Table::new(employees().schema().clone())],
+            fresh: row![9, "barbara"],
+        };
+        let sources = || {
+            vec![
+                grouped((0..80).step_by(2), |id| id * 3),
+                grouped((0..80).step_by(3), |id| -id),
+                grouped(std::iter::empty(), |id| id),
+            ]
+        };
+        let shape = |def: ViewDef, fresh: Row| Shape {
+            def,
+            sources: sources(),
+            fresh,
+        };
+        vec![
+            research,
+            shape(ViewDef::base(), row![81, "g1", 5]),
+            shape(
+                ViewDef::base().select(Predicate::lt(Operand::col("id"), Operand::val(30))),
+                row![7, "g2", 70],
+            ),
+            shape(
+                ViewDef::base().select(Predicate::eq(Operand::col("grp"), Operand::val("g1"))),
+                row![85, "g1", 1],
+            ),
+            shape(
+                ViewDef::base()
+                    .project(&["id", "grp"], &[("val", Value::Int(0))])
+                    .rename(&[("grp", "team")]),
+                row![83, "g4"],
+            ),
+            shape(
+                ViewDef::base()
+                    .select(Predicate::ge(Operand::col("id"), Operand::val(20)))
+                    .select(Predicate::lt(Operand::col("id"), Operand::val(60)))
+                    .project(&["id", "val"], &[("grp", Value::str("gx"))]),
+                row![41, 7],
+            ),
+        ]
+    }
+
+    /// Views to put back for a shape: the first source's window, the
+    /// same with its last (never constrained) column changed, and the
+    /// window plus the shape's fresh row. Every view holds the first
+    /// window's keys, so no put sequence deletes a key and recreates it
+    /// with defaults — the one place projections break (PutPut).
+    fn law_views(shape: &Shape, window: &Table) -> Vec<Table> {
+        let mut edited = Table::new(window.schema().clone());
+        for r in window.rows() {
+            let mut r = r.clone();
+            let last = r.last_mut().unwrap();
+            *last = match &*last {
+                Value::Int(n) => Value::Int(n + 1),
+                Value::Str(s) => Value::str(format!("{s}!")),
+                other => other.clone(),
+            };
+            edited.insert(r).unwrap();
+        }
+        let mut grown = window.clone();
+        grown.insert(shape.fresh.clone()).unwrap();
+        vec![window.clone(), edited, grown]
+    }
+
+    #[test]
+    fn compiled_get_matches_the_reference_evaluator() {
+        for shape in shapes() {
+            let (lens, schema) = shape.def.compile_schema(shape.sources[0].schema()).unwrap();
+            for s in &shape.sources {
+                let window = lens.get(s);
+                assert_eq!(window, reference(&shape.def, s), "{:?}", shape.def);
+                assert_eq!(window.schema(), &schema, "{:?}", shape.def);
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_shapes_are_very_well_behaved_in_range() {
+        for shape in shapes() {
+            let lens = shape.def.compile(&shape.sources[0]).unwrap();
+            let views = law_views(&shape, &lens.get(&shape.sources[0]));
+            let violations = esm_lens::laws::check_very_well_behaved(&lens, &shape.sources, &views);
+            assert!(violations.is_empty(), "{:?}: {violations:?}", shape.def);
+        }
+    }
+
+    #[test]
+    fn compiling_against_an_empty_table_gives_the_same_lens() {
+        for shape in shapes() {
+            let populated = &shape.sources[0];
+            let full = shape.def.compile_delta(populated).unwrap();
+            let bare = shape
+                .def
+                .compile_delta(&Table::new(populated.schema().clone()))
+                .unwrap();
+            let views = law_views(&shape, &full.get(populated));
+            for s in &shape.sources {
+                assert_eq!(bare.get(s), full.get(s), "{:?}", shape.def);
+                for v in &views {
+                    assert_eq!(
+                        bare.put(s.clone(), v.clone()),
+                        full.put(s.clone(), v.clone()),
+                        "{:?}",
+                        shape.def
+                    );
+                }
+                let delta = Delta::between(populated, s).unwrap();
+                assert_eq!(bare.get_delta(&delta), full.get_delta(&delta));
+                assert_incremental(&shape.def, populated, s);
+            }
+        }
     }
 
     /// The incremental law: `get_delta(Δbase)` applied to the old view

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use esm_lens::Lens;
-use esm_store::{Row, StoreError, Table, Value};
+use esm_store::{Row, Schema, StoreError, Table, Value};
 
 /// The project lens onto `cols`:
 ///
@@ -39,14 +39,17 @@ pub fn project_lens(cols: &[&str], defaults: &[(&str, Value)]) -> Lens<Table, Ta
     )
 }
 
-/// [`project_lens`], but validating the key condition against a concrete
-/// source schema up front.
+/// [`project_lens`], validated against the source schema up front: the
+/// source declares a key and `cols` retains it, every column in `cols`
+/// exists, and each default names a column the projection drops and has
+/// that column's type — so the lens's `put` never fails on a view of its
+/// output schema.
 pub fn project_lens_checked(
-    source: &Table,
+    source: &Schema,
     cols: &[&str],
     defaults: &[(&str, Value)],
 ) -> Result<Lens<Table, Table>, StoreError> {
-    let key = source.schema().key();
+    let key = source.key();
     if key.is_empty() {
         return Err(StoreError::BadQuery(
             "project lens requires the source to declare a key".into(),
@@ -60,7 +63,22 @@ pub fn project_lens_checked(
         }
     }
     for c in cols {
-        source.schema().index_of(c)?;
+        source.index_of(c)?;
+    }
+    for (name, value) in defaults {
+        let column = &source.columns()[source.index_of(name)?];
+        if cols.contains(name) {
+            return Err(StoreError::BadQuery(format!(
+                "project default for {name} names a column the projection keeps"
+            )));
+        }
+        if value.value_type() != column.ty {
+            return Err(StoreError::TypeMismatch {
+                column: column.name.clone(),
+                expected: column.ty,
+                got: value.value_type(),
+            });
+        }
     }
     Ok(project_lens(cols, defaults))
 }
@@ -145,14 +163,14 @@ pub fn drop_lens(
         return Err(StoreError::NoSuchColumn(col.to_string()));
     }
     let keep_ref: Vec<&str> = keep.iter().map(String::as_str).collect();
-    project_lens_checked(source, &keep_ref, &[(col, default)])
+    project_lens_checked(source.schema(), &keep_ref, &[(col, default)])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use esm_lens::laws::{check_put_put, check_well_behaved};
-    use esm_store::{row, Schema, ValueType};
+    use esm_store::{row, ValueType};
 
     fn people(rows: Vec<Row>) -> Table {
         let schema = Schema::build(
@@ -234,8 +252,28 @@ mod tests {
     #[test]
     fn checked_constructor_rejects_key_dropping() {
         let t = people(vec![]);
-        assert!(project_lens_checked(&t, &["name"], &[]).is_err());
-        assert!(project_lens_checked(&t, &["id", "name"], &[]).is_ok());
+        assert!(project_lens_checked(t.schema(), &["name"], &[]).is_err());
+        assert!(project_lens_checked(t.schema(), &["id", "name"], &[]).is_ok());
+    }
+
+    #[test]
+    fn checked_constructor_rejects_ill_fitting_defaults() {
+        let schema = people(vec![]).schema().clone();
+        let cols = ["id", "name"];
+        let check = |defaults: &[(&str, Value)]| project_lens_checked(&schema, &cols, defaults);
+        assert!(check(&[("salary", Value::Int(1))]).is_ok());
+        assert!(matches!(
+            check(&[("salary", Value::str("x"))]),
+            Err(StoreError::TypeMismatch { .. })
+        ));
+        assert!(matches!(
+            check(&[("ghost", Value::Int(1))]),
+            Err(StoreError::NoSuchColumn(_))
+        ));
+        assert!(matches!(
+            check(&[("name", Value::str("kept"))]),
+            Err(StoreError::BadQuery(_))
+        ));
     }
 
     #[test]

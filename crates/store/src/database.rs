@@ -8,8 +8,9 @@ use crate::table::Table;
 /// A simple multi-table database: a name → [`Table`] map.
 ///
 /// `Database` is a value type: [`Database::snapshot`] is just `clone`, so
-/// callers can cheaply capture before/after states and diff them with
-/// [`crate::Delta`].
+/// callers can capture before/after states and diff them with
+/// [`crate::Delta`]. A snapshot is a deep copy — O(rows) in time and
+/// memory, indexes included.
 #[derive(Debug, PartialEq, Default)]
 pub struct Database {
     tables: BTreeMap<String, Table>,

@@ -7,10 +7,10 @@
 //!
 //! Indexes live *inside* [`Table`](crate::Table) (see
 //! [`Table::create_index`](crate::Table::create_index)) and are maintained
-//! incrementally by every mutation, so they survive the clone-heavy lens
-//! `put` paths: a cloned base table keeps its indexes, and the upserts and
-//! deletes a lens put performs keep them current. Freshly derived tables
-//! (`select`, `project`, …) start with no indexes.
+//! incrementally by every mutation: a cloned table keeps its indexes, and
+//! the upserts and deletes a lens `put` performs on its copy of the base
+//! keep them current. Freshly derived tables (`select`, `project`, …)
+//! start with no indexes.
 //!
 //! [`IndexProbe`] is the planning half: given a predicate and the set of
 //! indexed columns, [`crate::Predicate::index_probe`] extracts the

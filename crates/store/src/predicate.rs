@@ -4,7 +4,7 @@
 use crate::error::StoreError;
 use crate::row::Row;
 use crate::schema::Schema;
-use crate::value::Value;
+use crate::value::{Value, ValueType};
 
 /// A scalar operand: a column reference or a literal value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,11 +33,11 @@ impl Operand {
         }
     }
 
-    fn validate(&self, schema: &Schema) -> Result<(), StoreError> {
-        if let Operand::Col(name) = self {
-            schema.index_of(name)?;
+    fn value_type(&self, schema: &Schema) -> Result<ValueType, StoreError> {
+        match self {
+            Operand::Col(name) => Ok(schema.columns()[schema.index_of(name)?].ty),
+            Operand::Const(v) => Ok(v.value_type()),
         }
-        Ok(())
     }
 }
 
@@ -114,15 +114,20 @@ impl Predicate {
         Predicate::Not(Box::new(self))
     }
 
-    /// Check that every referenced column exists and compared operands
-    /// could have comparable types (column/column comparisons are checked
-    /// at evaluation time for mixed-type rows).
+    /// Check that every referenced column exists and that both sides of
+    /// each comparison have the same type. A predicate that passes never
+    /// fails to evaluate on a row of `schema`.
     pub fn validate(&self, schema: &Schema) -> Result<(), StoreError> {
         match self {
             Predicate::True | Predicate::False => Ok(()),
             Predicate::Compare(_, l, r) => {
-                l.validate(schema)?;
-                r.validate(schema)
+                let (lt, rt) = (l.value_type(schema)?, r.value_type(schema)?);
+                if lt != rt {
+                    return Err(StoreError::BadQuery(format!(
+                        "cannot compare {lt} with {rt}"
+                    )));
+                }
+                Ok(())
             }
             Predicate::And(l, r) | Predicate::Or(l, r) => {
                 l.validate(schema)?;
@@ -492,6 +497,15 @@ mod tests {
         let r = row![5, "ada"];
         let p = Predicate::eq(Operand::col("id"), Operand::val("ada"));
         assert!(matches!(p.eval(&s, &r), Err(StoreError::BadQuery(_))));
+        // Validation catches it from the schema alone, column/column too.
+        assert!(matches!(p.validate(&s), Err(StoreError::BadQuery(_))));
+        let cols = Predicate::lt(Operand::col("id"), Operand::col("name"));
+        assert!(matches!(cols.validate(&s), Err(StoreError::BadQuery(_))));
+        let nested = Predicate::True.and(cols.not());
+        assert!(matches!(nested.validate(&s), Err(StoreError::BadQuery(_))));
+        assert!(Predicate::lt(Operand::col("id"), Operand::val(3))
+            .validate(&s)
+            .is_ok());
     }
 
     #[test]
