@@ -110,51 +110,6 @@ fn main() {
         replayed[0]
     );
 
-    // Legacy-text scenario: the same history re-encoded in the
-    // pre-binary text framing — the decode path an upgraded
-    // deployment's old segments still take. Keeps the text decoder
-    // honest and shows what the binary codec buys at recovery time
-    // (compare against `recovery_genesis`, which replays the same
-    // record count from binary frames).
-    {
-        let dir = scratch.join("legacy_text");
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = DurabilityConfig::new(&dir)
-            .segment_bytes(16 * 1024)
-            .group_commit(8)
-            .checkpoint_every(0);
-        let live = record_history(cfg.clone());
-        let shard_dir = dir.join("shard-0");
-        let scan = esm_engine::scan_segments(&shard_dir).expect("scan");
-        let (records, _stale) = esm_engine::plan_recovery(0, &scan).expect("plan");
-        for entry in std::fs::read_dir(&shard_dir).expect("read dir") {
-            let entry = entry.expect("entry");
-            if entry
-                .file_name()
-                .to_str()
-                .is_some_and(|n| n.ends_with(".seg"))
-            {
-                std::fs::remove_file(entry.path()).expect("remove binary segment");
-            }
-        }
-        let text: String = records.iter().map(esm_engine::encode_framed).collect();
-        std::fs::write(shard_dir.join(format!("wal-{:020}.seg", 1)), text).expect("write text log");
-        let (median, report, recovered) = measure(&cfg);
-        assert_eq!(recovered, live, "text recovery reproduces the live state");
-        assert_eq!(report.last_seq as usize, COMMITS);
-        results.record(
-            format!("engine/recovery_legacy_text/{COMMITS}"),
-            median,
-            format!("replayed {} text-framed records", report.records_replayed),
-        );
-        println!(
-            "recovery ( legacy_text): {} — replayed {} of {} records",
-            fmt_ns(median),
-            report.records_replayed,
-            report.last_seq
-        );
-    }
-
     std::fs::remove_dir_all(&scratch).ok();
     match results.write_json(&out_dir, "recovery") {
         Ok(path) => println!("wrote {}", path.display()),

@@ -1,21 +1,23 @@
 //! Checkpoints: durable snapshots of the committed database at a known
 //! WAL sequence number.
 //!
-//! A checkpoint file `checkpoint-<seq, zero-padded>.ckpt` holds:
+//! A checkpoint file `checkpoint-<seq, zero-padded>.ckpt` is one sealed
+//! file — a single CRC frame filling the file (see [`crate::segment`])
+//! — whose body is the `seq` (`u64` LE) followed by the database in the
+//! shared [`esm_store::codec`] form:
 //!
 //! ```text
-//! !checkpoint seq=<seq>
-//! <database snapshot, the esm_store::snapshot text format>
-//! !end
+//! [0xB6][body len: u32 LE][crc32 of body: u32 LE][seq: u64 LE][database]
 //! ```
 //!
 //! Recovery loads the newest *valid* checkpoint and replays only WAL
 //! records with `seq > checkpoint.seq`, instead of replaying from
 //! genesis. Validity matters because a crash can interrupt a checkpoint:
 //! files are written to a temporary name, fsynced, then renamed into
-//! place (atomic on POSIX), and the `!end` trailer guards against
-//! filesystems that lie about rename atomicity — a checkpoint missing its
-//! trailer is ignored and recovery falls back to the previous one.
+//! place (atomic on POSIX), and the seal's length and CRC32 guard
+//! against filesystems that lie about rename atomicity and against bit
+//! rot — a checkpoint that fails its seal is ignored and recovery falls
+//! back to the previous one.
 //!
 //! Compaction follows from checkpoints: every segment whose records are
 //! all covered by the newest checkpoint can be deleted (see
@@ -23,12 +25,17 @@
 
 use std::path::{Path, PathBuf};
 
-use esm_store::{decode_database, encode_database, Database};
+use esm_store::codec::{self, BinReader};
+use esm_store::Database;
 
 use crate::error::EngineError;
+use crate::segment::{seal, unseal};
 
 /// Filename extension of checkpoint files.
 pub const CHECKPOINT_SUFFIX: &str = ".ckpt";
+
+/// First byte of a sealed checkpoint file.
+const CHECKPOINT_MAGIC: u8 = 0xB6;
 
 /// The file name of the checkpoint covering `seq`.
 pub fn checkpoint_file_name(seq: u64) -> String {
@@ -55,54 +62,41 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Render the checkpoint file content.
-    pub fn encode(&self) -> String {
-        format!(
-            "!checkpoint seq={}\n{}!end\n",
-            self.seq,
-            encode_database(&self.db)
-        )
+    pub fn encode(&self) -> Vec<u8> {
+        let mut body = Vec::new();
+        codec::put_u64(&mut body, self.seq);
+        codec::put_database(&mut body, &self.db);
+        seal(CHECKPOINT_MAGIC, &body)
     }
 
-    /// Parse checkpoint file content, validating header and trailer.
-    pub fn decode(text: &str) -> Result<Checkpoint, EngineError> {
-        let rest = text.strip_prefix("!checkpoint seq=").ok_or_else(|| {
-            EngineError::WalCorrupt("checkpoint missing !checkpoint header".into())
-        })?;
-        let (seq_str, body) = rest
-            .split_once('\n')
-            .ok_or_else(|| EngineError::WalCorrupt("truncated checkpoint header".into()))?;
-        let seq: u64 = seq_str
-            .parse()
-            .map_err(|_| EngineError::WalCorrupt(format!("bad checkpoint seq: {seq_str}")))?;
-        let body = body.strip_suffix("!end\n").ok_or_else(|| {
-            EngineError::WalCorrupt("checkpoint missing !end trailer (torn write?)".into())
-        })?;
-        let db = decode_database(body)
-            .map_err(|e| EngineError::WalCorrupt(format!("checkpoint snapshot: {e}")))?;
+    /// Parse checkpoint file content, validating its seal.
+    pub fn decode(bytes: &[u8]) -> Result<Checkpoint, EngineError> {
+        let body = unseal("checkpoint", CHECKPOINT_MAGIC, bytes)?;
+        let rot = |e: esm_store::StoreError| EngineError::WalCorrupt(format!("checkpoint: {e}"));
+        let mut r = BinReader::new(body);
+        let seq = r.u64().map_err(rot)?;
+        let db = r.database().map_err(rot)?;
+        r.end().map_err(rot)?;
         Ok(Checkpoint { seq, db })
     }
 
     /// Write this checkpoint into `dir` atomically: temp file, fsync,
     /// rename, fsync the directory. Returns the final path.
     pub fn write_atomic(&self, dir: &Path) -> Result<PathBuf, EngineError> {
-        write_atomic_text(dir, &checkpoint_file_name(self.seq), &self.encode())
+        write_atomic(dir, &checkpoint_file_name(self.seq), &self.encode())
     }
 }
 
-/// Write `text` into `dir/name` atomically (temp file → fsync → rename →
-/// directory fsync) — the discipline checkpoints use, shared with the
+/// Write `bytes` into `dir/name` atomically (temp file → fsync → rename
+/// → directory fsync) — the discipline checkpoints use, shared with the
 /// shard topology file. Returns the final path.
-pub(crate) fn write_atomic_text(
-    dir: &Path,
-    name: &str,
-    text: &str,
-) -> Result<PathBuf, EngineError> {
+pub(crate) fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<PathBuf, EngineError> {
     let final_path = dir.join(name);
     let tmp_path = dir.join(format!("{name}.tmp"));
     {
         use std::io::Write as _;
         let mut f = std::fs::File::create(&tmp_path)?;
-        f.write_all(text.as_bytes())?;
+        f.write_all(bytes)?;
         f.sync_data()?;
     }
     std::fs::rename(&tmp_path, &final_path)?;
@@ -121,9 +115,10 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// Load the newest valid checkpoint in `dir`, skipping unreadable or
-/// torn ones (a crash mid-checkpoint must fall back, not fail recovery).
-/// Returns the checkpoint and how many corrupt candidates were skipped.
+/// Load the newest valid checkpoint in `dir`, skipping unreadable, torn
+/// or rotten ones (a crash mid-checkpoint must fall back, not fail
+/// recovery). Returns the checkpoint and how many corrupt candidates
+/// were skipped.
 pub fn latest_valid_checkpoint(dir: &Path) -> Result<(Option<Checkpoint>, u64), EngineError> {
     let mut seqs: Vec<u64> = Vec::new();
     for entry in std::fs::read_dir(dir)? {
@@ -136,9 +131,9 @@ pub fn latest_valid_checkpoint(dir: &Path) -> Result<(Option<Checkpoint>, u64), 
     let mut skipped = 0;
     for seq in seqs.into_iter().rev() {
         let path = dir.join(checkpoint_file_name(seq));
-        let parsed = std::fs::read_to_string(&path)
+        let parsed = std::fs::read(&path)
             .map_err(EngineError::from)
-            .and_then(|text| Checkpoint::decode(&text));
+            .and_then(|bytes| Checkpoint::decode(&bytes));
         match parsed {
             Ok(ckpt) if ckpt.seq == seq => return Ok((Some(ckpt), skipped)),
             _ => skipped += 1,
@@ -150,6 +145,7 @@ pub fn latest_valid_checkpoint(dir: &Path) -> Result<(Option<Checkpoint>, u64), 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::FRAME_HEADER_BYTES;
     use esm_store::{row, Schema, Table, ValueType};
 
     fn db() -> Database {
@@ -183,16 +179,55 @@ mod tests {
     fn encode_decode_round_trips() {
         let c = Checkpoint { seq: 7, db: db() };
         assert_eq!(Checkpoint::decode(&c.encode()).unwrap(), c);
+        let empty = Checkpoint {
+            seq: u64::MAX,
+            db: Database::new(),
+        };
+        assert_eq!(Checkpoint::decode(&empty.encode()).unwrap(), empty);
     }
 
     #[test]
     fn truncated_checkpoints_are_rejected() {
-        let text = Checkpoint { seq: 7, db: db() }.encode();
-        for cut in 0..text.len() {
+        let bytes = Checkpoint { seq: 7, db: db() }.encode();
+        for cut in 0..bytes.len() {
             assert!(
-                Checkpoint::decode(&text[..cut]).is_err(),
-                "cut at {cut} must not decode (missing trailer)"
+                Checkpoint::decode(&bytes[..cut]).is_err(),
+                "cut at {cut} must not decode"
             );
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_refused() {
+        let bytes = Checkpoint { seq: 7, db: db() }.encode();
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                matches!(
+                    Checkpoint::decode(&flipped),
+                    Err(EngineError::WalCorrupt(_))
+                ),
+                "flipping bit {bit} must not decode"
+            );
+        }
+    }
+
+    #[test]
+    fn absurd_counts_are_refused_without_allocating() {
+        // A correctly sealed body cut at every byte, with u32::MAX
+        // announced there: every count in the database (tables, columns,
+        // key columns, rows, cells, string lengths) sees an absurd count
+        // at some cut. Decoding must refuse, or decode to a checkpoint
+        // that re-encodes to exactly those bytes.
+        let body = &Checkpoint { seq: 7, db: db() }.encode()[FRAME_HEADER_BYTES..];
+        for cut in 0..=body.len() {
+            let mut bad = body[..cut].to_vec();
+            codec::put_u32(&mut bad, u32::MAX);
+            let sealed = seal(CHECKPOINT_MAGIC, &bad);
+            if let Ok(back) = Checkpoint::decode(&sealed) {
+                assert_eq!(back.encode(), sealed, "cut at {cut}");
+            }
         }
     }
 
@@ -200,12 +235,9 @@ mod tests {
     fn latest_valid_skips_torn_newer_checkpoints() {
         let dir = tmp_dir("skip-torn");
         Checkpoint { seq: 5, db: db() }.write_atomic(&dir).unwrap();
-        // A newer checkpoint whose write was interrupted (no trailer).
-        std::fs::write(
-            dir.join(checkpoint_file_name(9)),
-            "!checkpoint seq=9\n%table t\n",
-        )
-        .unwrap();
+        // A newer checkpoint whose write was interrupted halfway.
+        let newer = Checkpoint { seq: 9, db: db() }.encode();
+        std::fs::write(dir.join(checkpoint_file_name(9)), &newer[..newer.len() / 2]).unwrap();
         let (found, skipped) = latest_valid_checkpoint(&dir).unwrap();
         assert_eq!(found.unwrap().seq, 5);
         assert_eq!(skipped, 1);

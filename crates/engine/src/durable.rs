@@ -20,8 +20,8 @@
 //!
 //! ## Recovery state machine ([`DurableWal::open`])
 //!
-//! 1. **Checkpoint scan** — pick the newest checkpoint that decodes and
-//!    carries its `!end` trailer; torn ones (crash mid-checkpoint) are
+//! 1. **Checkpoint scan** — pick the newest checkpoint whose seal (length
+//!    and CRC32) holds and whose body decodes; torn or rotten ones are
 //!    skipped in favour of an older valid one.
 //! 2. **Segment scan** — read every `wal-*.seg` in name order and decode
 //!    the longest complete-record prefix of each
@@ -1318,7 +1318,12 @@ mod tests {
         drop(wal);
         // A crash between the checkpoint temp write and its rename.
         let orphan = dir.join(format!("{}.tmp", checkpoint_file_name(9)));
-        std::fs::write(&orphan, "!checkpoint seq=9\nhalf-writ").unwrap();
+        let half = Checkpoint {
+            seq: 9,
+            db: baseline(),
+        }
+        .encode();
+        std::fs::write(&orphan, &half[..half.len() / 2]).unwrap();
         let (_wal2, db, report) = DurableWal::open(cfg).unwrap();
         assert!(!orphan.exists(), "recovery sweeps stranded temp files");
         assert_eq!(report.last_seq, 1);
@@ -1484,8 +1489,8 @@ mod tests {
         // active segment.
         let seg_path = dir.join(segment_file_name(1));
         let mut bytes = std::fs::read(&seg_path).unwrap();
-        let torn = crate::segment::encode_framed(&rec(4));
-        bytes.extend_from_slice(&torn.as_bytes()[..torn.len() / 2]);
+        let torn = crate::segment::encode_framed_binary(&rec(4));
+        bytes.extend_from_slice(&torn[..torn.len() / 2]);
         std::fs::write(&seg_path, &bytes).unwrap();
 
         let (_wal2, db, report) = DurableWal::open(cfg.clone()).unwrap();

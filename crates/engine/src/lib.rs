@@ -197,8 +197,8 @@
 //! ### WAL format ([`wal`])
 //!
 //! An append-only sequence of `(seq, table, delta)` records, one per
-//! committed table change, with a schema-free text codec
-//! ([`esm_store::codec`]: type-tagged cells, escaped strings).
+//! committed table change, with one schema-free binary codec
+//! ([`esm_store::codec`]: type-tagged cells, length-prefixed strings).
 //! [`Wal::replay`] applies the records to the engine's baseline database
 //! and reproduces the live state exactly — the recovery law the test
 //! suites assert. Sequence numbers must strictly increase; duplicates
@@ -232,26 +232,24 @@
 //! ```
 //!
 //! **Segments** (`wal-<first seq, zero-padded>.seg`) hold consecutive
-//! records, each wrapped in a self-describing frame. New segments are
-//! written in the binary framing; the text framing (any pre-binary
-//! segment) decodes forever, and the dispatch is per *frame* — the two
-//! may interleave inside one file:
+//! records, each wrapped in one binary CRC frame:
 //!
 //! ```text
-//! binary frame: [0xB5][payload len: u32 LE][crc32(payload): u32 LE][payload]
-//!               payload = tag byte, seq u64 LE, then length-prefixed
-//!               fields and rows in the esm-store binary row codec
-//! text frame:   =<payload bytes> <crc32 hex>\n<record>   (legacy)
+//! frame: [0xB5][payload len: u32 LE][crc32(payload): u32 LE][payload]
+//!        payload = tag byte, seq u64 LE, then length-prefixed fields
+//!        and deltas in the esm-store binary codec
 //! ```
 //!
-//! `0xB5` is a UTF-8 continuation byte, so no text frame (they start
-//! with `=`) can be mistaken for a binary one. The active segment
-//! rotates to a fresh file past [`DurabilityConfig::segment_bytes`], so
-//! compaction can drop whole files. **Checkpoints**
-//! (`checkpoint-<seq>.ckpt`) wrap a serialized database snapshot
-//! ([`esm_store::snapshot`]) in a `!checkpoint
-//! seq=<n>` header and `!end` trailer, written atomically (temp file →
-//! fsync → rename → directory fsync); the durable WAL maintains a shadow
+//! A frame that does not start with `0xB5` is corrupt (a crash only
+//! shortens a file; it cannot rewrite a frame's first byte). The active
+//! segment rotates to a fresh file past
+//! [`DurabilityConfig::segment_bytes`], so compaction can drop whole
+//! files. **Checkpoints** (`checkpoint-<seq>.ckpt`) and the
+//! `topology.esm` manifest are each one *sealed* file,
+//! `[magic][body len: u32 LE][crc32(body): u32 LE][body]`, written
+//! atomically (temp file → fsync → rename → directory fsync). A
+//! checkpoint's body is its `seq` followed by the database in the
+//! [`esm_store::codec`] form; the durable WAL maintains a shadow
 //! database incrementally, so a checkpoint never replays anything.
 //! Compaction retains the newest **two** checkpoints (fallback if the
 //! newest proves unreadable) and deletes every segment fully covered by
@@ -469,8 +467,8 @@ pub use repl::{
     ReplManifest, ReplicaConfig, ReplicaEngine, ShardManifest, WalSource,
 };
 pub use segment::{
-    crc32, decode_segment_prefix, encode_framed, encode_framed_binary, SegmentFile, SegmentPrefix,
-    SegmentWriter, SimFile, BINARY_FRAME_MAGIC,
+    crc32, decode_segment_prefix, encode_framed_binary, SegmentFile, SegmentPrefix, SegmentWriter,
+    SimFile, BINARY_FRAME_MAGIC,
 };
 pub use session::{RetryPolicy, Session};
 pub use shard::{FailPoint, Shard, ShardRecoveryReport, ShardRouter, ShardedEngineServer};

@@ -1,28 +1,18 @@
 //! WAL segment files: append-only chunks of the durable log.
 //!
 //! A segment is a file named `wal-<first_seq, zero-padded>.seg` holding
-//! consecutive [`WalRecord`]s, each wrapped in a CRC frame. Two frame
-//! formats coexist, dispatched per frame on the first byte:
+//! consecutive [`WalRecord`]s, each wrapped in one binary CRC frame:
 //!
-//! * **Binary** (what new segments are written in) — first byte is the
-//!   magic `0xB5`, which no text frame can start with:
+//! ```text
+//! [0xB5][payload len: u32 LE][crc32 of payload: u32 LE][payload]
+//! ```
 //!
-//!   ```text
-//!   [0xB5][payload len: u32 LE][crc32 of payload: u32 LE][payload]
-//!   ```
-//!
-//!   The payload is one record in the binary WAL codec: a tag byte
-//!   (`0` delta, `1` chained delta, `2` prepare, `3` resolve), the
-//!   `seq` as a `u64` LE, then the variant's fields (strings length-
-//!   prefixed, rows in the `esm-store` binary row codec).
-//!
-//! * **Text** (legacy, still fully decodable for recovery of segments
-//!   written before the binary codec) — first byte is `=`:
-//!
-//!   ```text
-//!   =<payload bytes> <crc32 of payload, 8 hex digits>\n
-//!   <record in the WAL text format (see crate::wal)>
-//!   ```
+//! The payload is one record: a tag byte (`0` delta, `1` chained delta,
+//! `2` prepare, `3` resolve), the `seq` as a `u64` LE, then the
+//! variant's fields — strings length-prefixed, a delta in the shared
+//! [`esm_store::codec`] delta form. The same frame, under its own magic
+//! and filling a whole file, seals checkpoints and the shard topology
+//! manifest.
 //!
 //! The durable log is the concatenation of all segments in name order;
 //! rotation starts a fresh file once the current one passes the size
@@ -34,14 +24,15 @@
 //! The frame separates two very different failure modes:
 //!
 //! * **Torn tail** (a crash): the byte stream simply *stops* — inside a
-//!   frame header, mid-payload, even mid-code-point. Everything before
-//!   the incomplete frame is intact; [`decode_segment_prefix`] reports
-//!   the complete-record prefix with `torn = true` and recovery truncates
-//!   the tail. Crashes only ever shorten the stream, so a torn tail is
-//!   always the *last* thing in a segment.
+//!   frame header or mid-payload. Everything before the incomplete frame
+//!   is intact; [`decode_segment_prefix`] reports the complete-record
+//!   prefix with `torn = true` and recovery truncates the tail. Crashes
+//!   only ever shorten the stream, so a torn tail is always the *last*
+//!   thing in a segment.
 //! * **Corruption** (bit rot, a lying disk): a frame is *complete* but
-//!   its payload no longer matches its CRC32 — or the frame header
-//!   itself is garbled mid-stream. That is not a crash artifact; silently
+//!   its payload no longer matches its CRC32, or a frame does not start
+//!   with the magic byte. A crash only shortens a file, so it can never
+//!   change a frame's first byte. That is not a crash artifact; silently
 //!   truncating would discard committed records. The decode reports it in
 //!   `corrupt` and recovery refuses the directory
 //!   ([`crate::plan_recovery`] surfaces
@@ -63,10 +54,10 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use esm_obs::{Phase, Span, Telemetry};
-use esm_store::{codec, Delta};
+use esm_store::codec;
 
 use crate::error::EngineError;
-use crate::wal::{decode_header, decode_row_line, HeaderLine, WalOp, WalRecord};
+use crate::wal::{WalOp, WalRecord};
 
 /// Filename extension of WAL segment files.
 pub const SEGMENT_SUFFIX: &str = ".seg";
@@ -120,23 +111,62 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Encode one record with its *text* segment frame (`=<len> <crc>\n` +
-/// record text) — the legacy format, exposed so tests and tools can
-/// hand-build old-style segment files and prove recovery still reads
-/// them. New segments are written with [`encode_framed_binary`].
-pub fn encode_framed(record: &WalRecord) -> String {
-    let text = record.encode();
-    format!("={} {:08x}\n{}", text.len(), crc32(text.as_bytes()), text)
-}
-
-/// First byte of a binary segment frame. Text frames start with `=`
-/// (0x3D) and every text payload is ASCII, so the magic unambiguously
-/// selects the decoder per frame — segments may mix formats freely.
+/// First byte of every segment frame. A frame that starts with any
+/// other byte is corrupt.
 pub const BINARY_FRAME_MAGIC: u8 = 0xB5;
 
-/// Bytes in a binary frame header: magic, payload len (u32 LE), crc32
-/// (u32 LE).
-const BINARY_HEADER_BYTES: usize = 9;
+/// Bytes in a frame header: magic, payload len (u32 LE), crc32 (u32 LE).
+pub(crate) const FRAME_HEADER_BYTES: usize = 9;
+
+/// Wrap `payload` in a CRC frame, `[magic][len u32 LE][crc32 u32 LE]
+/// [payload]`. Segment records are framed with [`BINARY_FRAME_MAGIC`];
+/// a checkpoint or the shard topology manifest is one frame, under its
+/// own magic, filling its whole file — a *sealed* file ([`unseal`]).
+pub(crate) fn seal(magic: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    out.push(magic);
+    codec::put_u32(&mut out, payload.len() as u32);
+    codec::put_u32(&mut out, crc32(payload));
+    out.extend_from_slice(payload);
+    out
+}
+
+/// The payload length and CRC32 a frame header announces (`header`
+/// holds at least [`FRAME_HEADER_BYTES`]).
+fn frame_header(header: &[u8]) -> (usize, u32) {
+    let len = u32::from_le_bytes(header[1..5].try_into().expect("4"));
+    let crc = u32::from_le_bytes(header[5..9].try_into().expect("4"));
+    (len as usize, crc)
+}
+
+/// The body of a sealed file: refused as
+/// [`EngineError::WalCorrupt`] (its message prefixed with `what`) unless
+/// the magic, the length (exactly the bytes present) and the CRC32 all
+/// agree — a torn or rotten file never yields a body.
+pub(crate) fn unseal<'a>(what: &str, magic: u8, bytes: &'a [u8]) -> Result<&'a [u8], EngineError> {
+    let corrupt = |msg: String| Err(EngineError::WalCorrupt(format!("{what}: {msg}")));
+    if bytes.len() < FRAME_HEADER_BYTES {
+        return corrupt(format!("truncated at {} bytes", bytes.len()));
+    }
+    if bytes[0] != magic {
+        return corrupt(format!(
+            "starts with {:#04x}, expected {magic:#04x}",
+            bytes[0]
+        ));
+    }
+    let (len, crc) = frame_header(bytes);
+    let body = &bytes[FRAME_HEADER_BYTES..];
+    if body.len() != len {
+        return corrupt(format!(
+            "announces {len} body bytes, holds {} (torn write?)",
+            body.len()
+        ));
+    }
+    if crc32(body) != crc {
+        return corrupt(format!("body fails its crc32 {crc:08x}"));
+    }
+    Ok(body)
+}
 
 const REC_DELTA: u8 = 0;
 const REC_CHAINED: u8 = 1;
@@ -156,14 +186,7 @@ pub fn encode_record_binary(record: &WalRecord) -> Vec<u8> {
             out.push(if *chained { REC_CHAINED } else { REC_DELTA });
             codec::put_u64(&mut out, record.seq);
             codec::put_str(&mut out, table);
-            codec::put_u32(&mut out, delta.inserted.len() as u32);
-            codec::put_u32(&mut out, delta.deleted.len() as u32);
-            for row in &delta.inserted {
-                codec::put_row(&mut out, row);
-            }
-            for row in &delta.deleted {
-                codec::put_row(&mut out, row);
-            }
+            codec::put_delta(&mut out, delta);
         }
         WalOp::Prepare { gtx, records } => {
             out.push(REC_PREPARE);
@@ -190,15 +213,7 @@ pub fn decode_record_binary(payload: &[u8]) -> Result<WalRecord, EngineError> {
     let record = match tag {
         REC_DELTA | REC_CHAINED => {
             let table = r.str().map_err(rot)?;
-            let ins = r.u32().map_err(rot)? as usize;
-            let del = r.u32().map_err(rot)? as usize;
-            let mut delta = Delta::empty();
-            for _ in 0..ins {
-                delta.inserted.push(r.row().map_err(rot)?);
-            }
-            for _ in 0..del {
-                delta.deleted.push(r.row().map_err(rot)?);
-            }
+            let delta = r.delta().map_err(rot)?;
             if tag == REC_CHAINED {
                 WalRecord::chained(seq, table, delta)
             } else {
@@ -236,13 +251,7 @@ pub fn decode_record_binary(payload: &[u8]) -> Result<WalRecord, EngineError> {
 /// Encode one record with its binary segment frame — exactly the bytes
 /// [`SegmentWriter::append`] writes.
 pub fn encode_framed_binary(record: &WalRecord) -> Vec<u8> {
-    let payload = encode_record_binary(record);
-    let mut out = Vec::with_capacity(BINARY_HEADER_BYTES + payload.len());
-    out.push(BINARY_FRAME_MAGIC);
-    codec::put_u32(&mut out, payload.len() as u32);
-    codec::put_u32(&mut out, crc32(&payload));
-    out.extend_from_slice(&payload);
-    out
+    seal(BINARY_FRAME_MAGIC, &encode_record_binary(record))
 }
 
 /// An append-only byte sink with explicit durability points.
@@ -485,15 +494,15 @@ pub struct SegmentPrefix {
 }
 
 /// Decode the longest prefix of complete, CRC-valid records from raw
-/// segment bytes. Each frame is dispatched on its first byte —
-/// [`BINARY_FRAME_MAGIC`] selects the binary decoder, `=` the legacy
-/// text decoder — so text and binary frames coexist in one segment.
+/// segment bytes.
 ///
 /// A record counts only when its frame header is complete, all its
 /// promised payload bytes are present, the payload matches its CRC32 and
 /// parses as exactly one record. An *incomplete* trailing frame is
 /// reported as `torn` (what a crash leaves behind); a *complete but
-/// invalid* frame is reported as `corrupt` (what bit rot leaves behind).
+/// invalid* frame, or one that does not start with
+/// [`BINARY_FRAME_MAGIC`], is reported as `corrupt` (what bit rot leaves
+/// behind).
 pub fn decode_segment_prefix(bytes: &[u8]) -> SegmentPrefix {
     let mut records = Vec::new();
     let mut ends = Vec::new();
@@ -501,35 +510,23 @@ pub fn decode_segment_prefix(bytes: &[u8]) -> SegmentPrefix {
     let mut corrupt = None;
     while consumed < bytes.len() {
         let rest = &bytes[consumed..];
-        // Binary frame: magic, u32 len, u32 crc, payload.
-        let (payload_start, len, crc) = if rest[0] == BINARY_FRAME_MAGIC {
-            if rest.len() < BINARY_HEADER_BYTES {
-                break; // incomplete frame header: torn
-            }
-            let len = u32::from_le_bytes(rest[1..5].try_into().expect("4")) as usize;
-            let crc = u32::from_le_bytes(rest[5..9].try_into().expect("4"));
-            (consumed + BINARY_HEADER_BYTES, len, crc)
-        } else {
-            // Text frame header: `=<len> <crc>\n`, pure ASCII.
-            let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
-                break; // incomplete frame header: torn
-            };
-            let header = &rest[..nl];
-            let Some((len, crc)) = parse_frame_header(header) else {
-                // A complete-but-garbled frame header cannot come from a
-                // crash (truncation only shortens); it is rot.
-                corrupt = Some(format!(
-                    "garbled frame header at byte {consumed}: {:?}",
-                    String::from_utf8_lossy(header)
-                ));
-                break;
-            };
-            (consumed + nl + 1, len, crc)
-        };
+        if rest[0] != BINARY_FRAME_MAGIC {
+            // Truncation only shortens a file; it never rewrites the
+            // first byte of a frame. This is rot.
+            corrupt = Some(format!(
+                "frame at byte {consumed} starts with {:#04x}, not the frame magic",
+                rest[0]
+            ));
+            break;
+        }
+        if rest.len() < FRAME_HEADER_BYTES {
+            break; // incomplete frame header: torn
+        }
+        let (len, crc) = frame_header(rest);
+        let payload_start = consumed + FRAME_HEADER_BYTES;
         if bytes.len() - payload_start < len {
             break; // incomplete payload: torn
         }
-        let binary = bytes[consumed] == BINARY_FRAME_MAGIC;
         let payload = &bytes[payload_start..payload_start + len];
         let actual = crc32(payload);
         if actual != crc {
@@ -538,12 +535,7 @@ pub fn decode_segment_prefix(bytes: &[u8]) -> SegmentPrefix {
             ));
             break;
         }
-        let parsed = if binary {
-            decode_record_binary(payload)
-        } else {
-            parse_record_payload(payload)
-        };
-        match parsed {
+        match decode_record_binary(payload) {
             Ok(record) => {
                 records.push(record);
                 consumed = payload_start + len;
@@ -567,74 +559,10 @@ pub fn decode_segment_prefix(bytes: &[u8]) -> SegmentPrefix {
     }
 }
 
-/// Parse `=<len> <crc-8-hex>` (without the newline).
-fn parse_frame_header(header: &[u8]) -> Option<(usize, u32)> {
-    let header = std::str::from_utf8(header).ok()?;
-    let rest = header.strip_prefix('=')?;
-    let (len, crc) = rest.split_once(' ')?;
-    if crc.len() != 8 {
-        return None;
-    }
-    Some((len.parse().ok()?, u32::from_str_radix(crc, 16).ok()?))
-}
-
-/// Parse a frame payload as exactly one WAL record (header line plus its
-/// promised row lines, nothing more).
-fn parse_record_payload(payload: &[u8]) -> Result<WalRecord, EngineError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| EngineError::WalCorrupt(format!("invalid UTF-8 payload: {e}")))?;
-    let mut cur = 0usize;
-    let header = take_line(text, &mut cur)
-        .ok_or_else(|| EngineError::WalCorrupt("payload missing header line".into()))?;
-    let record = match decode_header(header)? {
-        HeaderLine::Delta {
-            seq,
-            table,
-            inserted,
-            deleted,
-            chained,
-        } => {
-            let mut delta = Delta::empty();
-            for sign in std::iter::repeat_n('+', inserted).chain(std::iter::repeat_n('-', deleted))
-            {
-                let row = decode_row_line(take_line(text, &mut cur), sign)?;
-                if sign == '+' {
-                    delta.inserted.push(row);
-                } else {
-                    delta.deleted.push(row);
-                }
-            }
-            if chained {
-                WalRecord::chained(seq, table, delta)
-            } else {
-                WalRecord::delta(seq, table, delta)
-            }
-        }
-        HeaderLine::Marker(rec) => rec,
-    };
-    if cur != text.len() {
-        return Err(EngineError::WalCorrupt(format!(
-            "{} trailing bytes after the framed record",
-            text.len() - cur
-        )));
-    }
-    Ok(record)
-}
-
-/// The next `\n`-terminated line at `*cur`, advancing past it; `None`
-/// when no complete line remains.
-fn take_line<'a>(text: &'a str, cur: &mut usize) -> Option<&'a str> {
-    let rest = &text[*cur..];
-    let end = rest.find('\n')?;
-    let line = &rest[..end];
-    *cur += end + 1;
-    Some(line)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esm_store::row;
+    use esm_store::{row, Delta};
 
     fn rec(seq: u64, n: i64) -> WalRecord {
         WalRecord::delta(
@@ -674,14 +602,44 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// Every record kind, with multi-byte strings a cut can split.
+    fn all_kinds() -> Vec<WalRecord> {
+        vec![
+            rec(1, 1),
+            rec(2, 2),
+            WalRecord::chained(3, "tab\tle λ", rec(1, 1).delta_op().unwrap().1.clone()),
+            WalRecord::delta(
+                4,
+                "t",
+                Delta {
+                    inserted: vec![row![4, "λambda 🦀"], row![]],
+                    deleted: vec![],
+                },
+            ),
+            WalRecord::delta(5, "t", Delta::empty()),
+            WalRecord::prepare(6, "g1", 2),
+            WalRecord::resolve(7, "g1", true),
+            WalRecord::resolve(8, "gλ", false),
+        ]
+    }
+
     #[test]
-    fn prefix_decode_at_every_byte_is_a_clean_record_prefix() {
-        let records: Vec<WalRecord> = (1..=5).map(|i| rec(i, i as i64)).collect();
-        let full: String = records.iter().map(encode_framed).collect();
-        let bytes = full.as_bytes();
+    fn binary_frames_round_trip_all_record_kinds() {
+        let records = all_kinds();
+        let full: Vec<u8> = records.iter().flat_map(encode_framed_binary).collect();
+        let p = decode_segment_prefix(&full);
+        assert_eq!(p.records, records);
+        assert!(!p.torn && p.corrupt.is_none());
+    }
+
+    #[test]
+    fn binary_prefix_decode_at_every_byte_is_a_clean_record_prefix() {
+        let records = all_kinds();
+        let bytes: Vec<u8> = records.iter().flat_map(encode_framed_binary).collect();
         for cut in 0..=bytes.len() {
             let prefix = decode_segment_prefix(&bytes[..cut]);
-            // Truncation is a crash artifact: never classified as rot.
+            // Truncation is a crash artifact — even mid-code-point:
+            // never classified as rot.
             assert_eq!(prefix.corrupt, None, "cut at {cut}");
             // The decoded records are exactly the complete ones.
             assert_eq!(
@@ -692,83 +650,14 @@ mod tests {
             assert!(prefix.consumed <= cut);
             assert_eq!(prefix.torn, prefix.consumed < cut);
             // consumed always sits on a frame boundary.
-            let reencoded: String = prefix.records.iter().map(encode_framed).collect();
-            assert_eq!(reencoded.len(), prefix.consumed);
-            assert_eq!(prefix.ends.last().copied().unwrap_or(0), prefix.consumed);
-        }
-        // The untruncated stream decodes completely.
-        let whole = decode_segment_prefix(bytes);
-        assert_eq!(whole.records.len(), 5);
-        assert!(!whole.torn);
-    }
-
-    #[test]
-    fn markers_and_chains_survive_framing() {
-        let records = vec![
-            WalRecord::chained(1, "t", rec(1, 1).delta_op().unwrap().1.clone()),
-            WalRecord::prepare(2, "g1", 1),
-            WalRecord::resolve(3, "g1", true),
-        ];
-        let full: String = records.iter().map(encode_framed).collect();
-        let p = decode_segment_prefix(full.as_bytes());
-        assert_eq!(p.records, records);
-        assert!(!p.torn && p.corrupt.is_none());
-    }
-
-    #[test]
-    fn binary_frames_round_trip_all_record_kinds() {
-        let records = vec![
-            rec(1, 1),
-            rec(2, 2),
-            WalRecord::chained(3, "tab\tle", rec(1, 1).delta_op().unwrap().1.clone()),
-            WalRecord::delta(4, "t", Delta::empty()),
-            WalRecord::prepare(5, "g1", 2),
-            WalRecord::resolve(6, "g1", true),
-            WalRecord::resolve(7, "g2", false),
-        ];
-        let full: Vec<u8> = records.iter().flat_map(encode_framed_binary).collect();
-        let p = decode_segment_prefix(&full);
-        assert_eq!(p.records, records);
-        assert!(!p.torn && p.corrupt.is_none());
-    }
-
-    #[test]
-    fn binary_prefix_decode_at_every_byte_is_a_clean_record_prefix() {
-        let records: Vec<WalRecord> = (1..=5).map(|i| rec(i, i as i64)).collect();
-        let bytes: Vec<u8> = records.iter().flat_map(encode_framed_binary).collect();
-        for cut in 0..=bytes.len() {
-            let prefix = decode_segment_prefix(&bytes[..cut]);
-            assert_eq!(prefix.corrupt, None, "cut at {cut}");
-            assert_eq!(
-                prefix.records,
-                records[..prefix.records.len()],
-                "cut at {cut}"
-            );
-            assert!(prefix.consumed <= cut);
-            assert_eq!(prefix.torn, prefix.consumed < cut);
             let reencoded: Vec<u8> = prefix
                 .records
                 .iter()
                 .flat_map(encode_framed_binary)
                 .collect();
             assert_eq!(reencoded.len(), prefix.consumed);
+            assert_eq!(prefix.ends.last().copied().unwrap_or(0), prefix.consumed);
         }
-    }
-
-    #[test]
-    fn mixed_text_and_binary_frames_decode_in_one_stream() {
-        let records: Vec<WalRecord> = (1..=6).map(|i| rec(i, i as i64)).collect();
-        let mut bytes = Vec::new();
-        for (i, r) in records.iter().enumerate() {
-            if i % 2 == 0 {
-                bytes.extend_from_slice(encode_framed(r).as_bytes());
-            } else {
-                bytes.extend_from_slice(&encode_framed_binary(r));
-            }
-        }
-        let p = decode_segment_prefix(&bytes);
-        assert_eq!(p.records, records);
-        assert!(!p.torn && p.corrupt.is_none());
     }
 
     #[test]
@@ -778,63 +667,108 @@ mod tests {
             .collect();
         // Flip a byte inside the first record's payload.
         let mut rotten = clean.clone();
-        rotten[BINARY_HEADER_BYTES + 3] ^= 0x40;
+        rotten[FRAME_HEADER_BYTES + 3] ^= 0x40;
         let p = decode_segment_prefix(&rotten);
         assert!(p.corrupt.is_some(), "flipped payload byte: {p:?}");
         assert!(!p.torn);
-        assert!(p.records.is_empty());
+        assert!(p.records.is_empty(), "rot cuts the decodable prefix short");
         // A CRC-valid payload with an unknown tag is corruption too.
         let mut payload = encode_record_binary(&rec(1, 1));
         payload[0] = 99;
-        let mut framed = vec![BINARY_FRAME_MAGIC];
-        codec::put_u32(&mut framed, payload.len() as u32);
-        codec::put_u32(&mut framed, crc32(&payload));
-        framed.extend_from_slice(&payload);
-        let p = decode_segment_prefix(&framed);
+        let p = decode_segment_prefix(&seal(BINARY_FRAME_MAGIC, &payload));
         assert!(p.corrupt.is_some());
     }
 
     #[test]
     fn bit_rot_is_corruption_not_a_torn_tail() {
-        let full: String = (1..=3).map(|i| encode_framed(&rec(i, i as i64))).collect();
-        let clean = full.as_bytes().to_vec();
-        // Flip one byte inside the *first* record's payload.
-        let hdr_end = clean.iter().position(|&b| b == b'\n').unwrap();
-        let mut rotten = clean.clone();
-        rotten[hdr_end + 3] ^= 0x40;
-        let p = decode_segment_prefix(&rotten);
-        assert!(
-            p.corrupt.is_some(),
-            "a flipped byte must be detected: {p:?}"
-        );
-        assert!(!p.torn);
-        assert!(p.records.is_empty(), "rot cuts the decodable prefix short");
-        // Garbling the frame header is corruption too.
+        // A frame whose first byte is not the magic is corruption, even
+        // when nothing follows it: a crash only shortens a file, so it
+        // cannot rewrite the first byte of a frame.
+        let clean: Vec<u8> = (1..=3)
+            .flat_map(|i| encode_framed_binary(&rec(i, i as i64)))
+            .collect();
+        let first_len = encode_framed_binary(&rec(1, 1)).len();
+        for (at, byte) in [(0, 0x00), (0, b'='), (first_len, 0xB4), (first_len, 0xFF)] {
+            let mut garbled = clean.clone();
+            garbled[at] = byte;
+            let p = decode_segment_prefix(&garbled);
+            assert!(p.corrupt.is_some() && !p.torn, "{byte:#04x} at {at}: {p:?}");
+            assert_eq!(
+                p.records.len(),
+                usize::from(at > 0),
+                "rot cuts the prefix short"
+            );
+            let p = decode_segment_prefix(&garbled[..at + 1]);
+            assert!(p.corrupt.is_some() && !p.torn, "lone {byte:#04x}: {p:?}");
+        }
+        // A garbled length is corruption too once the frame it announces
+        // is complete: the CRC no longer matches the bytes it covers.
         let mut garbled = clean;
-        garbled[0] = b'?';
+        garbled[1] ^= 0x01;
         let p = decode_segment_prefix(&garbled);
-        assert!(p.corrupt.is_some());
-        assert!(p.records.is_empty());
+        assert!(p.corrupt.is_some() && !p.torn, "{p:?}");
     }
 
     #[test]
-    fn prefix_decode_survives_split_utf8() {
-        let mut bytes = encode_framed(&WalRecord::delta(
-            1,
-            "t",
-            Delta {
-                inserted: vec![row![1, "λambda"]],
-                deleted: vec![],
-            },
-        ))
-        .into_bytes();
-        let full = decode_segment_prefix(&bytes);
-        assert_eq!(full.records.len(), 1);
-        // Cut inside the 2-byte λ: the whole record is torn, not an error.
-        let lambda_pos = bytes.windows(2).position(|w| w == "λ".as_bytes()).unwrap();
-        bytes.truncate(lambda_pos + 1);
-        let torn = decode_segment_prefix(&bytes);
-        assert!(torn.records.is_empty() && torn.torn && torn.corrupt.is_none());
+    fn markers_and_chains_survive_framing() {
+        // The writer's frames, back to back in one file, decode to every
+        // record it appended — markers and chains included.
+        let file = SimFile::new();
+        let disk = file.disk();
+        let mut w = SegmentWriter::new(file, 1);
+        for r in all_kinds() {
+            w.append(&r).unwrap();
+        }
+        w.sync().unwrap();
+        let durable = disk.lock().unwrap().durable_bytes();
+        assert_eq!(durable.len() as u64, w.bytes());
+        let p = decode_segment_prefix(&durable);
+        assert_eq!(p.records, all_kinds());
+        assert!(!p.torn && p.corrupt.is_none());
+    }
+
+    #[test]
+    fn prefix_decode_at_every_byte_is_a_clean_record_prefix() {
+        // A sync torn at every byte offset of a batch — the crash the
+        // simulated disk models — leaves exactly the records that landed
+        // whole, and a torn tail only when a frame was cut.
+        let records = all_kinds();
+        let total: usize = records.iter().map(|r| encode_framed_binary(r).len()).sum();
+        for keep in 0..=total {
+            let file = SimFile::new();
+            let disk = file.disk();
+            let mut w = SegmentWriter::new(file, 1);
+            for r in &records {
+                w.append(r).unwrap();
+            }
+            disk.lock().unwrap().tear_next_sync_at = Some(keep);
+            assert!(w.sync().is_err());
+            let durable = disk.lock().unwrap().durable_bytes();
+            assert_eq!(durable.len(), keep);
+            let p = decode_segment_prefix(&durable);
+            assert_eq!(p.corrupt, None, "keep {keep}");
+            assert_eq!(p.records, records[..p.records.len()], "keep {keep}");
+            assert_eq!(p.torn, p.consumed < keep, "keep {keep}");
+        }
+    }
+
+    #[test]
+    fn absurd_counts_are_refused_without_allocating() {
+        // Cut each record payload at every byte and announce u32::MAX
+        // there: every count field (the delta's two, each row's, each
+        // string length) sees an absurd count at some cut. The decoder
+        // must refuse, or — where the cut fell elsewhere — decode to a
+        // record that re-encodes to exactly those bytes.
+        for record in all_kinds() {
+            let payload = encode_record_binary(&record);
+            for cut in 0..=payload.len() {
+                let mut bytes = payload[..cut].to_vec();
+                codec::put_u32(&mut bytes, u32::MAX);
+                if let Ok(back) = decode_record_binary(&bytes) {
+                    assert_eq!(encode_record_binary(&back), bytes, "cut at {cut}");
+                }
+            }
+        }
     }
 
     #[test]

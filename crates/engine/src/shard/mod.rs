@@ -65,12 +65,14 @@ use std::sync::{Arc, Mutex, RwLock};
 use esm_lens::{DeltaLens, DeltaOutcome};
 use esm_obs::{Phase, Span, Telemetry, TelemetrySnapshot};
 use esm_relational::ViewDef;
+use esm_store::codec::{self, BinReader};
 use esm_store::{Database, Delta, Row, Schema, Table, Value};
 
-use crate::checkpoint::write_atomic_text;
+use crate::checkpoint::write_atomic;
 use crate::durable::{checkpoint_off_lock, DurabilityConfig, MaintenanceThread, RecoveryReport};
 use crate::error::EngineError;
 use crate::metrics::{Metrics, MetricsSnapshot, ShardLoad, ShardMetrics, WalStats};
+use crate::segment::{seal, unseal};
 use crate::sub::{CommitNotifier, ViewDeltas};
 use crate::view::EntangledView;
 use crate::wal::{check_table_names, committed_table_deltas, Wal};
@@ -1929,7 +1931,12 @@ fn parse_gtx(gtx: &str) -> u64 {
 // Topology manifest.
 // ---------------------------------------------------------------------
 
-/// Serialize and atomically write the topology manifest.
+/// First byte of the sealed topology manifest.
+const TOPOLOGY_MAGIC: u8 = 0xB4;
+
+/// Serialize and atomically write the topology manifest: one sealed
+/// file whose body is `next_id` (`u64`), the shard ids (a count, then a
+/// `u64` each) and the split rows (a count, then the rows).
 pub(crate) fn write_topology(
     dir: &Path,
     next_id: u64,
@@ -1937,83 +1944,53 @@ pub(crate) fn write_topology(
     ids: &[u64],
 ) -> Result<(), EngineError> {
     debug_assert_eq!(ids.len(), router.shard_count());
-    let mut text = format!("!topology\nnext_id {next_id}\n");
-    for (i, id) in ids.iter().enumerate() {
-        match router.splits().get(i) {
-            Some(split) => {
-                text.push_str(&format!(
-                    "shard {id} upto {}\n",
-                    esm_store::codec::encode_row(split)
-                ));
-            }
-            None => text.push_str(&format!("shard {id} rest\n")),
-        }
+    let mut body = Vec::new();
+    codec::put_u64(&mut body, next_id);
+    codec::put_u32(&mut body, ids.len() as u32);
+    for id in ids {
+        codec::put_u64(&mut body, *id);
     }
-    text.push_str("!end\n");
-    write_atomic_text(dir, TOPOLOGY_FILE, &text)?;
+    codec::put_u32(&mut body, router.splits().len() as u32);
+    for split in router.splits() {
+        codec::put_row(&mut body, split);
+    }
+    write_atomic(dir, TOPOLOGY_FILE, &seal(TOPOLOGY_MAGIC, &body))?;
     Ok(())
 }
 
 /// Read the topology manifest back: `(next_id, router, shard ids)`.
 pub(crate) fn read_topology(dir: &Path) -> Result<(u64, ShardRouter, Vec<u64>), EngineError> {
-    let path = dir.join(TOPOLOGY_FILE);
-    let text = std::fs::read_to_string(&path).map_err(|e| {
+    let bytes = std::fs::read(dir.join(TOPOLOGY_FILE)).map_err(|e| {
         EngineError::Io(format!(
             "{} is not a sharded engine directory: {e}",
             dir.display()
         ))
     })?;
-    let corrupt = |msg: &str| EngineError::WalCorrupt(format!("topology manifest: {msg}"));
-    let mut lines = text.lines();
-    if lines.next() != Some("!topology") {
-        return Err(corrupt("missing !topology header"));
-    }
-    let next_id: u64 = lines
-        .next()
-        .and_then(|l| l.strip_prefix("next_id "))
-        .and_then(|n| n.parse().ok())
-        .ok_or_else(|| corrupt("bad next_id line"))?;
+    decode_topology(&bytes)
+}
+
+/// Decode [`write_topology`]'s file content.
+fn decode_topology(bytes: &[u8]) -> Result<(u64, ShardRouter, Vec<u64>), EngineError> {
+    let corrupt = |msg: String| EngineError::WalCorrupt(format!("topology manifest: {msg}"));
+    let rot = |e: esm_store::StoreError| corrupt(e.to_string());
+    let mut r = BinReader::new(unseal("topology manifest", TOPOLOGY_MAGIC, bytes)?);
+    let next_id = r.u64().map_err(rot)?;
     let mut ids = Vec::new();
+    for _ in 0..r.count().map_err(rot)? {
+        ids.push(r.u64().map_err(rot)?);
+    }
     let mut splits = Vec::new();
-    let mut saw_rest = false;
-    let mut saw_end = false;
-    for line in lines {
-        if line == "!end" {
-            saw_end = true;
-            break;
-        }
-        let rest = line
-            .strip_prefix("shard ")
-            .ok_or_else(|| corrupt("expected a shard line"))?;
-        let (id, bound) = rest
-            .split_once(' ')
-            .ok_or_else(|| corrupt("truncated shard line"))?;
-        let id: u64 = id.parse().map_err(|_| corrupt("bad shard id"))?;
-        if saw_rest {
-            return Err(corrupt("shard after the unbounded final range"));
-        }
-        if bound == "rest" {
-            saw_rest = true;
-        } else {
-            let split = bound
-                .strip_prefix("upto ")
-                .ok_or_else(|| corrupt("bad shard bound"))?;
-            splits.push(
-                esm_store::codec::decode_row(split)
-                    .map_err(|e| corrupt(&format!("bad split row: {e}")))?,
-            );
-        }
-        ids.push(id);
+    for _ in 0..r.count().map_err(rot)? {
+        splits.push(r.row().map_err(rot)?);
     }
-    if !saw_end {
-        return Err(corrupt("missing !end trailer (torn write?)"));
-    }
-    if !saw_rest || ids.is_empty() {
-        return Err(corrupt("no unbounded final range"));
-    }
-    let router = ShardRouter::from_splits(splits)?;
+    r.end().map_err(rot)?;
+    let router = ShardRouter::from_splits(splits).map_err(|e| corrupt(e.to_string()))?;
     if router.shard_count() != ids.len() {
-        return Err(corrupt("split count does not match shard count"));
+        return Err(corrupt(format!(
+            "{} shard ids for {} ranges",
+            ids.len(),
+            router.shard_count()
+        )));
     }
     Ok((next_id, router, ids))
 }
@@ -2312,17 +2289,59 @@ mod tests {
         assert_eq!(next_id, 7);
         assert_eq!(read_router, router);
         assert_eq!(ids, vec![0, 3, 2]);
-        // Torn manifests are rejected loudly.
-        std::fs::write(
-            dir.join(TOPOLOGY_FILE),
-            "!topology\nnext_id 1\nshard 0 rest\n",
-        )
-        .unwrap();
+        // Torn manifests are rejected loudly, at every cut.
+        let bytes = std::fs::read(dir.join(TOPOLOGY_FILE)).unwrap();
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(
+                    decode_topology(&bytes[..cut]),
+                    Err(EngineError::WalCorrupt(_))
+                ),
+                "cut at {cut}"
+            );
+        }
+        // A sealed body whose ids and ranges disagree is refused too.
+        let mut body = Vec::new();
+        codec::put_u64(&mut body, 1);
+        codec::put_u32(&mut body, 2);
+        codec::put_u64(&mut body, 0);
+        codec::put_u64(&mut body, 1);
+        codec::put_u32(&mut body, 0);
         assert!(matches!(
-            read_topology(&dir),
-            Err(EngineError::WalCorrupt(msg)) if msg.contains("!end")
+            decode_topology(&seal(TOPOLOGY_MAGIC, &body)),
+            Err(EngineError::WalCorrupt(_))
         ));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn topology_absurd_counts_are_refused_without_allocating() {
+        // A correctly sealed body cut at every byte, with u32::MAX
+        // announced there: the id count, the split count and each split
+        // row's cell count all see an absurd count at some cut.
+        let router = ShardRouter::from_splits(vec![row![10, "x"], row![20, "y"]]).unwrap();
+        let mut body = Vec::new();
+        codec::put_u64(&mut body, 3);
+        codec::put_u32(&mut body, 3);
+        for id in [0, 1, 2] {
+            codec::put_u64(&mut body, id);
+        }
+        codec::put_u32(&mut body, 2);
+        for split in router.splits() {
+            codec::put_row(&mut body, split);
+        }
+        assert_eq!(
+            decode_topology(&seal(TOPOLOGY_MAGIC, &body)).unwrap(),
+            (3, router, vec![0, 1, 2])
+        );
+        for cut in 0..body.len() {
+            let mut bad = body[..cut].to_vec();
+            codec::put_u32(&mut bad, u32::MAX);
+            assert!(
+                decode_topology(&seal(TOPOLOGY_MAGIC, &bad)).is_err(),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]

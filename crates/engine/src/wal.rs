@@ -27,45 +27,32 @@
 //!   the real outcome by scanning *all* shard logs — see
 //!   [`crate::shard`]).
 //!
-//! ## Text format
+//! ## Encoding
 //!
-//! [`Wal::encode`] renders a line-oriented text form:
-//!
-//! ```text
-//! #<seq> <table> +<inserted> -<deleted>      delta record header
-//! #<seq>* <table> +<inserted> -<deleted>     chained delta (more follow)
-//! + <cell>\t<cell>...                        inserted rows
-//! - <cell>\t<cell>...                        deleted rows
-//! #<seq> !prepare <records> <gtx>            2PC prepare marker
-//! #<seq> !resolve commit|abort <gtx>         2PC resolution marker
-//! ```
-//!
-//! Cells use the shared [`esm_store::codec`] (type tags `b:`/`i:`/`s:`,
-//! strings escape `\\`, tab, newline and carriage return), so decoding
-//! needs no schema. Table names starting with `!` are **reserved** for
-//! markers; the engine refuses to serve databases containing them (see
-//! [`reserved_table_name`]). [`Wal::decode`] round-trips exactly and
-//! rejects malformed input with
-//! [`EngineError::WalCorrupt`](crate::EngineError::WalCorrupt); records
-//! whose sequence numbers do not strictly increase are rejected with the
-//! typed [`EngineError::DuplicateSeq`](crate::EngineError::DuplicateSeq)
-//! instead of being silently re-applied.
+//! A record has one encoding, the binary one in [`crate::segment`]
+//! ([`encode_record_binary`](crate::segment::encode_record_binary)): a
+//! tag byte, the `seq`, then the variant's fields, with deltas in the
+//! shared [`esm_store::codec`] form. Durable segments wrap each record in
+//! a CRC frame. Records whose sequence numbers do not strictly increase
+//! are rejected with the typed [`EngineError::DuplicateSeq`] instead of
+//! being silently re-applied.
 
 use std::collections::BTreeMap;
 
-use esm_store::codec::{decode_row, encode_row, escape, unescape};
-use esm_store::{Database, Delta, Row};
+use esm_store::{Database, Delta};
 
 use crate::error::EngineError;
 
-/// Is `name` reserved for WAL markers (and therefore unusable as a table
-/// name)? Names starting with `!` would be ambiguous with the marker
-/// headers in the text format.
+/// Is `name` reserved (and therefore unusable as a table name)? Names
+/// starting with `!` belong to the engine: every engine constructor and
+/// [`Wal::push`] refuse them with [`EngineError::ReservedTableName`].
+/// No codec depends on the rule — records carry a tag byte, not a name
+/// prefix — so it is purely an input check on the public API.
 pub fn reserved_table_name(name: &str) -> bool {
     name.starts_with('!')
 }
 
-/// Reject databases whose table names collide with the marker namespace.
+/// Reject databases whose table names fall in the reserved namespace.
 pub(crate) fn check_table_names(db: &Database) -> Result<(), EngineError> {
     for name in db.table_names() {
         if reserved_table_name(name) {
@@ -172,62 +159,6 @@ impl WalRecord {
             _ => None,
         }
     }
-
-    /// Render this record in the WAL text format (used by both
-    /// [`Wal::encode`] and the durable segment writer, so the segment
-    /// payload bytes and the in-memory encoding never diverge; segments
-    /// additionally wrap each record in a CRC frame — see
-    /// [`crate::segment`]).
-    pub fn encode(&self) -> String {
-        match &self.op {
-            WalOp::Delta {
-                table,
-                delta,
-                chained,
-            } => {
-                let mut out = format!(
-                    "#{}{} {} +{} -{}\n",
-                    self.seq,
-                    if *chained { "*" } else { "" },
-                    escape(table),
-                    delta.inserted.len(),
-                    delta.deleted.len()
-                );
-                for row in &delta.inserted {
-                    out.push_str(&format!("+ {}\n", encode_row(row)));
-                }
-                for row in &delta.deleted {
-                    out.push_str(&format!("- {}\n", encode_row(row)));
-                }
-                out
-            }
-            WalOp::Prepare { gtx, records } => {
-                format!("#{} !prepare {} {}\n", self.seq, records, escape(gtx))
-            }
-            WalOp::Resolve { gtx, committed } => format!(
-                "#{} !resolve {} {}\n",
-                self.seq,
-                if *committed { "commit" } else { "abort" },
-                escape(gtx)
-            ),
-        }
-    }
-}
-
-/// A decoded record header line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum HeaderLine {
-    /// `#<seq>[*] <table> +<n> -<m>` — `n` inserted and `m` deleted row
-    /// lines follow.
-    Delta {
-        seq: u64,
-        table: String,
-        inserted: usize,
-        deleted: usize,
-        chained: bool,
-    },
-    /// A marker record (no body lines follow).
-    Marker(WalRecord),
 }
 
 /// An append-only log of committed operations.
@@ -275,7 +206,7 @@ impl Wal {
         let table = table.into();
         assert!(
             !reserved_table_name(&table),
-            "table names starting with '!' are reserved for WAL markers"
+            "table names starting with '!' are reserved"
         );
         let seq = self.next_seq();
         self.records.push(WalRecord::delta(seq, table, delta));
@@ -344,11 +275,11 @@ impl Wal {
 
     /// The largest sequence number `<= upto` that lies on a **settled
     /// transaction boundary**: every chained record at or below it has
-    /// its terminator at or below it, and every `!prepare` at or below
-    /// it has its `!resolve` at or below it. Records up to that point
-    /// can be dropped from the log (after folding them into the replay
-    /// baseline) without ever splitting a transaction or discarding the
-    /// only evidence of a 2PC outcome. Returns [`Wal::start_seq`] when
+    /// its terminator at or below it, and every prepare marker at or
+    /// below it has its resolve marker at or below it. Records up to that
+    /// point can be dropped from the log (after folding them into the
+    /// replay baseline) without ever splitting a transaction or
+    /// discarding the only evidence of a 2PC outcome. Returns [`Wal::start_seq`] when
     /// nothing at all is settled within `upto`.
     pub fn settled_prefix_end(&self, upto: u64) -> u64 {
         let mut boundary = self.start;
@@ -414,7 +345,7 @@ impl Wal {
     ///
     /// Replay honours the transaction structure: chained delta records
     /// buffer until their terminator and apply together; prepared chains
-    /// apply at their `!resolve commit` (or drop at `!resolve abort`); a
+    /// apply at their commit resolution (or drop at an abort); a
     /// prepare with no resolution by the end of the log is presumed
     /// aborted (the coordinator never acknowledged it). An *unterminated*
     /// trailing chain is a transaction the engine could never have
@@ -481,60 +412,12 @@ impl Wal {
         }
         Ok(db)
     }
-
-    /// Serialise to the line-oriented text format.
-    pub fn encode(&self) -> String {
-        self.records.iter().map(WalRecord::encode).collect()
-    }
-
-    /// Parse the text format produced by [`Wal::encode`].
-    pub fn decode(text: &str) -> Result<Wal, EngineError> {
-        let mut wal = Wal::new();
-        let mut lines = text.lines();
-        while let Some(line) = lines.next() {
-            if line.is_empty() {
-                continue;
-            }
-            // `records_after`'s binary search and `next_seq` rely on
-            // strictly increasing sequence numbers; `push` rejects logs
-            // that break the invariant rather than mis-answering later.
-            match decode_header(line)? {
-                HeaderLine::Delta {
-                    seq,
-                    table,
-                    inserted,
-                    deleted,
-                    chained,
-                } => {
-                    let mut delta = Delta::empty();
-                    for _ in 0..inserted {
-                        delta.inserted.push(decode_row_line(lines.next(), '+')?);
-                    }
-                    for _ in 0..deleted {
-                        delta.deleted.push(decode_row_line(lines.next(), '-')?);
-                    }
-                    wal.push(WalRecord {
-                        seq,
-                        op: WalOp::Delta {
-                            table,
-                            delta,
-                            chained,
-                        },
-                    })?;
-                }
-                HeaderLine::Marker(rec) => {
-                    wal.push(rec)?;
-                }
-            }
-        }
-        Ok(wal)
-    }
 }
 
 /// The committed deltas for `table` in a run of WAL records, honouring
 /// the transaction structure the same way [`Wal::replay`] does: chained
 /// records buffer until their terminator, prepared chains apply at
-/// their `!resolve commit` and drop at `!resolve abort`. Returns `None`
+/// their commit resolution and drop at an abort. Returns `None`
 /// when the run ends with an unsettled chain or prepare — the caller
 /// (materialized-view maintenance) then leaves its cursor untouched and
 /// serves the last settled state rather than guessing.
@@ -593,97 +476,10 @@ fn apply_delta(db: &mut Database, table: &str, delta: &Delta) -> Result<(), Engi
     Ok(())
 }
 
-/// Parse one record header line (see the module docs for the grammar).
-pub(crate) fn decode_header(line: &str) -> Result<HeaderLine, EngineError> {
-    let header = line
-        .strip_prefix('#')
-        .ok_or_else(|| EngineError::WalCorrupt(format!("expected record header: {line}")))?;
-    let (seq_str, rest) = header
-        .split_once(' ')
-        .ok_or_else(|| EngineError::WalCorrupt(format!("truncated header: {line}")))?;
-    let (seq_str, chained) = match seq_str.strip_suffix('*') {
-        Some(s) => (s, true),
-        None => (seq_str, false),
-    };
-    let seq: u64 = seq_str
-        .parse()
-        .map_err(|_| EngineError::WalCorrupt(format!("bad sequence number: {line}")))?;
-    if let Some(marker) = rest.strip_prefix("!prepare ") {
-        if chained {
-            return Err(EngineError::WalCorrupt(format!(
-                "markers cannot be chained: {line}"
-            )));
-        }
-        let (records, gtx_esc) = marker
-            .split_once(' ')
-            .ok_or_else(|| EngineError::WalCorrupt(format!("truncated prepare marker: {line}")))?;
-        let records: u64 = records
-            .parse()
-            .map_err(|_| EngineError::WalCorrupt(format!("bad prepare record count: {line}")))?;
-        let gtx = unescape(gtx_esc).map_err(|e| EngineError::WalCorrupt(format!("{e}: {line}")))?;
-        return Ok(HeaderLine::Marker(WalRecord::prepare(seq, gtx, records)));
-    }
-    if let Some(marker) = rest.strip_prefix("!resolve ") {
-        if chained {
-            return Err(EngineError::WalCorrupt(format!(
-                "markers cannot be chained: {line}"
-            )));
-        }
-        let (outcome, gtx_esc) = marker
-            .split_once(' ')
-            .ok_or_else(|| EngineError::WalCorrupt(format!("truncated resolve marker: {line}")))?;
-        let committed = match outcome {
-            "commit" => true,
-            "abort" => false,
-            other => {
-                return Err(EngineError::WalCorrupt(format!(
-                    "bad resolve outcome {other:?}: {line}"
-                )))
-            }
-        };
-        let gtx = unescape(gtx_esc).map_err(|e| EngineError::WalCorrupt(format!("{e}: {line}")))?;
-        return Ok(HeaderLine::Marker(WalRecord::resolve(seq, gtx, committed)));
-    }
-    if rest.starts_with('!') {
-        return Err(EngineError::WalCorrupt(format!(
-            "unknown marker kind: {line}"
-        )));
-    }
-    let mut parts = rest.rsplitn(3, ' ');
-    let deleted = parse_count(parts.next(), '-', line)?;
-    let inserted = parse_count(parts.next(), '+', line)?;
-    let table_esc = parts
-        .next()
-        .ok_or_else(|| EngineError::WalCorrupt(format!("truncated header: {line}")))?;
-    let table = unescape(table_esc).map_err(|e| EngineError::WalCorrupt(format!("{e}: {line}")))?;
-    Ok(HeaderLine::Delta {
-        seq,
-        table,
-        inserted,
-        deleted,
-        chained,
-    })
-}
-
-fn parse_count(part: Option<&str>, sign: char, line: &str) -> Result<usize, EngineError> {
-    part.and_then(|p| p.strip_prefix(sign))
-        .and_then(|p| p.parse().ok())
-        .ok_or_else(|| EngineError::WalCorrupt(format!("bad {sign} count in header: {line}")))
-}
-
-/// Parse one `+ <row>` / `- <row>` body line.
-pub(crate) fn decode_row_line(line: Option<&str>, sign: char) -> Result<Row, EngineError> {
-    let line = line.ok_or_else(|| EngineError::WalCorrupt("truncated record body".into()))?;
-    let body = line
-        .strip_prefix(sign)
-        .and_then(|l| l.strip_prefix(' '))
-        .ok_or_else(|| EngineError::WalCorrupt(format!("expected `{sign} ` row line: {line}")))?;
-    decode_row(body).map_err(|e| EngineError::WalCorrupt(e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::{decode_record_binary, encode_record_binary};
     use esm_store::{row, Schema, Table, ValueType};
 
     fn db() -> Database {
@@ -897,55 +693,40 @@ mod tests {
         wal.push(WalRecord::prepare(6, "g \t42\n", 1)).unwrap();
         wal.push(WalRecord::resolve(7, "g \t42\n", true)).unwrap();
         wal.push(WalRecord::resolve(8, "g2", false)).unwrap();
-        let text = wal.encode();
-        let back = Wal::decode(&text).unwrap();
-        assert_eq!(back, wal);
+        for rec in wal.records() {
+            let back = decode_record_binary(&encode_record_binary(rec)).unwrap();
+            assert_eq!(&back, rec);
+        }
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(matches!(
-            Wal::decode("not a header"),
-            Err(EngineError::WalCorrupt(_))
-        ));
-        assert!(matches!(
-            Wal::decode("#x t +0 -0"),
-            Err(EngineError::WalCorrupt(_))
-        ));
-        assert!(matches!(
-            Wal::decode("#1 t +1 -0"),
-            Err(EngineError::WalCorrupt(_))
-        ));
-        assert!(matches!(
-            Wal::decode("#1 t +1 -0\n+ z:9"),
-            Err(EngineError::WalCorrupt(_))
-        ));
-        // Marker garbage: unknown kinds, bad outcomes, chained markers.
-        assert!(matches!(
-            Wal::decode("#1 !vanish now g1"),
-            Err(EngineError::WalCorrupt(_))
-        ));
-        assert!(matches!(
-            Wal::decode("#1 !resolve maybe g1"),
-            Err(EngineError::WalCorrupt(_))
-        ));
-        assert!(matches!(
-            Wal::decode("#1* !prepare 1 g1"),
-            Err(EngineError::WalCorrupt(_))
-        ));
-        assert!(matches!(
-            Wal::decode("#1 !prepare g1"),
-            Err(EngineError::WalCorrupt(_))
-        ));
-        // Out-of-order or duplicate sequence numbers get the typed error.
-        assert!(matches!(
-            Wal::decode("#2 t +0 -0\n#1 t +0 -0"),
-            Err(EngineError::DuplicateSeq { seq: 1, last: 2 })
-        ));
-        assert!(matches!(
-            Wal::decode("#1 t +0 -0\n#1 t +0 -0"),
-            Err(EngineError::DuplicateSeq { seq: 1, last: 1 })
-        ));
+        let corrupt =
+            |bytes: &[u8]| matches!(decode_record_binary(bytes), Err(EngineError::WalCorrupt(_)));
+        // An unknown tag.
+        let mut unknown = encode_record_binary(&WalRecord::delta(1, "t", Delta::empty()));
+        unknown[0] = 9;
+        assert!(corrupt(&unknown));
+        // A resolve verdict that is neither 0 nor 1.
+        let mut verdict = encode_record_binary(&WalRecord::resolve(1, "g1", true));
+        *verdict.last_mut().unwrap() = 2;
+        assert!(corrupt(&verdict));
+        // Trailing bytes after a complete record.
+        let mut trailing = encode_record_binary(&WalRecord::prepare(1, "g1", 1));
+        trailing.push(0);
+        assert!(corrupt(&trailing));
+        // A truncation at every byte of every record kind.
+        for rec in [
+            WalRecord::delta(1, "t", insert_delta(10, "x")),
+            WalRecord::chained(2, "t", insert_delta(11, "y")),
+            WalRecord::prepare(3, "g1", 1),
+            WalRecord::resolve(4, "g1", false),
+        ] {
+            let bytes = encode_record_binary(&rec);
+            for cut in 0..bytes.len() {
+                assert!(corrupt(&bytes[..cut]), "{rec:?} cut at {cut}");
+            }
+        }
     }
 
     #[test]

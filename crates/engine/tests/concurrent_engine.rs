@@ -215,10 +215,18 @@ fn mixed_view_traffic_stays_consistent_and_recoverable() {
         h.join().expect("no thread panicked");
     }
 
-    // The WAL text round-trip preserves recovery exactly (nothing was
-    // truncated, so the log replays over the construction state).
+    // Framing every record the way a durable segment does and decoding
+    // the stream preserves recovery exactly (nothing was truncated, so
+    // the log replays over the construction state).
     let wal = engine.shard_wals().swap_remove(0);
-    let decoded = esm_engine::Wal::decode(&wal.encode()).expect("codec round-trips");
+    let bytes: Vec<u8> = wal
+        .records()
+        .iter()
+        .flat_map(esm_engine::encode_framed_binary)
+        .collect();
+    let prefix = esm_engine::decode_segment_prefix(&bytes);
+    assert!(!prefix.torn && prefix.corrupt.is_none(), "{prefix:?}");
+    let decoded = esm_engine::Wal::from_records(prefix.records);
     assert_eq!(decoded, wal);
     assert_eq!(
         decoded.replay(&accounts_db()).expect("replays"),

@@ -10,19 +10,23 @@
 //! * truncates the durable segment stream at **every byte offset** and
 //!   asserts the recovered state equals the live snapshot at the longest
 //!   durable prefix of complete records (torn tails included — a crash
-//!   can stop mid-line, mid-cell, even mid-code-point);
+//!   can stop mid-header, mid-cell, even mid-code-point);
 //! * re-runs a sample of those truncations through the full filesystem
 //!   path (`ShardedEngineServer::recover_with` on a reconstructed
 //!   directory);
 //! * injects duplicate and stale segment files and asserts they are
 //!   skipped, never re-applied;
-//! * corrupts the newest checkpoint and asserts recovery falls back to
-//!   an older one, replaying more records to the same state;
+//! * tears the newest checkpoint, and flips every single bit of it, and
+//!   asserts recovery falls back to an older one, replaying more records
+//!   to the same state;
+//! * flips every single bit of the topology manifest and asserts
+//!   recovery refuses the directory;
 //! * asserts checkpointed recovery replays strictly fewer records than
 //!   replay-from-genesis would.
 
 use std::path::{Path, PathBuf};
 
+use esm_engine::checkpoint::latest_valid_checkpoint;
 use esm_engine::{
     decode_segment_prefix, plan_recovery, resolve_transactions, scan_segments, DurabilityConfig,
     EngineError, EngineServer, RecoveryReport, ScannedSegment, ShardRouter, ShardedEngineServer,
@@ -394,19 +398,15 @@ fn duplicate_and_stale_segments_are_skipped_not_reapplied() {
     // A fully-stale segment: records 1..=10 re-encoded from the recorded
     // states, under a name compaction freed. A leftover pre-compaction
     // file looks exactly like this.
-    let mut stale_text = String::new();
-    for seq in 1..=10u64 {
-        for rec in rebuild_records(&states, seq) {
-            stale_text.push_str(&esm_engine::encode_framed(&rec));
-        }
-    }
-    std::fs::write(shard0(&dir).join(format!("wal-{:020}.seg", 1)), stale_text)
-        .expect("inject stale");
+    let stale: Vec<u8> = (1..=10u64)
+        .flat_map(|seq| rebuild_records(&states, seq))
+        .flat_map(|rec| esm_engine::encode_framed_binary(&rec))
+        .collect();
+    std::fs::write(shard0(&dir).join(format!("wal-{:020}.seg", 1)), stale).expect("inject stale");
 
     // A duplicate of a live segment's content under an overlapping name:
-    // the same records delivered twice. The injected file mixes codecs
-    // — one text frame, then the duplicated binary frames — which the
-    // per-frame decoder must take in stride.
+    // the same records delivered twice, behind one re-encoded record
+    // that precedes them.
     let segments = segment_bytes(&dir);
     let (dup_first, dup_bytes) = segments
         .iter()
@@ -417,9 +417,8 @@ fn duplicate_and_stale_segments_are_skipped_not_reapplied() {
     assert!(dup_first > 1, "compaction keeps only late segments");
     let mut dup_file: Vec<u8> = rebuild_records(&states, dup_first - 1)
         .iter()
-        .map(esm_engine::encode_framed)
-        .collect::<String>()
-        .into_bytes();
+        .flat_map(esm_engine::encode_framed_binary)
+        .collect();
     dup_file.extend_from_slice(&dup_bytes);
     std::fs::write(
         shard0(&dir).join(format!("wal-{:020}.seg", dup_first - 1)),
@@ -598,6 +597,75 @@ fn recovery_falls_back_when_the_newest_checkpoint_is_torn() {
 }
 
 #[test]
+fn a_single_flipped_bit_in_the_newest_checkpoint_falls_back() {
+    const COMMITS: usize = 50;
+    let dir = fresh_dir("flipped-ckpt");
+    let cfg = DurabilityConfig::new(&dir)
+        .segment_bytes(100_000) // one segment: no compaction of history
+        .checkpoint_every(20)
+        .maintenance_interval_ms(0);
+    let (engine, _states) = recorded_run(cfg.clone(), COMMITS);
+    let live = engine.snapshot();
+    drop(engine);
+    let shard = shard0(&dir);
+    let (newest, skipped) = latest_valid_checkpoint(&shard).expect("scans");
+    let newest = newest.expect("a checkpoint").seq;
+    assert_eq!(skipped, 0);
+
+    // Every single-bit flip of the newest checkpoint is caught by its
+    // seal: the scan skips it, counts it, and falls back to the older
+    // checkpoint — never to a rotten database under the newest seq.
+    let ckpt_path = shard.join(format!("checkpoint-{newest:020}.ckpt"));
+    let clean = std::fs::read(&ckpt_path).expect("read ckpt");
+    for bit in 0..clean.len() * 8 {
+        let mut flipped = clean.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        std::fs::write(&ckpt_path, &flipped).expect("flip");
+        let (found, skipped) = latest_valid_checkpoint(&shard).expect("scans");
+        let found = found.expect("the older checkpoint survives");
+        assert!(found.seq < newest, "bit {bit}: fell back");
+        assert_eq!(skipped, 1, "bit {bit}: the flipped file is counted");
+    }
+
+    // Recovery over a flipped file reports the skip and still reaches
+    // the live state by replaying from the older checkpoint.
+    let mut flipped = clean.clone();
+    flipped[clean.len() / 2] ^= 0x10;
+    std::fs::write(&ckpt_path, &flipped).expect("flip");
+    let (recovered_engine, report) = recover(cfg).expect("falls back");
+    assert_eq!(recovered_engine.snapshot(), live);
+    assert!(report.checkpoint_seq < newest, "older checkpoint used");
+    assert_eq!(report.corrupt_checkpoints_skipped, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_single_flipped_bit_in_the_topology_manifest_refuses_recovery() {
+    let dir = fresh_dir("flipped-topology");
+    let cfg = DurabilityConfig::new(&dir)
+        .checkpoint_every(0)
+        .maintenance_interval_ms(0);
+    let (engine, _states) = recorded_run(cfg.clone(), 5);
+    drop(engine);
+    // A flipped shard id or split row would misroute keys, so every
+    // single-bit flip must refuse the directory rather than recover it.
+    let path = dir.join(esm_engine::shard::TOPOLOGY_FILE);
+    let clean = std::fs::read(&path).expect("read topology");
+    for bit in 0..clean.len() * 8 {
+        let mut flipped = clean.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        std::fs::write(&path, &flipped).expect("flip");
+        assert!(
+            matches!(recover(cfg.clone()), Err(EngineError::WalCorrupt(_))),
+            "bit {bit} must refuse recovery"
+        );
+    }
+    std::fs::write(&path, &clean).expect("restore");
+    recover(cfg).expect("the clean manifest recovers");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn a_missing_segment_is_corruption_not_silent_data_loss() {
     const COMMITS: usize = 40;
     let dir = fresh_dir("gap");
@@ -680,94 +748,5 @@ fn live_and_durable_views_of_state_agree() {
     assert_eq!(report.checkpoint_seq, 23);
     assert_eq!(report.records_replayed, 0, "checkpoint covers everything");
     assert_eq!(recovered_engine.snapshot(), states[23]);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn mixed_text_and_binary_segment_directories_recover_cleanly() {
-    const COMMITS: usize = 60;
-    let dir = fresh_dir("mixed-codec");
-    let cfg = DurabilityConfig::new(&dir)
-        .segment_bytes(700)
-        .checkpoint_every(0)
-        .maintenance_interval_ms(0);
-    let (engine, states) = recorded_run(cfg.clone(), COMMITS);
-    let live = engine.snapshot();
-    drop(engine);
-
-    // Rewrite the directory into the shape an upgraded deployment has:
-    // the older half of the segments in the legacy text framing, one
-    // segment that switches codec mid-file (the writer was restarted
-    // with the binary codec mid-segment), and the rest binary as
-    // written. Record content is rebuilt from the recorded states, so
-    // the stream stays seq-for-seq identical.
-    let segments = segment_bytes(&dir);
-    assert!(
-        segments.len() >= 4,
-        "need a multi-segment run, got {}",
-        segments.len()
-    );
-    let half = segments.len() / 2;
-    for (i, (first_seq, _)) in segments.iter().enumerate() {
-        let last_seq = segments
-            .get(i + 1)
-            .map_or(COMMITS as u64, |(next, _)| next - 1);
-        if i < half {
-            let mut text = String::new();
-            for seq in *first_seq..=last_seq {
-                for rec in rebuild_records(&states, seq) {
-                    text.push_str(&esm_engine::encode_framed(&rec));
-                }
-            }
-            std::fs::write(shard0(&dir).join(format!("wal-{first_seq:020}.seg")), text)
-                .expect("rewrite text segment");
-        } else if i == half {
-            let mid = (*first_seq + last_seq) / 2;
-            let mut bytes = Vec::new();
-            for seq in *first_seq..=last_seq {
-                for rec in rebuild_records(&states, seq) {
-                    if seq <= mid {
-                        bytes.extend_from_slice(esm_engine::encode_framed(&rec).as_bytes());
-                    } else {
-                        bytes.extend_from_slice(&esm_engine::encode_framed_binary(&rec));
-                    }
-                }
-            }
-            std::fs::write(shard0(&dir).join(format!("wal-{first_seq:020}.seg")), bytes)
-                .expect("rewrite mixed segment");
-        }
-    }
-
-    // The mixed directory recovers to exactly the live state.
-    let (recovered, report) = recover(cfg).expect("mixed recovery");
-    assert_eq!(recovered.snapshot(), live, "mixed codecs lose nothing");
-    assert_eq!(report.records_replayed as usize, COMMITS);
-    assert_eq!(report.last_seq as usize, COMMITS);
-    drop(recovered);
-
-    // And truncation at every byte of the mixed stream still recovers
-    // the longest durable prefix — text frames, binary frames, and the
-    // codec boundary are all torn through.
-    let mixed = segment_bytes(&dir);
-    let total: usize = mixed.iter().map(|(_, b)| b.len()).sum();
-    let mut recovered_db = states[0].clone();
-    let mut applied = 0usize;
-    for cut in 0..=total {
-        let scan = truncate_stream(&mixed, cut);
-        let (records, stale) = plan_recovery(0, &scan).expect("truncation never corrupts");
-        assert_eq!(stale, 0, "no stale records in a pristine mixed log");
-        assert!(
-            records.len() >= applied,
-            "longer prefix cannot lose records (cut {cut})"
-        );
-        apply_records(&mut recovered_db, &records[applied..]);
-        applied = records.len();
-        assert_eq!(
-            recovered_db, states[applied],
-            "cut at byte {cut}: recovered state must equal the live state \
-             after seq {applied}"
-        );
-    }
-    assert_eq!(applied, COMMITS, "the full mixed stream recovers all");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,10 +1,10 @@
 //! Property-based recovery laws: for arbitrary committed workloads, WAL
-//! replay over the baseline reconstructs the live engine state, and the
-//! WAL text codec round-trips.
+//! replay over the baseline reconstructs the live engine state, and WAL
+//! records round-trip through segment frames.
 
 use proptest::prelude::*;
 
-use esm_engine::{EngineServer, Wal, WalRecord};
+use esm_engine::{decode_segment_prefix, encode_framed_binary, EngineServer, Wal, WalRecord};
 use esm_store::{row, Database, Delta, Row, Schema, Table, Value, ValueType};
 
 fn baseline() -> Database {
@@ -82,9 +82,23 @@ fn wal(engine: &EngineServer) -> Wal {
     engine.shard_wals().swap_remove(0)
 }
 
-/// Characters chosen to stress the codec: everything the escaping has to
-/// handle (separators, escapes, the escape character itself), quoting,
-/// format metacharacters (`#`, `+`, `-`, `:`), and a multi-byte point.
+/// Frame every record of `wal` the way a durable segment does, then
+/// decode the stream back: it must decode whole, neither torn nor
+/// corrupt.
+fn through_segment(wal: &Wal) -> Wal {
+    let bytes: Vec<u8> = wal
+        .records()
+        .iter()
+        .flat_map(encode_framed_binary)
+        .collect();
+    let prefix = decode_segment_prefix(&bytes);
+    assert!(!prefix.torn && prefix.corrupt.is_none(), "{prefix:?}");
+    assert_eq!(prefix.consumed, bytes.len());
+    Wal::from_records(prefix.records)
+}
+
+/// Characters chosen to stress the codec: separators, backslashes,
+/// quoting, punctuation, and a multi-byte point.
 const NASTY: &[char] = &[
     'a', 'z', '"', '\'', '\\', '\t', '\n', '\r', ' ', ':', '#', '+', '-', 'λ',
 ];
@@ -124,9 +138,7 @@ proptest! {
             wal.push(WalRecord::delta(seq, table, Delta { inserted, deleted }))
                 .expect("strictly increasing by construction");
         }
-        let text = wal.encode();
-        let decoded = Wal::decode(&text).expect("round-trips");
-        prop_assert_eq!(decoded, wal);
+        prop_assert_eq!(through_segment(&wal), wal);
     }
 
     #[test]
@@ -137,8 +149,8 @@ proptest! {
         )
     ) {
         // Chained deltas, prepare/resolve markers with codec-hostile
-        // gtx ids, and plain records, interleaved arbitrarily: the text
-        // codec round-trips the full op grammar.
+        // gtx ids, and plain records, interleaved arbitrarily: the
+        // segment codec round-trips every record kind.
         let mut wal = Wal::new();
         let mut seq = 0u64;
         for (kind, name, rows, gap) in raw {
@@ -157,15 +169,14 @@ proptest! {
             };
             wal.push(rec).expect("strictly increasing by construction");
         }
-        let decoded = Wal::decode(&wal.encode()).expect("round-trips");
-        prop_assert_eq!(decoded, wal);
+        prop_assert_eq!(through_segment(&wal), wal);
     }
 }
 
 #[test]
 fn codec_handles_quotes_newlines_and_empty_deltas() {
     let mut wal = Wal::new();
-    // Escaped quotes and newlines inside strings, in table names too.
+    // Quotes and newlines inside strings, in table names too.
     wal.append(
         "quoted \" table\nwith newline",
         Delta {
@@ -186,12 +197,16 @@ fn codec_handles_quotes_newlines_and_empty_deltas() {
             deleted: vec![],
         },
     );
-    let text = wal.encode();
-    // Escaping keeps the line discipline: exactly one header or row per
-    // physical line, whatever the payload.
-    assert_eq!(text.lines().count(), 3 /* headers */ + 3 /* rows */);
-    let back = Wal::decode(&text).expect("decodes");
-    assert_eq!(back, wal);
+    // Strings are length-delimited, so they are framed raw: no
+    // escaping, whatever they contain.
+    let bytes: Vec<u8> = wal
+        .records()
+        .iter()
+        .flat_map(encode_framed_binary)
+        .collect();
+    let raw = b"line1\nline2\r\nline3";
+    assert!(bytes.windows(raw.len()).any(|w| w == raw));
+    assert_eq!(through_segment(&wal), wal);
 }
 
 proptest! {
@@ -204,11 +219,11 @@ proptest! {
     }
 
     #[test]
-    fn wal_text_codec_round_trips(ops in arb_ops(30), per_tx in 1usize..4) {
+    fn wal_segment_codec_round_trips(ops in arb_ops(30), per_tx in 1usize..4) {
         let engine = EngineServer::new(baseline());
         apply_ops(&engine, &ops, per_tx);
         let wal = wal(&engine);
-        let decoded = Wal::decode(&wal.encode()).expect("decodes");
+        let decoded = through_segment(&wal);
         prop_assert_eq!(&decoded, &wal);
         // Decoded logs recover the same state as live ones.
         prop_assert_eq!(

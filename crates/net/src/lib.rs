@@ -27,9 +27,10 @@
 //!
 //! * [`frame`] — length-prefixed, CRC32-checked frames; torn prefixes
 //!   wait, bit rot refuses (the WAL segments' discipline, on a socket).
-//! * [`proto`] — line-oriented request/response text for the full
-//!   `Engine` surface, reusing [`esm_store::codec`]'s escaping; view
-//!   definitions and predicates serialize structurally.
+//! * [`proto`] — binary requests and responses for the full `Engine`
+//!   surface, built on [`esm_store::codec`]; view definitions,
+//!   predicates, metrics, telemetry, traces and errors serialize
+//!   structurally, with one encoding each.
 //! * [`poll`] — the readiness source: raw `epoll` on Linux (the server
 //!   parks in the kernel and touches only ready connections), an
 //!   interruptible-sleep full-sweep fallback elsewhere, one API.
@@ -60,8 +61,7 @@
 //! buffered output crosses its high-water mark has its cursor frozen
 //! (nothing accumulates on its behalf), and on resume its subscription
 //! resyncs. A stalled subscriber never delays a commit or another
-//! subscriber's push. Rev-2 clients interoperate unchanged — the new
-//! verbs are additive, in both the binary and legacy text codecs.
+//! subscriber's push.
 //!
 //! Protocol rev 4 adds WAL-shipping replication on the same socket:
 //! `repl_manifest` / `repl_fetch` expose a durable engine's segment
@@ -70,7 +70,13 @@
 //! has never shared a disk with its primary. Replicas reject writes
 //! with a `not_primary` error carrying the primary's advertised
 //! address; [`RemoteEngine::follow_redirect`] turns that into a
-//! reconnect. Again additive: older peers never see the new frames.
+//! reconnect.
+//!
+//! Protocol rev 5 is binary only: every request and response, nested
+//! structures included, has exactly one encoding, and a payload that
+//! does not start with [`proto::BINARY_WIRE_MAGIC`] is refused with an
+//! error response. Decoders bound every count by the bytes that follow
+//! it, so no frame can make a peer allocate more than it sent.
 
 #![warn(missing_docs)]
 // Unsafe is confined to the raw epoll FFI in `poll` (no libc crate);

@@ -1,20 +1,24 @@
 //! Property-based wire-protocol laws, mirroring `wal_properties.rs`:
-//! for arbitrary codec-hostile payloads, `decode(encode(x)) == x`; for
-//! every torn byte prefix of a frame, the decoder reports *incomplete*
-//! (never an error, never a wrong message); and any in-frame bit flip
-//! is refused as corruption.
+//! for arbitrary codec-hostile payloads, `decode(encode(x)) == x` and
+//! every strict prefix of a payload is refused; for every torn byte
+//! prefix of a frame, the decoder reports *incomplete* (never an error,
+//! never a wrong message); and any in-frame bit flip is refused as
+//! corruption.
 
 use proptest::prelude::*;
 
+use esm_engine::{
+    EngineError, FileEntry, MetricsSnapshot, ReplManifest, ReplStats, ReplicaLag, ShardLoad,
+    ShardManifest, ShardStats, ViewStats, WalStats,
+};
 use esm_net::frame::{decode_frame, encode_frame};
-use esm_net::proto::{decode_predicate, encode_predicate};
 use esm_net::{Request, Response};
-use esm_obs::{SpanRecord, TraceId, TraceRecord, TraceReport};
+use esm_obs::{Phase, SpanRecord, Telemetry, TelemetrySnapshot, TraceId, TraceRecord, TraceReport};
 use esm_relational::ViewDef;
-use esm_store::{row, Delta, Operand, Predicate, Row, Schema, Table, Value, ValueType};
+use esm_store::{row, Delta, Operand, Predicate, Row, Schema, StoreError, Table, Value, ValueType};
 
-/// Characters chosen to stress the codec: separators, escapes, quoting,
-/// format metacharacters (`@`, `:`, `\t`), and multi-byte points.
+/// Characters chosen to stress the codec: separators, quoting,
+/// punctuation, and multi-byte points.
 const NASTY: &[char] = &[
     'a', 'z', '"', '\'', '\\', '\t', '\n', '\r', ' ', ':', '@', '#', '+', '-', 'λ', '🦀',
 ];
@@ -132,12 +136,189 @@ fn arb_trace() -> impl Strategy<Value = TraceRecord> {
         })
 }
 
+/// Every counter distinct, so a swapped field cannot round-trip.
+fn arb_metrics() -> impl Strategy<Value = MetricsSnapshot> {
+    (
+        proptest::collection::vec(arb_u64(), 32),
+        proptest::collection::vec((arb_u64(), arb_u64(), arb_u64(), arb_u64()), 0..4),
+        proptest::collection::vec((arb_u64(), arb_u64(), arb_u64()), 0..4),
+    )
+        .prop_map(|(counters, load, lag)| {
+            let mut counters = counters.into_iter();
+            let mut next = || counters.next().expect("32 counters");
+            MetricsSnapshot {
+                commits: next(),
+                conflicts: next(),
+                retries: next(),
+                view_reads: next(),
+                rows_written: next(),
+                wal_truncations: next(),
+                wal_records_truncated: next(),
+                wal: WalStats {
+                    appends: next(),
+                    syncs: next(),
+                    bytes_written: next(),
+                    rotations: next(),
+                    checkpoints: next(),
+                    segments_compacted: next(),
+                },
+                shard: ShardStats {
+                    single_shard_commits: next(),
+                    cross_shard_commits: next(),
+                    prepares: next(),
+                    recovery_commits: next(),
+                    recovery_aborts: next(),
+                    splits: next(),
+                    merges: next(),
+                    rows_migrated: next(),
+                    auto_splits: next(),
+                    auto_merges: next(),
+                    commit_rate_ewma_milli: next(),
+                    commit_rate_skew_milli: next(),
+                },
+                view: ViewStats {
+                    materialized_reads: next(),
+                    deltas_applied: next(),
+                    rebuilds: next(),
+                    shards_pruned: next(),
+                },
+                repl: ReplStats {
+                    ship_passes: next(),
+                    records_applied: next(),
+                    transactions_applied: next(),
+                    lag: lag
+                        .into_iter()
+                        .map(|(shard, primary_seq, applied_seq)| ReplicaLag {
+                            shard,
+                            primary_seq,
+                            applied_seq,
+                        })
+                        .collect(),
+                },
+                shard_load: load
+                    .into_iter()
+                    .map(|(shard, rows, commits, rate_ewma_milli)| ShardLoad {
+                        shard,
+                        rows,
+                        commits,
+                        rate_ewma_milli,
+                    })
+                    .collect(),
+            }
+        })
+}
+
+fn arb_phase() -> impl Strategy<Value = Phase> {
+    (0usize..Phase::ALL.len()).prop_map(|i| Phase::ALL[i])
+}
+
+/// Phase histograms, slow ops with their phase breakdowns, and gauges.
+fn arb_telemetry() -> impl Strategy<Value = TelemetrySnapshot> {
+    (
+        proptest::collection::vec((arb_phase(), arb_u64()), 0..12),
+        proptest::collection::vec(
+            (
+                nasty_string(),
+                arb_u64(),
+                proptest::collection::vec((arb_phase(), arb_u64()), 0..3),
+            ),
+            0..3,
+        ),
+        proptest::collection::vec((nasty_string(), arb_u64()), 0..3),
+    )
+        .prop_map(|(samples, slow, gauges)| {
+            let tel = Telemetry::new();
+            for (phase, ns) in samples {
+                tel.record(phase, ns);
+            }
+            for (op, total_ns, phases) in slow {
+                tel.record_slow(op, total_ns | 1 << 63, &phases);
+            }
+            let mut snapshot = tel.snapshot();
+            for (name, value) in gauges {
+                snapshot.set_gauge(&name, value);
+            }
+            snapshot
+        })
+}
+
+fn arb_manifest() -> impl Strategy<Value = ReplManifest> {
+    (
+        proptest::collection::vec(0u8..=255, 0..24),
+        nasty_string(),
+        proptest::collection::vec(
+            (
+                arb_u64(),
+                arb_u64(),
+                proptest::collection::vec((nasty_string(), arb_u64()), 0..3),
+            ),
+            0..3,
+        ),
+    )
+        .prop_map(|(topology, primary_addr, shards)| ReplManifest {
+            topology,
+            primary_addr,
+            shards: shards
+                .into_iter()
+                .map(|(id, last_seq, files)| ShardManifest {
+                    id,
+                    last_seq,
+                    files: files
+                        .into_iter()
+                        .map(|(name, len)| FileEntry { name, len })
+                        .collect(),
+                })
+                .collect(),
+        })
+}
+
+/// Every [`EngineError`] variant, with codec-hostile text.
+fn arb_error() -> impl Strategy<Value = EngineError> {
+    (
+        0u8..12,
+        nasty_string(),
+        nasty_string(),
+        arb_u64(),
+        arb_u64(),
+    )
+        .prop_map(|(kind, a, b, n, m)| match kind {
+            0 => EngineError::Store(StoreError::NoSuchColumn(a)),
+            1 => EngineError::Conflict {
+                table: a,
+                detail: b,
+            },
+            2 => EngineError::NoSuchView(a),
+            3 => EngineError::ViewExists(a),
+            4 => EngineError::NoSuchTable(a),
+            5 => EngineError::WalCorrupt(a),
+            6 => EngineError::DuplicateSeq { seq: n, last: m },
+            7 => EngineError::Io(a),
+            8 => EngineError::RetriesExhausted {
+                view: a,
+                attempts: n as u32,
+            },
+            9 => EngineError::ReservedTableName(a),
+            10 => EngineError::ShardTopology(a),
+            _ => EngineError::NotPrimary { primary: a },
+        })
+}
+
 proptest! {
     #[test]
-    fn predicates_round_trip(pred in arb_predicate()) {
-        let line = encode_predicate(&pred);
-        prop_assert!(!line.contains('\n'), "predicates stay on one line");
-        prop_assert_eq!(decode_predicate(&line).expect("round-trips"), pred);
+    fn predicates_round_trip(
+        pred in arb_predicate(),
+        name in nasty_string(),
+        col in nasty_string(),
+    ) {
+        // Predicates cross the wire inside view definitions: select
+        // stages carry them, between any other stages.
+        let def = ViewDef::base()
+            .select(pred.clone())
+            .rename(&[("s", col.as_str())])
+            .select(pred.not())
+            .project(&[col.as_str()], &[("id", Value::Int(7))]);
+        let req = Request::DefineView { name, table: col, def };
+        prop_assert_eq!(Request::decode(&req.encode()).expect("round-trips"), req);
     }
 
     #[test]
@@ -181,22 +362,43 @@ proptest! {
         deleted in arb_rows(),
         gtx in nasty_string(),
         stamp in 0u64..1_000_000_000,
-        kind in 0u8..6,
+        metrics in arb_metrics(),
+        telemetry in arb_telemetry(),
+        traces in arb_trace(),
+        manifest in arb_manifest(),
+        error in arb_error(),
+        kind in 0u8..11,
     ) {
         let resp = match kind {
             0 => Response::Names(names.clone()),
             1 => Response::Table(table.clone()),
             2 => Response::Delta(Delta { inserted, deleted }),
             3 => Response::Receipt { stamp, shards: vec![0, 2, 5], gtx: Some(gtx.clone()) },
-            4 => Response::Err(esm_engine::EngineError::Conflict {
-                table: gtx.clone(),
-                detail: names.join("\n"),
-            }),
+            4 => Response::Err(error),
+            5 => Response::Metrics(metrics),
+            6 => Response::Stats(telemetry),
+            7 => Response::Traces(TraceReport { recent: vec![traces.clone()], slow: vec![traces] }),
+            8 => Response::ReplManifest(manifest),
+            9 => Response::ReplChunk(gtx.into_bytes()),
             _ => Response::Seq(Some(stamp)),
         };
-        let framed = encode_frame(&resp.encode());
-        let (payload, _) = decode_frame(&framed).unwrap().expect("complete");
-        prop_assert_eq!(Response::decode(&payload).expect("round-trips"), resp);
+        // Store errors cross as their message, rebuilt as a BadQuery;
+        // everything else comes back exactly.
+        let want = match &resp {
+            Response::Err(EngineError::Store(e)) => {
+                Response::Err(EngineError::Store(StoreError::BadQuery(e.to_string())))
+            }
+            other => other.clone(),
+        };
+        let payload = resp.encode();
+        let framed = encode_frame(&payload);
+        let (unframed, _) = decode_frame(&framed).unwrap().expect("complete");
+        prop_assert_eq!(Response::decode(&unframed).expect("round-trips"), want);
+        // Every field is fixed-width or length-prefixed, so no strict
+        // prefix of a payload is a message.
+        for cut in 0..payload.len() {
+            prop_assert!(Response::decode(&payload[..cut]).is_err(), "cut at {}", cut);
+        }
     }
 
     #[test]
@@ -270,14 +472,14 @@ proptest! {
     }
 
     #[test]
-    fn subscribe_requests_round_trip_both_codecs(
+    fn subscribe_requests_round_trip(
         view in nasty_string(),
         cursor_val in arb_u64(),
         cursor_some in any::<bool>(),
         unsub in any::<bool>(),
     ) {
-        // Revision-3 verbs with codec-hostile view names and full-range
-        // cursors, through both the binary and the legacy text codec.
+        // Subscription verbs with codec-hostile view names and
+        // full-range cursors.
         let cursor = cursor_some.then_some(cursor_val);
         let req = if unsub {
             Request::Unsubscribe(view)
@@ -286,12 +488,11 @@ proptest! {
         };
         let framed = encode_frame(&req.encode());
         let (payload, _) = decode_frame(&framed).unwrap().expect("complete");
-        prop_assert_eq!(Request::decode(&payload).expect("binary round-trips"), req.clone());
-        prop_assert_eq!(Request::decode(&req.encode_text()).expect("text round-trips"), req);
+        prop_assert_eq!(Request::decode(&payload).expect("round-trips"), req);
     }
 
     #[test]
-    fn push_responses_round_trip_both_codecs(
+    fn push_responses_round_trip(
         view in nasty_string(),
         from_seq in arb_u64(),
         to_seq in arb_u64(),
@@ -315,8 +516,7 @@ proptest! {
         };
         let framed = encode_frame(&resp.encode());
         let (payload, _) = decode_frame(&framed).unwrap().expect("complete");
-        prop_assert_eq!(Response::decode(&payload).expect("binary round-trips"), resp.clone());
-        prop_assert_eq!(Response::decode(&resp.encode_text()).expect("text round-trips"), resp);
+        prop_assert_eq!(Response::decode(&payload).expect("round-trips"), resp);
     }
 
     #[test]

@@ -284,6 +284,30 @@ fn pipelined_requests_answer_in_order() {
 }
 
 #[test]
+fn a_malformed_frame_gets_an_error_and_the_server_keeps_serving() {
+    use esm_net::frame::{read_frame, write_frame};
+    use esm_net::{Request, Response};
+
+    let (server, addr) = serve(EngineServer::new(seed_db()).as_engine());
+    // 20 bytes in the shape of a text commit announcing 10^11 deltas.
+    // The payload lacks the wire magic, so it is refused outright —
+    // nothing is allocated from the count it announces.
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    write_frame(&mut stream, b"commit\t100000000000\n").unwrap();
+    let reply = Response::decode(&read_frame(&mut stream).unwrap()).unwrap();
+    assert!(
+        matches!(reply, Response::Err(EngineError::Io(_))),
+        "{reply:?}"
+    );
+    // The server still answers a normal request on a fresh connection.
+    let mut fresh = std::net::TcpStream::connect(addr).unwrap();
+    write_frame(&mut fresh, &Request::Ping.encode()).unwrap();
+    let reply = Response::decode(&read_frame(&mut fresh).unwrap()).unwrap();
+    assert_eq!(reply, Response::Unit);
+    server.shutdown();
+}
+
+#[test]
 fn malformed_commit_rows_error_without_killing_the_server() {
     use esm_net::{Request, Response};
     use esm_store::Delta;

@@ -3,7 +3,7 @@
 //! queue wait, handler, and — for a durable cross-shard commit — the
 //! full 2PC breakdown per participant), and a loopback `TRACE` fetch
 //! returns both trees correlated by that id. Also the negative space:
-//! sampled-out and legacy-text requests must allocate no spans at all.
+//! sampled-out and refused requests must allocate no spans at all.
 
 use std::path::PathBuf;
 
@@ -11,7 +11,7 @@ use esm_engine::testkit::seed_db;
 use esm_engine::{
     ArcEngine, DurabilityConfig, Engine, EngineServer, Session, ShardRouter, ShardedEngineServer,
 };
-use esm_net::{NetServer, NetServerConfig, RemoteEngine, Request, Response};
+use esm_net::{NetServer, NetServerConfig, RemoteEngine, Response};
 use esm_obs::{TelemetryConfig, TraceRecord};
 use esm_store::row;
 use esm_store::Database;
@@ -177,14 +177,17 @@ fn untraced_requests_allocate_no_spans() {
         session.read("all").expect("readable");
     }
 
-    // A legacy text-framed request never carries a trace context.
+    // A frame the server refuses (its payload lacks the wire magic)
+    // is answered with an error and allocates no spans either.
     {
-        use std::io::{Read as _, Write as _};
-        let mut stream = std::net::TcpStream::connect(addr).expect("text client connects");
-        let frame = esm_net::encode_frame(&Request::Ping.encode_text());
-        stream.write_all(&frame).expect("text frame written");
-        let mut header = [0u8; 8];
-        stream.read_exact(&mut header).expect("response header");
+        use esm_net::frame::{read_frame, write_frame};
+        let mut stream = std::net::TcpStream::connect(addr).expect("raw client connects");
+        write_frame(&mut stream, b"ping\n").expect("frame written");
+        let reply = read_frame(&mut stream).expect("response frame");
+        assert!(matches!(
+            Response::decode(&reply).expect("decodes"),
+            Response::Err(_)
+        ));
     }
 
     let report = remote.traces().expect("TRACE over the wire");

@@ -1,33 +1,38 @@
-//! A line-oriented, schema-free text codec for cells and rows, plus the
-//! length-prefixed binary twin the hot paths use.
+//! The length-prefixed binary codec every machine-read artifact shares:
+//! cells, rows, tables, deltas and whole databases.
 //!
-//! **Text**: one cell renders as `<tag>:<payload>` with tags `b`/`i`/`s`;
-//! cells of a row are tab-separated. Strings escape backslash, tab,
-//! newline and carriage return, so any row fits on one `\n`-terminated
-//! line and any line-based reader (the WAL segments, database snapshots)
-//! can split records without knowing the schema.
+//! A cell is one tag byte (`0` bool, `1` int, `2` string) followed by
+//! its payload — bools as one byte, ints as 8 little-endian bytes,
+//! strings as a `u32` length prefix plus raw UTF-8 (no escaping: the
+//! length delimits). On top of cells:
 //!
-//! **Binary**: a cell is one tag byte (`0` bool, `1` int, `2` string)
-//! followed by its payload — bools as one byte, ints as 8 little-endian
-//! bytes, strings as a `u32` length prefix plus raw UTF-8 (no escaping:
-//! the length delimits). A row is a `u32` cell count followed by its
-//! cells. Decoding is cursor-based ([`BinReader`]) and rejects malformed
-//! input with [`StoreError::Codec`] rather than panicking, exactly like
-//! the text decoders.
+//! ```text
+//! row      := count u32, cell*
+//! table    := ncols u32, (name str, type u8)*, nkey u32, key-name str*,
+//!             nrows u32, row*                       (rows in key order)
+//! delta    := ninserted u32, ndeleted u32, row*     (inserted, then deleted)
+//! database := ntables u32, (name str, table)*       (tables in name order)
+//! ```
 //!
-//! The same codecs back the engine's write-ahead-log segments, the
-//! checkpoint snapshots in [`crate::snapshot`], and the wire protocol:
-//! one discipline, shared edge cases. The binary form is what new WAL
-//! segments and wire frames carry; the text form remains decodable for
-//! recovery of segments written before the binary codec existed.
+//! Decoding is cursor-based ([`BinReader`]) and rejects malformed input
+//! with [`StoreError::Codec`] rather than panicking. Every item count is
+//! read through [`BinReader::count`], which refuses a count larger than
+//! the bytes left (each item takes at least one byte), so a corrupt
+//! count can never size an allocation or drive a long loop. Secondary
+//! indexes are derived data, not table value: they are not encoded, and
+//! callers rebuild them after decoding.
+//!
+//! The engine's write-ahead-log records and checkpoints and the wire
+//! protocol all build on these functions: one discipline, shared edge
+//! cases.
 
+use crate::database::Database;
+use crate::delta::Delta;
 use crate::error::StoreError;
 use crate::row::Row;
-use crate::value::Value;
-
-// ---------------------------------------------------------------------
-// Binary primitives.
-// ---------------------------------------------------------------------
+use crate::schema::{Column, Schema};
+use crate::table::Table;
+use crate::value::{Value, ValueType};
 
 const CELL_BOOL: u8 = 0;
 const CELL_INT: u8 = 1;
@@ -78,6 +83,53 @@ pub fn put_row(out: &mut Vec<u8>, row: &Row) {
     put_u32(out, row.len() as u32);
     for v in row {
         put_cell(out, v);
+    }
+}
+
+/// Append a column type as one byte (`0` bool, `1` int, `2` string).
+pub fn put_value_type(out: &mut Vec<u8>, ty: ValueType) {
+    out.push(match ty {
+        ValueType::Bool => 0,
+        ValueType::Int => 1,
+        ValueType::Str => 2,
+    });
+}
+
+/// Append a table: schema (typed columns, key columns), then its rows.
+pub fn put_table(out: &mut Vec<u8>, table: &Table) {
+    let cols = table.schema().columns();
+    put_u32(out, cols.len() as u32);
+    for c in cols {
+        put_str(out, &c.name);
+        put_value_type(out, c.ty);
+    }
+    let key = table.schema().key();
+    put_u32(out, key.len() as u32);
+    for k in key {
+        put_str(out, k);
+    }
+    put_u32(out, table.len() as u32);
+    for row in table.rows() {
+        put_row(out, row);
+    }
+}
+
+/// Append a delta: both counts, then the inserted and deleted rows.
+pub fn put_delta(out: &mut Vec<u8>, delta: &Delta) {
+    put_u32(out, delta.inserted.len() as u32);
+    put_u32(out, delta.deleted.len() as u32);
+    for row in delta.inserted.iter().chain(&delta.deleted) {
+        put_row(out, row);
+    }
+}
+
+/// Append a whole database, tables in name order.
+pub fn put_database(out: &mut Vec<u8>, db: &Database) {
+    let names = db.table_names();
+    put_u32(out, names.len() as u32);
+    for name in names {
+        put_str(out, name);
+        put_table(out, db.table(name).expect("name came from the database"));
     }
 }
 
@@ -140,6 +192,20 @@ impl<'a> BinReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
+    /// Read a `u32` item count. Every encoded item takes at least one
+    /// byte, so a count larger than the bytes left is corruption: it is
+    /// refused here, before it can size an allocation or drive a loop.
+    pub fn count(&mut self) -> Result<usize, StoreError> {
+        let n = self.u32()? as usize;
+        if n > self.remaining() {
+            return Err(StoreError::Codec(format!(
+                "binary payload announces {n} items, only {} bytes remain",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
     /// Read a `u32`-length-prefixed byte blob.
     pub fn bytes(&mut self) -> Result<Vec<u8>, StoreError> {
         let len = self.u32()? as usize;
@@ -172,95 +238,69 @@ impl<'a> BinReader<'a> {
 
     /// Read one binary row.
     pub fn row(&mut self) -> Result<Row, StoreError> {
-        let n = self.u32()? as usize;
-        // Each cell costs at least 2 bytes; an absurd count is corruption,
-        // not a reason to OOM on `with_capacity`.
-        if n > self.remaining() {
-            return Err(StoreError::Codec(format!(
-                "binary row announces {n} cells, only {} bytes remain",
-                self.remaining()
-            )));
-        }
+        let n = self.count()?;
         let mut row = Vec::with_capacity(n);
         for _ in 0..n {
             row.push(self.cell()?);
         }
         Ok(row)
     }
-}
 
-/// Escape a string so it fits inside one tab-separated, line-terminated
-/// field. `\r` must be escaped too: decoders split on [`str::lines`],
-/// which swallows a trailing `\r` as part of a `\r\n` terminator.
-pub fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('\t', "\\t")
-        .replace('\n', "\\n")
-        .replace('\r', "\\r")
-}
+    /// Read a column type byte.
+    pub fn value_type(&mut self) -> Result<ValueType, StoreError> {
+        Ok(match self.u8()? {
+            0 => ValueType::Bool,
+            1 => ValueType::Int,
+            2 => ValueType::Str,
+            t => return Err(StoreError::Codec(format!("unknown value-type tag {t}"))),
+        })
+    }
 
-/// Invert [`escape`]. Rejects dangling or unknown escape sequences.
-pub fn unescape(s: &str) -> Result<String, StoreError> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
+    /// Read a table written by [`put_table`]; rows are checked against
+    /// the schema as they are inserted.
+    pub fn table(&mut self) -> Result<Table, StoreError> {
+        let mut columns = Vec::new();
+        for _ in 0..self.count()? {
+            let name = self.str()?;
+            columns.push(Column::new(name, self.value_type()?));
         }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            other => {
-                return Err(StoreError::Codec(format!("bad escape \\{other:?} in {s}")));
-            }
+        let mut key = Vec::new();
+        for _ in 0..self.count()? {
+            key.push(self.str()?);
         }
+        let mut table = Table::new(Schema::new(columns, key)?);
+        for _ in 0..self.count()? {
+            table.insert(self.row()?)?;
+        }
+        Ok(table)
     }
-    Ok(out)
-}
 
-/// Render one cell as `<tag>:<payload>`.
-pub fn encode_cell(v: &Value) -> String {
-    match v {
-        Value::Bool(b) => format!("b:{b}"),
-        Value::Int(i) => format!("i:{i}"),
-        Value::Str(s) => format!("s:{}", escape(s)),
+    /// Read a delta written by [`put_delta`].
+    pub fn delta(&mut self) -> Result<Delta, StoreError> {
+        let inserted = self.count()?;
+        let deleted = self.count()?;
+        let mut delta = Delta::empty();
+        for _ in 0..inserted {
+            delta.inserted.push(self.row()?);
+        }
+        for _ in 0..deleted {
+            delta.deleted.push(self.row()?);
+        }
+        Ok(delta)
     }
-}
 
-/// Parse one `<tag>:<payload>` cell.
-pub fn decode_cell(cell: &str) -> Result<Value, StoreError> {
-    let (tag, payload) = cell
-        .split_once(':')
-        .ok_or_else(|| StoreError::Codec(format!("untyped cell: {cell}")))?;
-    match tag {
-        "b" => payload
-            .parse()
-            .map(Value::Bool)
-            .map_err(|_| StoreError::Codec(format!("bad bool: {cell}"))),
-        "i" => payload
-            .parse()
-            .map(Value::Int)
-            .map_err(|_| StoreError::Codec(format!("bad int: {cell}"))),
-        "s" => unescape(payload).map(Value::Str),
-        _ => Err(StoreError::Codec(format!("unknown tag: {cell}"))),
+    /// Read a database written by [`put_database`]. A repeated table
+    /// name is corruption, not an overwrite.
+    pub fn database(&mut self) -> Result<Database, StoreError> {
+        let mut db = Database::new();
+        for _ in 0..self.count()? {
+            let name = self.str()?;
+            let table = self.table()?;
+            db.create_table(name, table)
+                .map_err(|e| StoreError::Codec(format!("binary database: {e}")))?;
+        }
+        Ok(db)
     }
-}
-
-/// Render a row as tab-separated encoded cells (empty string for the
-/// empty row).
-pub fn encode_row(row: &Row) -> String {
-    row.iter().map(encode_cell).collect::<Vec<_>>().join("\t")
-}
-
-/// Parse a tab-separated row line produced by [`encode_row`].
-pub fn decode_row(body: &str) -> Result<Row, StoreError> {
-    if body.is_empty() {
-        return Ok(Vec::new());
-    }
-    body.split('\t').map(decode_cell).collect()
 }
 
 #[cfg(test)]
@@ -268,54 +308,55 @@ mod tests {
     use super::*;
     use crate::row;
 
+    fn decode_all<'a, T>(
+        bytes: &'a [u8],
+        read: impl FnOnce(&mut BinReader<'a>) -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
+        let mut r = BinReader::new(bytes);
+        let value = read(&mut r)?;
+        r.end()?;
+        Ok(value)
+    }
+
+    fn sample() -> Database {
+        let schema = Schema::build(
+            &[
+                ("id", ValueType::Int),
+                ("name", ValueType::Str),
+                ("ok", ValueType::Bool),
+            ],
+            &["id"],
+        )
+        .unwrap();
+        let t = Table::from_rows(
+            schema,
+            vec![
+                row![1, "ada", true],
+                row![2, "tab\there\nand newline", false],
+            ],
+        )
+        .unwrap();
+        let unkeyed = Table::from_rows(
+            Schema::build(&[("x", ValueType::Int)], &[]).unwrap(),
+            vec![row![7], row![8]],
+        )
+        .unwrap();
+        let mut db = Database::new();
+        db.create_table("people", t).unwrap();
+        db.create_table("odd\tname", unkeyed).unwrap();
+        db.create_table("empty", Table::new(Schema::build(&[], &[]).unwrap()))
+            .unwrap();
+        db
+    }
+
+    fn encode_database(db: &Database) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_database(&mut out, db);
+        out
+    }
+
     #[test]
     fn cells_round_trip() {
-        for v in [
-            Value::Bool(true),
-            Value::Bool(false),
-            Value::Int(-42),
-            Value::Int(i64::MAX),
-            Value::str(""),
-            Value::str("plain"),
-            Value::str("tab\t nl\n cr\r bs\\ quote\" done"),
-        ] {
-            assert_eq!(decode_cell(&encode_cell(&v)).unwrap(), v);
-        }
-    }
-
-    #[test]
-    fn rows_round_trip_including_empty() {
-        let r = row![1, "a\tb", true];
-        assert_eq!(decode_row(&encode_row(&r)).unwrap(), r);
-        assert_eq!(decode_row("").unwrap(), Vec::<Value>::new());
-    }
-
-    #[test]
-    fn escaped_text_never_contains_separators() {
-        let s = escape("a\tb\nc\rd\\e");
-        assert!(!s.contains('\t') && !s.contains('\n') && !s.contains('\r'));
-        assert_eq!(unescape(&s).unwrap(), "a\tb\nc\rd\\e");
-    }
-
-    #[test]
-    fn malformed_cells_are_rejected() {
-        for bad in [
-            "untagged",
-            "z:9",
-            "i:notanint",
-            "b:maybe",
-            "s:bad\\escape\\q",
-        ] {
-            assert!(
-                matches!(decode_cell(bad), Err(StoreError::Codec(_))),
-                "{bad} should not decode"
-            );
-        }
-        assert!(unescape("dangling\\").is_err());
-    }
-
-    #[test]
-    fn binary_cells_and_rows_round_trip() {
         for v in [
             Value::Bool(true),
             Value::Bool(false),
@@ -324,20 +365,63 @@ mod tests {
             Value::Int(i64::MAX),
             Value::str(""),
             Value::str("plain"),
-            Value::str("tab\t nl\n cr\r bs\\ nul\0 done"),
+            Value::str("tab\t nl\n cr\r bs\\ nul\0 λ done"),
         ] {
             let mut buf = Vec::new();
             put_cell(&mut buf, &v);
-            let mut r = BinReader::new(&buf);
-            assert_eq!(r.cell().unwrap(), v);
-            r.end().unwrap();
+            assert_eq!(decode_all(&buf, BinReader::cell).unwrap(), v);
         }
+    }
+
+    #[test]
+    fn rows_round_trip_including_empty() {
         for row in [row![], row![1, "a\tb", true, ""]] {
             let mut buf = Vec::new();
             put_row(&mut buf, &row);
-            let mut r = BinReader::new(&buf);
-            assert_eq!(r.row().unwrap(), row);
-            r.end().unwrap();
+            assert_eq!(decode_all(&buf, BinReader::row).unwrap(), row);
+        }
+    }
+
+    #[test]
+    fn binary_cells_and_rows_round_trip() {
+        // Cells and rows are self-delimiting: written back to back into one
+        // buffer, they read back in order with nothing left over.
+        let cells = [
+            Value::Bool(true),
+            Value::Int(i64::MIN),
+            Value::str(""),
+            Value::str("tab\t nl\n cr\r bs\\ nul\0 done"),
+        ];
+        let rows = [row![], row![1, "a\tb", true, ""], row![]];
+        let mut buf = Vec::new();
+        for v in &cells {
+            put_cell(&mut buf, v);
+        }
+        for row in &rows {
+            put_row(&mut buf, row);
+        }
+        let mut r = BinReader::new(&buf);
+        for v in &cells {
+            assert_eq!(&r.cell().unwrap(), v);
+        }
+        for row in &rows {
+            assert_eq!(&r.row().unwrap(), row);
+        }
+        r.end().unwrap();
+    }
+
+    #[test]
+    fn malformed_cells_are_rejected() {
+        for bad in [
+            &[99][..],                     // unknown cell tag
+            &[CELL_BOOL, 2],               // bool byte out of range
+            &[CELL_INT, 1, 2, 3],          // truncated int
+            &[CELL_STR, 1, 0, 0, 0, 0xff], // non-UTF-8 string
+        ] {
+            assert!(
+                matches!(decode_all(bad, BinReader::cell), Err(StoreError::Codec(_))),
+                "{bad:?} should not decode"
+            );
         }
     }
 
@@ -347,10 +431,12 @@ mod tests {
         put_u32(&mut buf, u32::MAX);
         put_u64(&mut buf, 0x0123_4567_89ab_cdef);
         put_str(&mut buf, "héllo");
+        put_bytes(&mut buf, &[0, 0xff]);
         let mut r = BinReader::new(&buf);
         assert_eq!(r.u32().unwrap(), u32::MAX);
         assert_eq!(r.u64().unwrap(), 0x0123_4567_89ab_cdef);
         assert_eq!(r.str().unwrap(), "héllo");
+        assert_eq!(r.bytes().unwrap(), vec![0, 0xff]);
         r.end().unwrap();
     }
 
@@ -360,25 +446,106 @@ mod tests {
         let mut buf = Vec::new();
         put_row(&mut buf, &row![7, "seven", false]);
         for cut in 0..buf.len() {
-            let mut r = BinReader::new(&buf[..cut]);
-            let decoded = r.row().and_then(|row| r.end().map(|()| row));
-            assert!(decoded.is_err(), "truncation at {cut} should not decode");
+            assert!(
+                decode_all(&buf[..cut], BinReader::row).is_err(),
+                "truncation at {cut} should not decode"
+            );
         }
-        // Bad tags and bad payloads.
-        for bad in [
-            vec![1, 0, 0, 0, 99],                  // unknown cell tag
-            vec![1, 0, 0, 0, 0, 2],                // bool byte out of range
-            vec![1, 0, 0, 0, 2, 1, 0, 0, 0, 0xff], // non-UTF-8 string
-            vec![0xff, 0xff, 0xff, 0xff],          // absurd cell count
-        ] {
-            let mut r = BinReader::new(&bad);
-            assert!(r.row().is_err(), "{bad:?} should not decode");
-        }
+        // An absurd cell count is refused before anything is allocated.
+        assert!(decode_all(&[0xff, 0xff, 0xff, 0xff], BinReader::row).is_err());
         // Trailing garbage is an error too.
         let mut buf = Vec::new();
         put_row(&mut buf, &row![1]);
         buf.push(0);
-        let mut r = BinReader::new(&buf);
-        assert!(r.row().and_then(|row| r.end().map(|()| row)).is_err());
+        assert!(decode_all(&buf, BinReader::row).is_err());
+    }
+
+    #[test]
+    fn deltas_round_trip() {
+        let delta = Delta {
+            inserted: vec![row![1, "x"], row![]],
+            deleted: vec![row![2, "y\n"]],
+        };
+        let mut buf = Vec::new();
+        put_delta(&mut buf, &delta);
+        assert_eq!(decode_all(&buf, BinReader::delta).unwrap(), delta);
+    }
+
+    #[test]
+    fn database_round_trips() {
+        let db = sample();
+        assert_eq!(
+            decode_all(&encode_database(&db), BinReader::database).unwrap(),
+            db
+        );
+    }
+
+    #[test]
+    fn empty_database_round_trips() {
+        let db = Database::new();
+        assert_eq!(
+            decode_all(&encode_database(&db), BinReader::database).unwrap(),
+            db
+        );
+    }
+
+    #[test]
+    fn truncated_databases_are_rejected() {
+        let bytes = encode_database(&sample());
+        for cut in 0..bytes.len() {
+            assert!(
+                decode_all(&bytes[..cut], BinReader::database).is_err(),
+                "truncation at {cut} should not decode"
+            );
+        }
+        // A table name repeated is corruption, not an overwrite.
+        let mut twice = Vec::new();
+        put_u32(&mut twice, 2);
+        for _ in 0..2 {
+            put_str(&mut twice, "t");
+            put_table(&mut twice, sample().table("people").unwrap());
+        }
+        assert!(decode_all(&twice, BinReader::database).is_err());
+    }
+
+    #[test]
+    fn indexes_are_not_serialized() {
+        let mut db = sample();
+        db.table_mut("people")
+            .unwrap()
+            .create_index("name")
+            .unwrap();
+        let back = decode_all(&encode_database(&db), BinReader::database).unwrap();
+        assert!(back.table("people").unwrap().indexed_columns().is_empty());
+        assert_eq!(back, db); // equality ignores indexes
+    }
+
+    #[test]
+    fn absurd_counts_are_refused_without_allocating() {
+        // Each case stops right before a count field and announces
+        // u32::MAX items with nothing behind them.
+        type Read = fn(&mut BinReader<'_>) -> Result<(), StoreError>;
+        let row: Read = |r| r.row().map(drop);
+        let table: Read = |r| r.table().map(drop);
+        let delta: Read = |r| r.delta().map(drop);
+        let database: Read = |r| r.database().map(drop);
+        let (zero, one) = (0u32.to_le_bytes(), 1u32.to_le_bytes());
+        for (prefix, read) in [
+            (vec![], row),
+            (vec![], table),                     // columns
+            (zero.to_vec(), table),              // key columns
+            ([zero, zero].concat(), table),      // rows
+            ([zero, zero, one].concat(), table), // the first row's cells
+            (vec![], delta),                     // inserted rows
+            (zero.to_vec(), delta),              // deleted rows
+            (vec![], database),                  // tables
+        ] {
+            let mut bytes = prefix;
+            put_u32(&mut bytes, u32::MAX);
+            assert!(
+                read(&mut BinReader::new(&bytes)).is_err(),
+                "{bytes:?} must not decode"
+            );
+        }
     }
 }

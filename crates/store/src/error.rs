@@ -35,8 +35,8 @@ pub enum StoreError {
     SchemaMismatch(String),
     /// A predicate or query was ill-typed for the schema it ran against.
     BadQuery(String),
-    /// Serialized text (a snapshot or a row/cell encoding) failed to
-    /// parse.
+    /// Encoded bytes (a binary cell, row, table, delta or database)
+    /// failed to decode.
     Codec(String),
 }
 

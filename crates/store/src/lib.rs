@@ -31,7 +31,6 @@ pub mod predicate;
 pub mod query;
 pub mod row;
 pub mod schema;
-pub mod snapshot;
 pub mod table;
 pub mod value;
 
@@ -44,6 +43,5 @@ pub use predicate::{Cmp, Operand, Predicate};
 pub use query::Query;
 pub use row::Row;
 pub use schema::{Column, Schema};
-pub use snapshot::{decode_database, encode_database};
 pub use table::Table;
 pub use value::{Value, ValueType};
