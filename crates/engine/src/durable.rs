@@ -503,7 +503,7 @@ impl DurableWal {
 
         let mut db = ckpt.db;
         for (table, delta) in &resolved.applied {
-            apply_in_place(&mut db, table, delta)?;
+            delta.apply_in_place(db.table_mut(table)?)?;
         }
         let report = RecoveryReport {
             checkpoint_seq: ckpt.seq,
@@ -614,7 +614,7 @@ impl DurableWal {
                 self.pending.push((table.clone(), delta.clone()));
                 if !chained {
                     for (table, delta) in std::mem::take(&mut self.pending) {
-                        apply_in_place(&mut self.shadow, &table, &delta)?;
+                        delta.apply_in_place(self.shadow.table_mut(&table)?)?;
                     }
                 }
             }
@@ -632,7 +632,7 @@ impl DurableWal {
                 if let Some(group) = self.in_doubt.remove(gtx) {
                     if *committed {
                         for (table, delta) in group {
-                            apply_in_place(&mut self.shadow, &table, &delta)?;
+                            delta.apply_in_place(self.shadow.table_mut(&table)?)?;
                         }
                     }
                 }
@@ -1057,20 +1057,6 @@ fn open_segment(
     file.set_sync_delay(sync_delay);
     sync_dir(dir)?;
     Ok(SegmentWriter::new(file, first_seq))
-}
-
-/// Apply one delta to a database without cloning the table (the shadow
-/// is touched on every applied record; `Delta::apply`'s copy-on-write
-/// would make that O(table) per commit).
-fn apply_in_place(db: &mut Database, table: &str, delta: &Delta) -> Result<(), EngineError> {
-    let table = db.table_mut(table)?;
-    for row in &delta.deleted {
-        table.delete(row);
-    }
-    for row in &delta.inserted {
-        table.upsert(row.clone())?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -194,6 +194,20 @@
 //! commit skips the snapshot: it validates the client's pre-images
 //! against the live piece under the shard lock.
 //!
+//! A transaction's snapshot and working copy are not deep copies.
+//! Tables keep their rows and indexes in copy-on-write chunks
+//! ([`esm_store::CowMap`]), so a snapshot or the body's working copy
+//! costs O(tables) pointer copies, a write copies the chunk pointers of
+//! its map and the one chunk it touches, and the diff skips every chunk
+//! the two copies still share: a one-row transaction costs
+//! O(chunks + delta), not O(rows). The same holds for a view edit's
+//! base and `put` result, a `read_view` window, a checkpoint capture and
+//! each replayed WAL record, which applies in place. The price moves to
+//! the writer: while any reader holds a snapshot, the next write to a
+//! chunk it shares copies that chunk (at most 256 entries). A
+//! transaction releases its own snapshot before its commit applies, so
+//! it never pays that copy on its own account.
+//!
 //! ### WAL format ([`wal`])
 //!
 //! An append-only sequence of `(seq, table, delta)` records, one per
@@ -387,7 +401,9 @@
 //! maintains incrementally. Registering a view whose select predicate
 //! constrains base columns auto-indexes those columns, so view reads seek
 //! instead of scanning; lens `put` paths that clone the base keep its
-//! indexes warm.
+//! indexes warm, and share their chunks rather than copying them. A
+//! write that leaves an indexed column's value alone touches no chunk
+//! of that index.
 //!
 //! ### Concurrency
 //!

@@ -597,8 +597,7 @@ fn build_settled(mirror: &Path) -> Result<(Database, BTreeMap<u64, ShardStream>)
         let (records, _stale) = plan_recovery(ckpt_seq, &segments)?;
         let resolved = resolve_transactions(&records)?;
         for (table, delta) in &resolved.applied {
-            let next = delta.apply(piece.table(table)?)?;
-            piece.replace_table(table.clone(), next);
+            delta.apply_in_place(piece.table_mut(table)?)?;
         }
         let pending: Vec<(String, Delta)> = match resolved.tail_first_seq {
             Some(first) => records

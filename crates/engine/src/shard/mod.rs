@@ -1169,7 +1169,8 @@ impl ShardedEngineServer {
             let topo = self.topology();
             let participant_set: Option<BTreeSet<usize>> =
                 keys.map(|keys| keys.iter().map(|k| topo.router.shard_of(k)).collect());
-            let (snapshot, snap_seqs) = self.snapshot_with_seqs(&topo, participant_set.as_ref())?;
+            let (mut snapshot, snap_seqs) =
+                self.snapshot_with_seqs(&topo, participant_set.as_ref())?;
             let mut working = snapshot.clone();
             body(&mut working)?;
             let mut deltas = BTreeMap::new();
@@ -1179,6 +1180,8 @@ impl ShardedEngineServer {
                     deltas.insert(name.to_string(), delta);
                 }
             }
+            drop(working);
+            release_rows(&mut snapshot);
             match self.commit_deltas(&topo, &snapshot, &snap_seqs, &deltas, failpoint) {
                 Ok(receipt) => return Ok(receipt),
                 Err(EngineError::Conflict { .. }) if attempts + 1 < max_attempts => {
@@ -1757,7 +1760,7 @@ impl ShardedEngineServer {
                 } else {
                     None
                 };
-                let (snapshot, snap_seqs) =
+                let (mut snapshot, snap_seqs) =
                     self.snapshot_with_seqs(&topo, participants.as_ref())?;
                 let base = snapshot.table(&reg.table)?;
                 let new_base = reg.put(name, base, view.clone())?;
@@ -1765,6 +1768,8 @@ impl ShardedEngineServer {
                 if delta.is_empty() {
                     return Ok(delta);
                 }
+                drop(new_base);
+                release_rows(&mut snapshot);
                 let deltas = BTreeMap::from([(reg.table.clone(), delta.clone())]);
                 match self.commit_deltas(&topo, &snapshot, &snap_seqs, &deltas, FailPoint::None) {
                     Ok(_) => return Ok(delta),
@@ -1807,7 +1812,7 @@ impl ShardedEngineServer {
                 } else {
                     None
                 };
-                let (snapshot, snap_seqs) =
+                let (mut snapshot, snap_seqs) =
                     self.snapshot_with_seqs(&topo, participants.as_ref())?;
                 let base = snapshot.table(&reg.table)?;
                 let mut view = reg.lens.get(base);
@@ -1817,6 +1822,8 @@ impl ShardedEngineServer {
                 if delta.is_empty() {
                     return Ok(delta);
                 }
+                drop(new_base);
+                release_rows(&mut snapshot);
                 let deltas = BTreeMap::from([(reg.table.clone(), delta.clone())]);
                 match self.commit_deltas(&topo, &snapshot, &snap_seqs, &deltas, FailPoint::None) {
                     Ok(_) => return Ok(delta),
@@ -1872,6 +1879,23 @@ fn shard_run(topo: &Topology, bounds: &(Bound<Value>, Bound<Value>)) -> Vec<usiz
     match topo.router.shards_in_value_range(&bounds.0, &bounds.1) {
         Some((a, b)) => (a..=b).collect(),
         None => Vec::new(),
+    }
+}
+
+/// Empty every table of a snapshot an attempt has finished reading,
+/// keeping the schemas its commit routes keys with. The live pieces'
+/// chunks then lose this holder, so the commit's in-place apply copies
+/// no chunk on the attempt's account.
+fn release_rows(snapshot: &mut Database) {
+    let names: Vec<String> = snapshot
+        .table_names()
+        .into_iter()
+        .map(String::from)
+        .collect();
+    for name in names {
+        (snapshot.table_mut(&name))
+            .expect("the name came from the snapshot")
+            .clear();
     }
 }
 

@@ -377,7 +377,7 @@ impl Wal {
                     pending.push((table, delta));
                     if !chained {
                         for (table, delta) in pending.drain(..) {
-                            apply_delta(&mut db, table, delta)?;
+                            delta.apply_in_place(db.table_mut(table)?)?;
                         }
                     }
                 }
@@ -397,7 +397,7 @@ impl Wal {
                     if let Some(group) = prepared.remove(gtx.as_str()) {
                         if *committed {
                             for (table, delta) in group {
-                                apply_delta(&mut db, table, delta)?;
+                                delta.apply_in_place(db.table_mut(table)?)?;
                             }
                         }
                     }
@@ -467,13 +467,6 @@ pub(crate) fn committed_table_deltas<'a>(
     } else {
         None
     }
-}
-
-/// Apply one delta to a database in place (replay's unit of work).
-fn apply_delta(db: &mut Database, table: &str, delta: &Delta) -> Result<(), EngineError> {
-    let next = delta.apply(db.table(table)?)?;
-    db.replace_table(table.to_string(), next);
-    Ok(())
 }
 
 #[cfg(test)]

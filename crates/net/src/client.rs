@@ -24,7 +24,7 @@
 //!   `Delta::between` emits) are validated row-for-row server-side
 //!   inside the host engine's own atomic `transact`.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
@@ -369,6 +369,33 @@ impl Engine for RemoteEngine {
             table: String::new(),
             detail: format!("remote transaction still conflicted after {max_attempts} attempts"),
         })
+    }
+
+    /// One `Commit` request carrying the deltas: the server validates
+    /// each row's pre-image against its live state, so nothing is
+    /// downloaded first. A stale pre-image comes back as
+    /// [`EngineError::Conflict`].
+    fn commit_checked(&self, deltas: &[(String, Delta)]) -> Result<CommitReceipt, EngineError> {
+        let deltas: Vec<(String, Delta)> = deltas
+            .iter()
+            .filter(|(_, d)| !d.is_empty())
+            .cloned()
+            .collect();
+        let mut delta_map: BTreeMap<String, Delta> = BTreeMap::new();
+        for (name, delta) in &deltas {
+            let entry = delta_map.entry(name.clone()).or_default();
+            entry.inserted.extend(delta.inserted.iter().cloned());
+            entry.deleted.extend(delta.deleted.iter().cloned());
+        }
+        match self.call(&Request::Commit { deltas })? {
+            Response::Receipt { stamp, shards, gtx } => Ok(CommitReceipt {
+                stamp,
+                shards,
+                deltas: delta_map,
+                gtx,
+            }),
+            other => Err(unexpected(other)),
+        }
     }
 
     fn metrics(&self) -> Result<MetricsSnapshot, EngineError> {

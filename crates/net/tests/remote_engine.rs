@@ -13,7 +13,7 @@ use esm_engine::{
 };
 use esm_net::{NetServer, NetServerConfig, RemoteEngine};
 use esm_relational::ViewDef;
-use esm_store::{row, Operand, Predicate, Schema, Table, ValueType};
+use esm_store::{row, Delta, Operand, Predicate, Schema, Table, ValueType};
 
 fn serve(engine: ArcEngine) -> (NetServer, std::net::SocketAddr) {
     let server =
@@ -240,6 +240,54 @@ fn remote_transactions_validate_against_pre_images() {
     assert!(r2.stamp > r1.stamp, "stamps order the commits");
     let base = a.table("t").unwrap();
     assert_eq!(base.get_by_key(&row![0]), Some(&row![0, "g0", 2]));
+    server.shutdown();
+}
+
+/// A remote `commit_checked` is one `Commit` request: it sends the
+/// deltas and downloads nothing, however large the table. A pre-image
+/// that went stale meanwhile comes back as a conflict.
+#[test]
+fn remote_commit_checked_is_one_request_at_16k_rows() {
+    const ROWS: i64 = 16_384;
+    let schema = Schema::build(&[("id", ValueType::Int), ("val", ValueType::Int)], &["id"])
+        .expect("valid schema");
+    let mut db = esm_store::Database::new();
+    db.create_table(
+        "kv",
+        Table::from_rows(schema, (0..ROWS).map(|i| row![i, i])).expect("valid rows"),
+    )
+    .expect("fresh");
+    let (server, addr) = serve(EngineServer::new(db).as_engine());
+    let remote = connect(addr);
+    let update = |id: i64, from: i64, to: i64| {
+        vec![(
+            "kv".to_string(),
+            Delta {
+                inserted: vec![row![id, to]],
+                deleted: vec![row![id, from]],
+            },
+        )]
+    };
+
+    let before = server.stats().requests;
+    let receipt = remote.commit_checked(&update(7, 7, -7)).expect("commits");
+    assert_eq!(
+        server.stats().requests - before,
+        1,
+        "one Commit request, no snapshot download"
+    );
+    assert_eq!(receipt.deltas["kv"], update(7, 7, -7)[0].1);
+    assert_eq!(receipt.shards, vec![0]);
+
+    // The same pre-image again: row 7 now holds -7, so it is stale.
+    let stale = remote.commit_checked(&update(7, 7, 70));
+    assert!(
+        matches!(stale, Err(EngineError::Conflict { .. })),
+        "stale pre-image must conflict, got {stale:?}"
+    );
+    let base = remote.table("kv").expect("readable");
+    assert_eq!(base.get_by_key(&row![7]), Some(&row![7, -7]));
+    assert_eq!(base.len() as i64, ROWS);
     server.shutdown();
 }
 

@@ -1,7 +1,9 @@
 //! The select lens: `σ_P` as a bidirectional view.
 
+use std::collections::BTreeSet;
+
 use esm_lens::Lens;
-use esm_store::{Predicate, StoreError, Table};
+use esm_store::{Predicate, Row, StoreError, Table};
 
 /// The select lens for predicate `p`:
 ///
@@ -32,12 +34,33 @@ pub fn select_lens(p: Predicate) -> Lens<Table, Table> {
                 .select(&p)
                 .expect("select lens predicate must fit the schema");
             let mut out = s;
+            // Touch only what differs: a visible row whose key no view row
+            // takes is deleted, and a view row is upserted only when it
+            // is not already there. Same table as deleting every visible
+            // row and upserting every view row, but unchanged rows keep
+            // sharing their chunks with the source.
+            let same_keys = v.schema().key_indices() == out.schema().key_indices();
+            let taken: BTreeSet<Row> = if same_keys {
+                BTreeSet::new()
+            } else {
+                v.rows().map(|row| out.key_of(row)).collect()
+            };
             for row in visible.rows() {
-                out.delete(row);
+                let key = out.key_of(row);
+                let kept = if same_keys {
+                    v.get_by_key(&key).is_some()
+                } else {
+                    taken.contains(&key)
+                };
+                if !kept {
+                    out.delete(row);
+                }
             }
             for row in v.rows() {
-                out.upsert(row.clone())
-                    .expect("view rows must fit the source schema");
+                if !out.contains(row) {
+                    out.upsert(row.clone())
+                        .expect("view rows must fit the source schema");
+                }
             }
             out
         },

@@ -1,7 +1,7 @@
 //! Row-level deltas: the difference between two table states, applicable
 //! and invertible. Used to report what a bx update actually changed.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::error::StoreError;
 use crate::row::{project_row, Row};
@@ -35,11 +35,12 @@ impl Delta {
     /// Compute the delta taking `old` to `new`. Schemas must match.
     ///
     /// When the tables also agree on their declared key, this is a single
-    /// ordered merge over the two key-sorted row maps: O(n + m)
-    /// comparisons with no intermediate clones, instead of a per-row
-    /// rescan of the other table. Tables with equal columns but different
-    /// key declarations sort their rows differently, so they fall back to
-    /// the per-row containment scan (same result, pre-merge cost).
+    /// ordered merge over the two key-sorted row maps that skips the
+    /// chunks they share ([`crate::cow_map::CowMap::unshared`]): a table
+    /// and an edited clone of it diff in O(chunks + the chunks the edit
+    /// copied). Tables with equal columns but different key declarations
+    /// sort their rows differently, so they fall back to the per-row
+    /// containment scan (same result, O(n + m) lookups).
     pub fn between(old: &Table, new: &Table) -> Result<Delta, StoreError> {
         if !old.schema().same_columns(new.schema()) {
             return Err(StoreError::SchemaMismatch(
@@ -53,8 +54,8 @@ impl Delta {
         }
         let mut inserted = Vec::new();
         let mut deleted = Vec::new();
-        let mut olds = old.entries().peekable();
-        let mut news = new.entries().peekable();
+        let (olds, news) = old.row_map().unshared(new.row_map());
+        let (mut olds, mut news) = (olds.peekable(), news.peekable());
         loop {
             match (olds.peek(), news.peek()) {
                 (Some((ok, orow)), Some((nk, nrow))) => match ok.cmp(nk) {
@@ -96,12 +97,26 @@ impl Delta {
         Ok(out)
     }
 
-    /// Apply to a table in place — the maintenance path for materialized
-    /// views, which own their window and must not pay a whole-table clone
-    /// per applied delta.
+    /// Apply to a table in place — the path for replay, commits and
+    /// materialized views, which own their table and must not pay even a
+    /// chunk copy for rows the delta leaves alone. A deleted row whose
+    /// key an inserted row takes is not deleted first: the upsert
+    /// replaces it, so an update leaves the indexes on columns it kept
+    /// untouched. Same result as deleting every row, then upserting.
     pub fn apply_in_place(&self, table: &mut Table) -> Result<(), StoreError> {
+        let arity = table.schema().arity();
+        let replaced: BTreeSet<Row> = if self.deleted.is_empty() {
+            BTreeSet::new()
+        } else {
+            (self.inserted.iter())
+                .filter(|row| row.len() == arity)
+                .map(|row| table.key_of(row))
+                .collect()
+        };
         for row in &self.deleted {
-            table.delete(row);
+            if !replaced.contains(&table.key_of(row)) {
+                table.delete(row);
+            }
         }
         for row in &self.inserted {
             table.upsert(row.clone())?;

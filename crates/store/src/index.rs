@@ -1,9 +1,12 @@
 //! Secondary B-tree indexes on non-key columns.
 //!
-//! A [`ColumnIndex`] maps each distinct value of one column to the set of
-//! primary keys of the rows holding that value, kept in a `BTreeMap` so
-//! both point lookups (`=`) and ordered range probes (`<`, `<=`, `>`,
-//! `>=`) are O(log n) seeks instead of full scans.
+//! A [`ColumnIndex`] is one ordered set of `(value, primary key)` pairs
+//! for one column, held in a [`CowMap`]: the pairs of one value form one
+//! contiguous run, so both point lookups (`=`) and ordered range probes
+//! (`<`, `<=`, `>`, `>=`) are O(log n) seeks instead of full scans.
+//! Cloning an index shares its chunks, and one row's change touches the
+//! one or two chunks holding its pairs, however many rows share its
+//! value.
 //!
 //! Indexes live *inside* [`Table`](crate::Table) (see
 //! [`Table::create_index`](crate::Table::create_index)) and are maintained
@@ -18,22 +21,58 @@
 //! predicate is still evaluated on each candidate row, so an index only
 //! ever *narrows* a scan — it can never change a query's meaning.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
+use crate::cow_map::CowMap;
 use crate::row::Row;
 use crate::value::Value;
 
-/// A secondary index: one column's values mapped to the primary keys of
-/// the rows holding them.
+/// A secondary index: the `(value, primary key)` pairs of one column.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ColumnIndex {
     column: String,
     col_idx: usize,
-    map: BTreeMap<Value, BTreeSet<Row>>,
-    /// Total keys indexed (sum of all bucket sizes), maintained
-    /// incrementally so selectivity estimates never rescan the map.
-    entries: usize,
+    entries: CowMap<IndexKey, ()>,
+}
+
+/// One index entry. Entries order by value, then by primary key.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct IndexKey {
+    value: Value,
+    row_id: RowId,
+}
+
+/// A primary key, or a bound sorting before or after every key of a
+/// value: the two ends of a value's run, which probes seek to. Only
+/// keys are ever stored.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum RowId {
+    Before,
+    Key(Row),
+    After,
+}
+
+impl IndexKey {
+    fn entry(key: &Row, row: &Row, col_idx: usize) -> IndexKey {
+        IndexKey {
+            value: row[col_idx].clone(),
+            row_id: RowId::Key(key.clone()),
+        }
+    }
+
+    fn bound(value: &Value, row_id: RowId) -> IndexKey {
+        IndexKey {
+            value: value.clone(),
+            row_id,
+        }
+    }
+
+    fn key(&self) -> Option<&Row> {
+        match &self.row_id {
+            RowId::Key(key) => Some(key),
+            RowId::Before | RowId::After => None,
+        }
+    }
 }
 
 impl ColumnIndex {
@@ -42,8 +81,27 @@ impl ColumnIndex {
         ColumnIndex {
             column: column.into(),
             col_idx,
-            map: BTreeMap::new(),
-            entries: 0,
+            entries: CowMap::new(),
+        }
+    }
+
+    /// An index over column number `col_idx` named `column`, holding
+    /// the given `(primary key, row)` entries. Sorts the pairs first, so
+    /// they load in order into packed chunks.
+    pub(crate) fn build<'a>(
+        column: impl Into<String>,
+        col_idx: usize,
+        rows: impl IntoIterator<Item = (&'a Row, &'a Row)>,
+    ) -> ColumnIndex {
+        let mut keys: Vec<IndexKey> = rows
+            .into_iter()
+            .map(|(key, row)| IndexKey::entry(key, row, col_idx))
+            .collect();
+        keys.sort_unstable();
+        ColumnIndex {
+            column: column.into(),
+            col_idx,
+            entries: keys.into_iter().map(|k| (k, ())).collect(),
         }
     }
 
@@ -57,72 +115,49 @@ impl ColumnIndex {
         self.col_idx
     }
 
-    /// Number of distinct values currently indexed.
+    /// Number of distinct values currently indexed (a walk over every
+    /// entry).
     pub fn distinct_values(&self) -> usize {
-        self.map.len()
+        let mut last: Option<&Value> = None;
+        (self.entries.keys())
+            .filter(|k| last.replace(&k.value) != Some(&k.value))
+            .count()
     }
 
     /// Total number of keys indexed (rows of the owning table).
     pub fn entry_count(&self) -> usize {
-        self.entries
+        self.entries.len()
     }
 
     /// Record `row` (stored under primary key `key`).
     pub fn add(&mut self, key: &Row, row: &Row) {
-        if self
-            .map
-            .entry(row[self.col_idx].clone())
-            .or_default()
-            .insert(key.clone())
-        {
-            self.entries += 1;
-        }
+        self.entries
+            .insert(IndexKey::entry(key, row, self.col_idx), ());
     }
 
     /// Forget `row` (stored under primary key `key`).
     pub fn remove(&mut self, key: &Row, row: &Row) {
-        if let Some(keys) = self.map.get_mut(&row[self.col_idx]) {
-            if keys.remove(key) {
-                self.entries -= 1;
-            }
-            if keys.is_empty() {
-                self.map.remove(&row[self.col_idx]);
-            }
-        }
+        self.entries
+            .remove(&IndexKey::entry(key, row, self.col_idx));
     }
 
     /// Drop all entries.
     pub fn clear(&mut self) {
-        self.map.clear();
-        self.entries = 0;
+        self.entries.clear();
     }
 
-    /// Estimate how many keys `probe` would touch. Equality probes read
-    /// their bucket size exactly (one map lookup); range probes count
-    /// bucket sizes across the range, stopping early once the running
-    /// total reaches `cap` — a candidate already worse than the best
-    /// alternative needs no exact count. The cost-based planner
-    /// ([`crate::Predicate::index_probe_with`]) feeds each candidate's
-    /// estimate back in as the next one's cap.
+    /// Estimate how many keys `probe` would touch: its entries counted
+    /// in order, stopping once the count reaches `cap` — a candidate
+    /// already worse than the best alternative needs no exact count. The
+    /// cost-based planner ([`crate::Predicate::index_probe_with`]) feeds
+    /// each candidate's estimate back in as the next one's cap.
     pub fn estimate(&self, probe: &IndexProbe, cap: usize) -> usize {
-        match &probe.kind {
-            ProbeKind::Eq(v) => self.map.get(v).map_or(0, BTreeSet::len),
-            ProbeKind::Range { lo, hi } => {
-                let mut n = 0;
-                for (_, keys) in self.map.range::<Value, _>((as_bound(lo), as_bound(hi))) {
-                    n += keys.len();
-                    if n >= cap {
-                        break;
-                    }
-                }
-                n
-            }
-        }
+        self.keys_for(probe).take(cap).count()
     }
 
     /// Primary keys of rows whose indexed column equals `v`.
     pub fn keys_eq<'a>(&'a self, v: &Value) -> impl Iterator<Item = &'a Row> {
-        self.map.get(v).into_iter().flatten()
+        self.keys_range(Bound::Included(v), Bound::Included(v))
     }
 
     /// Primary keys of rows whose indexed column lies in the given bounds,
@@ -132,9 +167,17 @@ impl ColumnIndex {
         lo: Bound<&Value>,
         hi: Bound<&Value>,
     ) -> impl Iterator<Item = &'a Row> {
-        self.map
-            .range::<Value, _>((lo, hi))
-            .flat_map(|(_, keys)| keys)
+        let lo = match lo {
+            Bound::Included(v) => Bound::Included(IndexKey::bound(v, RowId::Before)),
+            Bound::Excluded(v) => Bound::Excluded(IndexKey::bound(v, RowId::After)),
+            Bound::Unbounded => Bound::Unbounded,
+        };
+        let hi = match hi {
+            Bound::Included(v) => Bound::Included(IndexKey::bound(v, RowId::After)),
+            Bound::Excluded(v) => Bound::Excluded(IndexKey::bound(v, RowId::Before)),
+            Bound::Unbounded => Bound::Unbounded,
+        };
+        self.entries.range((lo, hi)).filter_map(|(k, ())| k.key())
     }
 
     /// Primary keys served by `probe`.

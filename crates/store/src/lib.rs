@@ -13,8 +13,10 @@
 //! monads.
 //!
 //! Design notes:
-//! - Tables are **sets** of rows ordered by key (BTreeMap keyed on the key
-//!   columns), so iteration is deterministic and diffing is cheap.
+//! - Tables are **sets** of rows ordered by key (a copy-on-write
+//!   [`CowMap`] keyed on the key columns), so iteration is deterministic,
+//!   a clone shares its chunks with the original, and diffing a table
+//!   against an edited clone skips the chunks they still share.
 //! - Every mutation validates arity, column types and key uniqueness,
 //!   returning [`StoreError`] rather than corrupting the table.
 
@@ -22,6 +24,7 @@
 #![forbid(unsafe_code)]
 
 pub mod codec;
+pub mod cow_map;
 pub mod csv;
 pub mod database;
 pub mod delta;
@@ -34,6 +37,7 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
+pub use cow_map::CowMap;
 pub use csv::{from_csv, to_csv};
 pub use database::Database;
 pub use delta::Delta;

@@ -143,7 +143,10 @@ impl Predicate {
     /// `indexed` columns. `Or`/`Not` sub-trees are never descended into —
     /// a probe must be implied by the whole predicate — and the caller
     /// still evaluates the full predicate on every candidate row, so a
-    /// probe only narrows the scan.
+    /// probe only narrows the scan. Range leaves on one column come back
+    /// as one probe over the tightest bounds they imply together
+    /// ([`Predicate::value_bounds`]), so `id >= a and id < b` seeks
+    /// `[a, b)` instead of a half-open range.
     pub fn index_probes(&self, indexed: &[&str]) -> Vec<crate::index::IndexProbe> {
         fn walk(p: &Predicate, indexed: &[&str], out: &mut Vec<crate::index::IndexProbe>) {
             match p {
@@ -154,8 +157,17 @@ impl Predicate {
                 leaf => out.extend(leaf_probe(leaf, indexed)),
             }
         }
-        let mut out = Vec::new();
-        walk(self, indexed, &mut out);
+        let mut leaves = Vec::new();
+        walk(self, indexed, &mut leaves);
+        let mut out: Vec<crate::index::IndexProbe> = Vec::with_capacity(leaves.len());
+        for probe in leaves {
+            if probe.is_eq() {
+                out.push(probe);
+            } else if !out.iter().any(|p| !p.is_eq() && p.column == probe.column) {
+                let (lo, hi) = self.value_bounds(&probe.column);
+                out.push(crate::index::IndexProbe::range(probe.column, lo, hi));
+            }
+        }
         out
     }
 

@@ -1,8 +1,16 @@
 //! Tables: schema-validated sets of rows with key-based indexing and the
 //! relational algebra.
+//!
+//! A table's rows and its secondary indexes sit in copy-on-write
+//! [`CowMap`]s, so a clone shares every chunk with the original: cloning
+//! copies a pointer per map, and the first write to either copy
+//! duplicates that map's chunk pointers and the one chunk it touches
+//! (see [`crate::cow_map`]). Snapshots, transaction working copies and
+//! lens `put` inputs are such clones.
 
 use std::collections::BTreeMap;
 
+use crate::cow_map::CowMap;
 use crate::error::StoreError;
 use crate::index::ColumnIndex;
 use crate::predicate::Predicate;
@@ -13,10 +21,11 @@ use crate::value::Value;
 /// A relational table: a [`Schema`] plus a set of rows indexed by their
 /// key values.
 ///
-/// Rows are stored in a `BTreeMap` keyed by the key-column values (the
+/// Rows are stored in a [`CowMap`] keyed by the key-column values (the
 /// whole row when the schema has no declared key), giving set semantics,
-/// deterministic iteration order, O(log n) point operations and cheap
-/// ordered diffs.
+/// deterministic iteration order, O(log n) point operations, clones
+/// that share every chunk, and ordered diffs that skip the chunks two
+/// copies share.
 ///
 /// A table may additionally carry secondary [`ColumnIndex`]es (see
 /// [`Table::create_index`]); they are maintained by every mutation and
@@ -26,7 +35,7 @@ use crate::value::Value;
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
-    rows: BTreeMap<Row, Row>,
+    rows: CowMap<Row, Row>,
     indexes: Vec<ColumnIndex>,
 }
 
@@ -43,7 +52,7 @@ impl Table {
     pub fn new(schema: Schema) -> Table {
         Table {
             schema,
-            rows: BTreeMap::new(),
+            rows: CowMap::new(),
             indexes: Vec::new(),
         }
     }
@@ -129,23 +138,31 @@ impl Table {
     }
 
     /// Insert or replace by key, returning the replaced row if any.
+    /// Upserting an identical row writes nothing, and an index whose
+    /// column kept its value is not touched.
     pub fn upsert(&mut self, row: Row) -> Result<Option<Row>, StoreError> {
         self.schema.check_row(&row)?;
         let key = self.key_of(&row);
-        let replaced = self.rows.insert(key.clone(), row);
-        if !self.indexes.is_empty() {
-            let row = &self.rows[&key];
-            for idx in &mut self.indexes {
-                if let Some(old) = &replaced {
+        let old = self.rows.get(&key);
+        if old == Some(&row) {
+            return Ok(Some(row));
+        }
+        for idx in &mut self.indexes {
+            let c = idx.col_idx();
+            match old {
+                Some(old) if old[c] == row[c] => {}
+                Some(old) => {
                     idx.remove(&key, old);
+                    idx.add(&key, &row);
                 }
-                idx.add(&key, row);
+                None => idx.add(&key, &row),
             }
         }
-        Ok(replaced)
+        Ok(self.rows.insert(key, row))
     }
 
-    /// Delete an identical row; returns whether it was present.
+    /// Delete an identical row; returns whether it was present. Deleting
+    /// an absent row writes nothing.
     pub fn delete(&mut self, row: &Row) -> bool {
         let key = self.key_of(row);
         if self.rows.get(&key) == Some(row) {
@@ -190,10 +207,7 @@ impl Table {
         if self.indexes.iter().any(|i| i.column() == column) {
             return Ok(());
         }
-        let mut idx = ColumnIndex::new(column, col_idx);
-        for (key, row) in &self.rows {
-            idx.add(key, row);
-        }
+        let idx = ColumnIndex::build(column, col_idx, self.rows.iter());
         self.indexes.push(idx);
         Ok(())
     }
@@ -236,12 +250,12 @@ impl Table {
 
     /// Split off the upper key range: rows with key `>= at` move into the
     /// returned table (same schema, secondary indexes rebuilt on both
-    /// sides); rows with key `< at` stay. O(log n) for the tree split
+    /// sides); rows with key `< at` stay. O(chunks) for the row split
     /// plus O(moved) index maintenance.
     pub fn split_off_key(&mut self, at: &Row) -> Table {
         let moved = self.rows.split_off(at);
         for idx in &mut self.indexes {
-            for (key, row) in &moved {
+            for (key, row) in moved.iter() {
                 idx.remove(key, row);
             }
         }
@@ -261,7 +275,12 @@ impl Table {
     /// of bounds). A rebalancer picks split points with this: `key_at(len
     /// / 2)` is the median key.
     pub fn key_at(&self, idx: usize) -> Option<Row> {
-        self.rows.keys().nth(idx).cloned()
+        self.rows.key_at(idx).cloned()
+    }
+
+    /// The row map, for diffs that skip the chunks two tables share.
+    pub(crate) fn row_map(&self) -> &CowMap<Row, Row> {
+        &self.rows
     }
 
     // ------------------------------------------------------------------

@@ -1,0 +1,198 @@
+//! Differential properties of the copy-on-write storage: `CowMap` against
+//! `std::collections::BTreeMap`, chunk-skipping diffs against diffs of
+//! deep rebuilds, and index probes against predicate scans.
+
+use std::collections::BTreeMap;
+use std::ops::{Bound, RangeBounds};
+
+use proptest::prelude::*;
+
+use esm_store::{
+    CowMap, Delta, IndexProbe, Operand, Predicate, Row, Schema, Table, Value, ValueType,
+};
+
+/// Long enough, over a small enough key space, that chunks of 256 split
+/// and fold many times per case.
+fn arb_ops() -> impl Strategy<Value = Vec<(u8, i64, i64)>> {
+    proptest::collection::vec((0u8..8, 0i64..1_500, 0i64..1_000), 0..3_000)
+}
+
+fn bound(kind: i64, k: i64) -> Bound<i64> {
+    match kind % 3 {
+        0 => Bound::Included(k),
+        1 => Bound::Excluded(k),
+        _ => Bound::Unbounded,
+    }
+}
+
+fn schema() -> Schema {
+    Schema::build(
+        &[
+            ("id", ValueType::Int),
+            ("grp", ValueType::Int),
+            ("score", ValueType::Int),
+        ],
+        &["id"],
+    )
+    .expect("valid")
+}
+
+/// A table of `n` rows with indexes on `grp` and `score`.
+fn indexed_table(n: i64) -> Table {
+    let rows = (0..n).map(|i| vec![Value::Int(i), Value::Int(i % 5), Value::Int(i * 3 % 97)]);
+    let mut t = Table::from_rows(schema(), rows).expect("distinct keys");
+    t.create_index("grp").expect("column exists");
+    t.create_index("score").expect("column exists");
+    t
+}
+
+/// A deep copy: the same rows rebuilt into a fresh table, sharing
+/// nothing and carrying no index.
+fn rebuild(t: &Table) -> Table {
+    Table::from_rows(t.schema().clone(), t.rows().cloned()).expect("rows fit")
+}
+
+/// Apply one generated edit to `t`.
+fn edit(t: &mut Table, kind: u8, id: i64, v: i64) {
+    match kind % 4 {
+        0 | 1 => {
+            t.upsert(vec![Value::Int(id), Value::Int(v % 5), Value::Int(v % 97)])
+                .expect("row fits");
+        }
+        2 => {
+            t.delete_by_key(&vec![Value::Int(id)]);
+        }
+        _ => {
+            // Re-upsert the row as it is: a no-op write.
+            if let Some(row) = t.get_by_key(&vec![Value::Int(id)]).cloned() {
+                t.upsert(row).expect("row fits");
+            }
+        }
+    }
+}
+
+/// A generated probe on `grp` or `score`, with the value range it
+/// selects (equality is `[v, v]`).
+fn probe_of(kind: u8, a: i64, b: i64) -> (IndexProbe, (Bound<Value>, Bound<Value>)) {
+    let (col, range) = match kind % 4 {
+        0 => ("grp", (Bound::Included(a % 5), Bound::Included(a % 5))),
+        1 => ("score", (Bound::Included(a % 97), Bound::Included(a % 97))),
+        2 => ("grp", (bound(a, a % 6), bound(b, b % 6))),
+        _ => ("score", (bound(a, a % 100), bound(b, b % 100))),
+    };
+    let range = (range.0.map(Value::Int), range.1.map(Value::Int));
+    let probe = match (kind % 4, &range.0) {
+        (0 | 1, Bound::Included(v)) => IndexProbe::eq(col, v.clone()),
+        _ => IndexProbe::range(col, range.0.clone(), range.1.clone()),
+    };
+    (probe, range)
+}
+
+/// Every probe serves exactly the keys a scan of the rows finds.
+fn assert_probes_match_scans(t: &Table, probes: &[(u8, i64, i64)]) {
+    for &(kind, a, b) in probes {
+        let (probe, range) = probe_of(kind, a, b);
+        let idx = t.index(&probe.column).expect("indexed");
+        let mut served: Vec<Row> = idx.keys_for(&probe).cloned().collect();
+        served.sort();
+        let col = t.schema().index_of(&probe.column).expect("column exists");
+        let scanned: Vec<Row> = t
+            .rows()
+            .filter(|r| range.contains(&r[col]))
+            .map(|r| t.key_of(r))
+            .collect();
+        assert_eq!(served, scanned, "probe {probe:?}");
+        assert_eq!(idx.entry_count(), t.len());
+    }
+}
+
+proptest! {
+    #[test]
+    fn cow_map_matches_btree_map_and_clones_stay_put(ops in arb_ops()) {
+        let mut map: CowMap<i64, i64> = CowMap::new();
+        let mut model: BTreeMap<i64, i64> = BTreeMap::new();
+        let mut clones: Vec<(CowMap<i64, i64>, BTreeMap<i64, i64>)> = Vec::new();
+        for (step, &(kind, k, v)) in ops.iter().enumerate() {
+            match kind {
+                0..=2 => prop_assert_eq!(map.insert(k, v), model.insert(k, v)),
+                3 | 4 => prop_assert_eq!(map.remove(&k), model.remove(&k)),
+                5 => {
+                    // Bounds may cross: such a range selects nothing.
+                    let range = (bound(v, k), bound(v / 3, k + v - 300));
+                    let got: Vec<_> = map.range(range).collect();
+                    let want: Vec<_> = model.iter().filter(|(key, _)| range.contains(*key)).collect();
+                    prop_assert_eq!(got, want);
+                }
+                6 => {
+                    if step % 7 == 0 {
+                        // Keep the lower half, and check the upper one.
+                        let upper = map.split_off(&k);
+                        let model_upper = model.split_off(&k);
+                        prop_assert!(upper.iter().eq(model_upper.iter()));
+                        prop_assert_eq!(upper.len(), model_upper.len());
+                    }
+                }
+                _ => clones.push((map.clone(), model.clone())),
+            }
+            prop_assert_eq!(map.len(), model.len());
+            prop_assert_eq!(map.get(&k), model.get(&k));
+        }
+        prop_assert!(map.iter().eq(model.iter()));
+        let mid = model.len() / 2;
+        prop_assert_eq!(map.key_at(mid), model.keys().nth(mid));
+        for (clone, expected) in &clones {
+            prop_assert!(clone.iter().eq(expected.iter()));
+            prop_assert_eq!(clone.len(), expected.len());
+        }
+        let rebuilt: CowMap<i64, i64> = model.into_iter().collect();
+        prop_assert_eq!(&map, &rebuilt);
+    }
+
+    #[test]
+    fn shared_chunk_diffs_equal_deep_rebuild_diffs(
+        n in 0i64..1_200,
+        edits in proptest::collection::vec((0u8..4, 0i64..1_300, 0i64..1_000), 0..60),
+    ) {
+        let base = indexed_table(n);
+        let before: Vec<Row> = base.to_rows();
+        let mut edited = base.clone();
+        for &(kind, id, v) in &edits {
+            edit(&mut edited, kind, id, v);
+        }
+        let shared = Delta::between(&base, &edited).expect("same schema");
+        let deep = Delta::between(&rebuild(&base), &rebuild(&edited)).expect("same schema");
+        prop_assert_eq!(&shared, &deep);
+        prop_assert_eq!(shared.apply(&base).expect("applies"), edited.clone());
+        prop_assert_eq!(base.to_rows(), before, "editing the clone left the original alone");
+        prop_assert_eq!(base == edited, deep.is_empty());
+    }
+
+    #[test]
+    fn index_probes_match_predicate_scans(
+        n in 0i64..1_200,
+        edits in proptest::collection::vec((0u8..4, 0i64..1_300, 0i64..1_000), 0..60),
+        probes in proptest::collection::vec((0u8..4, 0i64..120, 0i64..120), 1..8),
+        at in 0i64..1_300,
+    ) {
+        let base = indexed_table(n);
+        let mut t = base.clone();
+        for &(kind, id, v) in &edits {
+            edit(&mut t, kind, id, v);
+        }
+        assert_probes_match_scans(&t, &probes);
+        assert_probes_match_scans(&base, &probes);
+        let upper = t.split_off_key(&vec![Value::Int(at)]);
+        assert_probes_match_scans(&t, &probes);
+        assert_probes_match_scans(&upper, &probes);
+        // The planner's indexed select agrees with a scan of a rebuild.
+        for &(kind, a, b) in &probes {
+            let pred = Predicate::ge(Operand::col("score"), Operand::val(a % 100))
+                .and(Predicate::lt(Operand::col("score"), Operand::val(b % 100)))
+                .and(Predicate::ne(Operand::col("grp"), Operand::val(i64::from(kind))));
+            prop_assert_eq!(
+                upper.select(&pred).expect("valid"),
+                rebuild(&upper).select(&pred).expect("valid")
+            );
+        }
+    }
+}
