@@ -1,16 +1,39 @@
 //! Recovery perf trajectory: replay-from-genesis vs checkpointed
-//! recovery over the same committed history. Emits `BENCH_recovery.json`
-//! so successive PRs can watch the replay shortcut stay a shortcut.
+//! recovery over the same committed history, and how many copies of its
+//! data an engine keeps resident. Emits `BENCH_recovery.json` so
+//! successive PRs can watch the replay shortcut stay a shortcut and the
+//! engine stay at one copy.
+//!
+//! The copies gates: a `(id, band, val, tag)` table of 200,000 rows
+//! takes one upsert per 128 keys, in two passes, then `run_maintenance`.
+//! The metric is the process's resident-set growth (`VmRSS`) over that
+//! whole run divided by the growth from building the table alone. Each
+//! engine runs in its own child process, because the allocator keeps
+//! freed memory resident. An in-memory engine must stay within 1.3
+//! copies, and a durable one (maintenance thread off) within 1.6.
 //!
 //! Usage: `cargo run --release -p esm-bench --bin bench_recovery [dir]`
 
+use std::path::Path;
+use std::process::Command;
+
 use esm_bench::results::BenchResults;
 use esm_bench::{fmt_ns, median_ns_per_call};
-use esm_engine::{DurabilityConfig, RecoveryReport, ShardRouter, ShardedEngineServer};
+use esm_engine::{
+    DurabilityConfig, EngineServer, RecoveryReport, ShardRouter, ShardedEngineServer,
+};
 use esm_relational::ViewDef;
 use esm_store::{row, Database, Schema, Table, ValueType};
 
 const COMMITS: usize = 400;
+/// Rows of the copies probe's table.
+const COPIES_ROWS: i64 = 200_000;
+/// Keys between two writes of one probe pass (two per 256-row chunk).
+const COPIES_STRIDE: usize = 128;
+/// The flag that runs this binary as one probe child.
+const PROBE_FLAG: &str = "--copies-probe";
+const IN_MEMORY_MAX_COPIES: f64 = 1.3;
+const DURABLE_MAX_COPIES: f64 = 1.6;
 
 fn baseline() -> Database {
     let schema = Schema::build(
@@ -68,8 +91,88 @@ fn measure(cfg: &DurabilityConfig) -> (f64, RecoveryReport, Database) {
     (median, report.shards.swap_remove(0), snapshot)
 }
 
+/// This process's resident set in KiB (`VmRSS`).
+fn rss_kib() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("VmRSS in /proc/self/status")
+}
+
+/// The copies probe, run as a child process: resident copies of one
+/// database an engine of `kind` (`in_memory` or `durable`, the latter
+/// logging into `dir`) holds after the probe workload.
+fn copies_probe(kind: &str, dir: &Path) -> f64 {
+    let schema = Schema::build(
+        &[
+            ("id", ValueType::Int),
+            ("band", ValueType::Int),
+            ("val", ValueType::Int),
+            ("tag", ValueType::Str),
+        ],
+        &["id"],
+    )
+    .expect("valid schema");
+    let before = rss_kib();
+    let rows = (0..COPIES_ROWS).map(|i| row![i, i % 16, i, format!("tag{i}")]);
+    let mut db = Database::new();
+    db.create_table("kv", Table::from_rows(schema, rows).expect("valid rows"))
+        .expect("fresh");
+    let one_copy = rss_kib().saturating_sub(before).max(1);
+    let engine = match kind {
+        "in_memory" => EngineServer::new(db),
+        "durable" => ShardedEngineServer::with_durability(
+            db,
+            ShardRouter::single(),
+            DurabilityConfig::new(dir).maintenance_interval_ms(0),
+        )
+        .expect("durable engine"),
+        other => panic!("unknown probe engine {other}"),
+    };
+    for pass in 0..2i64 {
+        for key in (0..COPIES_ROWS).step_by(COPIES_STRIDE) {
+            engine
+                .transact_keys(&[row![key]], 1, |db| {
+                    db.table_mut("kv")?.upsert(row![
+                        key,
+                        key % 16,
+                        -1 - pass,
+                        format!("pass{pass}")
+                    ])?;
+                    Ok(())
+                })
+                .expect("commits");
+        }
+    }
+    engine.run_maintenance().expect("maintenance runs");
+    rss_kib().saturating_sub(before) as f64 / one_copy as f64
+}
+
+/// Run [`copies_probe`] for `kind` in a fresh child process.
+fn copies_in_child(kind: &str, dir: &Path) -> f64 {
+    let out = Command::new(std::env::current_exe().expect("own path"))
+        .args([PROBE_FLAG, kind])
+        .arg(dir)
+        .output()
+        .expect("probe child runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{kind} probe failed: {stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    stdout.trim().parse().expect("the probe prints one ratio")
+}
+
 fn main() {
-    let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_string());
+    let args: Vec<String> = std::env::args().collect();
+    if args.get(1).map(String::as_str) == Some(PROBE_FLAG) {
+        println!("{}", copies_probe(&args[2], Path::new(&args[3])));
+        return;
+    }
+    let out_dir = args.get(1).cloned().unwrap_or_else(|| ".".to_string());
     let scratch = std::env::temp_dir().join(format!("esm-bench-recovery-{}", std::process::id()));
     let mut results = BenchResults::new();
     let mut replayed = Vec::new();
@@ -109,6 +212,33 @@ fn main() {
         replayed[1],
         replayed[0]
     );
+
+    let mut copies = Vec::new();
+    for (kind, gate) in [
+        ("in_memory", IN_MEMORY_MAX_COPIES),
+        ("durable", DURABLE_MAX_COPIES),
+    ] {
+        let dir = scratch.join(format!("copies-{kind}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ratio = copies_in_child(kind, &dir);
+        results.record(
+            format!("memory/copies/{kind}/{COPIES_ROWS}"),
+            ratio * 1000.0,
+            format!(
+                "resident growth = {ratio:.2} copies of one {COPIES_ROWS}-row database after \
+                 two passes of one upsert per {COPIES_STRIDE} keys and run_maintenance \
+                 (gate <= {gate})"
+            ),
+        );
+        println!("copies ({kind:>12}): {ratio:.2} resident copies (gate <= {gate})");
+        copies.push((kind, ratio, gate));
+    }
+    for (kind, ratio, gate) in copies {
+        assert!(
+            ratio <= gate,
+            "the {kind} engine holds {ratio:.2} resident copies of its data (gate <= {gate})"
+        );
+    }
 
     std::fs::remove_dir_all(&scratch).ok();
     match results.write_json(&out_dir, "recovery") {

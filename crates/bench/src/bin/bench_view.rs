@@ -274,20 +274,6 @@ fn sweep_ns(rows: i64) -> [f64; 7] {
     engine
         .define_view("window", "kv", &window)
         .expect("compiles");
-    // The engine's replay baseline starts out sharing every chunk with
-    // the live table, so the first write to each chunk copies it: a
-    // one-time cost per chunk, which 41 ops could not amortize over the
-    // 256 chunks of the largest table. One commit per 64 rows pays it up
-    // front, so every size is timed in its steady state.
-    for key in (0..rows).step_by(64) {
-        engine
-            .transact(1, |db| {
-                db.table_mut("kv")?
-                    .upsert(row![key, key % BANDS, key + 1])?;
-                Ok(())
-            })
-            .expect("commits");
-    }
     // Op `i` writes row `spread(i)`: a stride coprime to the table size
     // visits rows all over the key range.
     let spread = |i: usize| (i as i64 * 7_919) % rows;

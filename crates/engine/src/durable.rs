@@ -1,22 +1,21 @@
 //! The durable WAL backend: file-backed segments + checkpoints.
 //!
-//! [`DurableWal`] owns one directory and keeps three things in step:
+//! [`DurableWal`] owns one directory and keeps two things in step:
 //!
 //! * an **active segment file** receiving encoded [`WalRecord`]s, synced
 //!   by group commit (one fsync per `group_commit` appends) and rotated
 //!   once it passes `segment_bytes`;
-//! * a **shadow database** — the baseline plus every applied record,
-//!   maintained in place so a checkpoint can serialize the committed
-//!   state without replaying anything; chained transaction records
-//!   buffer until their terminator, and 2PC-prepared chains are held *in
-//!   doubt* until their resolution marker (see [`crate::wal`]);
 //! * the **newest checkpoint**, written atomically; compaction deletes
 //!   every segment (and older checkpoint) fully covered by it.
-//!   Checkpoints and compaction run **off the commit path**: the engine
-//!   spawns a maintenance thread that calls
-//!   [`DurableWal::maybe_checkpoint`] on an interval
+//!   Checkpoints and compaction run **off the commit path**: the engine's
+//!   maintenance thread checkpoints each shard on an interval
 //!   ([`DurabilityConfig::maintenance_interval_ms`]), so a committing
 //!   thread never pays for a snapshot write.
+//!
+//! The log holds no database. A checkpoint serializes the state its
+//! caller hands it (the engine's live piece, captured under the shard
+//! lock); to refuse one that would cover half a transaction, the log
+//! tracks only the in-flight chain's length and the in-doubt 2PC ids.
 //!
 //! ## Recovery state machine ([`DurableWal::open`])
 //!
@@ -38,9 +37,9 @@
 //! 4. **Resolve** ([`resolve_transactions`]) — group the surviving
 //!    records into transactions: complete chains apply; a prepared chain
 //!    applies or drops with its resolution marker; a prepared chain with
-//!    *no* resolution is returned as **in doubt** (the sharded recovery
-//!    decides its outcome by consulting every shard — see
-//!    [`crate::shard`]); an *unterminated* trailing chain is an
+//!    *no* resolution is returned to the caller as **in doubt** (the
+//!    sharded recovery decides its outcome by consulting every shard —
+//!    see [`crate::shard`]); an *unterminated* trailing chain is an
 //!    interrupted transaction and is discarded whole — all-or-nothing,
 //!    never a prefix.
 //! 5. **Repair** — torn tails and discarded trailing chains are
@@ -71,7 +70,7 @@
 //! land is replayed; one whose bytes did not is gone — either way a
 //! clean prefix, the usual fsync-failure gray zone made explicit).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -272,6 +271,10 @@ pub fn plan_recovery(
     Ok((records, stale))
 }
 
+/// Prepared-but-unresolved 2PC chains, keyed by global transaction id:
+/// each chain's `(table, delta)` records in log order.
+pub type InDoubtChains = BTreeMap<String, Vec<(String, Delta)>>;
+
 /// A contiguous record run grouped into transactions — what recovery may
 /// actually apply.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -279,9 +282,9 @@ pub struct ResolvedLog {
     /// Deltas to apply, in log order: complete chains plus prepared
     /// chains whose `!resolve commit` is in the log.
     pub applied: Vec<(String, Delta)>,
-    /// Prepared-but-unresolved chains, keyed by global transaction id —
-    /// held, not applied, until the sharded recovery decides.
-    pub in_doubt: BTreeMap<String, Vec<(String, Delta)>>,
+    /// Prepared-but-unresolved chains — held, not applied, until the
+    /// sharded recovery decides.
+    pub in_doubt: InDoubtChains,
     /// Every resolution marker seen (`gtx → committed`), including ones
     /// whose prepare predates this run — the evidence the sharded
     /// recovery votes with.
@@ -368,12 +371,12 @@ pub fn scan_segments(dir: &Path) -> Result<Vec<ScannedSegment>, EngineError> {
 pub struct DurableWal {
     config: DurabilityConfig,
     writer: SegmentWriter<DiskFile>,
-    shadow: Database,
-    /// Chained records of the in-flight transaction, not yet applied to
-    /// the shadow (applied together at the chain terminator).
-    pending: Vec<(String, Delta)>,
-    /// Prepared 2PC chains awaiting their resolution marker.
-    in_doubt: BTreeMap<String, Vec<(String, Delta)>>,
+    /// Chained records the in-flight transaction has written so far (its
+    /// terminator or prepare marker has not landed yet).
+    chained: u64,
+    /// Global transaction ids of prepared 2PC chains awaiting their
+    /// resolution marker.
+    in_doubt: BTreeSet<String>,
     /// Resolution markers recovered from the log (evidence for the
     /// sharded recovery's commit/abort vote).
     recovered_resolutions: BTreeMap<String, bool>,
@@ -421,9 +424,8 @@ impl DurableWal {
         Ok(DurableWal {
             config,
             writer,
-            shadow: baseline.clone(),
-            pending: Vec::new(),
-            in_doubt: BTreeMap::new(),
+            chained: 0,
+            in_doubt: BTreeSet::new(),
             recovered_resolutions: BTreeMap::new(),
             last_seq: 0,
             checkpoint_seq: 0,
@@ -435,16 +437,15 @@ impl DurableWal {
 
     /// Recover a durable WAL directory (see the module docs for the state
     /// machine). Returns the log handle, the recovered committed
-    /// database, and a report of what recovery did.
+    /// database, the in-doubt chains, and a report of what recovery did.
     ///
     /// Prepared-but-unresolved 2PC chains are **not** applied to the
-    /// returned database; they stay queued in [`DurableWal::in_doubt`]
-    /// until a resolution marker is appended (the sharded recovery does
-    /// this after consulting every shard — a standalone engine has no
-    /// cross-shard transactions and recovers none).
+    /// returned database; [`DurableWal::in_doubt`] lists them until a
+    /// resolution marker is appended (the sharded recovery does this after
+    /// consulting every shard — a standalone engine has none).
     pub fn open(
         config: DurabilityConfig,
-    ) -> Result<(DurableWal, Database, RecoveryReport), EngineError> {
+    ) -> Result<(DurableWal, Database, InDoubtChains, RecoveryReport), EngineError> {
         let (ckpt, corrupt_skipped) = latest_valid_checkpoint(&config.dir)?;
         let ckpt = ckpt.ok_or_else(|| {
             EngineError::WalCorrupt(format!(
@@ -520,10 +521,9 @@ impl DurableWal {
         Ok((
             DurableWal {
                 config,
-                shadow: db.clone(),
                 writer,
-                pending: Vec::new(),
-                in_doubt: resolved.in_doubt,
+                chained: 0,
+                in_doubt: resolved.in_doubt.keys().cloned().collect(),
                 recovered_resolutions: resolved.resolutions,
                 last_seq: keep_last_seq,
                 checkpoint_seq: ckpt.seq,
@@ -532,6 +532,7 @@ impl DurableWal {
                 telemetry: None,
             },
             db,
+            resolved.in_doubt,
             report,
         ))
     }
@@ -561,11 +562,11 @@ impl DurableWal {
 
     /// Append one record: write-ahead to the active segment, group
     /// commit, rotate per config. The record's seq must continue the log
-    /// exactly (checked *before* any side effect; a seq rejection leaves
-    /// the log fully usable). Any failure past that point poisons the
-    /// log — see [`DurableWal::guard`]. Checkpointing is **not** done
-    /// here — the maintenance thread calls
-    /// [`DurableWal::maybe_checkpoint`] off the commit path.
+    /// exactly, and a prepare marker must count the chain before it
+    /// (both checked *before* any side effect; a rejection leaves the
+    /// log fully usable). Any failure past that point poisons the log —
+    /// see [`DurableWal::guard`]. Checkpointing is **not** done here —
+    /// the engine's maintenance thread checkpoints off the commit path.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), EngineError> {
         self.append_impl(record, false)
     }
@@ -596,6 +597,14 @@ impl DurableWal {
                 record.seq
             )));
         }
+        if let WalOp::Prepare { gtx, records } = &record.op {
+            if *records != self.chained {
+                return Err(EngineError::WalCorrupt(format!(
+                    "prepare marker for {gtx} claims {records} records, found {}",
+                    self.chained
+                )));
+            }
+        }
         let appended = self.append_inner(record, defer_sync);
         self.poisoning(appended)
     }
@@ -606,36 +615,14 @@ impl DurableWal {
         self.stats.bytes_written += bytes;
         self.last_seq = record.seq;
         match &record.op {
-            WalOp::Delta {
-                table,
-                delta,
-                chained,
-            } => {
-                self.pending.push((table.clone(), delta.clone()));
-                if !chained {
-                    for (table, delta) in std::mem::take(&mut self.pending) {
-                        delta.apply_in_place(self.shadow.table_mut(&table)?)?;
-                    }
-                }
+            WalOp::Delta { chained: true, .. } => self.chained += 1,
+            WalOp::Delta { chained: false, .. } => self.chained = 0,
+            WalOp::Prepare { gtx, .. } => {
+                self.chained = 0;
+                self.in_doubt.insert(gtx.clone());
             }
-            WalOp::Prepare { gtx, records } => {
-                if self.pending.len() as u64 != *records {
-                    return Err(EngineError::WalCorrupt(format!(
-                        "prepare marker for {gtx} claims {records} records, found {}",
-                        self.pending.len()
-                    )));
-                }
-                self.in_doubt
-                    .insert(gtx.clone(), std::mem::take(&mut self.pending));
-            }
-            WalOp::Resolve { gtx, committed } => {
-                if let Some(group) = self.in_doubt.remove(gtx) {
-                    if *committed {
-                        for (table, delta) in group {
-                            delta.apply_in_place(self.shadow.table_mut(&table)?)?;
-                        }
-                    }
-                }
+            WalOp::Resolve { gtx, .. } => {
+                self.in_doubt.remove(gtx);
             }
         }
         if !defer_sync && self.writer.pending() >= self.config.group_commit {
@@ -689,48 +676,47 @@ impl DurableWal {
         self.poisoned.is_none()
             && self.config.checkpoint_every > 0
             && self.last_seq - self.checkpoint_seq >= self.config.checkpoint_every
-            && self.pending.is_empty()
+            && self.chained == 0
             && self.in_doubt.is_empty()
     }
 
-    /// Checkpoint iff [`DurableWal::needs_checkpoint`] — the synchronous
-    /// convenience (file write included, under the caller's lock).
-    /// Engine maintenance loops instead use the
+    /// Checkpoint `db` iff [`DurableWal::needs_checkpoint`] — the
+    /// synchronous convenience (file write included, under the caller's
+    /// lock). Engine maintenance loops instead use the
     /// [`DurableWal::begin_checkpoint`]/[`DurableWal::finish_checkpoint`]
     /// split so the serialize + fsync happens *outside* the commit lock.
     /// Returns the covered seq when one was written.
-    pub fn maybe_checkpoint(&mut self) -> Result<Option<u64>, EngineError> {
+    pub fn maybe_checkpoint(&mut self, db: &Database) -> Result<Option<u64>, EngineError> {
         if self.needs_checkpoint() {
-            self.checkpoint().map(Some)
+            self.checkpoint(db).map(Some)
         } else {
             Ok(None)
         }
     }
 
-    /// Write a checkpoint at the current seq, then compact. Returns the
-    /// sequence number the checkpoint covers. Refuses while a
-    /// transaction is mid-flight (chained records without their
+    /// Write `db`, the committed state through [`DurableWal::last_seq`], as
+    /// the checkpoint at that seq, then compact; returns the seq. Refuses
+    /// while a transaction is mid-flight (chained records without their
     /// terminator, or an unresolved 2PC prepare): the snapshot would
     /// cover half a transaction.
-    pub fn checkpoint(&mut self) -> Result<u64, EngineError> {
-        let ckpt = self.begin_checkpoint()?;
+    pub fn checkpoint(&mut self, db: &Database) -> Result<u64, EngineError> {
+        let ckpt = self.begin_checkpoint(db.clone())?;
         let seq = ckpt.seq;
         ckpt.write_atomic(&self.config.dir)?;
         self.finish_checkpoint(seq)
     }
 
     /// First half of an off-the-commit-path checkpoint: flush the
-    /// group-commit batch and snapshot the committed state (an O(db)
-    /// clone — cheap next to the serialize + fsync the caller then runs
-    /// *without* holding the engine lock, finishing with
-    /// [`DurableWal::finish_checkpoint`]). Refuses while a transaction
-    /// is mid-flight, exactly like [`DurableWal::checkpoint`].
-    pub fn begin_checkpoint(&mut self) -> Result<Checkpoint, EngineError> {
+    /// group-commit batch and pair `db` (as for [`DurableWal::checkpoint`];
+    /// the engine passes a chunk-sharing clone of its live piece) with the
+    /// seq it covers. The caller serializes and fsyncs it *without* its
+    /// lock, then calls [`DurableWal::finish_checkpoint`].
+    pub fn begin_checkpoint(&mut self, db: Database) -> Result<Checkpoint, EngineError> {
         self.guard()?;
-        if !self.pending.is_empty() || !self.in_doubt.is_empty() {
+        if self.chained > 0 || !self.in_doubt.is_empty() {
             return Err(EngineError::Io(format!(
                 "checkpoint refused: {} chained records and {} in-doubt transactions in flight",
-                self.pending.len(),
+                self.chained,
                 self.in_doubt.len()
             )));
         }
@@ -738,7 +724,7 @@ impl DurableWal {
         self.poisoning(synced)?;
         Ok(Checkpoint {
             seq: self.last_seq,
-            db: self.shadow.clone(),
+            db,
         })
     }
 
@@ -825,18 +811,10 @@ impl DurableWal {
         self.checkpoint_seq
     }
 
-    /// The committed state as the durable log sees it (baseline plus
-    /// every applied record; in-flight chains and in-doubt prepares are
-    /// not included). Equals the engine's live committed state; the test
-    /// suites assert it.
-    pub fn state(&self) -> &Database {
-        &self.shadow
-    }
-
-    /// Prepared-but-unresolved 2PC chains, keyed by global transaction
-    /// id (populated by recovery; settled when a resolution marker is
+    /// Global transaction ids of prepared-but-unresolved 2PC chains
+    /// (populated by recovery; settled when a resolution marker is
     /// appended).
-    pub fn in_doubt(&self) -> &BTreeMap<String, Vec<(String, Delta)>> {
+    pub fn in_doubt(&self) -> &BTreeSet<String> {
         &self.in_doubt
     }
 
@@ -976,8 +954,8 @@ impl GroupCommit {
 /// plus target directory when a checkpoint is due (`None` = nothing to
 /// do); the serialize + fsync happens here, lock-free; `finish` runs
 /// under the lock again to record the result and compact. Committing
-/// threads therefore stall only for `begin`'s O(db) clone, never for
-/// the disk write.
+/// threads therefore stall only for `begin`'s chunk-sharing clone
+/// (O(tables + chunks), no row copied), never for the disk write.
 pub(crate) fn checkpoint_off_lock(
     begin: impl FnOnce() -> Result<Option<(Checkpoint, PathBuf)>, EngineError>,
     finish: impl FnOnce(u64) -> Result<u64, EngineError>,
@@ -1087,6 +1065,18 @@ mod tests {
         WalRecord::delta(seq, "t", insert(seq))
     }
 
+    /// The baseline plus the rows [`insert`] adds for `seqs`: the state a
+    /// log of those records recovers to.
+    fn with_rows(seqs: impl IntoIterator<Item = u64>) -> Database {
+        let mut db = baseline();
+        for seq in seqs {
+            insert(seq)
+                .apply_in_place(db.table_mut("t").unwrap())
+                .unwrap();
+        }
+        db
+    }
+
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("esm-durable-test-{tag}-{}", std::process::id()));
@@ -1105,13 +1095,13 @@ mod tests {
             wal.append(&rec(seq)).unwrap();
         }
         wal.sync().unwrap();
-        let live = wal.state().clone();
         assert_eq!(wal.stats().appends, 10);
         assert!(wal.stats().syncs >= 3, "group commit batches syncs");
         drop(wal);
 
-        let (reopened, db, report) = DurableWal::open(cfg).unwrap();
-        assert_eq!(db, live);
+        let (reopened, db, in_doubt, report) = DurableWal::open(cfg).unwrap();
+        assert_eq!(db, with_rows(1..=10));
+        assert!(in_doubt.is_empty());
         assert_eq!(report.last_seq, 10);
         assert_eq!(report.records_replayed, 10);
         assert_eq!(report.checkpoint_seq, 0);
@@ -1151,7 +1141,7 @@ mod tests {
             "expected several segments, got {}",
             segs.len()
         );
-        let (_wal2, db, report) = DurableWal::open(cfg).unwrap();
+        let (_wal2, db, _, report) = DurableWal::open(cfg).unwrap();
         assert_eq!(report.records_replayed, 20);
         assert_eq!(db.table("t").unwrap().len(), 21);
         std::fs::remove_dir_all(&dir).ok();
@@ -1167,23 +1157,24 @@ mod tests {
         for seq in 1..=15 {
             wal.append(&rec(seq)).unwrap();
         }
-        assert_eq!(wal.checkpoint().unwrap(), 15);
+        assert_eq!(wal.checkpoint(&with_rows(1..=15)).unwrap(), 15);
         // Two retained checkpoints (genesis + 15): nothing compacts yet.
         for seq in 16..=30 {
             wal.append(&rec(seq)).unwrap();
         }
-        assert_eq!(wal.checkpoint().unwrap(), 30);
+        assert_eq!(wal.checkpoint(&with_rows(1..=30)).unwrap(), 30);
         // Horizon is now 15: segments covered by it are gone.
         assert!(wal.stats().segments_compacted > 0);
         for seq in 31..=35 {
             wal.append(&rec(seq)).unwrap();
         }
         wal.sync().unwrap();
-        let live = wal.state().clone();
         drop(wal);
 
-        let (_wal2, db, report) = DurableWal::open(cfg).unwrap();
-        assert_eq!(db, live);
+        // Recovery loads the checkpoint it was handed and replays the
+        // rest.
+        let (_wal2, db, _, report) = DurableWal::open(cfg).unwrap();
+        assert_eq!(db, with_rows(1..=35));
         assert_eq!(report.checkpoint_seq, 30);
         assert_eq!(
             report.records_replayed, 5,
@@ -1201,11 +1192,11 @@ mod tests {
         for seq in 1..=7 {
             wal.append(&rec(seq)).unwrap();
             assert!(!wal.needs_checkpoint());
-            assert_eq!(wal.maybe_checkpoint().unwrap(), None);
+            assert_eq!(wal.maybe_checkpoint(&with_rows(1..=seq)).unwrap(), None);
         }
         wal.append(&rec(8)).unwrap();
         assert!(wal.needs_checkpoint());
-        assert_eq!(wal.maybe_checkpoint().unwrap(), Some(8));
+        assert_eq!(wal.maybe_checkpoint(&with_rows(1..=8)).unwrap(), Some(8));
         assert!(!wal.needs_checkpoint(), "gap reset after the checkpoint");
         assert_eq!(wal.checkpoint_seq(), 8);
         // Genesis + seq 8.
@@ -1217,38 +1208,57 @@ mod tests {
     fn checkpoints_refuse_mid_transaction() {
         let dir = tmp_dir("ckpt-midtx");
         let cfg = DurabilityConfig::new(&dir).checkpoint_every(1);
-        let mut wal = DurableWal::create(cfg, &baseline()).unwrap();
+        let mut wal = DurableWal::create(cfg.clone(), &baseline()).unwrap();
         wal.append(&WalRecord::chained(1, "t", insert(1))).unwrap();
         assert!(!wal.needs_checkpoint(), "a chain is in flight");
-        assert!(matches!(wal.checkpoint(), Err(EngineError::Io(msg)) if msg.contains("refused")));
-        // The shadow does not see the chained record yet.
-        assert_eq!(wal.state().table("t").unwrap().len(), 1);
+        assert!(
+            matches!(wal.checkpoint(&baseline()), Err(EngineError::Io(msg)) if msg.contains("refused"))
+        );
+        wal.sync().unwrap();
+        drop(wal);
+        // The chained record stays invisible without its terminator.
+        let (mut wal, db, _, report) = DurableWal::open(cfg.clone()).unwrap();
+        assert_eq!(db, baseline());
+        assert_eq!(report.tail_records_discarded, 1);
+        wal.append(&WalRecord::chained(1, "t", insert(1))).unwrap();
         wal.append(&rec(2)).unwrap();
-        // Terminated: both records applied, checkpointing legal again.
-        assert_eq!(wal.state().table("t").unwrap().len(), 3);
+        // Terminated: checkpointing is legal again, and both records
+        // recover.
         assert!(wal.needs_checkpoint());
-        wal.checkpoint().unwrap();
-        std::fs::remove_dir_all(wal.dir()).ok();
+        assert_eq!(wal.checkpoint(&with_rows([1, 2])).unwrap(), 2);
+        drop(wal);
+        let (_wal, db, _, report) = DurableWal::open(cfg).unwrap();
+        assert_eq!(db, with_rows([1, 2]));
+        assert_eq!(report.checkpoint_seq, 2);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn prepared_chains_stay_in_doubt_until_resolved() {
-        let dir = tmp_dir("2pc-shadow");
+        let dir = tmp_dir("2pc-doubt");
         let cfg = DurabilityConfig::new(&dir).checkpoint_every(0);
-        let mut wal = DurableWal::create(cfg, &baseline()).unwrap();
+        let mut wal = DurableWal::create(cfg.clone(), &baseline()).unwrap();
         wal.append(&WalRecord::chained(1, "t", insert(1))).unwrap();
         wal.append(&WalRecord::prepare(2, "g1", 1)).unwrap();
-        assert_eq!(wal.state().table("t").unwrap().len(), 1, "held in doubt");
         assert_eq!(wal.in_doubt().len(), 1);
+        assert!(
+            wal.checkpoint(&baseline()).is_err(),
+            "an in-doubt chain refuses checkpoints"
+        );
         wal.append(&WalRecord::resolve(3, "g1", true)).unwrap();
-        assert_eq!(wal.state().table("t").unwrap().len(), 2, "applied");
         assert!(wal.in_doubt().is_empty());
         // An aborted branch is dropped.
         wal.append(&WalRecord::chained(4, "t", insert(40))).unwrap();
         wal.append(&WalRecord::prepare(5, "g2", 1)).unwrap();
         wal.append(&WalRecord::resolve(6, "g2", false)).unwrap();
-        assert_eq!(wal.state().table("t").unwrap().len(), 2);
-        std::fs::remove_dir_all(wal.dir()).ok();
+        wal.sync().unwrap();
+        drop(wal);
+        // The committed chain applied at its resolution; the aborted one
+        // left no trace.
+        let (_wal, db, in_doubt, _) = DurableWal::open(cfg).unwrap();
+        assert_eq!(db, with_rows([1]));
+        assert!(in_doubt.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1273,18 +1283,25 @@ mod tests {
     #[test]
     fn write_path_failures_poison_the_log() {
         let dir = tmp_dir("poison");
-        let cfg = DurabilityConfig::new(&dir).checkpoint_every(0);
+        let cfg = DurabilityConfig::new(&dir)
+            .segment_bytes(1)
+            .checkpoint_every(0);
         let mut wal = DurableWal::create(cfg, &baseline()).unwrap();
-        wal.append(&rec(1)).unwrap();
-        // A record that appends to the segment but fails to apply (its
-        // bytes are already on the way to disk): the log must fail-stop
-        // rather than let durable and live state drift apart.
-        let ghost = WalRecord::delta(2, "ghost", Delta::empty());
-        assert!(matches!(wal.append(&ghost), Err(EngineError::Store(_))));
+        // A prepare that miscounts its chain is refused before any side
+        // effect: not poisonous.
+        assert!(matches!(
+            wal.append(&WalRecord::prepare(1, "g1", 2)),
+            Err(EngineError::WalCorrupt(_))
+        ));
+        // A record whose bytes reach the segment, followed by a rotation
+        // that cannot create its next file: the log must fail-stop
+        // rather than guess what reached the disk.
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(matches!(wal.append(&rec(1)), Err(EngineError::Io(_))));
         for result in [
             wal.append(&rec(2)).err(),
             wal.sync().err(),
-            wal.checkpoint().err(),
+            wal.checkpoint(&baseline()).err(),
         ] {
             match result {
                 Some(EngineError::Io(msg)) => assert!(msg.contains("poisoned"), "{msg}"),
@@ -1310,7 +1327,7 @@ mod tests {
         }
         .encode();
         std::fs::write(&orphan, &half[..half.len() / 2]).unwrap();
-        let (_wal2, db, report) = DurableWal::open(cfg).unwrap();
+        let (_wal2, db, _, report) = DurableWal::open(cfg).unwrap();
         assert!(!orphan.exists(), "recovery sweeps stranded temp files");
         assert_eq!(report.last_seq, 1);
         assert_eq!(db.table("t").unwrap().len(), 2);
@@ -1417,7 +1434,7 @@ mod tests {
         wal.sync().unwrap();
         drop(wal);
 
-        let (recovered, db, report) = DurableWal::open(cfg.clone()).unwrap();
+        let (recovered, db, _, report) = DurableWal::open(cfg.clone()).unwrap();
         assert_eq!(report.last_seq, 1, "the interrupted chain is gone");
         assert_eq!(report.tail_records_discarded, 2);
         assert!(report.torn_bytes > 0, "the chain bytes were truncated");
@@ -1425,7 +1442,7 @@ mod tests {
         drop(recovered);
         // The truncation is durable: a second recovery is clean and new
         // appends continue at seq 2.
-        let (mut wal3, _db, report2) = DurableWal::open(cfg).unwrap();
+        let (mut wal3, _db, _, report2) = DurableWal::open(cfg).unwrap();
         assert_eq!(report2.tail_records_discarded, 0);
         assert_eq!(report2.torn_bytes, 0);
         wal3.append(&rec(2)).unwrap();
@@ -1442,22 +1459,29 @@ mod tests {
         wal.sync().unwrap();
         drop(wal); // coordinator crashed between prepare and resolve
 
-        let (mut recovered, db, report) = DurableWal::open(cfg.clone()).unwrap();
+        let (mut recovered, db, in_doubt, report) = DurableWal::open(cfg.clone()).unwrap();
         assert_eq!(report.in_doubt_transactions, 1);
-        assert_eq!(db.table("t").unwrap().len(), 1, "not applied");
+        assert_eq!(db, baseline(), "not applied");
+        assert_eq!(
+            in_doubt,
+            BTreeMap::from([("g1".to_string(), vec![("t".to_string(), insert(10))])]),
+            "the chain comes back to the caller"
+        );
+        assert!(recovered.in_doubt().contains("g1"));
         assert_eq!(recovered.last_seq(), 2, "the prepared chain stays logged");
         // The sharded recovery decides commit: appending the resolution
-        // applies the chain and settles the log.
+        // settles the log, and the next recovery applies the chain.
         recovered
             .append(&WalRecord::resolve(3, "g1", true))
             .unwrap();
-        assert_eq!(recovered.state().table("t").unwrap().len(), 2);
+        assert!(recovered.in_doubt().is_empty());
         recovered.sync().unwrap();
         drop(recovered);
-        let (wal3, db3, report3) = DurableWal::open(cfg).unwrap();
+        let (wal3, db3, in_doubt3, report3) = DurableWal::open(cfg).unwrap();
         assert_eq!(report3.in_doubt_transactions, 0);
+        assert!(in_doubt3.is_empty());
         assert_eq!(wal3.recovered_resolutions().get("g1"), Some(&true));
-        assert_eq!(db3.table("t").unwrap().len(), 2);
+        assert_eq!(db3, with_rows([10]));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1479,12 +1503,12 @@ mod tests {
         bytes.extend_from_slice(&torn[..torn.len() / 2]);
         std::fs::write(&seg_path, &bytes).unwrap();
 
-        let (_wal2, db, report) = DurableWal::open(cfg.clone()).unwrap();
+        let (_wal2, db, _, report) = DurableWal::open(cfg.clone()).unwrap();
         assert_eq!(report.last_seq, 3);
         assert_eq!(report.torn_bytes, (torn.len() / 2) as u64);
         assert_eq!(db.table("t").unwrap().len(), 4);
         // The torn bytes are gone from disk: a second open is clean.
-        let (_wal3, _db, report2) = DurableWal::open(cfg).unwrap();
+        let (_wal3, _db, _, report2) = DurableWal::open(cfg).unwrap();
         assert_eq!(report2.torn_bytes, 0);
         std::fs::remove_dir_all(&dir).ok();
     }

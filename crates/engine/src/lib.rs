@@ -213,21 +213,23 @@
 //! An append-only sequence of `(seq, table, delta)` records, one per
 //! committed table change, with one schema-free binary codec
 //! ([`esm_store::codec`]: type-tagged cells, length-prefixed strings).
-//! [`Wal::replay`] applies the records to the engine's baseline database
-//! and reproduces the live state exactly — the recovery law the test
-//! suites assert. Sequence numbers must strictly increase; duplicates
-//! are rejected with the typed [`EngineError::DuplicateSeq`] instead of
-//! being silently re-applied.
+//! [`Wal::replay`] applies the records to the database the log started
+//! from and reproduces the live state exactly. Sequence numbers must
+//! strictly increase; duplicates are rejected with the typed
+//! [`EngineError::DuplicateSeq`] instead of being silently re-applied.
 //!
-//! The in-memory log is **bounded**: once every materialized view's
-//! window cursor (and the durable checkpoint, when one exists) has
-//! passed a prefix, [`ShardedEngineServer::truncate_wals`] (run by
-//! maintenance) folds that prefix into each shard's replay baseline and
-//! drops it, with the matching stamp-index entries — always cutting at a settled
-//! transaction boundary ([`Wal::settled_prefix_end`]), never through a
-//! chain or an unresolved 2PC prepare. First-committer-wins validation
-//! is truncation-aware: a snapshot older than the log's start
-//! conservatively conflicts and retries against fresh state.
+//! Each shard holds **one copy** of its data, the live piece, so the
+//! **replay law** is a statement about the log that is actually
+//! replayed: recovering a durable engine's directory gives its live
+//! state ([`testkit::recovered_snapshot`] checks it on a copy).
+//!
+//! The in-memory log is **bounded**: an append that takes a shard's log
+//! past [`WAL_RETAINED_RECORDS`] drops, under the same write lock, the
+//! oldest records up to a settled transaction boundary
+//! ([`Wal::settled_prefix_end`]) and their stamp-index entries. Neither
+//! idle views nor the durable checkpoint hold it. Readers below the new
+//! start fall back: a view window rebuilds from the live piece, a
+//! subscription resyncs, and an older snapshot conflicts and retries.
 //!
 //! ### Durability ([`durable`], [`segment`], [`checkpoint`])
 //!
@@ -263,8 +265,10 @@
 //! `[magic][body len: u32 LE][crc32(body): u32 LE][body]`, written
 //! atomically (temp file → fsync → rename → directory fsync). A
 //! checkpoint's body is its `seq` followed by the database in the
-//! [`esm_store::codec`] form; the durable WAL maintains a shadow
-//! database incrementally, so a checkpoint never replays anything.
+//! [`esm_store::codec`] form. The log keeps no database of its own: a
+//! checkpoint serializes a chunk-sharing clone of the shard's live
+//! piece, captured under the shard's write lock at the log's end, so a
+//! checkpoint never replays anything.
 //! Compaction retains the newest **two** checkpoints (fallback if the
 //! newest proves unreadable) and deletes every segment fully covered by
 //! the older retained one.
@@ -430,7 +434,7 @@
 //!     Table::from_rows(schema, vec![row![1, "research"], row![2, "ops"]]).unwrap(),
 //! ).unwrap();
 //!
-//! let engine = EngineServer::new(db);
+//! let engine = EngineServer::new(db.clone()); // a chunk-sharing clone
 //! let research = engine.define_view(
 //!     "research", "staff",
 //!     &ViewDef::base().select(Predicate::eq(Operand::col("dept"), Operand::val("research"))),
@@ -440,8 +444,8 @@
 //! // write did to the hidden base table.
 //! let delta = research.edit(|v| Ok(v.upsert(row![3, "research"]).map(|_| ())?)).unwrap();
 //! assert_eq!(delta.inserted, vec![row![3, "research"]]);
-//! // Recovery: replaying the WAL over the baseline equals the live state.
-//! assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
+//! // The replay law: the WAL replayed over the seed is the live state.
+//! assert_eq!(engine.shard_wals()[0].replay(&db).unwrap(), engine.snapshot());
 //! ```
 
 #![warn(missing_docs)]
@@ -464,7 +468,7 @@ pub mod wal;
 pub use checkpoint::Checkpoint;
 pub use durable::{
     plan_recovery, resolve_transactions, scan_segments, DurabilityConfig, DurableWal,
-    RecoveryReport, ResolvedLog, ScannedSegment,
+    InDoubtChains, RecoveryReport, ResolvedLog, ScannedSegment,
 };
 pub use engine::{
     apply_deltas_checked, apply_table_delta_checked, ArcEngine, CommitReceipt, Engine,
@@ -494,4 +498,4 @@ pub use view::EntangledView;
 /// The engine under its in-process name: [`ShardedEngineServer::new`]
 /// builds its one-shard case.
 pub type EngineServer = ShardedEngineServer;
-pub use wal::{reserved_table_name, Wal, WalOp, WalRecord};
+pub use wal::{reserved_table_name, Wal, WalOp, WalRecord, WAL_RETAINED_RECORDS};

@@ -14,8 +14,6 @@ pub struct Metrics {
     deltas_applied: AtomicU64,
     rebuilds: AtomicU64,
     shards_pruned: AtomicU64,
-    wal_truncations: AtomicU64,
-    wal_records_truncated: AtomicU64,
 }
 
 /// Counters kept by the materialized-view maintenance machinery. In
@@ -182,10 +180,12 @@ pub struct MetricsSnapshot {
     pub view_reads: u64,
     /// Rows inserted or deleted by committed deltas.
     pub rows_written: u64,
-    /// In-memory WAL truncations performed (prefixes dropped below the
-    /// view cursors and folded into the replay baseline).
+    /// In-memory WAL trims, summed over shards: each time an append took
+    /// a shard's log past [`crate::wal::WAL_RETAINED_RECORDS`] and the
+    /// shard dropped its oldest settled records. Kept by the shards, so
+    /// the engine fills it in (like [`MetricsSnapshot::wal`]).
     pub wal_truncations: u64,
-    /// WAL records dropped by those truncations.
+    /// WAL records dropped by those trims.
     pub wal_records_truncated: u64,
     /// Durable-WAL counters (all zero for in-memory engines).
     pub wal: WalStats,
@@ -234,12 +234,6 @@ impl Metrics {
         self.shards_pruned.fetch_add(shards, Ordering::Relaxed);
     }
 
-    pub(crate) fn wal_truncated(&self, records: u64) {
-        self.wal_truncations.fetch_add(1, Ordering::Relaxed);
-        self.wal_records_truncated
-            .fetch_add(records, Ordering::Relaxed);
-    }
-
     /// Copy the current counter values. Durable-WAL stats live with the
     /// [`crate::DurableWal`] (single-writer under the WAL lock); callers
     /// that own one merge them in with [`MetricsSnapshot::with_wal`].
@@ -250,8 +244,8 @@ impl Metrics {
             retries: self.retries.load(Ordering::Relaxed),
             view_reads: self.view_reads.load(Ordering::Relaxed),
             rows_written: self.rows_written.load(Ordering::Relaxed),
-            wal_truncations: self.wal_truncations.load(Ordering::Relaxed),
-            wal_records_truncated: self.wal_records_truncated.load(Ordering::Relaxed),
+            wal_truncations: 0,
+            wal_records_truncated: 0,
             wal: WalStats::default(),
             shard: ShardStats::default(),
             view: ViewStats {

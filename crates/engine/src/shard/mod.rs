@@ -287,8 +287,9 @@ fn shards_safe_to_checkpoint(shards: &[Shard], index: usize) -> bool {
 /// `force = false` is the maintenance path (only when due, silently
 /// skipped when unsafe); `force = true` is the explicit path (always,
 /// but still *refusing* — with an error — while a peer holds unresolved
-/// 2PC state). Returns `None` for in-memory shards and skipped
-/// maintenance passes.
+/// 2PC state). The checkpoint is a chunk-sharing clone of the live piece
+/// taken under the shard's write lock. Returns `None` for in-memory
+/// shards and skipped maintenance passes.
 fn checkpoint_shard(
     shards: &[Shard],
     index: usize,
@@ -296,7 +297,8 @@ fn checkpoint_shard(
 ) -> Result<Option<u64>, EngineError> {
     checkpoint_off_lock(
         || {
-            let mut state = shards[index].write();
+            let mut guard = shards[index].write();
+            let state = &mut *guard;
             let Some(durable) = state.durable.as_mut() else {
                 return Ok(None);
             };
@@ -315,7 +317,7 @@ fn checkpoint_shard(
                 };
             }
             Ok(Some((
-                durable.begin_checkpoint()?,
+                durable.begin_checkpoint(state.db.clone())?,
                 durable.checkpoint_dir(),
             )))
         },
@@ -341,8 +343,7 @@ impl ShardedEngineServer {
     // Construction.
     // ------------------------------------------------------------------
 
-    /// An in-memory one-shard engine over the tables of `db`, which
-    /// becomes the recovery baseline.
+    /// An in-memory one-shard engine over the tables of `db`.
     ///
     /// # Panics
     ///
@@ -467,15 +468,14 @@ impl ShardedEngineServer {
         }
 
         let mut shards = Vec::with_capacity(ids.len());
-        let mut in_doubt: Vec<BTreeMap<String, Vec<(String, Delta)>>> = Vec::new();
+        let mut in_doubt = Vec::with_capacity(ids.len());
         let mut verdicts: BTreeMap<String, bool> = BTreeMap::new();
         let mut max_gtx = 0u64;
         for &id in &ids {
-            let (shard, shard_report) = Shard::recover(id, shard_config(&config, id))?;
+            let (shard, doubts, shard_report) = Shard::recover(id, shard_config(&config, id))?;
             {
                 let state = shard.read();
                 let durable = state.durable.as_ref().expect("recovered shards persist");
-                in_doubt.push(durable.in_doubt().clone());
                 for (gtx, committed) in durable.recovered_resolutions() {
                     // A commit verdict anywhere wins over aborts
                     // elsewhere (abort resolutions are only written by a
@@ -484,10 +484,11 @@ impl ShardedEngineServer {
                     *entry = *entry || *committed;
                     max_gtx = max_gtx.max(parse_gtx(gtx));
                 }
-                for gtx in durable.in_doubt().keys() {
-                    max_gtx = max_gtx.max(parse_gtx(gtx));
-                }
             }
+            for gtx in doubts.keys() {
+                max_gtx = max_gtx.max(parse_gtx(gtx));
+            }
+            in_doubt.push(doubts);
             report.shards.push(shard_report);
             shards.push(shard);
         }
@@ -498,14 +499,7 @@ impl ShardedEngineServer {
         for (shard, doubts) in shards.iter().zip(in_doubt) {
             for (gtx, group) in doubts {
                 let committed = verdicts.get(&gtx).copied().unwrap_or(false);
-                let mut state = shard.write();
-                state.resolve(&gtx, committed, &group, true)?;
-                // The settled state is the shard's post-recovery
-                // baseline: its in-memory WAL starts *after* the
-                // resolution we just appended.
-                state.baseline = state.db.clone();
-                state.wal = Wal::starting_at(state.wal.last_seq());
-                drop(state);
+                shard.write().resolve(&gtx, committed, &group, true)?;
                 if committed {
                     metrics.recovery_commit();
                 } else {
@@ -711,19 +705,9 @@ impl ShardedEngineServer {
             .expect("shard pieces share schemas and disjoint keys")
     }
 
-    /// Rebuild the committed state from every shard's baseline plus its
-    /// WAL — the recovery law. At quiescence this equals
-    /// [`ShardedEngineServer::snapshot`] (asserted by the suites).
-    pub fn recovered_database(&self) -> Result<Database, EngineError> {
-        let topo = self.topology();
-        let mut replayed = Vec::with_capacity(topo.shards.len());
-        for shard in &topo.shards {
-            replayed.push(shard.recovered_database()?);
-        }
-        assemble(replayed.into_iter())
-    }
-
     /// Per-shard snapshots of the in-memory WALs, in topology order.
+    /// Each holds at most [`crate::wal::WAL_RETAINED_RECORDS`] records
+    /// plus an unsettled tail.
     pub fn shard_wals(&self) -> Vec<Wal> {
         let topo = self.topology();
         topo.shards.iter().map(|s| s.read().wal.clone()).collect()
@@ -733,10 +717,14 @@ impl ShardedEngineServer {
     /// stats, and durable-WAL stats summed across shards.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut wal = WalStats::default();
+        let mut trims = (0, 0);
         {
             let topo = self.topology();
             for shard in &topo.shards {
-                if let Some(d) = shard.read().durable.as_ref() {
+                let state = shard.read();
+                trims.0 += state.trims.0;
+                trims.1 += state.trims.1;
+                if let Some(d) = state.durable.as_ref() {
                     let s = d.stats();
                     wal.appends += s.appends;
                     wal.syncs += s.syncs;
@@ -766,9 +754,9 @@ impl ShardedEngineServer {
                 None => u64::MAX,
             };
         }
-        self.inner
-            .metrics
-            .snapshot()
+        let mut snapshot = self.inner.metrics.snapshot();
+        (snapshot.wal_truncations, snapshot.wal_records_truncated) = trims;
+        snapshot
             .with_wal(wal)
             .with_shard(shard_stats)
             .with_shard_load(load)
@@ -917,60 +905,17 @@ impl ShardedEngineServer {
     }
 
     /// Run one maintenance pass over every shard — what the background
-    /// thread does each tick (checkpoint iff due and safe, file writes
-    /// outside the shard locks), plus an in-memory WAL truncation below
-    /// the view-window cursors ([`ShardedEngineServer::truncate_wals`]).
-    /// Deterministic tests and embedders that disable the thread drive
-    /// this directly.
+    /// thread does each tick: checkpoint iff due and safe, with the file
+    /// writes outside the shard locks. A no-op in memory. Deterministic
+    /// tests and embedders that disable the thread drive this directly.
+    /// (The in-memory WAL needs no pass: every append keeps it within
+    /// [`crate::wal::WAL_RETAINED_RECORDS`].)
     pub fn run_maintenance(&self) -> Result<(), EngineError> {
         let shards = self.topology().shards.clone();
         for index in 0..shards.len() {
             checkpoint_shard(&shards, index, false)?;
         }
-        self.truncate_wals()?;
         Ok(())
-    }
-
-    /// Drop every shard's in-memory WAL prefix that no consumer needs
-    /// any more: records at or below every materialized view window's
-    /// cursor for that shard (and the shard's durable checkpoint), cut
-    /// back to a settled transaction boundary, are folded into the
-    /// shard's replay baseline and removed — bounding in-memory log
-    /// growth under view maintenance. Views without a current-epoch
-    /// materialization impose no floor (their next read rebuilds from
-    /// the live shard piece, not from the log), and a view's windows
-    /// only constrain the shards inside its pruned run — out-of-run
-    /// shards are invisible to it by construction. Returns the total
-    /// records dropped across shards.
-    pub fn truncate_wals(&self) -> Result<u64, EngineError> {
-        // Hold the topology read lock across the whole pass so the
-        // run-to-shard alignment the floors are computed under cannot
-        // shift (rebalances queue behind it, like any transaction).
-        let topo = self.topology();
-        let mut floors: Vec<u64> = vec![u64::MAX; topo.shards.len()];
-        {
-            let views = self.inner.views.read().expect("views lock poisoned");
-            for reg in views.values() {
-                let mat = reg.mat.lock().expect("view windows lock poisoned");
-                if mat.epoch != topo.epoch {
-                    continue; // stale: the next read rebuilds, needs no log
-                }
-                let run = shard_run(&topo, &reg.bounds);
-                for (window, &shard_index) in mat.windows.iter().zip(run.iter()) {
-                    floors[shard_index] = floors[shard_index].min(window.applied_seq);
-                }
-            }
-        }
-        let mut dropped = 0;
-        for (shard, floor) in topo.shards.iter().zip(floors) {
-            let mut state = shard.write();
-            let floor = floor.min(state.wal.last_seq());
-            dropped += state.truncate_wal(floor)?;
-        }
-        if dropped > 0 {
-            self.inner.metrics.wal_truncated(dropped);
-        }
-        Ok(dropped)
     }
 
     pub(crate) fn topology(&self) -> std::sync::RwLockReadGuard<'_, Topology> {
@@ -1677,10 +1622,10 @@ impl ShardedEngineServer {
     ) -> Result<bool, EngineError> {
         let tel = &self.inner.telemetry;
         if window.applied_seq < shard.wal.start_seq() {
-            // A truncation outran this window (it materialized while the
-            // truncation's floor scan ran): the records it needs are
-            // gone, so rebuild from the live shard piece instead of
-            // silently serving a stale window.
+            // The log was trimmed past this window's cursor (more than
+            // the retained records committed since its last read): the
+            // records it needs are gone, so rebuild from the live shard
+            // piece instead of silently serving a stale window.
             let _rebuild = tel.timer(Phase::ViewRebuild);
             window.table = reg.lens.get(shard.db.table(&reg.table)?);
             window.applied_seq = shard.wal.last_seq();
@@ -2024,6 +1969,16 @@ mod tests {
     use super::*;
     use esm_store::{row, Operand, Predicate, Schema, ValueType};
 
+    /// The replay law on an in-memory engine built over `seed` whose logs
+    /// were never trimmed: every shard's WAL replayed over the seed in
+    /// turn (shards hold disjoint keys, so their logs commute).
+    fn replayed_over_seed(engine: &ShardedEngineServer, seed: Database) -> Database {
+        let wals = engine.shard_wals();
+        wals.iter()
+            .try_fold(seed, |db, wal| wal.replay(&db))
+            .unwrap()
+    }
+
     fn seed_db(n: i64) -> Database {
         let schema = Schema::build(
             &[
@@ -2116,7 +2071,7 @@ mod tests {
         let wals = engine.shard_wals();
         assert_eq!(wals[0].len(), 1);
         assert!(wals[1].is_empty() && wals[2].is_empty() && wals[3].is_empty());
-        assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
+        assert_eq!(replayed_over_seed(&engine, seed_db(40)), engine.snapshot());
     }
 
     #[test]
@@ -2149,7 +2104,7 @@ mod tests {
         );
         // Both shard logs hold the 2PC records and replay to their live
         // pieces.
-        assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
+        assert_eq!(replayed_over_seed(&engine, seed_db(40)), engine.snapshot());
     }
 
     #[test]
@@ -2222,7 +2177,7 @@ mod tests {
         // The host is reachable uniformly through the Engine trait.
         assert_eq!(rich.engine().table_names().unwrap(), vec!["accounts"]);
         assert!(rich.engine().metrics().unwrap().shard.cross_shard_commits >= 1);
-        assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
+        assert_eq!(replayed_over_seed(&engine, seed_db(40)), engine.snapshot());
         // Select-view registration auto-indexed each shard's piece.
         let topo = engine.topology();
         assert_eq!(
@@ -2441,8 +2396,12 @@ mod tests {
         batch.delta.apply_in_place(&mut replica).unwrap();
         assert_eq!(replica, all.get().unwrap());
 
-        // Truncating the log past a cursor takes it out of the window.
-        engine.truncate_wals().unwrap();
+        // Once a shard's log is trimmed past a cursor, the cursor is out
+        // of the window.
+        for i in 0..=crate::wal::WAL_RETAINED_RECORDS as i64 {
+            bump(17, 5 + i);
+        }
+        assert!(engine.metrics().wal_truncations > 0);
         assert!(engine
             .view_deltas_since("all", cursor)
             .unwrap()
@@ -2586,7 +2545,7 @@ mod tests {
         let schema =
             Schema::build(&[("id", ValueType::Int), ("v", ValueType::Str)], &["id"]).unwrap();
         db.create_table("audit", Table::new(schema)).unwrap();
-        let engine = ShardedEngineServer::new(db);
+        let engine = ShardedEngineServer::new(db.clone());
         engine
             .transact(1, |db| {
                 db.table_mut("accounts")?.upsert(row![1, "x", 1])?;
@@ -2602,7 +2561,7 @@ mod tests {
             .map(|r| matches!(r.op, crate::wal::WalOp::Delta { chained: true, .. }))
             .collect();
         assert_eq!(chained, vec![true, false]);
-        assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
+        assert_eq!(wal.replay(&db).unwrap(), engine.snapshot());
     }
 
     #[test]

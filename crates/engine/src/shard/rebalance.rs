@@ -7,8 +7,10 @@
 //! WAL* — the donor logs a deletion delta, the receiver's data arrives
 //! as its genesis checkpoint (split) or a logged insertion delta
 //! (merge) — and finish by atomically rewriting the topology manifest.
-//! Every shard's replay law (`wal.replay(baseline) == live piece`)
-//! therefore survives rebalancing.
+//! The replay law therefore survives rebalancing shard by shard:
+//! recovering a durable engine's directory gives every shard's live
+//! piece, under the live key ranges, with nothing to repair
+//! ([`crate::testkit::recovered_snapshot`] checks exactly that).
 //!
 //! ## Crash safety (durable engines)
 //!
@@ -191,6 +193,9 @@ impl ShardedEngineServer {
         }
         let stamp = self.last_stamp();
         survivor_state.note_stamp(stamp);
+        // The retired donor's log trims stay counted.
+        survivor_state.trims.0 += donor_state.trims.0;
+        survivor_state.trims.1 += donor_state.trims.1;
         drop(donor_state);
         drop(survivor_state);
 
@@ -206,7 +211,9 @@ impl ShardedEngineServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::DurabilityConfig;
     use crate::shard::ShardRouter;
+    use crate::testkit::recovered_snapshot;
     use esm_store::{row, Schema, ValueType};
 
     fn seed_db(n: i64) -> Database {
@@ -219,13 +226,23 @@ mod tests {
         db
     }
 
-    #[test]
-    fn split_moves_the_upper_range_and_keeps_laws() {
-        let engine = ShardedEngineServer::with_router(
-            seed_db(40),
-            ShardRouter::uniform_int(2, 0, 40).unwrap(),
+    /// A durable engine over `seed_db(n)` on `shards` uniform ranges, in
+    /// a fresh directory named by `tag`.
+    fn durable(tag: &str, n: i64, shards: usize) -> (ShardedEngineServer, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("esm-rebalance-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = ShardedEngineServer::with_durability(
+            seed_db(n),
+            ShardRouter::uniform_int(shards, 0, n).unwrap(),
+            DurabilityConfig::new(&dir).maintenance_interval_ms(0),
         )
         .unwrap();
+        (engine, dir)
+    }
+
+    #[test]
+    fn split_moves_the_upper_range_and_keeps_laws() {
+        let (engine, dir) = durable("split", 40, 2);
         let before = engine.snapshot();
         let new_index = engine.split_shard(row![30]).unwrap();
         assert_eq!(new_index, 2);
@@ -235,11 +252,9 @@ mod tests {
             let topo = engine.topology();
             assert_eq!(topo.shards[1].read().db.table("kv").unwrap().len(), 10);
             assert_eq!(topo.shards[2].read().db.table("kv").unwrap().len(), 10);
-            // Per-shard replay laws survive the move.
-            for shard in &topo.shards {
-                assert_eq!(shard.recovered_database().unwrap(), shard.read().db);
-            }
         }
+        // The replay law survives the move, shard by shard.
+        assert_eq!(recovered_snapshot(&engine).unwrap(), before);
         assert_eq!(engine.metrics().shard.splits, 1);
         assert_eq!(engine.metrics().shard.rows_migrated, 10);
         // Traffic routes to the new shard.
@@ -250,42 +265,44 @@ mod tests {
             })
             .unwrap();
         assert_eq!(receipt.shards, vec![2]);
+        assert_eq!(recovered_snapshot(&engine).unwrap(), engine.snapshot());
+        drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn merge_fuses_adjacent_ranges() {
-        let engine = ShardedEngineServer::with_router(
-            seed_db(40),
-            ShardRouter::uniform_int(4, 0, 40).unwrap(),
-        )
-        .unwrap();
+        let (engine, dir) = durable("merge", 40, 4);
         let before = engine.snapshot();
         engine.merge_shards(1).unwrap();
         assert_eq!(engine.shard_count(), 3);
         assert_eq!(engine.snapshot(), before, "a merge changes no data");
-        {
-            let topo = engine.topology();
-            assert_eq!(topo.shards[1].read().db.table("kv").unwrap().len(), 20);
-            for shard in &topo.shards {
-                assert_eq!(shard.recovered_database().unwrap(), shard.read().db);
-            }
-        }
+        assert_eq!(
+            engine.topology().shards[1]
+                .read()
+                .db
+                .table("kv")
+                .unwrap()
+                .len(),
+            20
+        );
+        assert_eq!(recovered_snapshot(&engine).unwrap(), before);
         assert_eq!(engine.metrics().shard.merges, 1);
         assert!(engine.merge_shards(2).is_err(), "no right neighbour");
+        drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn split_then_merge_round_trips() {
-        let engine = ShardedEngineServer::with_router(
-            seed_db(20),
-            ShardRouter::uniform_int(2, 0, 20).unwrap(),
-        )
-        .unwrap();
+        let (engine, dir) = durable("round-trip", 20, 2);
         let before = engine.snapshot();
         let idx = engine.split_shard(row![15]).unwrap();
         engine.merge_shards(idx - 1).unwrap();
         assert_eq!(engine.shard_count(), 2);
         assert_eq!(engine.snapshot(), before);
-        assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
+        assert_eq!(recovered_snapshot(&engine).unwrap(), before);
+        drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

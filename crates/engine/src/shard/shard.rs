@@ -2,12 +2,12 @@
 //! [`Database`], in-memory [`Wal`] and (optionally) durable WAL.
 //!
 //! A shard is the unit of commit parallelism: disjoint single-shard
-//! transactions never share a lock, a commit's write-ahead append and
-//! apply touch only this shard's state, and the per-shard WAL replays to
-//! exactly this shard's live piece (the recovery law, asserted per
-//! shard). Cross-shard transactions lock their participants in index
-//! order and run two-phase commit over the per-shard WALs (see
-//! [`crate::shard::coordinator`]).
+//! transactions never share a lock, and a commit's write-ahead append,
+//! apply and log trim touch only this shard's state. The shard holds one
+//! copy of its data, the live piece; its durable log recovers to exactly
+//! that piece (the recovery law). Cross-shard transactions lock their
+//! participants in index order and run two-phase commit over the
+//! per-shard WALs (see [`crate::shard::coordinator`]).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,7 +15,7 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use esm_store::{Database, Delta, Row, Table};
 
-use crate::durable::{DurabilityConfig, DurableWal, GroupCommit, RecoveryReport};
+use crate::durable::{DurabilityConfig, DurableWal, GroupCommit, InDoubtChains, RecoveryReport};
 use crate::engine::{check_table_delta, Staged};
 use crate::error::EngineError;
 use crate::wal::{Wal, WalRecord};
@@ -44,15 +44,16 @@ pub(crate) enum GroupEnd {
 #[derive(Debug)]
 pub(crate) struct ShardState {
     /// This shard's piece of every table (all tables present, possibly
-    /// empty — replay needs the schemas).
+    /// empty — views and key routing need the schemas).
     pub db: Database,
-    /// Committed records since this shard's baseline.
+    /// The newest committed records, at most
+    /// [`crate::wal::WAL_RETAINED_RECORDS`] plus an unsettled tail.
     pub wal: Wal,
     /// The file-backed log, when the engine is durable.
     pub durable: Option<DurableWal>,
-    /// The state the in-memory WAL replays over (construction snapshot
-    /// or recovery result).
-    pub baseline: Database,
+    /// How many times appends trimmed `wal`, and how many records those
+    /// trims dropped.
+    pub trims: (u64, u64),
     /// `(commit stamp, WAL seq)` pairs in log order: after the commit
     /// stamped `s`, every commit stamped up to `s` is in this shard's
     /// log through `seq`. How a subscription cursor (a stamp) maps to a
@@ -128,7 +129,8 @@ impl ShardState {
     /// Append one transaction's chain of per-table deltas, write-ahead
     /// first. With [`GroupEnd::Commit`] the chain applies to the live
     /// state; with [`GroupEnd::Prepare`] it stays pending (the durable
-    /// log holds it in doubt) until [`ShardState::resolve`].
+    /// log holds it in doubt) until [`ShardState::resolve`]. Then the
+    /// in-memory log is trimmed back within its bound.
     ///
     /// With `defer_sync` the durable appends skip their inline fsync:
     /// the caller either syncs explicitly afterwards (the 2PC
@@ -181,6 +183,7 @@ impl ShardState {
         if matches!(end, GroupEnd::Commit) {
             self.apply(deltas)?;
         }
+        self.trim_wal();
         Ok(first_seq..end_seq)
     }
 
@@ -211,6 +214,7 @@ impl ShardState {
         if committed {
             self.apply(deltas)?;
         }
+        self.trim_wal();
         Ok(())
     }
 
@@ -234,29 +238,19 @@ impl ShardState {
         }
     }
 
-    /// Drop this shard's in-memory WAL prefix at or below `floor`
-    /// (additionally capped by the durable checkpoint, so recovery
-    /// never depends on records only the dropped prefix held), cut back
-    /// to a settled transaction boundary, folding the dropped records
-    /// into the replay baseline. Returns how many records were dropped.
-    pub fn truncate_wal(&mut self, floor: u64) -> Result<u64, EngineError> {
-        let mut floor = floor;
-        if let Some(d) = self.durable.as_ref() {
-            floor = floor.min(d.checkpoint_seq());
+    /// Hold the in-memory log to [`crate::wal::WAL_RETAINED_RECORDS`]
+    /// ([`Wal::trim`]), dropping the stamp-index entries below its new
+    /// start but the last, which becomes the index's floor.
+    fn trim_wal(&mut self) {
+        let dropped = self.wal.trim();
+        if dropped == 0 {
+            return;
         }
-        let floor = floor.min(self.wal.last_seq());
-        let cut = self.wal.settled_prefix_end(floor);
-        if cut <= self.wal.start_seq() {
-            return Ok(0);
-        }
-        let dropped = self.wal.truncate_through(cut)?;
-        let count = dropped.len() as u64;
-        self.baseline = Wal::from_records(dropped).replay(&self.baseline)?;
-        // The stamp index goes with the log: keep the last entry at or
-        // below the cut as the new floor.
-        let floor = self.stamps.partition_point(|&(_, seq)| seq <= cut);
+        self.trims.0 += 1;
+        self.trims.1 += dropped as u64;
+        let start = self.wal.start_seq();
+        let floor = self.stamps.partition_point(|&(_, seq)| seq <= start);
         self.stamps.drain(..floor.saturating_sub(1));
-        Ok(count)
     }
 }
 
@@ -289,10 +283,10 @@ impl Shard {
             inner: Arc::new(ShardInner {
                 id,
                 state: RwLock::new(ShardState {
-                    baseline: db.clone(),
                     db,
                     wal: Wal::new(),
                     durable: None,
+                    trims: (0, 0),
                     stamps: Vec::new(),
                 }),
                 group: None,
@@ -314,10 +308,10 @@ impl Shard {
             inner: Arc::new(ShardInner {
                 id,
                 state: RwLock::new(ShardState {
-                    baseline: db.clone(),
                     db,
                     wal: Wal::new(),
                     durable: Some(durable),
+                    trims: (0, 0),
                     stamps: Vec::new(),
                 }),
                 group,
@@ -327,29 +321,30 @@ impl Shard {
     }
 
     /// Recover a durable shard from its WAL directory. In-doubt 2PC
-    /// chains are *not* applied — they wait in the durable log until the
-    /// sharded recovery settles them ([`crate::shard::ShardedEngineServer::recover_with`]).
+    /// chains are *not* applied — they come back to the caller, which
+    /// settles them ([`crate::shard::ShardedEngineServer::recover_with`]).
     pub(crate) fn recover(
         id: u64,
         cfg: DurabilityConfig,
-    ) -> Result<(Shard, RecoveryReport), EngineError> {
+    ) -> Result<(Shard, InDoubtChains, RecoveryReport), EngineError> {
         let group = (cfg.group_commit == 1).then_some(());
-        let (durable, db, report) = DurableWal::open(cfg)?;
+        let (durable, db, in_doubt, report) = DurableWal::open(cfg)?;
         Ok((
             Shard {
                 inner: Arc::new(ShardInner {
                     id,
                     state: RwLock::new(ShardState {
-                        baseline: db.clone(),
                         db,
                         wal: Wal::starting_at(report.last_seq),
                         durable: Some(durable),
+                        trims: (0, 0),
                         stamps: Vec::new(),
                     }),
                     group: group.map(|()| Arc::new(GroupCommit::new(report.last_seq))),
                     commits: AtomicU64::new(0),
                 }),
             },
+            in_doubt,
             report,
         ))
     }
@@ -420,18 +415,12 @@ impl Shard {
     pub(crate) fn commit_count(&self) -> u64 {
         self.inner.commits.load(Ordering::Relaxed)
     }
-
-    /// This shard's recovery law: its in-memory WAL replayed over its
-    /// baseline equals its live piece (asserted by the suites).
-    pub fn recovered_database(&self) -> Result<Database, EngineError> {
-        let state = self.read();
-        state.wal.replay(&state.baseline)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::WAL_RETAINED_RECORDS;
     use esm_store::{row, Schema, Table, ValueType};
 
     fn piece() -> Database {
@@ -465,12 +454,7 @@ mod tests {
         let state = shard.read();
         assert_eq!(state.db.table("t").unwrap().len(), 3);
         assert_eq!(state.wal.len(), 2);
-        drop(state);
-        assert_eq!(
-            shard.recovered_database().unwrap(),
-            shard.read().db,
-            "per-shard replay law"
-        );
+        assert_eq!(state.wal.replay(&piece()).unwrap(), state.db, "replay law");
     }
 
     #[test]
@@ -485,8 +469,8 @@ mod tests {
             assert_eq!(state.db.table("t").unwrap().len(), 1, "held in doubt");
             state.resolve("g1", true, &deltas, false).unwrap();
             assert_eq!(state.db.table("t").unwrap().len(), 2);
+            assert_eq!(state.wal.replay(&piece()).unwrap(), state.db);
         }
-        assert_eq!(shard.recovered_database().unwrap(), shard.read().db);
         // An aborted branch leaves no trace in the live state but stays
         // replayable.
         {
@@ -496,8 +480,36 @@ mod tests {
                 .unwrap();
             state.resolve("g2", false, &[ins(9)], false).unwrap();
             assert_eq!(state.db.table("t").unwrap().len(), 2);
+            assert_eq!(state.wal.replay(&piece()).unwrap(), state.db);
         }
-        assert_eq!(shard.recovered_database().unwrap(), shard.read().db);
+    }
+
+    #[test]
+    fn appends_trim_the_log_and_its_stamp_index() {
+        let shard = Shard::new_in_memory(0, piece());
+        let mut state = shard.write();
+        let commits = WAL_RETAINED_RECORDS as i64 + 1;
+        for id in 2..2 + commits {
+            state
+                .append_group(&[ins(id)], GroupEnd::Commit, false)
+                .unwrap();
+            state.note_stamp(id as u64);
+            assert!(state.wal.len() <= WAL_RETAINED_RECORDS);
+        }
+        let kept = WAL_RETAINED_RECORDS / 2;
+        assert_eq!(state.wal.len(), kept);
+        assert_eq!(state.trims, (1, commits as u64 - kept as u64));
+        assert_eq!(state.db.table("t").unwrap().len(), 1 + commits as usize);
+        // Stamps below the new start leave the index; the last of them
+        // stays as its floor.
+        let start = state.wal.start_seq();
+        assert_eq!(state.seq_at_stamp(start + 1), Some(start));
+        assert_eq!(state.seq_at_stamp(start), None);
+        // A snapshot from before the start conflicts instead of
+        // validating against the dropped records.
+        let keys = BTreeMap::from([("t".to_string(), BTreeSet::from([row![99_999]]))]);
+        assert!(state.fcw_conflict(start - 1, &keys).unwrap().is_some());
+        assert!(state.fcw_conflict(start, &keys).unwrap().is_none());
     }
 
     #[test]

@@ -14,11 +14,21 @@
 //! over the live base table. The concurrency check races optimistic
 //! editors and compares the final state against a single-threaded
 //! oracle re-executing the successful logical operations.
+//!
+//! The engine keeps one copy of its data, so the **replay law** is
+//! witnessed by recovery: [`recovered_snapshot`] recovers a copy of a
+//! durable engine's directory.
+
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use esm_relational::ViewDef;
 use esm_store::{row, Database, Operand, Predicate, Row, Schema, Table, Value, ValueType};
 
+use crate::durable::DurabilityConfig;
 use crate::engine::{ArcEngine, Engine};
+use crate::error::EngineError;
+use crate::shard::{Shard, ShardedEngineServer};
 
 /// Key-space size of the scripted workload.
 pub const KEYS: i64 = 80;
@@ -547,4 +557,62 @@ pub fn check_surface_smoke(engine: &dyn Engine) {
         "commit lock-hold phase never recorded"
     );
     assert!(tel.slow_threshold_ns > 0, "slow-op capture disabled");
+}
+
+/// The replay law's witness on a durable engine: what recovering its
+/// directory gives. Every shard is synced under its write lock (taken in
+/// index order and held together, so no commit, checkpoint or compaction
+/// runs) while the directory is copied; then the copy is recovered with
+/// [`ShardedEngineServer::recover_with`], snapshotted and deleted. The
+/// law holds shard by shard, so a recovery that settled in-doubt chains,
+/// pruned stray rows or changed the key ranges is refused.
+pub fn recovered_snapshot(engine: &ShardedEngineServer) -> Result<Database, EngineError> {
+    static COPIES: AtomicU64 = AtomicU64::new(0);
+    let base = engine
+        .durable_base_dir()
+        .ok_or_else(|| EngineError::Io("an in-memory engine has no directory".into()))?;
+    let mut copy = base.clone().into_os_string();
+    copy.push(format!(
+        ".recovered-{}",
+        COPIES.fetch_add(1, Ordering::Relaxed)
+    ));
+    let copy = PathBuf::from(copy);
+    let _ = std::fs::remove_dir_all(&copy);
+    let (router, copied) = {
+        let topo = engine.topology();
+        let mut guards: Vec<_> = topo.shards.iter().map(Shard::write).collect();
+        let copied = guards
+            .iter_mut()
+            .try_for_each(|state| state.sync())
+            .and_then(|()| copy_dir(&base, &copy));
+        (topo.router.clone(), copied)
+    };
+    let recovered = copied.and_then(|()| {
+        ShardedEngineServer::recover_with(DurabilityConfig::new(&copy).maintenance_interval_ms(0))
+    });
+    let _ = std::fs::remove_dir_all(&copy);
+    let (recovered, report) = recovered?;
+    let settled = report.committed_in_doubt + report.aborted_in_doubt;
+    if settled > 0 || report.repaired_rows > 0 || recovered.router() != router {
+        return Err(EngineError::WalCorrupt(format!(
+            "recovering the directory repaired it or moved key ranges: {report:?}"
+        )));
+    }
+    Ok(recovered.snapshot())
+}
+
+/// Copy a directory tree, skipping checkpoint temp files (one may be
+/// written, and renamed away, outside the shard locks during the copy).
+fn copy_dir(from: &Path, to: &Path) -> Result<(), EngineError> {
+    std::fs::create_dir_all(to)?;
+    for entry in std::fs::read_dir(from)? {
+        let entry = entry?;
+        let target = to.join(entry.file_name());
+        if entry.file_type()?.is_dir() {
+            copy_dir(&entry.path(), &target)?;
+        } else if !entry.file_name().to_string_lossy().ends_with(".tmp") {
+            std::fs::copy(entry.path(), target)?;
+        }
+    }
+    Ok(())
 }

@@ -1,14 +1,12 @@
 //! The write-ahead log: an append-only sequence of committed operations.
 //!
 //! Every committed transaction appends one [`WalRecord`] per table it
-//! changed. The log is the engine's source of truth for recovery: applying
-//! the records, in order, to a baseline database (the schemas plus the
-//! state the log started from) reproduces the live state exactly
-//! ([`Wal::replay`]), which the integration suite asserts as a law.
+//! changed. Applying the records, in order, to the database the log
+//! started from reproduces the live state exactly ([`Wal::replay`]).
 //!
-//! This module is the *in-memory* log; [`crate::durable`] persists the
-//! same records to append-only segment files with group commit and
-//! checkpointing.
+//! This module is the *in-memory* log, bounded by [`WAL_RETAINED_RECORDS`];
+//! [`crate::durable`] persists the same records to append-only segment
+//! files with group commit and checkpointing, and recovery replays those.
 //!
 //! ## Record kinds ([`WalOp`])
 //!
@@ -42,6 +40,11 @@ use std::collections::BTreeMap;
 use esm_store::{Database, Delta};
 
 use crate::error::EngineError;
+
+/// The most records a shard's in-memory WAL keeps, plus one unsettled
+/// trailing transaction: the append that passes it trims the log to half
+/// ([`Wal::trim`]). Readers below the new start rebuild, resync or retry.
+pub const WAL_RETAINED_RECORDS: usize = 1024;
 
 /// Is `name` reserved (and therefore unusable as a table name)? Names
 /// starting with `!` belong to the engine: every engine constructor and
@@ -277,10 +280,10 @@ impl Wal {
     /// transaction boundary**: every chained record at or below it has
     /// its terminator at or below it, and every prepare marker at or
     /// below it has its resolve marker at or below it. Records up to that
-    /// point can be dropped from the log (after folding them into the
-    /// replay baseline) without ever splitting a transaction or
-    /// discarding the only evidence of a 2PC outcome. Returns [`Wal::start_seq`] when
-    /// nothing at all is settled within `upto`.
+    /// point can be dropped from the log without ever splitting a
+    /// transaction or discarding the only evidence of a 2PC outcome.
+    /// Returns [`Wal::start_seq`] when nothing at all is settled within
+    /// `upto`.
     pub fn settled_prefix_end(&self, upto: u64) -> u64 {
         let mut boundary = self.start;
         let mut open_chain = 0usize;
@@ -316,16 +319,14 @@ impl Wal {
         boundary
     }
 
-    /// Drop (and return) every record with `seq <= through`, advancing
-    /// the log's start offset to `through`. The caller owns folding the
-    /// returned prefix into whatever baseline it replays from —
-    /// truncation alone would silently break the replay law. `through`
+    /// Drop every record with `seq <= through`, advancing the log's start
+    /// offset to `through`, and return how many were dropped. `through`
     /// must lie on a settled transaction boundary (see
     /// [`Wal::settled_prefix_end`]); a cut through an open chain or an
     /// unresolved prepare is refused as corruption.
-    pub fn truncate_through(&mut self, through: u64) -> Result<Vec<WalRecord>, EngineError> {
+    pub fn truncate_through(&mut self, through: u64) -> Result<usize, EngineError> {
         if through <= self.start {
-            return Ok(Vec::new());
+            return Ok(0);
         }
         if self.settled_prefix_end(through) != through {
             return Err(EngineError::WalCorrupt(format!(
@@ -333,9 +334,23 @@ impl Wal {
             )));
         }
         let cut = self.records.partition_point(|r| r.seq <= through);
-        let dropped: Vec<WalRecord> = self.records.drain(..cut).collect();
+        self.records.drain(..cut);
         self.start = through;
-        Ok(dropped)
+        Ok(cut)
+    }
+
+    /// Enforce [`WAL_RETAINED_RECORDS`]: once the log holds more, drop the
+    /// prefix up to the settled boundary at or below the record that
+    /// leaves half the bound. Returns how many records went.
+    pub fn trim(&mut self) -> usize {
+        let len = self.records.len();
+        if len <= WAL_RETAINED_RECORDS {
+            return 0;
+        }
+        let upto = self.records[len - WAL_RETAINED_RECORDS / 2 - 1].seq;
+        let cut = self.settled_prefix_end(upto);
+        self.truncate_through(cut)
+            .expect("a settled boundary truncates")
     }
 
     /// Apply every record, in order, to `baseline` and return the
@@ -392,8 +407,8 @@ impl Wal {
                 }
                 WalOp::Resolve { gtx, committed } => {
                     // A resolve whose prepare predates this log's start
-                    // (recovery already settled the chain into the
-                    // baseline) is a legal no-op.
+                    // (the chain was settled in the state it starts
+                    // from) is a legal no-op.
                     if let Some(group) = prepared.remove(gtx.as_str()) {
                         if *committed {
                             for (table, delta) in group {
@@ -527,6 +542,33 @@ mod tests {
         // Replay over a baseline that reflects seq 41 applies only the
         // new records.
         assert_eq!(wal.replay(&db()).unwrap(), db());
+    }
+
+    #[test]
+    fn trim_cuts_back_to_half_the_bound_at_a_settled_boundary() {
+        let mut wal = Wal::new();
+        for _ in 0..WAL_RETAINED_RECORDS {
+            wal.append("people", Delta::empty());
+        }
+        assert_eq!(wal.trim(), 0, "within bound");
+        wal.append("people", Delta::empty());
+        assert_eq!(
+            wal.trim(),
+            WAL_RETAINED_RECORDS + 1 - WAL_RETAINED_RECORDS / 2
+        );
+        assert_eq!(wal.len(), WAL_RETAINED_RECORDS / 2);
+        assert_eq!(wal.start_seq(), wal.records()[0].seq - 1);
+
+        // An unresolved prepare below the half mark holds every cut.
+        let mut held = Wal::new();
+        held.push(WalRecord::chained(1, "people", insert_delta(10, "a")))
+            .unwrap();
+        held.push(WalRecord::prepare(2, "g1", 1)).unwrap();
+        for _ in 0..WAL_RETAINED_RECORDS {
+            held.append("people", Delta::empty());
+        }
+        assert_eq!(held.trim(), 0);
+        assert_eq!(held.len(), WAL_RETAINED_RECORDS + 2);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! The paper's set-bx laws (GS, SG, SS) and entanglement, observed
 //! through `EntangledView` get/put on every in-process host:
-//! one shard, four shards split and merged between law steps, a durable
-//! primary whose synced replica serves the same reads (and refuses every
-//! write), and a replica promoted to primary. The remote host runs the
-//! same suite in the esm-net crate's `remote_engine` tests.
+//! one shard, four durable shards split and merged between law steps, a
+//! durable primary whose synced replica serves the same reads (and
+//! refuses every write), and a replica promoted to primary. The remote
+//! host runs the same suite in the esm-net crate's `remote_engine` tests.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use esm_engine::testkit::{
-    apply_op, check_bx_laws, check_bx_laws_with, decode_op, recompute, seed_db, view_defs, KEYS,
+    apply_op, check_bx_laws, check_bx_laws_with, decode_op, recompute, recovered_snapshot, seed_db,
+    view_defs, KEYS,
 };
 use esm_engine::{
     DirWalSource, DurabilityConfig, Engine, EngineError, EngineServer, ReplicaConfig,
@@ -30,9 +31,13 @@ fn bx_laws_hold_on_one_shard() {
 
 #[test]
 fn bx_laws_hold_on_four_shards_across_splits_and_merges() {
-    let engine =
-        ShardedEngineServer::with_router(seed_db(), ShardRouter::uniform_int(4, 0, KEYS).unwrap())
-            .unwrap();
+    let dir = fresh_dir("rebalanced");
+    let engine = ShardedEngineServer::with_durability(
+        seed_db(),
+        ShardRouter::uniform_int(4, 0, KEYS).unwrap(),
+        DurabilityConfig::new(&dir).maintenance_interval_ms(0),
+    )
+    .unwrap();
     // Alternate a split and a merge between law steps, so every law is
     // checked on windows a topology change invalidated.
     let mut step = 0u32;
@@ -48,7 +53,10 @@ fn bx_laws_hold_on_four_shards_across_splits_and_merges() {
     });
     assert_eq!(engine.shard_count(), 4);
     assert!(engine.metrics().shard.splits > 0 && engine.metrics().shard.merges > 0);
-    assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
+    // Recovering the directory gives the live state, shard by shard.
+    assert_eq!(recovered_snapshot(&engine).unwrap(), engine.snapshot());
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -724,9 +724,10 @@ fn recovered_engines_keep_committing_durably() {
         .table("accounts")
         .expect("exists")
         .contains(&row![9_999, "z", "post-recovery", 1]));
-    // And the recovered state still satisfies the in-memory replay law.
+    // And recovering the third engine's directory again gives its live
+    // state.
     assert_eq!(
-        third.recovered_database().expect("replays"),
+        esm_engine::testkit::recovered_snapshot(&third).expect("recovers"),
         third.snapshot()
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -734,10 +735,10 @@ fn recovered_engines_keep_committing_durably() {
 
 #[test]
 fn live_and_durable_views_of_state_agree() {
-    // The shadow state a checkpoint would serialize always equals the
-    // engine's own committed snapshot (the entangled-consistency law for
-    // the durability layer).
-    let dir = fresh_dir("shadow");
+    // The state a checkpoint serializes, captured from the live piece,
+    // equals the engine's own committed snapshot (the entangled-
+    // consistency law for the durability layer).
+    let dir = fresh_dir("checkpoint-capture");
     let cfg = DurabilityConfig::new(&dir)
         .checkpoint_every(7)
         .maintenance_interval_ms(0);

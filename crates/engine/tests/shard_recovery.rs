@@ -14,6 +14,7 @@
 
 use std::path::PathBuf;
 
+use esm_engine::testkit::recovered_snapshot;
 use esm_engine::{
     DurabilityConfig, DurableWal, EngineError, FailPoint, ShardRouter, ShardedEngineServer,
     WalRecord,
@@ -118,7 +119,7 @@ fn durable_cross_shard_commits_survive_restart() {
     // The recovered engine keeps serving both paths.
     transfer(&recovered, 0, 2900, FailPoint::None).expect("2pc after recovery");
     assert_eq!(
-        recovered.recovered_database().expect("replays"),
+        recovered_snapshot(&recovered).expect("recovers"),
         recovered.snapshot()
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -152,7 +153,7 @@ fn coordinator_crash_after_prepare_presumes_abort_on_every_shard() {
     assert_eq!(report2.committed_in_doubt + report2.aborted_in_doubt, 0);
     transfer(&again, 200, 2700, FailPoint::None).expect("keys are free");
     assert_eq!(
-        again.recovered_database().expect("replays"),
+        recovered_snapshot(&again).expect("recovers"),
         again.snapshot()
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -180,7 +181,7 @@ fn coordinator_crash_after_partial_resolve_commits_on_every_shard() {
     assert_eq!(t.get_by_key(&row![2600]).expect("row")[2], 107.into());
     assert_ne!(recovered.snapshot(), before, "all-or-nothing: everything");
     assert_eq!(
-        recovered.recovered_database().expect("replays"),
+        recovered_snapshot(&recovered).expect("recovers"),
         recovered.snapshot()
     );
 
@@ -329,7 +330,7 @@ fn splits_survive_restart_and_debris_is_repaired() {
         let shard0_cfg = DurabilityConfig::new(dir.join("shard-0"))
             .checkpoint_every(0)
             .maintenance_interval_ms(0);
-        let (mut wal, _db, rep) = DurableWal::open(shard0_cfg).expect("opens shard 0");
+        let (mut wal, _db, _, rep) = DurableWal::open(shard0_cfg).expect("opens shard 0");
         wal.append(&WalRecord::delta(
             rep.last_seq + 1,
             "accounts",
@@ -349,7 +350,7 @@ fn splits_survive_restart_and_debris_is_repaired() {
     // The stray row is pruned: shard 2 owns key 2999 and never had it.
     assert_eq!(healed.snapshot(), live);
     assert_eq!(
-        healed.recovered_database().expect("replays"),
+        recovered_snapshot(&healed).expect("recovers"),
         healed.snapshot()
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -1,19 +1,24 @@
-//! WAL truncation below the view cursors.
+//! The bounded in-memory WAL.
 //!
 //! The in-memory WAL feeds first-committer-wins validation and
-//! materialized-view maintenance; once every registered view's window
-//! cursor (and the durable checkpoint, when one exists) has passed a
-//! prefix, that prefix is folded into the replay baseline and dropped —
-//! the log stays bounded under a steady write/read workload without
-//! ever breaking the replay law (`baseline + wal == live`), splitting a
-//! chained transaction, or dropping the only evidence of a 2PC outcome.
+//! materialized-view maintenance. Every append that takes a shard's log
+//! past [`WAL_RETAINED_RECORDS`] drops its oldest settled records under
+//! the same write lock, so the log stays bounded with no maintenance
+//! pass, whatever the views and the durable checkpoint are doing. A view
+//! whose cursor falls below the log's start rebuilds from the live piece
+//! on its next read. Trims never split a chained transaction or drop the
+//! only evidence of a 2PC outcome, and the replay law (recovering the
+//! directory gives the live state) holds throughout.
 
-use esm_engine::testkit::seed_db;
+use std::path::{Path, PathBuf};
+
+use esm_engine::testkit::{recompute, recovered_snapshot, seed_db, view_defs, KEYS};
 use esm_engine::{
     DurabilityConfig, EngineError, EngineServer, ShardRouter, ShardedEngineServer, Wal, WalRecord,
+    WAL_RETAINED_RECORDS,
 };
 use esm_relational::ViewDef;
-use esm_store::{row, Delta, Operand, Predicate};
+use esm_store::{row, Delta, Operand, Predicate, Schema, Table, ValueType};
 
 /// The in-memory log of a one-shard engine.
 fn wal(engine: &EngineServer) -> Wal {
@@ -26,6 +31,41 @@ fn ins(id: i64) -> Delta {
         deleted: vec![],
     }
 }
+
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("esm-trunc-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A durable engine over `seed_db()` on `shards` uniform ranges, with no
+/// maintenance thread. Group commit batches fsyncs: these tests commit
+/// past the retention bound, and the replay-law check syncs first.
+fn durable(dir: &Path, shards: usize) -> ShardedEngineServer {
+    ShardedEngineServer::with_durability(
+        seed_db(),
+        ShardRouter::uniform_int(shards, 0, KEYS).unwrap(),
+        DurabilityConfig::new(dir)
+            .group_commit(64)
+            .maintenance_interval_ms(0),
+    )
+    .unwrap()
+}
+
+/// The `i`-th one-row commit: row `id` gets a value neither the seed nor
+/// any other call gave it, so every call appends exactly one record.
+fn upsert(engine: &ShardedEngineServer, id: i64, i: i64) {
+    engine
+        .transact_keys(&[row![id]], 1, |db| {
+            db.table_mut("t")?.upsert(row![id, "g0", -1 - i])?;
+            Ok(())
+        })
+        .unwrap();
+}
+
+/// Records each trim drops when one-record commits cross the bound: the
+/// log goes from one over the bound back to half of it.
+const TRIMMED: u64 = (WAL_RETAINED_RECORDS + 1 - WAL_RETAINED_RECORDS / 2) as u64;
 
 #[test]
 fn settled_prefix_respects_chains_and_prepares() {
@@ -53,152 +93,146 @@ fn settled_prefix_respects_chains_and_prepares() {
         Err(EngineError::WalCorrupt(_))
     ));
     let mut cut = wal.clone();
-    let dropped = cut.truncate_through(3).unwrap();
-    assert_eq!(dropped.len(), 3);
+    assert_eq!(cut.truncate_through(3).unwrap(), 3);
     assert_eq!(cut.start_seq(), 3);
     assert_eq!(cut.len(), 4);
     // A cut at or below the start is a no-op.
-    assert!(cut.truncate_through(3).unwrap().is_empty());
+    assert_eq!(cut.truncate_through(3).unwrap(), 0);
 }
 
 #[test]
-fn truncation_is_gated_on_the_laggard_view_cursor() {
-    let engine = EngineServer::new(seed_db());
+fn a_laggard_view_cursor_does_not_pin_the_log() {
+    let dir = fresh_dir("laggard");
+    let engine = durable(&dir, 1);
     let fast = engine.define_view("fast", "t", &ViewDef::base()).unwrap();
-    let slow = engine
-        .define_view(
-            "slow",
-            "t",
-            &ViewDef::base().select(Predicate::lt(Operand::col("id"), Operand::val(40))),
-        )
-        .unwrap();
-    // Both cursors sit at registration (seq 0): nothing can go.
-    for i in 0..10i64 {
+    let slow_def = ViewDef::base().select(Predicate::lt(Operand::col("id"), Operand::val(40)));
+    let slow = engine.define_view("slow", "t", &slow_def).unwrap();
+    // The fast view reads after every edit; the slow one sits at its
+    // registration cursor while the log passes its bound.
+    let rebuilds = engine.metrics().view.rebuilds;
+    for i in 0..=WAL_RETAINED_RECORDS as i64 {
         engine
             .edit_view_optimistic("fast", 4, move |v| {
-                v.upsert(row![200 + i, "g0", i])?;
+                v.upsert(row![i % 40, "g0", -1 - i])?;
                 Ok(())
             })
             .unwrap();
+        fast.get().unwrap();
     }
-    assert_eq!(engine.truncate_wals().unwrap(), 0);
-    assert_eq!(wal(&engine).len(), 10);
-
-    // Only the fast view reads: the slow cursor still pins the log.
-    fast.get().unwrap();
-    assert_eq!(engine.truncate_wals().unwrap(), 0);
-
-    // Once the laggard catches up the whole prefix drops…
-    slow.get().unwrap();
-    let dropped = engine.truncate_wals().unwrap();
-    assert_eq!(dropped, 10);
-    assert_eq!(wal(&engine).len(), 0);
-    assert_eq!(wal(&engine).start_seq(), 10);
+    let log = engine.shard_wals().swap_remove(0);
+    assert_eq!(log.len(), WAL_RETAINED_RECORDS / 2);
+    assert!(log.start_seq() > 0, "the slow cursor did not pin the log");
     let m = engine.metrics();
-    assert_eq!(m.wal_truncations, 1);
-    assert_eq!(m.wal_records_truncated, 10);
+    assert_eq!((m.wal_truncations, m.wal_records_truncated), (1, TRIMMED));
+    assert_eq!(
+        m.view.rebuilds, rebuilds,
+        "the fast view drained every edit"
+    );
+    // Recovering the directory gives the live state.
+    assert_eq!(recovered_snapshot(&engine).unwrap(), engine.snapshot());
 
-    // …and the replay law still holds: the baseline advanced in step.
-    assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
-
-    // Life goes on: edits commit past the truncation point and views
-    // keep maintaining incrementally (no spurious rebuild).
-    let rebuilds = engine.metrics().view.rebuilds;
+    // The slow view's next read rebuilds from the live piece and is
+    // exact; after that it maintains incrementally again.
+    let base = engine.table("t").unwrap();
+    assert_eq!(slow.get().unwrap(), recompute(&slow_def, &base));
+    assert_eq!(engine.metrics().view.rebuilds, rebuilds + 1);
     engine
         .edit_view_optimistic("fast", 4, |v| {
-            v.upsert(row![300, "g1", 1])?;
+            v.upsert(row![7, "g1", 1])?;
             Ok(())
         })
         .unwrap();
-    assert_eq!(fast.get().unwrap().len(), 51);
-    assert_eq!(engine.metrics().view.rebuilds, rebuilds);
-    assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
+    assert!(slow.get().unwrap().contains(&row![7, "g1", 1]));
+    assert_eq!(engine.metrics().view.rebuilds, rebuilds + 1);
+    assert_eq!(recovered_snapshot(&engine).unwrap(), engine.snapshot());
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn truncation_respects_chained_transactions() {
-    let engine = EngineServer::new(seed_db());
-    let all = engine.define_view("all", "t", &ViewDef::base()).unwrap();
-    // A multi-table transaction appends a chained group (seed_db has
-    // one table, so force chains through two transact tables by using
-    // single-table groups of several rows plus a plain edit).
-    engine
-        .transact(4, |db| {
-            db.table_mut("t")?.upsert(row![500, "g0", 1])?;
-            db.table_mut("t")?.upsert(row![501, "g0", 2])?;
-            Ok(())
-        })
-        .unwrap();
-    all.get().unwrap();
-    let dropped = engine.truncate_wals().unwrap();
-    assert!(dropped >= 1);
-    assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
+    let dir = fresh_dir("chains");
+    let mut db = seed_db();
+    let schema =
+        Schema::build(&[("id", ValueType::Int), ("note", ValueType::Str)], &["id"]).unwrap();
+    db.create_table("audit", Table::new(schema)).unwrap();
+    let engine = ShardedEngineServer::with_durability(
+        db,
+        ShardRouter::single(),
+        DurabilityConfig::new(&dir)
+            .group_commit(64)
+            .maintenance_interval_ms(0),
+    )
+    .unwrap();
+    // Every transaction changes two tables: a chained record and its
+    // terminator. Trims must cut between chains, never inside one.
+    for i in 0..WAL_RETAINED_RECORDS as i64 {
+        engine
+            .transact(1, |db| {
+                db.table_mut("t")?.upsert(row![i % KEYS, "g0", -1 - i])?;
+                db.table_mut("audit")?.upsert(row![i, "touched"])?;
+                Ok(())
+            })
+            .unwrap();
+        let log = engine.shard_wals().swap_remove(0);
+        assert!(log.len() <= WAL_RETAINED_RECORDS + 1);
+        assert_eq!(log.len() % 2, 0, "a trim split a chain");
+        assert!(matches!(
+            log.records()[0].op,
+            esm_engine::WalOp::Delta { chained: true, .. }
+        ));
+    }
+    assert!(engine.metrics().wal_truncations > 0);
+    assert_eq!(recovered_snapshot(&engine).unwrap(), engine.snapshot());
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn durable_truncation_waits_for_the_checkpoint() {
-    let dir = std::env::temp_dir().join(format!("esm-trunc-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+fn durable_trims_do_not_wait_for_the_checkpoint() {
+    let dir = fresh_dir("no-checkpoint");
     let cfg = DurabilityConfig::new(&dir)
-        .checkpoint_every(6)
+        .group_commit(64)
+        .checkpoint_every(0)
         .maintenance_interval_ms(0);
     let engine =
-        ShardedEngineServer::with_durability(seed_db(), ShardRouter::single(), cfg).unwrap();
-    let all = engine.define_view("all", "t", &ViewDef::base()).unwrap();
-    for i in 0..4i64 {
-        engine
-            .edit_view_optimistic("all", 4, move |v| {
-                v.upsert(row![400 + i, "g0", i])?;
-                Ok(())
-            })
+        ShardedEngineServer::with_durability(seed_db(), ShardRouter::single(), cfg.clone())
             .unwrap();
+    let commits = WAL_RETAINED_RECORDS as i64 + 1;
+    for i in 0..commits {
+        upsert(&engine, i % KEYS, i);
     }
-    all.get().unwrap();
-    // The view cursor passed everything, but the durable checkpoint
-    // (interval 6) has not: nothing may drop yet.
-    assert_eq!(engine.truncate_wals().unwrap(), 0);
-
-    for i in 4..8i64 {
-        engine
-            .edit_view_optimistic("all", 4, move |v| {
-                v.upsert(row![400 + i, "g0", i])?;
-                Ok(())
-            })
-            .unwrap();
-    }
-    all.get().unwrap();
-    // run_maintenance checkpoints (8 records >= interval 6) and then
-    // truncates below min(cursor, checkpoint).
-    let checkpoints = engine.metrics().wal.checkpoints;
+    // No checkpoint ever ran past genesis, yet the in-memory log trimmed:
+    // the durable log, not the in-memory one, is what recovery reads.
     engine.run_maintenance().unwrap();
-    assert!(engine.metrics().wal.checkpoints > checkpoints);
-    assert!(wal(&engine).start_seq() > 0);
-    assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
+    assert_eq!(engine.metrics().wal.checkpoints, 1, "genesis only");
+    assert_eq!(wal(&engine).len(), WAL_RETAINED_RECORDS / 2);
+    assert_eq!(recovered_snapshot(&engine).unwrap(), engine.snapshot());
+    engine.sync_wal().unwrap();
+    let live = engine.snapshot();
     drop(engine);
 
-    // Crash-recover the directory: the durable history is intact even
-    // though the in-memory log was truncated.
-    let (recovered, _) = ShardedEngineServer::recover(&dir).unwrap();
-    let snap = recovered.snapshot();
-    assert_eq!(snap.table("t").unwrap().len(), 48);
-    let _ = std::fs::remove_dir_all(&dir);
+    // The whole history replays from genesis.
+    let (recovered, report) = ShardedEngineServer::recover_with(cfg).unwrap();
+    assert_eq!(recovered.snapshot(), live);
+    assert_eq!(report.shards[0].checkpoint_seq, 0);
+    assert_eq!(report.shards[0].records_replayed, commits as u64);
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn sharded_truncation_drops_per_shard_prefixes() {
-    let engine =
-        ShardedEngineServer::with_router(seed_db(), ShardRouter::uniform_int(4, 0, 80).unwrap())
-            .unwrap();
+    let dir = fresh_dir("sharded");
+    let engine = durable(&dir, 4); // splits at 20 / 40 / 60
     let all = engine.define_view("all", "t", &ViewDef::base()).unwrap();
-    // Disjoint single-shard commits plus one cross-shard 2PC.
-    for i in 0..8i64 {
-        let id = i * 10 + 1;
-        engine
-            .transact_keys(&[row![id]], 4, move |db| {
-                db.table_mut("t")?.upsert(row![id, "g0", i])?;
-                Ok(())
-            })
-            .unwrap();
+    // Shard 0 takes enough commits to trim; the others take a few, plus
+    // one cross-shard 2PC.
+    for i in 0..=WAL_RETAINED_RECORDS as i64 {
+        upsert(&engine, 1, i);
+    }
+    for i in 1..4i64 {
+        upsert(&engine, i * 20 + 1, -i);
     }
     engine
         .transact_keys(&[row![2], row![42]], 4, |db| {
@@ -208,44 +242,48 @@ fn sharded_truncation_drops_per_shard_prefixes() {
             Ok(())
         })
         .unwrap();
-    let before: usize = engine.shard_wals().iter().map(Wal::len).sum();
-    assert!(before > 0);
-
-    // The window cursor sits at registration until the view reads.
-    all.get().unwrap();
-    let dropped = engine.truncate_wals().unwrap();
-    assert!(
-        dropped as usize == before,
-        "all settled records drop: {dropped} of {before}"
+    let lens: Vec<usize> = engine.shard_wals().iter().map(Wal::len).collect();
+    assert_eq!(
+        lens[0],
+        WAL_RETAINED_RECORDS / 2 + 3,
+        "chain, prepare, resolve"
     );
-    let after: usize = engine.shard_wals().iter().map(Wal::len).sum();
-    assert_eq!(after, 0);
-    assert_eq!(engine.metrics().wal_records_truncated, dropped);
+    assert_eq!(lens[1..], [1, 4, 1], "the other shards keep every record");
+    let m = engine.metrics();
+    assert_eq!((m.wal_truncations, m.wal_records_truncated), (1, TRIMMED));
+    assert_eq!(recovered_snapshot(&engine).unwrap(), engine.snapshot());
 
-    // Replay and maintenance laws survive.
-    assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
+    // The view's shard-0 window fell below that shard's log start and
+    // rebuilds; the other windows drain. Then it maintains again.
     let rebuilds = engine.metrics().view.rebuilds;
-    engine
-        .transact_keys(&[row![3]], 4, |db| {
-            db.table_mut("t")?.upsert(row![3, "g1", 3])?;
-            Ok(())
-        })
-        .unwrap();
-    assert!(all.get().unwrap().contains(&row![3, "g1", 3]));
-    assert_eq!(engine.metrics().view.rebuilds, rebuilds);
-    assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
+    let base = engine.table("t").unwrap();
+    assert_eq!(all.get().unwrap(), base);
+    assert_eq!(engine.metrics().view.rebuilds, rebuilds + 1);
+    upsert(&engine, 3, 3);
+    assert!(all.get().unwrap().contains(&row![3, "g0", -4]));
+    assert_eq!(engine.metrics().view.rebuilds, rebuilds + 1);
+    assert_eq!(recovered_snapshot(&engine).unwrap(), engine.snapshot());
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn maintenance_keeps_the_log_bounded_under_steady_load() {
-    let engine = EngineServer::new(seed_db());
+    let dir = fresh_dir("steady");
+    let cfg = DurabilityConfig::new(&dir)
+        .group_commit(64)
+        .checkpoint_every(100)
+        .maintenance_interval_ms(0);
+    let engine =
+        ShardedEngineServer::with_durability(seed_db(), ShardRouter::single(), cfg).unwrap();
     let all = engine.define_view("all", "t", &ViewDef::base()).unwrap();
+    let rebuilds = engine.metrics().view.rebuilds;
     let mut max_len = 0;
-    for round in 0..20i64 {
-        for i in 0..10i64 {
+    for round in 0..40i64 {
+        for i in 0..60i64 {
             engine
                 .edit_view_optimistic("all", 4, move |v| {
-                    v.upsert(row![1000 + round * 10 + i, "g0", i])?;
+                    v.upsert(row![1000 + round * 60 + i, "g0", i])?;
                     Ok(())
                 })
                 .unwrap();
@@ -254,9 +292,84 @@ fn maintenance_keeps_the_log_bounded_under_steady_load() {
         engine.run_maintenance().unwrap();
         max_len = max_len.max(wal(&engine).len());
     }
-    // 200 commits flowed through; the log never held more than one
-    // round's worth.
-    assert!(max_len <= 10, "log grew unbounded: {max_len}");
-    assert_eq!(wal(&engine).start_seq(), 200);
-    assert_eq!(engine.recovered_database().unwrap(), engine.snapshot());
+    // 2,400 commits flowed through; the log never passed its bound, the
+    // checkpoints kept up, and a view read every round never rebuilt.
+    assert!(max_len <= WAL_RETAINED_RECORDS, "log grew to {max_len}");
+    assert!(engine.metrics().wal_truncations >= 3);
+    assert!(engine.metrics().wal.checkpoints > 10);
+    assert_eq!(engine.metrics().view.rebuilds, rebuilds);
+    assert_eq!(recovered_snapshot(&engine).unwrap(), engine.snapshot());
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// 20,000 one-row commits while a band view, read once, sits idle and
+/// nothing calls `run_maintenance`: the log stays within its bound the
+/// whole way, the metrics count every trim, and the idle view's next read
+/// rebuilds to exactly its recomputation.
+fn assert_the_log_stays_bounded(engine: &ShardedEngineServer) {
+    const COMMITS: i64 = 20_000;
+    let (_, band) = view_defs()
+        .into_iter()
+        .find(|(name, _)| *name == "band")
+        .unwrap();
+    let view = engine.define_view("band", "t", &band).unwrap();
+    view.get().unwrap();
+    let rebuilds = engine.metrics().view.rebuilds;
+    for i in 0..COMMITS {
+        upsert(engine, i % KEYS, i);
+        if i % 16 == 0 {
+            let len = wal(engine).len();
+            assert!(
+                len <= WAL_RETAINED_RECORDS,
+                "{len} records after {i} commits"
+            );
+        }
+    }
+    let len = wal(engine).len();
+    assert!(
+        len <= WAL_RETAINED_RECORDS,
+        "{len} of {COMMITS} records retained"
+    );
+    let m = engine.metrics();
+    assert_eq!(m.wal_records_truncated + len as u64, COMMITS as u64);
+    assert_eq!(m.wal_truncations * TRIMMED, m.wal_records_truncated);
+    let base = engine.table("t").unwrap();
+    assert_eq!(view.get().unwrap(), recompute(&band, &base));
+    assert!(engine.metrics().view.rebuilds > rebuilds);
+}
+
+#[test]
+fn an_idle_view_leaves_the_log_bounded_in_memory() {
+    assert_the_log_stays_bounded(&EngineServer::new(seed_db()));
+}
+
+#[test]
+fn an_idle_view_leaves_the_log_bounded_on_a_default_durable_engine() {
+    let dir = fresh_dir("bounded-default");
+    let engine = ShardedEngineServer::with_durability(
+        seed_db(),
+        ShardRouter::single(),
+        DurabilityConfig::new(&dir),
+    )
+    .unwrap();
+    assert_the_log_stays_bounded(&engine);
+    assert_eq!(recovered_snapshot(&engine).unwrap(), engine.snapshot());
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_idle_view_leaves_the_log_bounded_without_checkpoints() {
+    let dir = fresh_dir("bounded-no-checkpoint");
+    let engine = ShardedEngineServer::with_durability(
+        seed_db(),
+        ShardRouter::single(),
+        DurabilityConfig::new(&dir).checkpoint_every(0),
+    )
+    .unwrap();
+    assert_the_log_stays_bounded(&engine);
+    assert_eq!(recovered_snapshot(&engine).unwrap(), engine.snapshot());
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
 }

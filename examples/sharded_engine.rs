@@ -6,11 +6,14 @@
 //! one, while under the hood every table is cut across shards
 //! by key range, single-shard transactions commit with no coordination,
 //! and cross-shard transactions run two-phase commit over the per-shard
-//! write-ahead logs.
+//! write-ahead logs. The engine is durable (in a temporary directory),
+//! so the replay law can be shown the way it holds: recovering the
+//! directory gives the live state, shard by shard.
 //!
 //! Run with: `cargo run --example sharded_engine`
 
-use esm::engine::{ShardRouter, ShardedEngineServer};
+use esm::engine::testkit::recovered_snapshot;
+use esm::engine::{DurabilityConfig, ShardRouter, ShardedEngineServer};
 use esm::relational::ViewDef;
 use esm::store::{row, Database, Operand, Predicate, Row, Schema, Table, ValueType};
 
@@ -30,8 +33,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut db = Database::new();
     db.create_table("accounts", Table::from_rows(schema, rows)?)?;
 
-    // Four shards, each owning a quarter of the key space.
-    let engine = ShardedEngineServer::with_router(db, ShardRouter::uniform_int(4, 0, 4000)?)?;
+    // Four shards, each owning a quarter of the key space, each logging
+    // into its own directory under `dir`.
+    let dir = std::env::temp_dir().join(format!("esm-sharded-example-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine = ShardedEngineServer::with_durability(
+        db,
+        ShardRouter::uniform_int(4, 0, 4000)?,
+        DurabilityConfig::new(&dir),
+    )?;
     println!("shards: {}", engine.shard_count());
 
     // A single-shard transaction: no coordination, one WAL.
@@ -88,9 +98,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(engine.snapshot(), before, "a split changes no data");
 
-    // The recovery law holds shard by shard: every WAL replays to its
-    // live piece, and their union is the engine's snapshot.
-    assert_eq!(engine.recovered_database()?, engine.snapshot());
+    // The recovery law holds shard by shard: recovering a copy of the
+    // directory gives every shard's live piece under the new key ranges,
+    // and their union is the engine's snapshot.
+    assert_eq!(recovered_snapshot(&engine)?, engine.snapshot());
 
     let m = engine.metrics();
     println!(
@@ -101,5 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         m.shard.prepares,
         m.shard.splits,
     );
+    drop(engine);
+    std::fs::remove_dir_all(&dir)?;
     Ok(())
 }

@@ -77,14 +77,14 @@
 //!     Table::from_rows(schema, vec![row![1, "research"], row![2, "ops"]]).unwrap(),
 //! ).unwrap();
 //!
-//! let engine = EngineServer::new(db); // Clone the handle into any thread.
+//! let engine = EngineServer::new(db.clone()); // Clone the handle into any thread.
 //! let research = engine.define_view(
 //!     "research", "staff",
 //!     &ViewDef::base().select(Predicate::eq(Operand::col("dept"), Operand::val("research"))),
 //! ).unwrap();
 //! let delta = research.edit(|v| Ok(v.upsert(row![3, "research"]).map(|_| ())?)).unwrap();
 //! assert_eq!(delta.inserted.len(), 1);                  // what the write did
-//! assert_eq!(engine.recovered_database().unwrap(), engine.snapshot()); // WAL law
+//! assert_eq!(engine.shard_wals()[0].replay(&db).unwrap(), engine.snapshot()); // WAL law
 //! ```
 
 pub use esm_algebraic as algebraic;
