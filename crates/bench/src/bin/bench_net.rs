@@ -27,6 +27,14 @@
 //! receive exactly the delta — the push path must deliver ≥ 2x the
 //! aggregate update rate of polling.
 //!
+//! What the cached snapshot buys: a remote `transact` used to download
+//! and decode the whole database on every attempt. Each connection now
+//! keeps its last snapshot and catches it up with `SNAPSHOT_SINCE`, so a
+//! warm one-row `transact` ships and applies the change alone. The sweep
+//! times it at 256 and 65,536 rows (median of 41 ops, best of 3 rounds
+//! that interleave the sizes), and its gate holds the 65,536-row cost
+//! within 2x of the 256-row cost.
+//!
 //! Usage: `cargo run --release -p esm-bench --bin bench_net [dir]`
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -59,8 +67,21 @@ const GATE_MAX_READ_P50_NS: u64 = 100_000;
 const GATE_MIN_PUSH_OVER_POLL: f64 = 2.0;
 const FANOUT_CLIENTS: usize = 64;
 const FANOUT_SECS: f64 = 2.0;
+/// Table sizes of the warm remote `transact` sweep.
+const TRANSACT_SWEEP_ROWS: [i64; 2] = [256, 65_536];
+const TRANSACT_SWEEP_OPS: usize = 41;
+const TRANSACT_SWEEP_ROUNDS: usize = 3;
+/// A warm one-row remote `transact` at 65,536 rows costs at most this
+/// many times the same op at 256 rows: the cost follows the change, not
+/// the table.
+const GATE_MAX_TRANSACT_SLOPE: f64 = 2.0;
 
 fn seed_db() -> Database {
+    kv_db(VIEWS * 32)
+}
+
+/// `kv(id, band, val)` with `rows` rows, `band = id % VIEWS`.
+fn kv_db(rows: i64) -> Database {
     let schema = Schema::build(
         &[
             ("id", ValueType::Int),
@@ -70,7 +91,7 @@ fn seed_db() -> Database {
         &["id"],
     )
     .expect("valid schema");
-    let rows: Vec<Row> = (0..VIEWS * 32).map(|i| row![i, i % VIEWS, i * 3]).collect();
+    let rows = (0..rows).map(|i| row![i, i % VIEWS, i * 3]);
     let mut db = Database::new();
     db.create_table("kv", Table::from_rows(schema, rows).expect("valid rows"))
         .expect("fresh");
@@ -170,6 +191,42 @@ fn record(
     );
     println!("  {note}");
     results.record_tailed(id, 1e9 / ops_per_s.max(1e-9), latencies, note);
+}
+
+/// Median ns of a warm one-row remote `transact` at `rows` rows: one
+/// connection to a server over a one-shard in-memory engine, whose first
+/// `transact` fills the connection's cached snapshot; then
+/// [`TRANSACT_SWEEP_OPS`] one-row upserts spread over the table, each
+/// catching the cache up with `SNAPSHOT_SINCE` before it commits.
+fn transact_sweep_ns(rows: i64) -> f64 {
+    let server = NetServer::bind(
+        EngineServer::new(kv_db(rows)).as_engine(),
+        "127.0.0.1:0",
+        NetServerConfig::default(),
+    )
+    .expect("loopback bind");
+    let remote = RemoteEngine::connect(server.local_addr()).expect("loopback connect");
+    let upsert = |i: usize| {
+        let key = (i as i64 * 7_919) % rows;
+        remote
+            .transact(4, &move |db: &mut Database| {
+                db.table_mut("kv")?
+                    .upsert(row![key, key % VIEWS, -(i as i64)])?;
+                Ok(())
+            })
+            .expect("commits");
+    };
+    upsert(TRANSACT_SWEEP_OPS);
+    let mut samples: Vec<f64> = (0..TRANSACT_SWEEP_OPS)
+        .map(|i| {
+            let start = Instant::now();
+            upsert(i);
+            start.elapsed().as_nanos() as f64
+        })
+        .collect();
+    server.shutdown();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// The update source both fan-out scenarios share: one writer
@@ -363,6 +420,25 @@ fn main() {
         cleanup(&*socket_handles(addr, 1)[0]);
     }
 
+    // The warm remote transact sweep: rounds interleave the sizes, and
+    // each size keeps its best round, so a stretch of host contention
+    // cannot land on one size alone.
+    println!("warm one-row remote transact:");
+    let mut transact_ns = [f64::INFINITY; TRANSACT_SWEEP_ROWS.len()];
+    for _ in 0..TRANSACT_SWEEP_ROUNDS {
+        for (best, &rows) in transact_ns.iter_mut().zip(&TRANSACT_SWEEP_ROWS) {
+            *best = best.min(transact_sweep_ns(rows));
+        }
+    }
+    for (&rows, &ns) in TRANSACT_SWEEP_ROWS.iter().zip(&transact_ns) {
+        let note = format!(
+            "warm one-row remote transact, {rows} rows, one shard: median of \
+             {TRANSACT_SWEEP_OPS} ops, best of {TRANSACT_SWEEP_ROUNDS} rounds"
+        );
+        println!("  {rows:>6} rows: {:.1}µs", ns / 1e3);
+        results.record(format!("net/transact/socket/{rows}"), ns, note);
+    }
+
     // Fan-out: the same update stream delivered to 64 clients by
     // polling, then by subscription push.
     println!("64-client fan-out (updates observed/s):");
@@ -378,6 +454,17 @@ fn main() {
     );
     server.shutdown();
 
+    // Every gate is checked and the artifact written before any failure
+    // ends the run, so a failing gate's measurement is on record and no
+    // gate hides behind another.
+    let mut failed: Vec<String> = Vec::new();
+    let mut gate = |ok: bool, failure: String| {
+        if !ok {
+            eprintln!("{failure}");
+            failed.push(failure);
+        }
+    };
+
     // The latency gate: with the readiness loop parked in the kernel, a
     // lone client's read must not pay any poller nap on top of its RTT.
     results.record(
@@ -389,10 +476,12 @@ fn main() {
         ),
     );
     println!("single-client socket read p50: {single_read_p50_ns}ns");
-    assert!(
+    gate(
         single_read_p50_ns < GATE_MAX_READ_P50_NS,
-        "latency gate failed: single-client read p50 {single_read_p50_ns}ns \
-         (need < {GATE_MAX_READ_P50_NS}ns)"
+        format!(
+            "latency gate failed: single-client read p50 {single_read_p50_ns}ns \
+             (need < {GATE_MAX_READ_P50_NS}ns)"
+        ),
     );
 
     // The fan-out gate: push must beat polling by 2x on delivered
@@ -408,10 +497,12 @@ fn main() {
         ),
     );
     println!("64-subscriber push / poll update rate: {push_over_poll:.2}x");
-    assert!(
+    gate(
         push_over_poll >= GATE_MIN_PUSH_OVER_POLL,
-        "fan-out gate failed: push delivered only {push_over_poll:.2}x the polled \
-         update rate at 64 subscribers (need >= {GATE_MIN_PUSH_OVER_POLL}x)"
+        format!(
+            "fan-out gate failed: push delivered only {push_over_poll:.2}x the polled \
+             update rate at 64 subscribers (need >= {GATE_MIN_PUSH_OVER_POLL}x)"
+        ),
     );
 
     // The gate: multiplexed socket clients must beat one socket client
@@ -434,9 +525,9 @@ fn main() {
         format!("16-client / 1-client socket read throughput = {scaling:.2}x (gate >= {GATE_MIN_SCALING}x)"),
     );
     println!("16-client / 1-client socket read scaling: {scaling:.2}x");
-    assert!(
+    gate(
         scaling >= GATE_MIN_SCALING,
-        "multiplexing gate failed: 16 clients delivered only {scaling:.2}x one client's read throughput (need >= {GATE_MIN_SCALING}x)"
+        format!("multiplexing gate failed: 16 clients delivered only {scaling:.2}x one client's read throughput (need >= {GATE_MIN_SCALING}x)"),
     );
 
     // The overload gate: commit throughput must not collapse when the
@@ -464,14 +555,30 @@ fn main() {
         ),
     );
     println!("256-client / 16-client socket commit retention: {retained:.2}x");
-    assert!(
+    gate(
         retained >= GATE_MIN_COMMIT_RETENTION,
-        "overload gate failed: 256 clients delivered only {retained:.2}x the \
-         16-client commit throughput (need >= {GATE_MIN_COMMIT_RETENTION}x)"
+        format!(
+            "overload gate failed: 256 clients delivered only {retained:.2}x the \
+             16-client commit throughput (need >= {GATE_MIN_COMMIT_RETENTION}x)"
+        ),
+    );
+
+    // The transact gate: a warm one-row remote transaction costs the
+    // change, not the table.
+    let slope = transact_ns[1] / transact_ns[0];
+    let (small, large) = (TRANSACT_SWEEP_ROWS[0], TRANSACT_SWEEP_ROWS[1]);
+    println!("warm remote transact at {large} / {small} rows: {slope:.2}x");
+    gate(
+        slope <= GATE_MAX_TRANSACT_SLOPE,
+        format!(
+            "transact gate failed: a warm one-row remote transact at {large} rows costs \
+             {slope:.2}x the same op at {small} rows (need <= {GATE_MAX_TRANSACT_SLOPE}x)"
+        ),
     );
 
     let path = results
         .write_json(dir, "net")
         .expect("write BENCH_net.json");
     println!("wrote {}", path.display());
+    assert!(failed.is_empty(), "{}", failed.join("\n"));
 }

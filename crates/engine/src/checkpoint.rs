@@ -29,7 +29,7 @@ use esm_store::codec::{self, BinReader};
 use esm_store::Database;
 
 use crate::error::EngineError;
-use crate::segment::{seal, unseal};
+use crate::segment::{unseal, Sealer};
 
 /// Filename extension of checkpoint files.
 pub const CHECKPOINT_SUFFIX: &str = ".ckpt";
@@ -61,12 +61,13 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Render the checkpoint file content.
+    /// Render the checkpoint file content, in one buffer: the body is
+    /// encoded after the reserved seal header.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        codec::put_u64(&mut body, self.seq);
-        codec::put_database(&mut body, &self.db);
-        seal(CHECKPOINT_MAGIC, &body)
+        let mut file = Sealer::new(CHECKPOINT_MAGIC);
+        codec::put_u64(file.body(), self.seq);
+        codec::put_database(file.body(), &self.db);
+        file.finish()
     }
 
     /// Parse checkpoint file content, validating its seal.
@@ -145,7 +146,7 @@ pub fn latest_valid_checkpoint(dir: &Path) -> Result<(Option<Checkpoint>, u64), 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::FRAME_HEADER_BYTES;
+    use crate::segment::{seal, FRAME_HEADER_BYTES};
     use esm_store::{row, Schema, Table, ValueType};
 
     fn db() -> Database {
@@ -184,6 +185,39 @@ mod tests {
             db: Database::new(),
         };
         assert_eq!(Checkpoint::decode(&empty.encode()).unwrap(), empty);
+    }
+
+    #[test]
+    fn one_buffer_encoding_equals_sealing_the_encoded_body() {
+        // Random databases (sizes, keys and strings from a fixed-seed
+        // xorshift): the checkpoint file must be exactly the body sealed
+        // after the fact.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        for case in 0..24u64 {
+            let schema =
+                Schema::build(&[("id", ValueType::Int), ("v", ValueType::Str)], &["id"]).unwrap();
+            let rows = (0..next(600)).map(|_| {
+                let id = next(1 << 40) as i64;
+                row![id, "é".repeat(next(5) as usize) + &id.to_string()]
+            });
+            let mut t = Table::new(schema);
+            for r in rows {
+                t.upsert(r).unwrap();
+            }
+            let mut db = Database::new();
+            db.create_table("t", t).unwrap();
+            let c = Checkpoint { seq: case, db };
+            let mut body = Vec::new();
+            codec::put_u64(&mut body, c.seq);
+            codec::put_database(&mut body, &c.db);
+            assert_eq!(c.encode(), seal(CHECKPOINT_MAGIC, &body), "case {case}");
+        }
     }
 
     #[test]

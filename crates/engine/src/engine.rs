@@ -61,6 +61,40 @@ pub struct CommitReceipt {
     pub gtx: Option<String>,
 }
 
+/// What [`Engine::snapshot_since`] answers: the database at commit
+/// stamp `stamp`, either whole or as the changes since the stamp the
+/// caller already holds.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct SnapshotSince {
+    /// The commit stamp the answer reflects: the caller's next `since`.
+    /// Engines that keep no stamps answer 0 with a whole database.
+    pub stamp: u64,
+    /// The base-table deltas committed after the caller's stamp, one per
+    /// changed table (a run coalesced with [`Delta::coalesce`]), in
+    /// table-name order. Empty when `full` is present.
+    pub deltas: Vec<(String, Delta)>,
+    /// The whole database, when the changes are not available: the
+    /// caller adopts it and drops what it held.
+    pub full: Option<Database>,
+}
+
+impl SnapshotSince {
+    /// Bring `db`, the database at the stamp this answer was asked for,
+    /// to the answer's stamp: adopt `full`, or apply every delta in
+    /// place.
+    pub fn apply_to(self, db: &mut Database) -> Result<(), EngineError> {
+        match self.full {
+            Some(full) => *db = full,
+            None => {
+                for (name, delta) in &self.deltas {
+                    delta.apply_in_place(db.table_mut(name)?)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Rows that earlier deltas of one checked request touched, by
 /// `(table, key)`: `None` where a delta deleted the key.
 pub(crate) type Staged<'a> = BTreeMap<(&'a str, Row), Option<&'a Row>>;
@@ -175,6 +209,20 @@ pub trait Engine: Send + Sync + std::fmt::Debug {
     /// A snapshot of the whole database, consistent across tables and
     /// shards (all shard read locks are held together).
     fn snapshot(&self) -> Result<Database, EngineError>;
+
+    /// The database at the current commit stamp, for a caller that holds
+    /// it at stamp `since` (`None`: holds nothing). Engines that keep a
+    /// log answer with the committed base-table deltas since that stamp
+    /// — O(delta) — and fall back to the whole database when the log no
+    /// longer covers it. The default always answers with the whole
+    /// database ([`Engine::snapshot`]) at stamp 0.
+    fn snapshot_since(&self, _since: Option<u64>) -> Result<SnapshotSince, EngineError> {
+        Ok(SnapshotSince {
+            stamp: 0,
+            deltas: Vec::new(),
+            full: Some(self.snapshot()?),
+        })
+    }
 
     /// Compile and register a named entangled view over `table`,
     /// returning a client handle. The view is compiled against the
@@ -332,6 +380,12 @@ impl Engine for crate::shard::ShardedEngineServer {
 
     fn snapshot(&self) -> Result<Database, EngineError> {
         Ok(crate::shard::ShardedEngineServer::snapshot(self))
+    }
+
+    fn snapshot_since(&self, since: Option<u64>) -> Result<SnapshotSince, EngineError> {
+        Ok(crate::shard::ShardedEngineServer::snapshot_since(
+            self, since,
+        ))
     }
 
     fn define_view(

@@ -76,11 +76,15 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
 }
 
 // ---------------------------------------------------------------------
-// CRC32 (IEEE 802.3 polynomial, table-driven, built at compile time).
+// CRC32 (IEEE 802.3 polynomial, slicing-by-8, tables built at compile
+// time).
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC32_TABLES[0]` is the classic byte-at-a-time table; table `k`
+/// advances a byte's contribution through `k` further zero bytes, so
+/// eight table lookups fold eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -93,20 +97,45 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC32 (IEEE) of a byte slice — the per-record checksum in the segment
-/// framing.
+/// CRC32 (IEEE) of a byte slice — the checksum of segment frames, sealed
+/// files and wire frames. Eight bytes per step (slicing-by-8), then the
+/// tail a byte at a time; the values are those of the bytewise loop.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -118,10 +147,48 @@ pub const BINARY_FRAME_MAGIC: u8 = 0xB5;
 /// Bytes in a frame header: magic, payload len (u32 LE), crc32 (u32 LE).
 pub(crate) const FRAME_HEADER_BYTES: usize = 9;
 
-/// Wrap `payload` in a CRC frame, `[magic][len u32 LE][crc32 u32 LE]
-/// [payload]`. Segment records are framed with [`BINARY_FRAME_MAGIC`];
-/// a checkpoint or the shard topology manifest is one frame, under its
-/// own magic, filling its whole file — a *sealed* file ([`unseal`]).
+/// A CRC frame, `[magic][len u32 LE][crc32 u32 LE][payload]`, built in
+/// one buffer: [`Sealer::new`] reserves the header, the payload is
+/// appended to [`Sealer::body`], and [`Sealer::finish`] fills in its
+/// length and CRC. Segment records are framed with
+/// [`BINARY_FRAME_MAGIC`]; a checkpoint or the shard topology manifest
+/// is one frame, under its own magic, filling its whole file — a
+/// *sealed* file ([`unseal`]).
+pub(crate) struct Sealer(Vec<u8>);
+
+impl Sealer {
+    /// A frame under `magic` with its header reserved.
+    pub(crate) fn new(magic: u8) -> Sealer {
+        let mut out = Vec::with_capacity(64);
+        out.push(magic);
+        out.resize(FRAME_HEADER_BYTES, 0);
+        Sealer(out)
+    }
+
+    /// The buffer the payload is appended to (after the header).
+    pub(crate) fn body(&mut self) -> &mut Vec<u8> {
+        &mut self.0
+    }
+
+    /// The finished frame: the payload's length and CRC32 written into
+    /// the reserved header.
+    ///
+    /// # Panics
+    ///
+    /// If the payload exceeds the `u32` length field.
+    pub(crate) fn finish(mut self) -> Vec<u8> {
+        let payload = &self.0[FRAME_HEADER_BYTES..];
+        let len = u32::try_from(payload.len()).expect("a sealed payload fits its u32 length");
+        let crc = crc32(payload);
+        self.0[1..5].copy_from_slice(&len.to_le_bytes());
+        self.0[5..9].copy_from_slice(&crc.to_le_bytes());
+        self.0
+    }
+}
+
+/// Wrap an already-encoded `payload` in a CRC frame: the reference
+/// encoding every [`Sealer`] frame must equal byte for byte.
+#[cfg(test)]
 pub(crate) fn seal(magic: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
     out.push(magic);
@@ -177,6 +244,12 @@ const REC_RESOLVE: u8 = 3;
 /// binary frame's CRC covers.
 pub fn encode_record_binary(record: &WalRecord) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
+    put_record_binary(&mut out, record);
+    out
+}
+
+/// Append one record's binary payload to `out`.
+fn put_record_binary(out: &mut Vec<u8>, record: &WalRecord) {
     match &record.op {
         WalOp::Delta {
             table,
@@ -184,24 +257,23 @@ pub fn encode_record_binary(record: &WalRecord) -> Vec<u8> {
             chained,
         } => {
             out.push(if *chained { REC_CHAINED } else { REC_DELTA });
-            codec::put_u64(&mut out, record.seq);
-            codec::put_str(&mut out, table);
-            codec::put_delta(&mut out, delta);
+            codec::put_u64(out, record.seq);
+            codec::put_str(out, table);
+            codec::put_delta(out, delta);
         }
         WalOp::Prepare { gtx, records } => {
             out.push(REC_PREPARE);
-            codec::put_u64(&mut out, record.seq);
-            codec::put_str(&mut out, gtx);
-            codec::put_u64(&mut out, *records);
+            codec::put_u64(out, record.seq);
+            codec::put_str(out, gtx);
+            codec::put_u64(out, *records);
         }
         WalOp::Resolve { gtx, committed } => {
             out.push(REC_RESOLVE);
-            codec::put_u64(&mut out, record.seq);
-            codec::put_str(&mut out, gtx);
+            codec::put_u64(out, record.seq);
+            codec::put_str(out, gtx);
             out.push(u8::from(*committed));
         }
     }
-    out
 }
 
 /// Decode one binary record payload produced by [`encode_record_binary`].
@@ -251,7 +323,9 @@ pub fn decode_record_binary(payload: &[u8]) -> Result<WalRecord, EngineError> {
 /// Encode one record with its binary segment frame — exactly the bytes
 /// [`SegmentWriter::append`] writes.
 pub fn encode_framed_binary(record: &WalRecord) -> Vec<u8> {
-    seal(BINARY_FRAME_MAGIC, &encode_record_binary(record))
+    let mut frame = Sealer::new(BINARY_FRAME_MAGIC);
+    put_record_binary(frame.body(), record);
+    frame.finish()
 }
 
 /// An append-only byte sink with explicit durability points.
@@ -600,6 +674,49 @@ mod tests {
         // The IEEE check value: crc32("123456789") == 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time CRC32 the sliced one must agree with.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_loop() {
+        // Pseudo-random bytes, cut at every offset of a word and at many
+        // lengths, so every alignment and every tail length is covered.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..4096)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for offset in 0..16 {
+            for len in (0..300).chain([1000, 2047, 4096 - offset]) {
+                let slice = &bytes[offset..offset + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "offset {offset}, len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sealer_frames_equal_sealed_payloads() {
+        for r in all_kinds() {
+            let payload = encode_record_binary(&r);
+            assert_eq!(encode_framed_binary(&r), seal(BINARY_FRAME_MAGIC, &payload));
+        }
+        assert_eq!(Sealer::new(0xB6).finish(), seal(0xB6, &[]));
     }
 
     /// Every record kind, with multi-byte strings a cut can split.

@@ -72,10 +72,10 @@ use crate::checkpoint::write_atomic;
 use crate::durable::{checkpoint_off_lock, DurabilityConfig, MaintenanceThread, RecoveryReport};
 use crate::error::EngineError;
 use crate::metrics::{Metrics, MetricsSnapshot, ShardLoad, ShardMetrics, WalStats};
-use crate::segment::{seal, unseal};
+use crate::segment::{unseal, Sealer};
 use crate::sub::{CommitNotifier, ViewDeltas};
 use crate::view::EntangledView;
-use crate::wal::{check_table_names, committed_table_deltas, Wal};
+use crate::wal::{check_table_names, committed_deltas, Wal};
 
 use self::coordinator::Participant;
 use self::shard::GroupEnd;
@@ -101,6 +101,7 @@ pub(crate) struct Topology {
 }
 
 pub use crate::engine::CommitReceipt;
+use crate::engine::SnapshotSince;
 
 /// What a sharded recovery found and did.
 #[derive(Debug, Clone, Default)]
@@ -703,6 +704,60 @@ impl ShardedEngineServer {
         let guards: Vec<_> = topo.shards.iter().map(Shard::read).collect();
         assemble(guards.iter().map(|g| g.db.clone()))
             .expect("shard pieces share schemas and disjoint keys")
+    }
+
+    /// The database at the current commit stamp, for a caller holding it
+    /// at stamp `since`: under every shard's read lock (as
+    /// [`Self::snapshot`] takes them), the base-table deltas committed
+    /// after `since`, coalesced per table — O(delta), found through each
+    /// shard's stamp index the way [`Self::view_deltas_since`] finds
+    /// them. The whole chunk-sharing snapshot comes back instead when
+    /// `since` is `None`, outside the live WAL window (trimmed away or
+    /// ahead of the last stamp), older than the last split or merge, or
+    /// followed by an unsettled tail.
+    pub fn snapshot_since(&self, since: Option<u64>) -> SnapshotSince {
+        let topo = self.topology();
+        let guards: Vec<_> = topo.shards.iter().map(Shard::read).collect();
+        // Under every shard's read lock each stamp issued so far is
+        // applied, and none can land.
+        let stamp = self.last_stamp();
+        let deltas = since.and_then(|from| {
+            if from < topo.layout_stamp || from > stamp {
+                return None;
+            }
+            let mut runs: BTreeMap<&str, Vec<Delta>> = BTreeMap::new();
+            for guard in &guards {
+                let seq = guard.seq_at_stamp(from)?;
+                for (table, delta) in committed_deltas(guard.wal.records_after(seq))? {
+                    runs.entry(table).or_default().push(delta.clone());
+                }
+            }
+            let schemas = &guards.first()?.db;
+            let mut deltas = Vec::with_capacity(runs.len());
+            for (name, run) in runs {
+                let key = schemas.table(name).ok()?.schema().key_indices();
+                let delta = Delta::coalesce(run, &key);
+                if !delta.is_empty() {
+                    deltas.push((name.to_string(), delta));
+                }
+            }
+            Some(deltas)
+        });
+        match deltas {
+            Some(deltas) => SnapshotSince {
+                stamp,
+                deltas,
+                full: None,
+            },
+            None => SnapshotSince {
+                stamp,
+                deltas: Vec::new(),
+                full: Some(
+                    assemble(guards.iter().map(|g| g.db.clone()))
+                        .expect("shard pieces share schemas and disjoint keys"),
+                ),
+            },
+        }
     }
 
     /// Per-shard snapshots of the in-memory WALs, in topology order.
@@ -1453,13 +1508,11 @@ impl ShardedEngineServer {
                 let Some(from) = guard.seq_at_stamp(cursor) else {
                     return Ok(None);
                 };
-                let Some(pending) =
-                    committed_table_deltas(&reg.table, guard.wal.records_after(from))
-                else {
+                let Some(pending) = committed_deltas(guard.wal.records_after(from)) else {
                     // Unsettled trailing transaction: push once it settles.
                     return Ok(Some(ViewDeltas::empty(cursor)));
                 };
-                for delta in pending {
+                for (_, delta) in pending.into_iter().filter(|(t, _)| *t == reg.table) {
                     match reg.lens.get_delta(delta) {
                         DeltaOutcome::View(vd) => view_deltas.push(vd),
                         DeltaOutcome::Rebuild => return Ok(None),
@@ -1638,16 +1691,17 @@ impl ShardedEngineServer {
             tel.record(Phase::ViewDrain, drain_span.elapsed_ns());
             return Ok(true);
         }
-        let deltas = committed_table_deltas(&reg.table, records);
+        let deltas = committed_deltas(records);
         tel.record(Phase::ViewDrain, drain_span.elapsed_ns());
         let Some(deltas) = deltas else {
             return Ok(true); // unsettled tail: serve the last settled state
         };
+        let deltas = deltas.into_iter().filter(|(t, _)| *t == reg.table);
         // `deltas_applied` counts only changes that actually survive
         // into the window (a rebuild discards the whole run).
         let fold_span = Span::start();
         let folded =
-            crate::view::drain_into_window(&reg.lens, deltas.iter().copied(), &mut window.table);
+            crate::view::drain_into_window(&reg.lens, deltas.map(|(_, d)| d), &mut window.table);
         tel.record(Phase::ViewDeltaFold, fold_span.elapsed_ns());
         let clean = match folded {
             Some(drained) => {
@@ -1913,17 +1967,18 @@ pub(crate) fn write_topology(
     ids: &[u64],
 ) -> Result<(), EngineError> {
     debug_assert_eq!(ids.len(), router.shard_count());
-    let mut body = Vec::new();
-    codec::put_u64(&mut body, next_id);
-    codec::put_u32(&mut body, ids.len() as u32);
+    let mut file = Sealer::new(TOPOLOGY_MAGIC);
+    let body = file.body();
+    codec::put_u64(body, next_id);
+    codec::put_u32(body, ids.len() as u32);
     for id in ids {
-        codec::put_u64(&mut body, *id);
+        codec::put_u64(body, *id);
     }
-    codec::put_u32(&mut body, router.splits().len() as u32);
+    codec::put_u32(body, router.splits().len() as u32);
     for split in router.splits() {
-        codec::put_row(&mut body, split);
+        codec::put_row(body, split);
     }
-    write_atomic(dir, TOPOLOGY_FILE, &seal(TOPOLOGY_MAGIC, &body))?;
+    write_atomic(dir, TOPOLOGY_FILE, &file.finish())?;
     Ok(())
 }
 
@@ -1967,6 +2022,7 @@ fn decode_topology(bytes: &[u8]) -> Result<(u64, ShardRouter, Vec<u64>), EngineE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::seal;
     use esm_store::{row, Operand, Predicate, Schema, ValueType};
 
     /// The replay law on an in-memory engine built over `seed` whose logs
@@ -2427,6 +2483,61 @@ mod tests {
             .unwrap()
             .resync
             .is_some());
+    }
+
+    #[test]
+    fn snapshot_since_ships_deltas_inside_the_log_window() {
+        let engine = sharded(40, 4); // splits at 10 / 20 / 30
+        let first = engine.snapshot_since(None);
+        assert!(first.deltas.is_empty());
+        let mut db = first.full.clone().expect("no stamp: the whole database");
+        let bump = |id: i64, balance: i64| {
+            engine
+                .transact_keys(&[row![id]], 1, move |db| {
+                    db.table_mut("accounts")?
+                        .upsert(row![id, format!("o{id}"), balance])?;
+                    Ok(())
+                })
+                .unwrap()
+        };
+        bump(5, 1);
+        bump(5, 2);
+        bump(25, 3);
+        // A cross-shard 2PC arrives once, at its resolution.
+        engine
+            .transact_keys(&[row![6], row![36]], 1, |db| {
+                let t = db.table_mut("accounts")?;
+                t.delete_by_key(&row![6]);
+                t.upsert(row![36, "moved", 3])?;
+                Ok(())
+            })
+            .unwrap();
+        let next = engine.snapshot_since(Some(first.stamp));
+        assert!(next.full.is_none(), "caught up O(delta)");
+        let coalesced = &next.deltas[0].1;
+        assert_eq!((coalesced.inserted.len(), coalesced.deleted.len()), (3, 4));
+        next.clone().apply_to(&mut db).unwrap();
+        assert_eq!(db, engine.snapshot());
+        // The current stamp ships nothing; a stamp from the future gets
+        // the whole database.
+        let idle = engine.snapshot_since(Some(next.stamp));
+        assert_eq!((idle.stamp, idle.deltas.len()), (next.stamp, 0));
+        assert!(idle.full.is_none());
+        assert!(engine.snapshot_since(Some(next.stamp + 1)).full.is_some());
+        // A split changes no data, so the current stamp still ships
+        // nothing; stamps from before it get the whole database.
+        engine.split_shard(row![15]).unwrap();
+        let split = engine.snapshot_since(Some(next.stamp));
+        assert!(split.full.is_none() && split.deltas.is_empty());
+        assert!(engine.snapshot_since(Some(first.stamp)).full.is_some());
+        // Once a shard's log is trimmed past a stamp, it is out of the
+        // window.
+        let kept = engine.snapshot_since(None).stamp;
+        for i in 0..=crate::wal::WAL_RETAINED_RECORDS as i64 {
+            bump(17, i);
+        }
+        let trimmed = engine.snapshot_since(Some(kept));
+        assert_eq!(trimmed.full, Some(engine.snapshot()));
     }
 
     #[test]

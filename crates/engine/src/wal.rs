@@ -429,34 +429,28 @@ impl Wal {
     }
 }
 
-/// The committed deltas for `table` in a run of WAL records, honouring
-/// the transaction structure the same way [`Wal::replay`] does: chained
-/// records buffer until their terminator, prepared chains apply at
-/// their commit resolution and drop at an abort. Returns `None`
-/// when the run ends with an unsettled chain or prepare — the caller
-/// (materialized-view maintenance) then leaves its cursor untouched and
-/// serves the last settled state rather than guessing.
-pub(crate) fn committed_table_deltas<'a>(
-    table: &str,
-    records: &'a [WalRecord],
-) -> Option<Vec<&'a Delta>> {
-    let mut out: Vec<&'a Delta> = Vec::new();
-    let mut chain: Vec<(&'a str, &'a Delta)> = Vec::new();
-    let mut prepared: BTreeMap<&'a str, Vec<(&'a str, &'a Delta)>> = BTreeMap::new();
+/// The committed deltas in a run of WAL records, each with its table,
+/// in commit order, honouring the transaction structure the same way
+/// [`Wal::replay`] does: chained records buffer until their terminator,
+/// prepared chains apply at their commit resolution and drop at an
+/// abort. Returns `None` when the run ends with an unsettled chain or
+/// prepare — the caller (view maintenance, a subscription drain, a
+/// snapshot catch-up) then keeps its cursor and serves or falls back to
+/// settled state rather than guessing.
+pub(crate) fn committed_deltas(records: &[WalRecord]) -> Option<Vec<(&str, &Delta)>> {
+    let mut out: Vec<(&str, &Delta)> = Vec::new();
+    let mut chain: Vec<(&str, &Delta)> = Vec::new();
+    let mut prepared: BTreeMap<&str, Vec<(&str, &Delta)>> = BTreeMap::new();
     for rec in records {
         match &rec.op {
             WalOp::Delta {
-                table: rec_table,
+                table,
                 delta,
                 chained,
             } => {
-                chain.push((rec_table, delta));
+                chain.push((table, delta));
                 if !chained {
-                    for (rec_table, delta) in chain.drain(..) {
-                        if rec_table == table {
-                            out.push(delta);
-                        }
-                    }
+                    out.append(&mut chain);
                 }
             }
             WalOp::Prepare { gtx, .. } => {
@@ -465,23 +459,15 @@ pub(crate) fn committed_table_deltas<'a>(
             WalOp::Resolve { gtx, committed } => {
                 // A resolve for a chain prepared before this run (already
                 // settled into the cursor's state) is a legal no-op.
-                if let Some(group) = prepared.remove(gtx.as_str()) {
+                if let Some(mut group) = prepared.remove(gtx.as_str()) {
                     if *committed {
-                        for (rec_table, delta) in group {
-                            if rec_table == table {
-                                out.push(delta);
-                            }
-                        }
+                        out.append(&mut group);
                     }
                 }
             }
         }
     }
-    if chain.is_empty() && prepared.is_empty() {
-        Some(out)
-    } else {
-        None
-    }
+    (chain.is_empty() && prepared.is_empty()).then_some(out)
 }
 
 #[cfg(test)]

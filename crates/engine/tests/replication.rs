@@ -466,9 +466,10 @@ fn replication_lag_surfaces_in_metrics_gauges_and_prometheus() {
     }
     engine.sync_wal().expect("sync");
     let live_source = engine.repl_source().expect("durable engine ships");
+    let lagging_mirror = fresh_dir("lag-mirror2");
     let lagging = ReplicaEngine::bootstrap(
         Arc::new(OneShotStale::new(live_source)),
-        ReplicaConfig::new(fresh_dir("lag-mirror2")).poll_interval_ms(0),
+        ReplicaConfig::new(&lagging_mirror).poll_interval_ms(0),
     )
     .expect("replica");
     lagging.sync_once().expect("sync");
@@ -498,8 +499,10 @@ fn replication_lag_surfaces_in_metrics_gauges_and_prometheus() {
     );
 
     drop(replica);
+    drop(lagging);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&mirror);
+    let _ = std::fs::remove_dir_all(&lagging_mirror);
 }
 
 /// A [`esm_engine::WalSource`] wrapper used to observe lag: serves the

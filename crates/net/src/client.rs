@@ -7,6 +7,18 @@
 //! from one over an in-process engine — the same conformance suite
 //! ([`esm_engine::testkit`]) runs against both, across a real wire.
 //!
+//! ## A cached snapshot per connection
+//!
+//! Each connection keeps the last database it fetched and the commit
+//! stamp it reflects. [`Engine::snapshot`] and every [`Engine::transact`]
+//! attempt bring that copy current with one `SNAPSHOT_SINCE(stamp)`
+//! request: the server answers with the base-table deltas committed
+//! since the stamp (or the whole database when its log no longer covers
+//! it), and the client applies them in place. Clones of the handle
+//! share the copy; one lock covers the request and the apply, so two
+//! clones never interleave them. The copy lives as long as the
+//! connection and holds one database, whatever its size.
+//!
 //! ## Closures do not serialize — equalities do
 //!
 //! Two trait methods take closures; both are driven from the client:
@@ -18,26 +30,27 @@
 //!   first-committer-wins conflict; the client retries with a fresh
 //!   read, up to the caller's attempt budget — optimistic concurrency
 //!   with the validation done where the authoritative state lives.
-//! * [`Engine::transact`] becomes snapshot/execute/commit-deltas: the
-//!   body runs against a wired-over snapshot, and the resulting
-//!   [`Delta`]s (whose `deleted` rows are pre-images, exactly what
-//!   `Delta::between` emits) are validated row-for-row server-side
-//!   inside the host engine's own atomic `transact`.
+//! * [`Engine::transact`] becomes refresh/execute/commit-deltas: the
+//!   body runs on a chunk-sharing clone of the freshly caught-up cached
+//!   database, so diffing it against the cache costs the chunks the
+//!   body wrote, and the resulting [`Delta`]s (whose `deleted` rows are
+//!   pre-images, exactly what `Delta::between` emits) are validated
+//!   row-for-row server-side under the shard lock.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{ErrorKind, Read};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use esm_engine::{
     ArcEngine, CommitReceipt, Engine, EngineError, EntangledView, MetricsSnapshot, ReplManifest,
-    WalSource,
+    SnapshotSince, WalSource,
 };
 use esm_relational::ViewDef;
 use esm_store::{Database, Delta, Table};
 
-use crate::frame::{decode_frame, read_frame, write_frame};
+use crate::frame::{decode_frame, read_frame};
 use crate::proto::{Request, Response};
 
 /// A client-side engine handle speaking the wire protocol over one
@@ -49,12 +62,41 @@ use crate::proto::{Request, Response};
 /// never fabricates an empty answer.
 #[derive(Clone)]
 pub struct RemoteEngine {
-    wire: Arc<Mutex<TcpStream>>,
+    conn: Arc<Mutex<Conn>>,
     peer: SocketAddr,
     /// Client-local telemetry registry: a `Session` over this engine
     /// mints its trace roots here (head sampling is client-side), and
     /// the round-trip spans land here. Shared across clones.
     telemetry: Arc<esm_obs::Telemetry>,
+}
+
+/// One connection's state: the socket, and the database as of the last
+/// snapshot fetched over it.
+struct Conn {
+    stream: TcpStream,
+    /// The commit stamp and the database of the last snapshot, kept
+    /// current by `SNAPSHOT_SINCE`. `None` until the first one, and after
+    /// a refresh failed midway.
+    cached: Option<(u64, Database)>,
+}
+
+impl Conn {
+    /// One request/response round trip, returning the response payload.
+    /// With a trace active on this thread, the round trip becomes a span
+    /// and the request carries the trace id (parented under that span)
+    /// so the server roots its own tree under the same id. Untraced
+    /// requests encode byte-identically to revision 1.
+    fn exchange(&mut self, req: &Request) -> Result<Vec<u8>, EngineError> {
+        let mut rt_span = esm_obs::trace::span("net_round_trip");
+        let ctx = esm_obs::trace::current().map(|t| (t.id().0, t.parent_span()));
+        let framed = req.framed_with_trace(ctx);
+        self.stream.write_all(&framed)?;
+        let payload = read_frame(&mut self.stream)?;
+        if let Some(s) = rt_span.as_mut() {
+            s.set_bytes((framed.len() - crate::frame::HEADER_BYTES + payload.len()) as u64);
+        }
+        Ok(payload)
+    }
 }
 
 impl std::fmt::Debug for RemoteEngine {
@@ -70,7 +112,10 @@ impl RemoteEngine {
         stream.set_nodelay(true)?;
         let peer = stream.peer_addr()?;
         Ok(RemoteEngine {
-            wire: Arc::new(Mutex::new(stream)),
+            conn: Arc::new(Mutex::new(Conn {
+                stream,
+                cached: None,
+            })),
             peer,
             telemetry: Arc::new(esm_obs::Telemetry::new()),
         })
@@ -158,25 +203,37 @@ impl RemoteEngine {
     }
 
     fn request(&self, req: &Request) -> Result<Response, EngineError> {
-        // With a trace active on this thread, the round trip becomes a
-        // span and the request carries the trace id (parented under
-        // that span) so the server roots its own tree under the same
-        // id. Untraced requests encode byte-identically to revision 1.
-        let mut rt_span = esm_obs::trace::span("net_round_trip");
-        let ctx = esm_obs::trace::current().map(|t| (t.id().0, t.parent_span()));
-        let encoded = req.encode_with_trace(ctx);
-        let mut stream = self
-            .wire
-            .lock()
-            .map_err(|_| EngineError::Io("remote connection poisoned".into()))?;
-        write_frame(&mut *stream, &encoded)?;
-        let payload = read_frame(&mut *stream)?;
-        drop(stream);
-        if let Some(s) = rt_span.as_mut() {
-            s.set_bytes((encoded.len() + payload.len()) as u64);
-        }
-        drop(rt_span);
+        let payload = self.lock()?.exchange(req)?;
         Ok(Response::decode(&payload)?)
+    }
+
+    fn lock(&self) -> Result<MutexGuard<'_, Conn>, EngineError> {
+        self.conn
+            .lock()
+            .map_err(|_| EngineError::Io("remote connection poisoned".into()))
+    }
+
+    /// Bring the connection's cached database to the server's current
+    /// commit stamp and hand out a chunk-sharing clone of it: one
+    /// `SNAPSHOT_SINCE` request that ships the changes since the cached
+    /// stamp, applied under the same lock. A failure leaves no cache, so
+    /// the next refresh fetches the whole database.
+    fn fresh_snapshot(&self) -> Result<Database, EngineError> {
+        let mut conn = self.lock()?;
+        let (since, mut db) = match conn.cached.take() {
+            Some((stamp, db)) => (Some(stamp), db),
+            None => (None, Database::new()),
+        };
+        let payload = conn.exchange(&Request::SnapshotSince { since })?;
+        let answer: SnapshotSince = match Response::decode(&payload)? {
+            Response::SnapshotSince(answer) => answer,
+            Response::Err(e) => return Err(e),
+            other => return Err(unexpected(other)),
+        };
+        let stamp = answer.stamp;
+        answer.apply_to(&mut db)?;
+        conn.cached = Some((stamp, db.clone()));
+        Ok(db)
     }
 
     /// Like [`RemoteEngine::request`] but lifts a structured server
@@ -243,10 +300,7 @@ impl Engine for RemoteEngine {
     }
 
     fn snapshot(&self) -> Result<Database, EngineError> {
-        match self.call(&Request::Snapshot)? {
-            Response::Database(db) => Ok(db),
-            other => Err(unexpected(other)),
-        }
+        self.fresh_snapshot()
     }
 
     fn define_view(
@@ -337,10 +391,7 @@ impl Engine for RemoteEngine {
         body: &dyn Fn(&mut Database) -> Result<(), EngineError>,
     ) -> Result<CommitReceipt, EngineError> {
         for _ in 0..max_attempts.max(1) {
-            let snapshot = match self.call(&Request::Snapshot)? {
-                Response::Database(db) => db,
-                other => return Err(unexpected(other)),
-            };
+            let snapshot = self.fresh_snapshot()?;
             let mut working = snapshot.clone();
             body(&mut working)?;
             let mut deltas: Vec<(String, Delta)> = Vec::new();
@@ -580,7 +631,9 @@ impl SubscriptionClient {
     /// the response.
     fn call(&mut self, req: &Request) -> Result<Response, EngineError> {
         self.stream.set_read_timeout(None).map_err(io_err)?;
-        write_frame(&mut self.stream, &req.encode()).map_err(io_err)?;
+        self.stream
+            .write_all(&req.framed_with_trace(None))
+            .map_err(io_err)?;
         loop {
             // Complete buffered frames first, then block for more.
             while let Some((payload, consumed)) = decode_frame(&self.inbuf)

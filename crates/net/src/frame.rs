@@ -56,7 +56,8 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Wrap a payload in a frame.
+/// Wrap an already-encoded payload in a frame (a copy of it; protocol
+/// messages build their frames in place with [`frame_buffer`]).
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     assert!(
         payload.len() as u64 <= MAX_FRAME_BYTES as u64,
@@ -67,6 +68,29 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&crc32(payload).to_be_bytes());
     out.extend_from_slice(payload);
     out
+}
+
+/// A buffer for one frame, its header reserved: append the payload,
+/// then [`seal_frame`] it. The payload is encoded in place, never copied
+/// into a second buffer.
+pub fn frame_buffer() -> Vec<u8> {
+    vec![0; HEADER_BYTES]
+}
+
+/// Fill in the header of a frame built on [`frame_buffer`] with the
+/// length and CRC of everything after it: the same bytes
+/// [`encode_frame`] makes of that payload.
+pub fn seal_frame(mut frame: Vec<u8>) -> Vec<u8> {
+    let payload = &frame[HEADER_BYTES..];
+    assert!(
+        payload.len() as u64 <= MAX_FRAME_BYTES as u64,
+        "payload exceeds the frame cap"
+    );
+    let len = (payload.len() as u32).to_be_bytes();
+    let crc = crc32(payload).to_be_bytes();
+    frame[0..4].copy_from_slice(&len);
+    frame[4..8].copy_from_slice(&crc);
+    frame
 }
 
 /// Try to decode one frame from the front of `buf`.
@@ -100,7 +124,9 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>, FrameError> 
     Ok(Some((payload.to_vec(), total)))
 }
 
-/// Blocking write of one frame (the synchronous client path).
+/// Blocking write of one frame around an already-encoded payload
+/// ([`encode_frame`]); [`crate::RemoteEngine`] writes frames it built
+/// in place instead.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     w.write_all(&encode_frame(payload))?;
     w.flush()
@@ -146,6 +172,15 @@ mod tests {
             let (back, consumed) = decode_frame(&framed).unwrap().expect("complete");
             assert_eq!(back, payload);
             assert_eq!(consumed, framed.len());
+        }
+    }
+
+    #[test]
+    fn frames_built_in_place_equal_wrapped_payloads() {
+        for payload in [&b""[..], b"x", &[0xB7; 1000]] {
+            let mut frame = frame_buffer();
+            frame.extend_from_slice(payload);
+            assert_eq!(seal_frame(frame), encode_frame(payload));
         }
     }
 

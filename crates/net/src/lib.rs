@@ -77,6 +77,11 @@
 //! does not start with [`proto::BINARY_WIRE_MAGIC`] is refused with an
 //! error response. Decoders bound every count by the bytes that follow
 //! it, so no frame can make a peer allocate more than it sent.
+//!
+//! Protocol rev 6 replaces the whole-database `snapshot` with
+//! `snapshot_since(stamp)`: a [`RemoteEngine`] keeps the database it last
+//! fetched and catches it up with the base-table deltas committed since,
+//! so a remote transaction ships what changed, not the database.
 
 #![warn(missing_docs)]
 // Unsafe is confined to the raw epoll FFI in `poll` (no libc crate);

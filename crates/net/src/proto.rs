@@ -29,6 +29,24 @@
 //!   and the per-shard file listings;
 //! * an engine error is one tag byte per variant, then its fields.
 //!
+//! Revision 6 adds `snapshot_since`, which keeps a client's cached
+//! database current without downloading it again:
+//!
+//! ```text
+//! snapshot_since := 0xB7, 21, flag u8, [since u64]            (flag 0: none)
+//! answer         := 0xB7, 16, stamp u64, ndeltas u32, (table str, delta)*,
+//!                   flag u8, [database]                        (flag 1: whole)
+//! ```
+//!
+//! The deltas are the base-table changes committed after `since`, one
+//! coalesced delta per table; the whole database comes back instead
+//! when the server's log no longer covers `since`. The old whole-database
+//! `snapshot` request (tag 3) is gone.
+//!
+//! Encoders write a payload straight after a reserved frame header
+//! ([`Request::framed_with_trace`], [`Response::framed`]), so a frame is
+//! one buffer, never a payload copied into a second one.
+//!
 //! Decoders never size an allocation from a count read off the wire —
 //! [`esm_store::codec::BinReader::count`] bounds every count by the bytes
 //! left — and predicate nesting is capped, so no frame can exhaust
@@ -36,7 +54,7 @@
 
 use esm_engine::{
     EngineError, FileEntry, MetricsSnapshot, ReplManifest, ReplStats, ReplicaLag, ShardLoad,
-    ShardManifest, ShardStats, ViewStats, WalStats,
+    ShardManifest, ShardStats, SnapshotSince, ViewStats, WalStats,
 };
 use esm_obs::{
     HistogramSnapshot, Phase, SlowOp, SpanRecord, TelemetrySnapshot, TraceId, TraceRecord,
@@ -45,6 +63,8 @@ use esm_obs::{
 use esm_relational::ViewDef;
 use esm_store::codec::{self, BinReader};
 use esm_store::{Cmp, Database, Delta, Operand, Predicate, StoreError, Table};
+
+use crate::frame::{frame_buffer, seal_frame};
 
 /// A payload that failed to parse as a protocol message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,8 +103,14 @@ pub enum Request {
     TableNames,
     /// `Engine::table`.
     Table(String),
-    /// `Engine::snapshot`.
-    Snapshot,
+    /// `Engine::snapshot_since` (revision 6): the database at the current
+    /// commit stamp, as the changes since `since` when the server's log
+    /// still holds them. Answered with [`Response::SnapshotSince`].
+    SnapshotSince {
+        /// The commit stamp of the database the client holds, or `None`
+        /// for a client that holds none.
+        since: Option<u64>,
+    },
     /// `Engine::define_view` (the handle stays client-side).
     DefineView {
         /// View name.
@@ -195,7 +221,9 @@ pub enum Response {
     Names(Vec<String>),
     /// A table (snapshot, view read).
     Table(Table),
-    /// A whole database snapshot.
+    /// A whole database. Since revision 6 no request is answered with
+    /// it ([`Response::SnapshotSince`] carries snapshots); it stays as
+    /// the bare database codec in a response.
     Database(Database),
     /// A committed delta.
     Delta(Delta),
@@ -257,6 +285,10 @@ pub enum Response {
     ReplManifest(ReplManifest),
     /// One ranged WAL read (revision 4, [`Request::ReplFetch`]).
     ReplChunk(Vec<u8>),
+    /// The answer to [`Request::SnapshotSince`] (revision 6): the new
+    /// stamp, then the coalesced base-table deltas since the requested
+    /// one, or the whole database behind a flag byte.
+    SnapshotSince(SnapshotSince),
 }
 
 /// The wire protocol revision this build speaks, surfaced by
@@ -267,8 +299,12 @@ pub enum Response {
 /// (`repl_manifest` / `repl_fetch`) and the `not_primary` redirect
 /// error. Revision 5 made every payload binary, the structured ones
 /// included: a payload that does not start with [`BINARY_WIRE_MAGIC`]
-/// is refused. The revision is informational, not a handshake.
-pub const PROTOCOL_REV: u32 = 5;
+/// is refused. Revision 6 replaced the whole-database `snapshot` with
+/// `snapshot_since(stamp?)`, answered with the base-table deltas
+/// committed since the client's stamp (or the whole database when the
+/// server's log no longer covers it). The revision is informational,
+/// not a handshake.
+pub const PROTOCOL_REV: u32 = 6;
 
 /// First byte of every wire payload.
 pub const BINARY_WIRE_MAGIC: u8 = 0xB7;
@@ -281,7 +317,7 @@ const MAX_NESTING: usize = 1024;
 const REQ_PING: u8 = 0;
 const REQ_TABLE_NAMES: u8 = 1;
 const REQ_TABLE: u8 = 2;
-const REQ_SNAPSHOT: u8 = 3;
+// Tag 3 was the whole-database `SNAPSHOT` (revisions 1–5).
 const REQ_DEFINE_VIEW: u8 = 4;
 const REQ_OPEN_VIEW: u8 = 5;
 const REQ_VIEW_NAMES: u8 = 6;
@@ -299,6 +335,7 @@ const REQ_SUBSCRIBE: u8 = 17;
 const REQ_UNSUBSCRIBE: u8 = 18;
 const REQ_REPL_MANIFEST: u8 = 19;
 const REQ_REPL_FETCH: u8 = 20;
+const REQ_SNAPSHOT_SINCE: u8 = 21;
 
 /// Byte length of the optional trace-context suffix on requests: a u64
 /// trace id plus a u32 parent span id. A decoder that finds exactly
@@ -321,6 +358,7 @@ const RESP_SUBACK: u8 = 12;
 const RESP_PUSH: u8 = 13;
 const RESP_REPL_MANIFEST: u8 = 14;
 const RESP_REPL_CHUNK: u8 = 15;
+const RESP_SNAPSHOT_SINCE: u8 = 16;
 
 /// A reader over the body of a wire payload (everything after the
 /// magic byte); a payload without the magic is refused.
@@ -341,6 +379,28 @@ fn u64s<const N: usize>(r: &mut BinReader<'_>) -> Result<[u64; N], WireError> {
         *slot = r.u64()?;
     }
     Ok(out)
+}
+
+/// Append an optional `u64` as a flag byte (`0` absent, `1` present)
+/// followed by the value when present.
+fn put_flagged_u64(out: &mut Vec<u8>, n: Option<u64>) {
+    match n {
+        Some(n) => {
+            out.push(1);
+            codec::put_u64(out, n);
+        }
+        None => out.push(0),
+    }
+}
+
+/// Read [`put_flagged_u64`]'s encoding; a flag other than 0 or 1 is
+/// refused, naming the field (`what`).
+fn read_flagged_u64(r: &mut BinReader<'_>, what: &str) -> Result<Option<u64>, WireError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(r.u64()?)),
+        other => Err(err(format!("bad {what} flag {other}"))),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -936,34 +996,62 @@ fn read_error(r: &mut BinReader<'_>) -> Result<EngineError, WireError> {
 impl Request {
     /// Render this request as a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![BINARY_WIRE_MAGIC];
+        self.encode_with_trace(None)
+    }
+
+    /// [`Request::encode`] with a trace context — the trace id and the
+    /// client-side parent span — appended as a fixed-width suffix; the
+    /// server roots its side of the trace under the same id. `None`
+    /// encodes identically to [`Request::encode`].
+    pub fn encode_with_trace(&self, ctx: Option<(u64, u32)>) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(&mut out, ctx);
+        out
+    }
+
+    /// This request, with its optional trace context, as one whole frame
+    /// built in a single buffer: the same bytes as
+    /// `encode_frame(&self.encode_with_trace(ctx))`, without copying the
+    /// payload into the frame.
+    pub fn framed_with_trace(&self, ctx: Option<(u64, u32)>) -> Vec<u8> {
+        let mut frame = frame_buffer();
+        self.encode_into(&mut frame, ctx);
+        seal_frame(frame)
+    }
+
+    /// Append this request's payload, trace context included, to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>, ctx: Option<(u64, u32)>) {
+        out.push(BINARY_WIRE_MAGIC);
         match self {
             Request::Ping => out.push(REQ_PING),
             Request::TableNames => out.push(REQ_TABLE_NAMES),
             Request::Table(name) => {
                 out.push(REQ_TABLE);
-                codec::put_str(&mut out, name);
+                codec::put_str(out, name);
             }
-            Request::Snapshot => out.push(REQ_SNAPSHOT),
+            Request::SnapshotSince { since } => {
+                out.push(REQ_SNAPSHOT_SINCE);
+                put_flagged_u64(out, *since);
+            }
             Request::DefineView { name, table, def } => {
                 out.push(REQ_DEFINE_VIEW);
-                codec::put_str(&mut out, name);
-                codec::put_str(&mut out, table);
-                put_viewdef(&mut out, def);
+                codec::put_str(out, name);
+                codec::put_str(out, table);
+                put_viewdef(out, def);
             }
             Request::OpenView(name) => {
                 out.push(REQ_OPEN_VIEW);
-                codec::put_str(&mut out, name);
+                codec::put_str(out, name);
             }
             Request::ViewNames => out.push(REQ_VIEW_NAMES),
             Request::ReadView(name) => {
                 out.push(REQ_READ_VIEW);
-                codec::put_str(&mut out, name);
+                codec::put_str(out, name);
             }
             Request::WriteView { name, view } => {
                 out.push(REQ_WRITE_VIEW);
-                codec::put_str(&mut out, name);
-                codec::put_table(&mut out, view);
+                codec::put_str(out, name);
+                codec::put_table(out, view);
             }
             Request::EditViewCas {
                 name,
@@ -971,16 +1059,16 @@ impl Request {
                 edited,
             } => {
                 out.push(REQ_EDIT_CAS);
-                codec::put_str(&mut out, name);
-                codec::put_table(&mut out, expect);
-                codec::put_table(&mut out, edited);
+                codec::put_str(out, name);
+                codec::put_table(out, expect);
+                codec::put_table(out, edited);
             }
             Request::Commit { deltas } => {
                 out.push(REQ_COMMIT);
-                codec::put_u32(&mut out, deltas.len() as u32);
+                codec::put_u32(out, deltas.len() as u32);
                 for (name, delta) in deltas {
-                    codec::put_str(&mut out, name);
-                    codec::put_delta(&mut out, delta);
+                    codec::put_str(out, name);
+                    codec::put_delta(out, delta);
                 }
             }
             Request::Metrics => out.push(REQ_METRICS),
@@ -991,18 +1079,12 @@ impl Request {
             Request::Traces => out.push(REQ_TRACES),
             Request::Subscribe { view, cursor } => {
                 out.push(REQ_SUBSCRIBE);
-                codec::put_str(&mut out, view);
-                match cursor {
-                    Some(c) => {
-                        out.push(1);
-                        codec::put_u64(&mut out, *c);
-                    }
-                    None => out.push(0),
-                }
+                codec::put_str(out, view);
+                put_flagged_u64(out, *cursor);
             }
             Request::Unsubscribe(view) => {
                 out.push(REQ_UNSUBSCRIBE);
-                codec::put_str(&mut out, view);
+                codec::put_str(out, view);
             }
             Request::ReplManifest => out.push(REQ_REPL_MANIFEST),
             Request::ReplFetch {
@@ -1012,26 +1094,16 @@ impl Request {
                 len,
             } => {
                 out.push(REQ_REPL_FETCH);
-                codec::put_u64(&mut out, *shard);
-                codec::put_str(&mut out, file);
-                codec::put_u64(&mut out, *offset);
-                codec::put_u64(&mut out, *len);
+                codec::put_u64(out, *shard);
+                codec::put_str(out, file);
+                codec::put_u64(out, *offset);
+                codec::put_u64(out, *len);
             }
         }
-        out
-    }
-
-    /// [`Request::encode`] with a trace context — the trace id and the
-    /// client-side parent span — appended as a fixed-width suffix; the
-    /// server roots its side of the trace under the same id. `None`
-    /// encodes identically to [`Request::encode`].
-    pub fn encode_with_trace(&self, ctx: Option<(u64, u32)>) -> Vec<u8> {
-        let mut out = self.encode();
         if let Some((trace_id, parent)) = ctx {
-            codec::put_u64(&mut out, trace_id);
-            codec::put_u32(&mut out, parent);
+            codec::put_u64(out, trace_id);
+            codec::put_u32(out, parent);
         }
-        out
     }
 
     /// Parse a frame payload as a request.
@@ -1049,7 +1121,9 @@ impl Request {
             REQ_PING => Request::Ping,
             REQ_TABLE_NAMES => Request::TableNames,
             REQ_TABLE => Request::Table(r.str()?),
-            REQ_SNAPSHOT => Request::Snapshot,
+            REQ_SNAPSHOT_SINCE => Request::SnapshotSince {
+                since: read_flagged_u64(&mut r, "since")?,
+            },
             REQ_DEFINE_VIEW => Request::DefineView {
                 name: r.str()?,
                 table: r.str()?,
@@ -1082,11 +1156,7 @@ impl Request {
             REQ_TRACES => Request::Traces,
             REQ_SUBSCRIBE => Request::Subscribe {
                 view: r.str()?,
-                cursor: match r.u8()? {
-                    0 => None,
-                    1 => Some(r.u64()?),
-                    other => return Err(err(format!("bad cursor flag {other}"))),
-                },
+                cursor: read_flagged_u64(&mut r, "cursor")?,
             },
             REQ_UNSUBSCRIBE => Request::Unsubscribe(r.str()?),
             REQ_REPL_MANIFEST => Request::ReplManifest,
@@ -1117,64 +1187,74 @@ impl Request {
 impl Response {
     /// Render this response as a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![BINARY_WIRE_MAGIC];
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// This response as one whole frame built in a single buffer: the
+    /// same bytes as `encode_frame(&self.encode())`, without copying the
+    /// payload into the frame.
+    pub fn framed(&self) -> Vec<u8> {
+        let mut frame = frame_buffer();
+        self.encode_into(&mut frame);
+        seal_frame(frame)
+    }
+
+    /// Append this response's payload to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.push(BINARY_WIRE_MAGIC);
         match self {
             Response::Unit => out.push(RESP_UNIT),
             Response::Names(names) => {
                 out.push(RESP_NAMES);
-                codec::put_u32(&mut out, names.len() as u32);
+                codec::put_u32(out, names.len() as u32);
                 for name in names {
-                    codec::put_str(&mut out, name);
+                    codec::put_str(out, name);
                 }
             }
             Response::Table(t) => {
                 out.push(RESP_TABLE);
-                codec::put_table(&mut out, t);
+                codec::put_table(out, t);
             }
             Response::Database(db) => {
                 out.push(RESP_DATABASE);
-                codec::put_database(&mut out, db);
+                codec::put_database(out, db);
             }
             Response::Delta(d) => {
                 out.push(RESP_DELTA);
-                codec::put_delta(&mut out, d);
+                codec::put_delta(out, d);
             }
             Response::Receipt { stamp, shards, gtx } => {
                 out.push(RESP_RECEIPT);
-                codec::put_u64(&mut out, *stamp);
-                codec::put_u32(&mut out, shards.len() as u32);
+                codec::put_u64(out, *stamp);
+                codec::put_u32(out, shards.len() as u32);
                 for shard in shards {
-                    codec::put_u64(&mut out, *shard as u64);
+                    codec::put_u64(out, *shard as u64);
                 }
                 match gtx {
                     Some(gtx) => {
                         out.push(1);
-                        codec::put_str(&mut out, gtx);
+                        codec::put_str(out, gtx);
                     }
                     None => out.push(0),
                 }
             }
             Response::Metrics(m) => {
                 out.push(RESP_METRICS);
-                put_metrics(&mut out, m);
+                put_metrics(out, m);
             }
             Response::Stats(t) => {
                 out.push(RESP_STATS);
-                put_telemetry(&mut out, t);
+                put_telemetry(out, t);
             }
             Response::Seq(seq) => {
                 out.push(RESP_SEQ);
-                match seq {
-                    Some(n) => {
-                        out.push(1);
-                        codec::put_u64(&mut out, *n);
-                    }
-                    None => out.push(0),
-                }
+                put_flagged_u64(out, *seq);
             }
             Response::Err(e) => {
                 out.push(RESP_ERR);
-                put_error(&mut out, e);
+                put_error(out, e);
             }
             Response::ServerInfo {
                 uptime_ms,
@@ -1182,17 +1262,17 @@ impl Response {
                 workers,
             } => {
                 out.push(RESP_SERVER_INFO);
-                codec::put_u64(&mut out, *uptime_ms);
-                codec::put_u32(&mut out, *protocol_rev);
-                codec::put_u32(&mut out, *workers);
+                codec::put_u64(out, *uptime_ms);
+                codec::put_u32(out, *protocol_rev);
+                codec::put_u32(out, *workers);
             }
             Response::Traces(report) => {
                 out.push(RESP_TRACES);
-                put_traces(&mut out, report);
+                put_traces(out, report);
             }
             Response::SubAck { cursor } => {
                 out.push(RESP_SUBACK);
-                codec::put_u64(&mut out, *cursor);
+                codec::put_u64(out, *cursor);
             }
             Response::Push {
                 view,
@@ -1202,28 +1282,43 @@ impl Response {
                 resync,
             } => {
                 out.push(RESP_PUSH);
-                codec::put_str(&mut out, view);
-                codec::put_u64(&mut out, *from_seq);
-                codec::put_u64(&mut out, *to_seq);
-                codec::put_delta(&mut out, delta);
+                codec::put_str(out, view);
+                codec::put_u64(out, *from_seq);
+                codec::put_u64(out, *to_seq);
+                codec::put_delta(out, delta);
                 match resync {
                     Some(window) => {
                         out.push(1);
-                        codec::put_table(&mut out, window);
+                        codec::put_table(out, window);
                     }
                     None => out.push(0),
                 }
             }
             Response::ReplManifest(m) => {
                 out.push(RESP_REPL_MANIFEST);
-                put_manifest(&mut out, m);
+                put_manifest(out, m);
             }
             Response::ReplChunk(bytes) => {
                 out.push(RESP_REPL_CHUNK);
-                codec::put_bytes(&mut out, bytes);
+                codec::put_bytes(out, bytes);
+            }
+            Response::SnapshotSince(answer) => {
+                out.push(RESP_SNAPSHOT_SINCE);
+                codec::put_u64(out, answer.stamp);
+                codec::put_u32(out, answer.deltas.len() as u32);
+                for (name, delta) in &answer.deltas {
+                    codec::put_str(out, name);
+                    codec::put_delta(out, delta);
+                }
+                match &answer.full {
+                    Some(db) => {
+                        out.push(1);
+                        codec::put_database(out, db);
+                    }
+                    None => out.push(0),
+                }
             }
         }
-        out
     }
 
     /// Parse a frame payload as a response.
@@ -1256,11 +1351,7 @@ impl Response {
             }
             RESP_METRICS => Response::Metrics(read_metrics(&mut r)?),
             RESP_STATS => Response::Stats(read_telemetry(&mut r)?),
-            RESP_SEQ => Response::Seq(match r.u8()? {
-                0 => None,
-                1 => Some(r.u64()?),
-                other => return Err(err(format!("bad seq flag {other}"))),
-            }),
+            RESP_SEQ => Response::Seq(read_flagged_u64(&mut r, "seq")?),
             RESP_ERR => Response::Err(read_error(&mut r)?),
             RESP_SERVER_INFO => Response::ServerInfo {
                 uptime_ms: r.u64()?,
@@ -1289,6 +1380,23 @@ impl Response {
             }
             RESP_REPL_MANIFEST => Response::ReplManifest(read_manifest(&mut r)?),
             RESP_REPL_CHUNK => Response::ReplChunk(r.bytes()?),
+            RESP_SNAPSHOT_SINCE => {
+                let stamp = r.u64()?;
+                let mut deltas = Vec::new();
+                for _ in 0..r.count()? {
+                    deltas.push((r.str()?, r.delta()?));
+                }
+                let full = match r.u8()? {
+                    0 => None,
+                    1 => Some(r.database()?),
+                    other => return Err(err(format!("bad snapshot flag {other}"))),
+                };
+                Response::SnapshotSince(SnapshotSince {
+                    stamp,
+                    deltas,
+                    full,
+                })
+            }
             other => return Err(err(format!("unknown response tag {other}"))),
         };
         r.end()?;
@@ -1310,7 +1418,9 @@ pub fn handle(session: &esm_engine::Session, req: Request) -> Response {
             Request::Ping => Response::Unit,
             Request::TableNames => Response::Names(engine.table_names()?),
             Request::Table(name) => Response::Table(engine.table(&name)?),
-            Request::Snapshot => Response::Database(engine.snapshot()?),
+            Request::SnapshotSince { since } => {
+                Response::SnapshotSince(engine.snapshot_since(since)?)
+            }
             Request::DefineView { name, table, def } => {
                 session.define_view(&name, &table, &def)?;
                 Response::Unit
@@ -1510,7 +1620,10 @@ mod tests {
             Request::Ping,
             Request::TableNames,
             Request::Table("ta ble".into()),
-            Request::Snapshot,
+            Request::SnapshotSince { since: None },
+            Request::SnapshotSince {
+                since: Some(u64::MAX),
+            },
             Request::DefineView {
                 name: "v\tiew".into(),
                 table: "t".into(),
@@ -1574,6 +1687,28 @@ mod tests {
     }
 
     #[test]
+    fn frames_built_in_place_equal_framed_encodings() {
+        // The one-buffer encoders produce the very bytes of wrapping the
+        // encoded payload in a frame afterwards.
+        for req in sample_requests() {
+            for ctx in [None, Some((7, 9))] {
+                assert_eq!(
+                    req.framed_with_trace(ctx),
+                    crate::frame::encode_frame(&req.encode_with_trace(ctx)),
+                    "{req:?}"
+                );
+            }
+        }
+        for resp in sample_responses() {
+            assert_eq!(
+                resp.framed(),
+                crate::frame::encode_frame(&resp.encode()),
+                "{resp:?}"
+            );
+        }
+    }
+
+    #[test]
     fn trace_context_round_trips() {
         let reqs = vec![
             Request::Ping,
@@ -1626,7 +1761,7 @@ mod tests {
             Response::Names(vec![]),
             Response::Names(vec!["a".into(), "with\ttab".into()]),
             Response::Table(table()),
-            Response::Database(db),
+            Response::Database(db.clone()),
             Response::Delta(Delta {
                 inserted: vec![row![9, "i"]],
                 deleted: vec![],
@@ -1753,6 +1888,26 @@ mod tests {
             Response::ReplManifest(ReplManifest::default()),
             Response::ReplChunk(vec![0xB7, 0x00, 0xFF, 1, 2, 3]),
             Response::ReplChunk(vec![]),
+            Response::SnapshotSince(SnapshotSince {
+                stamp: 42,
+                deltas: vec![
+                    (
+                        "t".into(),
+                        Delta {
+                            inserted: vec![row![9, "i"]],
+                            deleted: vec![row![1, "a\tb"]],
+                        },
+                    ),
+                    ("u\nv".into(), Delta::empty()),
+                ],
+                full: None,
+            }),
+            Response::SnapshotSince(SnapshotSince {
+                stamp: u64::MAX,
+                deltas: vec![],
+                full: Some(db.clone()),
+            }),
+            Response::SnapshotSince(SnapshotSince::default()),
             Response::Err(EngineError::NotPrimary {
                 primary: "10.0.0.2:4400".into(),
             }),
@@ -1851,6 +2006,18 @@ mod tests {
             b
         };
         assert!(Response::decode(&bad_resync_flag).is_err());
+        let bad_since_flag = vec![BINARY_WIRE_MAGIC, REQ_SNAPSHOT_SINCE, 2];
+        assert!(Request::decode(&bad_since_flag).is_err());
+        let bad_snapshot_flag = {
+            let mut b = vec![BINARY_WIRE_MAGIC, RESP_SNAPSHOT_SINCE];
+            codec::put_u64(&mut b, 1);
+            codec::put_u32(&mut b, 0);
+            b.push(2); // neither 0 nor 1
+            b
+        };
+        assert!(Response::decode(&bad_snapshot_flag).is_err());
+        // The retired whole-database snapshot tag is unknown now.
+        assert!(Request::decode(&[BINARY_WIRE_MAGIC, 3]).is_err());
         for bad in [
             vec![BINARY_WIRE_MAGIC],
             vec![BINARY_WIRE_MAGIC, 0xEE],

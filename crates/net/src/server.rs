@@ -62,7 +62,7 @@ use esm_engine::{ArcEngine, Session};
 use esm_obs::{Phase, Span, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceId};
 use esm_store::Delta;
 
-use crate::frame::{decode_frame, encode_frame};
+use crate::frame::decode_frame;
 use crate::poll::{poll_fd, PollFd, PollOutcome, Poller, LISTENER_TOKEN};
 use crate::proto::{handle, Request, Response, WireError, PROTOCOL_REV};
 
@@ -400,7 +400,7 @@ impl PushPump {
                                     delta: b.delta,
                                     resync: b.resync,
                                 };
-                                Some((Some(Arc::new(encode_frame(&resp.encode()))), b.to_seq))
+                                Some((Some(Arc::new(resp.framed())), b.to_seq))
                             }
                             // The view vanished (or the engine is
                             // wedged): leave the cursor; a later round
@@ -657,7 +657,7 @@ fn op_name(req: &Request) -> &'static str {
         Request::Ping => "net:ping",
         Request::TableNames => "net:table_names",
         Request::Table(_) => "net:table",
-        Request::Snapshot => "net:snapshot",
+        Request::SnapshotSince { .. } => "net:snapshot_since",
         Request::DefineView { .. } => "net:define_view",
         Request::OpenView(_) => "net:open_view",
         Request::ViewNames => "net:view_names",
@@ -737,7 +737,7 @@ fn subscribe_prep(
                         Post::Subscribe {
                             view: view.to_string(),
                             cursor: c,
-                            initial: Some(encode_frame(&push.encode())),
+                            initial: Some(push.framed()),
                         },
                     )
                 }
@@ -882,7 +882,7 @@ fn worker_loop(
         }
         let write_span = Span::start();
         let mut wspan = esm_obs::trace::span("net_response_write");
-        let framed = encode_frame(&response.encode());
+        let framed = response.framed();
         if let Some(s) = wspan.as_mut() {
             s.set_bytes(framed.len() as u64);
         }

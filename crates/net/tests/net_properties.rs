@@ -9,13 +9,15 @@ use proptest::prelude::*;
 
 use esm_engine::{
     EngineError, FileEntry, MetricsSnapshot, ReplManifest, ReplStats, ReplicaLag, ShardLoad,
-    ShardManifest, ShardStats, ViewStats, WalStats,
+    ShardManifest, ShardStats, SnapshotSince, ViewStats, WalStats,
 };
 use esm_net::frame::{decode_frame, encode_frame};
 use esm_net::{Request, Response};
 use esm_obs::{Phase, SpanRecord, Telemetry, TelemetrySnapshot, TraceId, TraceRecord, TraceReport};
 use esm_relational::ViewDef;
-use esm_store::{row, Delta, Operand, Predicate, Row, Schema, StoreError, Table, Value, ValueType};
+use esm_store::{
+    row, Database, Delta, Operand, Predicate, Row, Schema, StoreError, Table, Value, ValueType,
+};
 
 /// Characters chosen to stress the codec: separators, quoting,
 /// punctuation, and multi-byte points.
@@ -60,6 +62,18 @@ fn arb_table() -> impl Strategy<Value = Table> {
             }
             t
         })
+}
+
+/// A database of up to three codec-hostile tables under codec-hostile
+/// names.
+fn arb_database() -> impl Strategy<Value = Database> {
+    proptest::collection::vec((nasty_string(), arb_table()), 0..3).prop_map(|tables| {
+        let mut db = Database::new();
+        for (name, table) in tables {
+            db.replace_table(name, table);
+        }
+        db
+    })
 }
 
 fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
@@ -540,5 +554,62 @@ proptest! {
         }
         prop_assert!(rest.is_empty());
         prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn snapshot_since_round_trips_and_refuses_garbage(
+        since in arb_u64(),
+        since_some in any::<bool>(),
+        stamp in arb_u64(),
+        names in proptest::collection::vec(nasty_string(), 0..3),
+        inserted in arb_rows(),
+        deleted in arb_rows(),
+        db in arb_database(),
+        whole in any::<bool>(),
+        flag in 2u8..255,
+    ) {
+        // Revision 6: the request, and an answer carrying deltas or the
+        // whole database, survive frames built in place — byte for byte
+        // the frames of the encoded payloads.
+        let req = Request::SnapshotSince { since: since_some.then_some(since) };
+        let deltas: Vec<(String, Delta)> = names
+            .into_iter()
+            .map(|n| (n, Delta { inserted: inserted.clone(), deleted: deleted.clone() }))
+            .collect();
+        let (deltas, full) = if whole { (vec![], Some(db.clone())) } else { (deltas, None) };
+        let resp = Response::SnapshotSince(SnapshotSince { stamp, deltas, full });
+        prop_assert_eq!(req.framed_with_trace(None), encode_frame(&req.encode()));
+        prop_assert_eq!(resp.framed(), encode_frame(&resp.encode()));
+        prop_assert_eq!(Response::Database(db.clone()).framed(), encode_frame(&Response::Database(db).encode()));
+        let (payload, _) = decode_frame(&resp.framed()).unwrap().expect("complete");
+        prop_assert_eq!(Response::decode(&payload).expect("round-trips"), resp.clone());
+        let (payload, _) = decode_frame(&req.framed_with_trace(None)).unwrap().expect("complete");
+        prop_assert_eq!(Request::decode(&payload).expect("round-trips"), req.clone());
+
+        // Every truncation is refused; an absurd count announced at any
+        // cut (tables, deltas, rows, cells, string lengths) is refused
+        // before it sizes anything, or decodes to exactly those bytes.
+        let bytes = req.encode();
+        for cut in 0..bytes.len() {
+            prop_assert!(Request::decode(&bytes[..cut]).is_err(), "request cut at {}", cut);
+        }
+        let bytes = resp.encode();
+        for cut in 0..bytes.len() {
+            prop_assert!(Response::decode(&bytes[..cut]).is_err(), "answer cut at {}", cut);
+            let mut absurd = bytes[..cut].to_vec();
+            absurd.extend_from_slice(&u32::MAX.to_le_bytes());
+            if let Ok(back) = Response::decode(&absurd) {
+                prop_assert_eq!(back.encode(), absurd);
+            }
+        }
+
+        // A flag byte other than 0 or 1 is refused in both directions.
+        let mut bad_req = req.encode();
+        bad_req.truncate(2);
+        bad_req.push(flag);
+        prop_assert!(Request::decode(&bad_req).is_err());
+        let mut bad_resp = Response::SnapshotSince(SnapshotSince { stamp, deltas: vec![], full: None }).encode();
+        *bad_resp.last_mut().expect("flag byte") = flag;
+        prop_assert!(Response::decode(&bad_resp).is_err());
     }
 }

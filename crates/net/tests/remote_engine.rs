@@ -291,6 +291,236 @@ fn remote_commit_checked_is_one_request_at_16k_rows() {
     server.shutdown();
 }
 
+/// A warm remote `transact` ships what changed, not the database: the
+/// first one-row transaction fills the connection's cached snapshot
+/// (the whole table), the second catches up with `SNAPSHOT_SINCE` and
+/// moves under 1% of the first's bytes.
+#[test]
+fn remote_transact_ships_deltas_at_16k_rows() {
+    const ROWS: i64 = 16_384;
+    let schema = Schema::build(&[("id", ValueType::Int), ("val", ValueType::Int)], &["id"])
+        .expect("valid schema");
+    let mut db = esm_store::Database::new();
+    db.create_table(
+        "kv",
+        Table::from_rows(schema, (0..ROWS).map(|i| row![i, i])).expect("valid rows"),
+    )
+    .expect("fresh");
+    let engine = EngineServer::new(db);
+    let (server, addr) = serve(engine.as_engine());
+    let remote = connect(addr);
+    let bytes = || {
+        let s = server.stats();
+        s.bytes_read + s.bytes_written
+    };
+    let set = |id: i64, val: i64| {
+        let before = bytes();
+        remote
+            .transact(4, &move |db: &mut esm_store::Database| {
+                db.table_mut("kv")?.upsert(row![id, val])?;
+                Ok(())
+            })
+            .expect("commits");
+        bytes() - before
+    };
+    let cold = set(7, -7);
+    let warm = set(9_000, -9);
+    assert!(
+        warm * 100 < cold,
+        "a warm one-row transact moved {warm} bytes, the cold one {cold}"
+    );
+    assert_eq!(remote.snapshot().expect("snapshot"), engine.snapshot());
+    server.shutdown();
+}
+
+/// A small deterministic generator for the randomized schedules below.
+struct XorShift(u64);
+
+impl XorShift {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+}
+
+/// Keys `0..SUM_KEYS` hold a conserved sum; scratch keys from 1000 come
+/// and go.
+const SUM_KEYS: i64 = 64;
+
+fn sum_db() -> esm_store::Database {
+    let schema = Schema::build(&[("id", ValueType::Int), ("val", ValueType::Int)], &["id"])
+        .expect("valid schema");
+    let mut db = esm_store::Database::new();
+    db.create_table(
+        "kv",
+        Table::from_rows(schema, (0..SUM_KEYS).map(|i| row![i, 100])).expect("valid rows"),
+    )
+    .expect("fresh");
+    db
+}
+
+/// The conserved sum over keys `0..SUM_KEYS`.
+fn conserved(db: &esm_store::Database) -> i64 {
+    let t = db.table("kv").expect("kv exists");
+    t.rows_in_key_range(None, Some(&row![SUM_KEYS]))
+        .map(|r| r[1].as_int().expect("int val"))
+        .sum()
+}
+
+/// One random transaction: a transfer between two keys (two-phase
+/// commit when they live on different shards), or an insert or delete
+/// of a scratch key.
+fn random_commit(engine: &dyn Engine, rng: &mut XorShift) -> Result<(), String> {
+    let (a, b) = (
+        rng.below(SUM_KEYS as u64) as i64,
+        rng.below(SUM_KEYS as u64) as i64,
+    );
+    let (kind, scratch) = (rng.below(3), 1000 + rng.below(32) as i64);
+    engine
+        .transact(64, &move |db: &mut esm_store::Database| {
+            let t = db.table_mut("kv")?;
+            let val = |t: &Table, id: i64| t.get_by_key(&row![id]).and_then(|r| r[1].as_int());
+            match kind {
+                0 if a != b => {
+                    let (va, vb) = (val(t, a).unwrap_or(0), val(t, b).unwrap_or(0));
+                    t.upsert(row![a, va - 1])?;
+                    t.upsert(row![b, vb + 1])?;
+                }
+                1 => {
+                    t.upsert(row![scratch, a])?;
+                }
+                _ => {
+                    t.delete_by_key(&row![scratch]);
+                }
+            }
+            Ok(())
+        })
+        .map(drop)
+        .map_err(|e| format!("commit failed: {e}"))
+}
+
+const PHASES: usize = 4;
+const OPS: usize = 30;
+
+/// One participant's schedule: `PHASES` phases of `OPS` steps, meeting
+/// the others twice between phases. After a step fails it only keeps
+/// the meetings, so a failure comes back as an error instead of
+/// stranding the others at the barrier.
+fn run_phases(
+    barrier: &std::sync::Barrier,
+    mut step: impl FnMut() -> Result<(), String>,
+) -> Result<(), String> {
+    let mut outcome = Ok(());
+    for _ in 0..PHASES {
+        for _ in 0..OPS {
+            if outcome.is_ok() {
+                outcome = step();
+            }
+        }
+        barrier.wait();
+        barrier.wait();
+    }
+    outcome
+}
+
+/// What the main thread does between phases: split, merge, then flood
+/// the shard owning the scratch keys with more than
+/// `WAL_RETAINED_RECORDS` commits, trimming every stamp the clients hold
+/// out of its log.
+fn change_layout(host: &ShardedEngineServer, phase: usize) -> Result<(), EngineError> {
+    match phase {
+        0 => host.split_shard(row![SUM_KEYS / 2 + 1]).map(drop),
+        1 => host.merge_shards(host.shard_of_key(&row![0])),
+        2 => (0..esm_engine::WAL_RETAINED_RECORDS as i64 + 64).try_for_each(|i| {
+            let row = row![1000 + i % 32, i];
+            host.transact_keys(&[row![1000 + i % 32]], 4, |db| {
+                db.table_mut("kv")?.upsert(row.clone())?;
+                Ok(())
+            })
+            .map(drop)
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// Remote clients whose cached snapshots follow random concurrent
+/// remote and in-process commits, 2PC transfers, a split, a merge and a
+/// burst of more than `WAL_RETAINED_RECORDS` commits on one shard: every
+/// refresh reads a consistent state, and once nothing is in flight every
+/// client's cache equals the engine's snapshot.
+fn check_cached_snapshots_follow(shards: usize, seed: u64) {
+    let host = ShardedEngineServer::with_router(
+        sum_db(),
+        ShardRouter::uniform_int(shards, 0, SUM_KEYS).expect("router"),
+    )
+    .expect("sharded engine");
+    let (server, addr) = serve(host.as_engine());
+    let remotes: Vec<RemoteEngine> = (0..2).map(|_| connect(addr)).collect();
+    // Workers (two remote, one in-process) and the main thread meet
+    // between phases; the main thread changes the layout or floods one
+    // shard's log while the workers hold their stamps.
+    let barrier = std::sync::Barrier::new(remotes.len() + 2);
+    let (workers, layout) = std::thread::scope(|scope| {
+        let barrier = &barrier;
+        let mut handles = Vec::new();
+        for (w, remote) in remotes.iter().enumerate() {
+            let mut rng = XorShift(seed * 31 + w as u64 + 1);
+            handles.push(scope.spawn(move || {
+                run_phases(barrier, || {
+                    random_commit(remote, &mut rng)?;
+                    let cached = remote.snapshot().map_err(|e| e.to_string())?;
+                    match conserved(&cached) {
+                        sum if sum == SUM_KEYS * 100 => Ok(()),
+                        sum => Err(format!("a torn snapshot sums to {sum}")),
+                    }
+                })
+            }));
+        }
+        let local = host.clone();
+        let mut rng = XorShift(seed * 31 + 17);
+        handles.push(scope.spawn(move || run_phases(barrier, || random_commit(&local, &mut rng))));
+        let mut layout = Ok(());
+        for phase in 0..PHASES {
+            barrier.wait();
+            if layout.is_ok() {
+                layout = change_layout(&host, phase);
+            }
+            barrier.wait();
+        }
+        let workers: Vec<Result<(), String>> = handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread"))
+            .collect();
+        (workers, layout)
+    });
+    layout.expect("split, merge and flood");
+    for outcome in workers {
+        outcome.expect("every step of every worker");
+    }
+    let settled = host.snapshot();
+    assert_eq!(conserved(&settled), SUM_KEYS * 100);
+    for remote in &remotes {
+        assert_eq!(remote.snapshot().expect("snapshot"), settled);
+    }
+    server.shutdown();
+}
+
+#[test]
+fn cached_snapshots_follow_commits_splits_merges_and_trims_on_one_shard() {
+    for seed in 0..2 {
+        check_cached_snapshots_follow(1, seed);
+    }
+}
+
+#[test]
+fn cached_snapshots_follow_commits_splits_merges_and_trims_on_four_shards() {
+    for seed in 0..2 {
+        check_cached_snapshots_follow(4, seed);
+    }
+}
+
 #[test]
 fn pipelined_requests_answer_in_order() {
     use esm_net::{decode_frame, encode_frame, Request, Response};

@@ -256,8 +256,10 @@ impl<'a> BinReader<'a> {
         })
     }
 
-    /// Read a table written by [`put_table`]; rows are checked against
-    /// the schema as they are inserted.
+    /// Read a table written by [`put_table`]. Rows stream straight into
+    /// [`Table::from_rows`] as they decode — checked against the schema,
+    /// and loaded chunk by chunk since they arrive in key order — with no
+    /// second copy of the table in between.
     pub fn table(&mut self) -> Result<Table, StoreError> {
         let mut columns = Vec::new();
         for _ in 0..self.count()? {
@@ -268,11 +270,15 @@ impl<'a> BinReader<'a> {
         for _ in 0..self.count()? {
             key.push(self.str()?);
         }
-        let mut table = Table::new(Schema::new(columns, key)?);
-        for _ in 0..self.count()? {
-            table.insert(self.row()?)?;
+        let schema = Schema::new(columns, key)?;
+        let n = self.count()?;
+        let mut failed = None;
+        let rows = (0..n).map_while(|_| self.row().map_err(|e| failed = Some(e)).ok());
+        let table = Table::from_rows(schema, rows)?;
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(table),
         }
-        Ok(table)
     }
 
     /// Read a delta written by [`put_delta`].

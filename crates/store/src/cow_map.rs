@@ -18,6 +18,13 @@
 //! A chunk that grows past [`CHUNK`] splits in two; one that shrinks
 //! below a quarter of it folds into a neighbour. Lookups binary-search
 //! the cached first keys, then search one chunk.
+//!
+//! Building a map from entries (`collect`) takes one pass: each run of
+//! up to [`CHUNK`] entries in strictly ascending key order becomes one
+//! chunk whose B-tree is built bottom-up with full nodes, where per-key
+//! inserts would leave its nodes about half full. The first entry that
+//! does not ascend, and every entry after it, goes through
+//! [`CowMap::insert`].
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -395,11 +402,77 @@ where
 
 impl<K: Ord + Clone, V: Clone> FromIterator<(K, V)> for CowMap<K, V> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> CowMap<K, V> {
-        let mut map = CowMap::new();
-        for (k, v) in iter {
+        let mut iter = iter.into_iter();
+        let mut load = AscendingLoad::default();
+        let stray = iter.by_ref().find_map(|(k, v)| load.push(k, v).err());
+        let mut map = load.finish();
+        for (k, v) in stray.into_iter().chain(iter) {
             map.insert(k, v);
         }
         map
+    }
+}
+
+/// A map under construction from entries in strictly ascending key
+/// order, one chunk at a time: entries gather into a run, and each full
+/// run becomes one chunk built bottom-up. At most one run of [`CHUNK`]
+/// entries is held besides the finished chunks.
+pub(crate) struct AscendingLoad<K, V> {
+    map: CowMap<K, V>,
+    run: Vec<(K, V)>,
+}
+
+impl<K, V> Default for AscendingLoad<K, V> {
+    fn default() -> AscendingLoad<K, V> {
+        AscendingLoad {
+            map: CowMap::new(),
+            run: Vec::new(),
+        }
+    }
+}
+
+impl<K: Ord + Clone, V: Clone> AscendingLoad<K, V> {
+    /// Take the next entry, or hand it back when its key does not
+    /// follow every key taken so far.
+    pub(crate) fn push(&mut self, key: K, value: V) -> Result<(), (K, V)> {
+        let last = match self.run.last() {
+            Some((last, _)) => Some(last),
+            None => self
+                .map
+                .chunks
+                .last()
+                .and_then(|c| c.entries.keys().next_back()),
+        };
+        if last.is_some_and(|last| *last >= key) {
+            return Err((key, value));
+        }
+        if self.run.is_empty() && !self.map.is_empty() {
+            // Past the first chunk the input is long: take a whole run's
+            // room at once.
+            self.run.reserve_exact(CHUNK);
+        }
+        self.run.push((key, value));
+        if self.run.len() == CHUNK {
+            self.seal_run();
+        }
+        Ok(())
+    }
+
+    /// The map holding every entry taken.
+    pub(crate) fn finish(mut self) -> CowMap<K, V> {
+        self.seal_run();
+        self.map
+    }
+
+    /// Turn the gathered run into the map's next chunk. A `BTreeMap`
+    /// collected from sorted entries is built bottom-up with full nodes
+    /// (it reuses the run's buffer and finds it already sorted).
+    fn seal_run(&mut self) {
+        let run = std::mem::take(&mut self.run);
+        if let Some(chunk) = Chunk::new(BTreeMap::from_iter(run)) {
+            self.map.len += chunk.entries.len();
+            self.map.chunks_mut().push(chunk);
+        }
     }
 }
 
@@ -464,6 +537,21 @@ mod tests {
             m.keys().copied().collect::<Vec<_>>(),
             (0..1000).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn collect_loads_ascending_runs_then_inserts_the_rest() {
+        // 600 ascending keys load as full chunks; from the stray 5 on,
+        // entries insert (and the repeated 5 replaces the first).
+        let input = (0..600)
+            .map(|k| (k, k))
+            .chain([(5, -5), (1000, 1), (700, 7)]);
+        let m: CowMap<i64, i64> = input.clone().collect();
+        assert_well_formed(&m);
+        assert!(m.iter().eq(input.collect::<BTreeMap<_, _>>().iter()));
+        let loaded: CowMap<i64, i64> = (0..600).map(|k| (k, k)).collect();
+        let sizes: Vec<usize> = loaded.chunks.iter().map(|c| c.entries.len()).collect();
+        assert_eq!(sizes, vec![CHUNK, CHUNK, 600 - 2 * CHUNK]);
     }
 
     #[test]

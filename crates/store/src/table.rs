@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::cow_map::CowMap;
+use crate::cow_map::{AscendingLoad, CowMap};
 use crate::error::StoreError;
 use crate::index::ColumnIndex;
 use crate::predicate::Predicate;
@@ -57,16 +57,45 @@ impl Table {
         }
     }
 
-    /// Build a table from rows, validating each and rejecting key clashes.
+    /// Build a table from rows, validating each and rejecting key clashes,
+    /// in one pass: rows arriving in ascending key order load chunk by
+    /// chunk into full B-tree nodes ([`crate::cow_map`]); from the first
+    /// row that does not ascend on, rows go through [`Table::insert`], so
+    /// the result — or the [`StoreError::KeyViolation`] — is the same as
+    /// inserting every row in turn.
     pub fn from_rows(
         schema: Schema,
         rows: impl IntoIterator<Item = Row>,
     ) -> Result<Table, StoreError> {
         let mut t = Table::new(schema);
-        for r in rows {
-            t.insert(r)?;
+        let key_idx = t.schema.key_indices();
+        let mut rows = rows.into_iter();
+        let mut load = AscendingLoad::default();
+        let mut stray = None;
+        for row in rows.by_ref() {
+            t.schema.check_row(&row)?;
+            if let Err((_, row)) = load.push(project_row(&row, &key_idx), row) {
+                stray = Some(row);
+                break;
+            }
+        }
+        t.rows = load.finish();
+        for row in stray.into_iter().chain(rows) {
+            t.insert(row)?;
         }
         Ok(t)
+    }
+
+    /// A table of `schema` over `rows`, whose entries were already
+    /// checked against it: the relational operators' output. They
+    /// `collect` it in one pass, so rows emitted in key order load into
+    /// full chunks ([`crate::cow_map`]).
+    fn derived(schema: Schema, rows: CowMap<Row, Row>) -> Table {
+        Table {
+            schema,
+            rows,
+            indexes: Vec::new(),
+        }
     }
 
     /// The table's schema.
@@ -299,25 +328,26 @@ impl Table {
     /// result is identical either way.
     pub fn select(&self, pred: &Predicate) -> Result<Table, StoreError> {
         pred.validate(&self.schema)?;
-        let mut out = Table::new(self.schema.clone());
-        if let Some(probe) = pred.index_probe_with(&self.indexes) {
-            let idx = self
-                .index(&probe.column)
-                .expect("probe only names indexed columns");
-            for key in idx.keys_for(&probe) {
-                let row = &self.rows[key];
-                if pred.eval(&self.schema, row)? {
-                    out.rows.insert(key.clone(), row.clone());
-                }
+        let keep = |(key, row): (&Row, &Row)| match pred.eval(&self.schema, row) {
+            Ok(true) => Some(Ok((key.clone(), row.clone()))),
+            Ok(false) => None,
+            Err(e) => Some(Err(e)),
+        };
+        let rows = match pred.index_probe_with(&self.indexes) {
+            Some(probe) => {
+                let idx = self
+                    .index(&probe.column)
+                    .expect("probe only names indexed columns");
+                let candidates = idx.keys_for(&probe).map(|key| (key, &self.rows[key]));
+                candidates.filter_map(keep).collect::<Result<_, _>>()?
             }
-        } else {
-            for row in self.rows.values() {
-                if pred.eval(&self.schema, row)? {
-                    out.rows.insert(out.key_of(row), row.clone());
-                }
-            }
-        }
-        Ok(out)
+            None => self
+                .rows
+                .iter()
+                .filter_map(keep)
+                .collect::<Result<_, _>>()?,
+        };
+        Ok(Table::derived(self.schema.clone(), rows))
     }
 
     /// π: project onto named columns, deduplicating (set semantics).
@@ -327,24 +357,20 @@ impl Table {
     pub fn project(&self, names: &[String]) -> Result<Table, StoreError> {
         let schema = self.schema.project(names)?;
         let indices = self.schema.indices_of(names)?;
-        let mut out = Table::new(schema);
-        for row in self.rows.values() {
+        let key_idx = schema.key_indices();
+        let rows = self.rows.values().map(|row| {
             let projected = project_row(row, &indices);
-            let key = out.key_of(&projected);
-            out.rows.insert(key, projected);
-        }
-        Ok(out)
+            (project_row(&projected, &key_idx), projected)
+        });
+        Ok(Table::derived(schema, rows.collect()))
     }
 
     /// ρ: rename columns according to `(old, new)` pairs.
     pub fn rename(&self, renames: &[(String, String)]) -> Result<Table, StoreError> {
         let schema = self.schema.rename(renames)?;
-        let mut out = Table::new(schema);
-        for row in self.rows.values() {
-            let key = out.key_of(row);
-            out.rows.insert(key, row.clone());
-        }
-        Ok(out)
+        // Renaming keeps every key column in place, so keys carry over.
+        let rows = self.rows.iter().map(|(k, r)| (k.clone(), r.clone()));
+        Ok(Table::derived(schema, rows.collect()))
     }
 
     /// ∪: set union. Schemas must match exactly; key clashes between
@@ -369,13 +395,9 @@ impl Table {
                 "difference of different schemas".into(),
             ));
         }
-        let mut out = Table::new(self.schema.clone());
-        for row in self.rows.values() {
-            if !other.contains(row) {
-                out.rows.insert(out.key_of(row), row.clone());
-            }
-        }
-        Ok(out)
+        let rows = self.rows.iter().filter(|(_, row)| !other.contains(row));
+        let rows = rows.map(|(k, r)| (k.clone(), r.clone())).collect();
+        Ok(Table::derived(self.schema.clone(), rows))
     }
 
     /// ∩: set intersection.
@@ -385,13 +407,9 @@ impl Table {
                 "intersection of different schemas".into(),
             ));
         }
-        let mut out = Table::new(self.schema.clone());
-        for row in self.rows.values() {
-            if other.contains(row) {
-                out.rows.insert(out.key_of(row), row.clone());
-            }
-        }
-        Ok(out)
+        let rows = self.rows.iter().filter(|(_, row)| other.contains(row));
+        let rows = rows.map(|(k, r)| (k.clone(), r.clone())).collect();
+        Ok(Table::derived(self.schema.clone(), rows))
     }
 
     /// ⋈: natural join on the shared column names.
