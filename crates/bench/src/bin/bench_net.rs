@@ -28,12 +28,19 @@
 //! aggregate update rate of polling.
 //!
 //! What the cached snapshot buys: a remote `transact` used to download
-//! and decode the whole database on every attempt. Each connection now
-//! keeps its last snapshot and catches it up with `SNAPSHOT_SINCE`, so a
-//! warm one-row `transact` ships and applies the change alone. The sweep
-//! times it at 256 and 65,536 rows (median of 41 ops, best of 3 rounds
-//! that interleave the sizes), and its gate holds the 65,536-row cost
-//! within 2x of the 256-row cost.
+//! and decode the whole database on every attempt. A process now keeps
+//! one snapshot per server, shared by all its connections, and catches
+//! it up with `SNAPSHOT_SINCE`, so a warm one-row `transact` ships and
+//! applies what changed since the process last asked. The sweep times
+//! it at 256 and 65,536 rows with nothing committed in between (median
+//! of 41 ops, best of 3 rounds that interleave the points), and its
+//! gate holds the 65,536-row cost within 2x of the 256-row cost. A third
+//! point has a writer in another process's place (in-process, so outside
+//! the client's cache) commit 255 one-row transactions before each
+//! timed op, so the sweep shows both sides of the property the cache
+//! relies on: the cost follows the commits since the process last
+//! asked, not the table. The 256-client commit line, all in this
+//! process, shares one cache and catches up a few rows per op.
 //!
 //! Usage: `cargo run --release -p esm-bench --bin bench_net [dir]`
 
@@ -67,8 +74,9 @@ const GATE_MAX_READ_P50_NS: u64 = 100_000;
 const GATE_MIN_PUSH_OVER_POLL: f64 = 2.0;
 const FANOUT_CLIENTS: usize = 64;
 const FANOUT_SECS: f64 = 2.0;
-/// Table sizes of the warm remote `transact` sweep.
-const TRANSACT_SWEEP_ROWS: [i64; 2] = [256, 65_536];
+/// The warm remote `transact` sweep's points: table rows, and commits
+/// another writer lands before each timed op.
+const TRANSACT_SWEEP: [(i64, usize); 3] = [(256, 0), (65_536, 0), (65_536, 255)];
 const TRANSACT_SWEEP_OPS: usize = 41;
 const TRANSACT_SWEEP_ROUNDS: usize = 3;
 /// A warm one-row remote `transact` at 65,536 rows costs at most this
@@ -193,34 +201,41 @@ fn record(
     results.record_tailed(id, 1e9 / ops_per_s.max(1e-9), latencies, note);
 }
 
+/// One-row upsert number `i` into a `kv` table of `rows` rows, keys
+/// spread over the table.
+fn sweep_upsert(engine: &dyn Engine, rows: i64, i: usize) {
+    let key = (i as i64 * 7_919) % rows;
+    engine
+        .transact(4, &move |db: &mut Database| {
+            db.table_mut("kv")?
+                .upsert(row![key, key % VIEWS, -(i as i64)])?;
+            Ok(())
+        })
+        .expect("commits");
+}
+
 /// Median ns of a warm one-row remote `transact` at `rows` rows: one
 /// connection to a server over a one-shard in-memory engine, whose first
-/// `transact` fills the connection's cached snapshot; then
+/// `transact` fills the process's cached snapshot of it; then
 /// [`TRANSACT_SWEEP_OPS`] one-row upserts spread over the table, each
-/// catching the cache up with `SNAPSHOT_SINCE` before it commits.
-fn transact_sweep_ns(rows: i64) -> f64 {
-    let server = NetServer::bind(
-        EngineServer::new(kv_db(rows)).as_engine(),
-        "127.0.0.1:0",
-        NetServerConfig::default(),
-    )
-    .expect("loopback bind");
+/// catching the cache up with `SNAPSHOT_SINCE` before it commits. Before
+/// each timed op an in-process writer commits `behind` one-row upserts,
+/// which that catch-up ships.
+fn transact_sweep_ns(rows: i64, behind: usize) -> f64 {
+    let engine = EngineServer::new(kv_db(rows)).as_engine();
+    let server = NetServer::bind(engine.clone(), "127.0.0.1:0", NetServerConfig::default())
+        .expect("loopback bind");
     let remote = RemoteEngine::connect(server.local_addr()).expect("loopback connect");
-    let upsert = |i: usize| {
-        let key = (i as i64 * 7_919) % rows;
-        remote
-            .transact(4, &move |db: &mut Database| {
-                db.table_mut("kv")?
-                    .upsert(row![key, key % VIEWS, -(i as i64)])?;
-                Ok(())
-            })
-            .expect("commits");
-    };
-    upsert(TRANSACT_SWEEP_OPS);
+    sweep_upsert(&remote, rows, TRANSACT_SWEEP_OPS);
+    let mut other = 0;
     let mut samples: Vec<f64> = (0..TRANSACT_SWEEP_OPS)
         .map(|i| {
+            for _ in 0..behind {
+                other += 1;
+                sweep_upsert(&*engine, rows, TRANSACT_SWEEP_OPS + other);
+            }
             let start = Instant::now();
-            upsert(i);
+            sweep_upsert(&remote, rows, i);
             start.elapsed().as_nanos() as f64
         })
         .collect();
@@ -420,23 +435,30 @@ fn main() {
         cleanup(&*socket_handles(addr, 1)[0]);
     }
 
-    // The warm remote transact sweep: rounds interleave the sizes, and
-    // each size keeps its best round, so a stretch of host contention
-    // cannot land on one size alone.
+    // The warm remote transact sweep: rounds interleave the points, and
+    // each point keeps its best round, so a stretch of host contention
+    // cannot land on one point alone.
     println!("warm one-row remote transact:");
-    let mut transact_ns = [f64::INFINITY; TRANSACT_SWEEP_ROWS.len()];
+    let mut transact_ns = [f64::INFINITY; TRANSACT_SWEEP.len()];
     for _ in 0..TRANSACT_SWEEP_ROUNDS {
-        for (best, &rows) in transact_ns.iter_mut().zip(&TRANSACT_SWEEP_ROWS) {
-            *best = best.min(transact_sweep_ns(rows));
+        for (best, &(rows, behind)) in transact_ns.iter_mut().zip(&TRANSACT_SWEEP) {
+            *best = best.min(transact_sweep_ns(rows, behind));
         }
     }
-    for (&rows, &ns) in TRANSACT_SWEEP_ROWS.iter().zip(&transact_ns) {
+    for (&(rows, behind), &ns) in TRANSACT_SWEEP.iter().zip(&transact_ns) {
+        let (id, after) = match behind {
+            0 => (format!("net/transact/socket/{rows}"), String::new()),
+            n => (
+                format!("net/transact/socket/{rows}/behind_{n}"),
+                format!(", {n} commits by another writer before each"),
+            ),
+        };
         let note = format!(
-            "warm one-row remote transact, {rows} rows, one shard: median of \
+            "warm one-row remote transact, {rows} rows, one shard{after}: median of \
              {TRANSACT_SWEEP_OPS} ops, best of {TRANSACT_SWEEP_ROUNDS} rounds"
         );
-        println!("  {rows:>6} rows: {:.1}µs", ns / 1e3);
-        results.record(format!("net/transact/socket/{rows}"), ns, note);
+        println!("  {rows:>6} rows, {behind:>3} behind: {:.1}µs", ns / 1e3);
+        results.record(id, ns, note);
     }
 
     // Fan-out: the same update stream delivered to 64 clients by
@@ -566,7 +588,7 @@ fn main() {
     // The transact gate: a warm one-row remote transaction costs the
     // change, not the table.
     let slope = transact_ns[1] / transact_ns[0];
-    let (small, large) = (TRANSACT_SWEEP_ROWS[0], TRANSACT_SWEEP_ROWS[1]);
+    let (small, large) = (TRANSACT_SWEEP[0].0, TRANSACT_SWEEP[1].0);
     println!("warm remote transact at {large} / {small} rows: {slope:.2}x");
     gate(
         slope <= GATE_MAX_TRANSACT_SLOPE,

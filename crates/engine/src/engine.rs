@@ -62,32 +62,39 @@ pub struct CommitReceipt {
 }
 
 /// What [`Engine::snapshot_since`] answers: the database at commit
-/// stamp `stamp`, either whole or as the changes since the stamp the
-/// caller already holds.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// stamp `stamp`, as the changes since the stamp the caller holds or
+/// whole.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotSince {
     /// The commit stamp the answer reflects: the caller's next `since`.
     /// Engines that keep no stamps answer 0 with a whole database.
     pub stamp: u64,
+    /// The database, as changes or whole.
+    pub changes: SnapshotChanges,
+}
+
+/// How a [`SnapshotSince`] carries the database.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SnapshotChanges {
     /// The base-table deltas committed after the caller's stamp, one per
     /// changed table (a run coalesced with [`Delta::coalesce`]), in
-    /// table-name order. Empty when `full` is present.
-    pub deltas: Vec<(String, Delta)>,
+    /// table-name order.
+    Deltas(Vec<(String, Delta)>),
     /// The whole database, when the changes are not available: the
     /// caller adopts it and drops what it held.
-    pub full: Option<Database>,
+    Full(Database),
 }
 
 impl SnapshotSince {
     /// Bring `db`, the database at the stamp this answer was asked for,
-    /// to the answer's stamp: adopt `full`, or apply every delta in
-    /// place.
+    /// to the answer's stamp: adopt the whole database, or move every
+    /// delta's rows into it in place.
     pub fn apply_to(self, db: &mut Database) -> Result<(), EngineError> {
-        match self.full {
-            Some(full) => *db = full,
-            None => {
-                for (name, delta) in &self.deltas {
-                    delta.apply_in_place(db.table_mut(name)?)?;
+        match self.changes {
+            SnapshotChanges::Full(full) => *db = full,
+            SnapshotChanges::Deltas(deltas) => {
+                for (name, delta) in deltas {
+                    delta.apply_owned(db.table_mut(&name)?)?;
                 }
             }
         }
@@ -219,8 +226,7 @@ pub trait Engine: Send + Sync + std::fmt::Debug {
     fn snapshot_since(&self, _since: Option<u64>) -> Result<SnapshotSince, EngineError> {
         Ok(SnapshotSince {
             stamp: 0,
-            deltas: Vec::new(),
-            full: Some(self.snapshot()?),
+            changes: SnapshotChanges::Full(self.snapshot()?),
         })
     }
 

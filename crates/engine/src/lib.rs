@@ -472,7 +472,7 @@ pub use durable::{
 };
 pub use engine::{
     apply_deltas_checked, apply_table_delta_checked, ArcEngine, CommitReceipt, Engine,
-    SnapshotSince, DEFAULT_OPTIMISTIC_ATTEMPTS,
+    SnapshotChanges, SnapshotSince, DEFAULT_OPTIMISTIC_ATTEMPTS,
 };
 pub use error::EngineError;
 pub use esm_obs::{

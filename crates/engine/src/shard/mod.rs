@@ -101,7 +101,7 @@ pub(crate) struct Topology {
 }
 
 pub use crate::engine::CommitReceipt;
-use crate::engine::SnapshotSince;
+use crate::engine::{SnapshotChanges, SnapshotSince};
 
 /// What a sharded recovery found and did.
 #[derive(Debug, Clone, Default)]
@@ -709,12 +709,12 @@ impl ShardedEngineServer {
     /// The database at the current commit stamp, for a caller holding it
     /// at stamp `since`: under every shard's read lock (as
     /// [`Self::snapshot`] takes them), the base-table deltas committed
-    /// after `since`, coalesced per table — O(delta), found through each
-    /// shard's stamp index the way [`Self::view_deltas_since`] finds
-    /// them. The whole chunk-sharing snapshot comes back instead when
-    /// `since` is `None`, outside the live WAL window (trimmed away or
-    /// ahead of the last stamp), older than the last split or merge, or
-    /// followed by an unsettled tail.
+    /// after `since`, coalesced per table — O(delta), read by
+    /// [`committed_since`] as the subscription drain reads it. The whole
+    /// chunk-sharing snapshot comes back instead when `since` is `None`,
+    /// outside the live WAL window (trimmed away or ahead of the last
+    /// stamp), older than the last split or merge, or followed by an
+    /// unsettled tail.
     pub fn snapshot_since(&self, since: Option<u64>) -> SnapshotSince {
         let topo = self.topology();
         let guards: Vec<_> = topo.shards.iter().map(Shard::read).collect();
@@ -722,42 +722,30 @@ impl ShardedEngineServer {
         // applied, and none can land.
         let stamp = self.last_stamp();
         let deltas = since.and_then(|from| {
-            if from < topo.layout_stamp || from > stamp {
-                return None;
-            }
-            let mut runs: BTreeMap<&str, Vec<Delta>> = BTreeMap::new();
-            for guard in &guards {
-                let seq = guard.seq_at_stamp(from)?;
-                for (table, delta) in committed_deltas(guard.wal.records_after(seq))? {
-                    runs.entry(table).or_default().push(delta.clone());
-                }
+            let run = committed_since(&guards, topo.layout_stamp, from, stamp).ok()?;
+            let mut runs: BTreeMap<&str, Vec<&Delta>> = BTreeMap::new();
+            for (table, delta) in run {
+                runs.entry(table).or_default().push(delta);
             }
             let schemas = &guards.first()?.db;
             let mut deltas = Vec::with_capacity(runs.len());
             for (name, run) in runs {
                 let key = schemas.table(name).ok()?.schema().key_indices();
-                let delta = Delta::coalesce(run, &key);
+                let delta = Delta::coalesce(run, key);
                 if !delta.is_empty() {
                     deltas.push((name.to_string(), delta));
                 }
             }
             Some(deltas)
         });
-        match deltas {
-            Some(deltas) => SnapshotSince {
-                stamp,
-                deltas,
-                full: None,
-            },
-            None => SnapshotSince {
-                stamp,
-                deltas: Vec::new(),
-                full: Some(
-                    assemble(guards.iter().map(|g| g.db.clone()))
-                        .expect("shard pieces share schemas and disjoint keys"),
-                ),
-            },
-        }
+        let changes = match deltas {
+            Some(deltas) => SnapshotChanges::Deltas(deltas),
+            None => SnapshotChanges::Full(
+                assemble(guards.iter().map(|g| g.db.clone()))
+                    .expect("shard pieces share schemas and disjoint keys"),
+            ),
+        };
+        SnapshotSince { stamp, changes }
     }
 
     /// Per-shard snapshots of the in-memory WALs, in topology order.
@@ -1438,7 +1426,7 @@ impl ShardedEngineServer {
                 table,
                 lens,
                 bounds,
-                view_keys: schema.key_indices(),
+                view_keys: schema.key_indices().to_vec(),
                 schema,
                 mat: Mutex::new(mat),
             },
@@ -1500,29 +1488,23 @@ impl ShardedEngineServer {
             // Under the run's read locks every commit stamped so far is
             // fully applied on these shards, and none can land.
             let to = self.last_stamp();
-            if cursor < topo.layout_stamp || cursor > to {
-                return Ok(None);
-            }
+            let pending = match committed_since(&guards, topo.layout_stamp, cursor, to) {
+                Ok(pending) => pending,
+                Err(NoRun::OutOfWindow) => return Ok(None),
+                // Unsettled trailing transaction: push once it settles.
+                Err(NoRun::Unsettled) => return Ok(Some(ViewDeltas::empty(cursor))),
+            };
             let mut view_deltas = Vec::new();
-            for guard in &guards {
-                let Some(from) = guard.seq_at_stamp(cursor) else {
-                    return Ok(None);
-                };
-                let Some(pending) = committed_deltas(guard.wal.records_after(from)) else {
-                    // Unsettled trailing transaction: push once it settles.
-                    return Ok(Some(ViewDeltas::empty(cursor)));
-                };
-                for (_, delta) in pending.into_iter().filter(|(t, _)| *t == reg.table) {
-                    match reg.lens.get_delta(delta) {
-                        DeltaOutcome::View(vd) => view_deltas.push(vd),
-                        DeltaOutcome::Rebuild => return Ok(None),
-                    }
+            for (_, delta) in pending.into_iter().filter(|(t, _)| *t == reg.table) {
+                match reg.lens.get_delta(delta) {
+                    DeltaOutcome::View(vd) => view_deltas.push(vd),
+                    DeltaOutcome::Rebuild => return Ok(None),
                 }
             }
             Ok(Some(ViewDeltas {
                 from_seq: cursor,
                 to_seq: to,
-                delta: Delta::coalesce(view_deltas, &reg.view_keys),
+                delta: Delta::coalesce(&view_deltas, &reg.view_keys),
                 resync: None,
             }))
         });
@@ -1956,6 +1938,40 @@ fn parse_gtx(gtx: &str) -> u64 {
 
 /// First byte of the sealed topology manifest.
 const TOPOLOGY_MAGIC: u8 = 0xB4;
+
+/// Why [`committed_since`] has no run to offer.
+enum NoRun {
+    /// The stamp is outside some shard's live log window (trimmed away,
+    /// ahead of the last stamp, or before the last split or merge): the
+    /// caller falls back to whole state.
+    OutOfWindow,
+    /// Some shard's log ends in an unsettled transaction: nothing is
+    /// servable until it settles.
+    Unsettled,
+}
+
+/// The base-table deltas the shards behind `guards` committed after
+/// commit stamp `since`, each with its table, shard by shard and in
+/// commit order within a shard — the O(delta) read behind snapshot
+/// catch-ups and subscription drains. The caller holds the guards and
+/// passes the last stamp issued, `to`: under those read locks every
+/// stamp up to it is applied on these shards and none can land.
+fn committed_since<'a>(
+    guards: &'a [std::sync::RwLockReadGuard<'_, shard::ShardState>],
+    layout_stamp: u64,
+    since: u64,
+    to: u64,
+) -> Result<Vec<(&'a str, &'a Delta)>, NoRun> {
+    if since < layout_stamp || since > to {
+        return Err(NoRun::OutOfWindow);
+    }
+    let mut run = Vec::new();
+    for guard in guards {
+        let seq = guard.seq_at_stamp(since).ok_or(NoRun::OutOfWindow)?;
+        run.extend(committed_deltas(guard.wal.records_after(seq)).ok_or(NoRun::Unsettled)?);
+    }
+    Ok(run)
+}
 
 /// Serialize and atomically write the topology manifest: one sealed
 /// file whose body is `next_id` (`u64`), the shard ids (a count, then a
@@ -2489,8 +2505,9 @@ mod tests {
     fn snapshot_since_ships_deltas_inside_the_log_window() {
         let engine = sharded(40, 4); // splits at 10 / 20 / 30
         let first = engine.snapshot_since(None);
-        assert!(first.deltas.is_empty());
-        let mut db = first.full.clone().expect("no stamp: the whole database");
+        let SnapshotChanges::Full(mut db) = first.changes else {
+            panic!("no stamp: the whole database");
+        };
         let bump = |id: i64, balance: i64| {
             engine
                 .transact_keys(&[row![id]], 1, move |db| {
@@ -2513,23 +2530,25 @@ mod tests {
             })
             .unwrap();
         let next = engine.snapshot_since(Some(first.stamp));
-        assert!(next.full.is_none(), "caught up O(delta)");
-        let coalesced = &next.deltas[0].1;
+        let SnapshotChanges::Deltas(deltas) = &next.changes else {
+            panic!("caught up O(delta)");
+        };
+        let coalesced = &deltas[0].1;
         assert_eq!((coalesced.inserted.len(), coalesced.deleted.len()), (3, 4));
         next.clone().apply_to(&mut db).unwrap();
         assert_eq!(db, engine.snapshot());
         // The current stamp ships nothing; a stamp from the future gets
         // the whole database.
+        let nothing = SnapshotChanges::Deltas(Vec::new());
+        let is_full = |a: SnapshotSince| matches!(a.changes, SnapshotChanges::Full(_));
         let idle = engine.snapshot_since(Some(next.stamp));
-        assert_eq!((idle.stamp, idle.deltas.len()), (next.stamp, 0));
-        assert!(idle.full.is_none());
-        assert!(engine.snapshot_since(Some(next.stamp + 1)).full.is_some());
+        assert_eq!((idle.stamp, &idle.changes), (next.stamp, &nothing));
+        assert!(is_full(engine.snapshot_since(Some(next.stamp + 1))));
         // A split changes no data, so the current stamp still ships
         // nothing; stamps from before it get the whole database.
         engine.split_shard(row![15]).unwrap();
-        let split = engine.snapshot_since(Some(next.stamp));
-        assert!(split.full.is_none() && split.deltas.is_empty());
-        assert!(engine.snapshot_since(Some(first.stamp)).full.is_some());
+        assert_eq!(engine.snapshot_since(Some(next.stamp)).changes, nothing);
+        assert!(is_full(engine.snapshot_since(Some(first.stamp))));
         // Once a shard's log is trimmed past a stamp, it is out of the
         // window.
         let kept = engine.snapshot_since(None).stamp;
@@ -2537,7 +2556,7 @@ mod tests {
             bump(17, i);
         }
         let trimmed = engine.snapshot_since(Some(kept));
-        assert_eq!(trimmed.full, Some(engine.snapshot()));
+        assert_eq!(trimmed.changes, SnapshotChanges::Full(engine.snapshot()));
     }
 
     #[test]

@@ -119,7 +119,7 @@ pub(crate) fn drain_into_window<'a>(
     }
     let drained = view_deltas.len() as u64;
     let key_idx = window.schema().key_indices();
-    let combined = Delta::coalesce(view_deltas, &key_idx);
+    let combined = Delta::coalesce(&view_deltas, key_idx);
     match combined.apply_in_place(window) {
         Ok(()) => Some(drained),
         Err(_) => None,

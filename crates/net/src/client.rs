@@ -7,17 +7,21 @@
 //! from one over an in-process engine — the same conformance suite
 //! ([`esm_engine::testkit`]) runs against both, across a real wire.
 //!
-//! ## A cached snapshot per connection
+//! ## One cached snapshot per server
 //!
-//! Each connection keeps the last database it fetched and the commit
-//! stamp it reflects. [`Engine::snapshot`] and every [`Engine::transact`]
-//! attempt bring that copy current with one `SNAPSHOT_SINCE(stamp)`
-//! request: the server answers with the base-table deltas committed
-//! since the stamp (or the whole database when its log no longer covers
-//! it), and the client applies them in place. Clones of the handle
-//! share the copy; one lock covers the request and the apply, so two
-//! clones never interleave them. The copy lives as long as the
-//! connection and holds one database, whatever its size.
+//! A process keeps one copy of each server's database, shared by every
+//! `RemoteEngine` connected to that address, with the server instance
+//! and commit stamp it reflects (see [`crate::cache`]).
+//! [`Engine::snapshot`] and every [`Engine::transact`] attempt take a
+//! ticket for a current copy: one caller at a time sends
+//! `SNAPSHOT_SINCE(mark)` over its own connection, the server answers
+//! with the base-table deltas committed since the stamp (or the whole
+//! database when its log no longer covers it, or the mark is another
+//! server instance's), and the answer is applied in place and serves
+//! every ticket taken before the request went out. A catch-up therefore
+//! ships the commits since the process last asked, however many
+//! connections it holds, and the copy is one database, however many
+//! connections share it.
 //!
 //! ## Closures do not serialize — equalities do
 //!
@@ -45,13 +49,14 @@ use std::time::{Duration, Instant};
 
 use esm_engine::{
     ArcEngine, CommitReceipt, Engine, EngineError, EntangledView, MetricsSnapshot, ReplManifest,
-    SnapshotSince, WalSource,
+    WalSource,
 };
 use esm_relational::ViewDef;
 use esm_store::{Database, Delta, Table};
 
+use crate::cache::SnapshotCache;
 use crate::frame::{decode_frame, read_frame};
-use crate::proto::{Request, Response};
+use crate::proto::{Request, Response, SnapshotMark};
 
 /// A client-side engine handle speaking the wire protocol over one
 /// TCP connection. Requests on one handle serialize; clone cheaply to
@@ -64,20 +69,18 @@ use crate::proto::{Request, Response};
 pub struct RemoteEngine {
     conn: Arc<Mutex<Conn>>,
     peer: SocketAddr,
+    /// The database cached for `peer`, shared by every handle of the
+    /// process that speaks to it.
+    cache: Arc<SnapshotCache>,
     /// Client-local telemetry registry: a `Session` over this engine
     /// mints its trace roots here (head sampling is client-side), and
     /// the round-trip spans land here. Shared across clones.
     telemetry: Arc<esm_obs::Telemetry>,
 }
 
-/// One connection's state: the socket, and the database as of the last
-/// snapshot fetched over it.
+/// One connection: requests on it serialize.
 struct Conn {
     stream: TcpStream,
-    /// The commit stamp and the database of the last snapshot, kept
-    /// current by `SNAPSHOT_SINCE`. `None` until the first one, and after
-    /// a refresh failed midway.
-    cached: Option<(u64, Database)>,
 }
 
 impl Conn {
@@ -112,11 +115,9 @@ impl RemoteEngine {
         stream.set_nodelay(true)?;
         let peer = stream.peer_addr()?;
         Ok(RemoteEngine {
-            conn: Arc::new(Mutex::new(Conn {
-                stream,
-                cached: None,
-            })),
+            conn: Arc::new(Mutex::new(Conn { stream })),
             peer,
+            cache: SnapshotCache::for_peer(peer),
             telemetry: Arc::new(esm_obs::Telemetry::new()),
         })
     }
@@ -213,27 +214,26 @@ impl RemoteEngine {
             .map_err(|_| EngineError::Io("remote connection poisoned".into()))
     }
 
-    /// Bring the connection's cached database to the server's current
-    /// commit stamp and hand out a chunk-sharing clone of it: one
-    /// `SNAPSHOT_SINCE` request that ships the changes since the cached
-    /// stamp, applied under the same lock. A failure leaves no cache, so
-    /// the next refresh fetches the whole database.
+    /// A chunk-sharing clone of the server's current database, from the
+    /// process's cache for this server. When this caller refreshes the
+    /// cache, it sends one `SNAPSHOT_SINCE` request over this connection
+    /// and applies the answer — the changes since the cached mark, or the
+    /// whole database — in place.
     fn fresh_snapshot(&self) -> Result<Database, EngineError> {
-        let mut conn = self.lock()?;
-        let (since, mut db) = match conn.cached.take() {
-            Some((stamp, db)) => (Some(stamp), db),
-            None => (None, Database::new()),
-        };
-        let payload = conn.exchange(&Request::SnapshotSince { since })?;
-        let answer: SnapshotSince = match Response::decode(&payload)? {
-            Response::SnapshotSince(answer) => answer,
-            Response::Err(e) => return Err(e),
-            other => return Err(unexpected(other)),
-        };
-        let stamp = answer.stamp;
-        answer.apply_to(&mut db)?;
-        conn.cached = Some((stamp, db.clone()));
-        Ok(db)
+        self.cache.fresh(&mut |since, mut db| {
+            let payload = self.lock()?.exchange(&Request::SnapshotSince { since })?;
+            let (server, answer) = match Response::decode(&payload)? {
+                Response::SnapshotSince { server, answer } => (server, answer),
+                Response::Err(e) => return Err(e),
+                other => return Err(unexpected(other)),
+            };
+            let mark = SnapshotMark {
+                server,
+                stamp: answer.stamp,
+            };
+            answer.apply_to(&mut db)?;
+            Ok((mark, db))
+        })
     }
 
     /// Like [`RemoteEngine::request`] but lifts a structured server
@@ -402,6 +402,9 @@ impl Engine for RemoteEngine {
                 }
             }
             let delta_map = deltas.iter().cloned().collect();
+            // Let go of the clones before the round trip, so a refresh of
+            // the shared cache meanwhile copies no chunk for them.
+            drop((snapshot, working));
             match self.call(&Request::Commit { deltas }) {
                 Ok(Response::Receipt { stamp, shards, gtx }) => {
                     return Ok(CommitReceipt {

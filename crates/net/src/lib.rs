@@ -79,15 +79,18 @@
 //! it, so no frame can make a peer allocate more than it sent.
 //!
 //! Protocol rev 6 replaces the whole-database `snapshot` with
-//! `snapshot_since(stamp)`: a [`RemoteEngine`] keeps the database it last
-//! fetched and catches it up with the base-table deltas committed since,
-//! so a remote transaction ships what changed, not the database.
+//! `snapshot_since(mark)`: a process keeps one copy of each server's
+//! database, shared by every [`RemoteEngine`] connected to it, and
+//! catches it up with the base-table deltas committed since, so a remote
+//! transaction ships what changed since the process last asked, not the
+//! database.
 
 #![warn(missing_docs)]
 // Unsafe is confined to the raw epoll FFI in `poll` (no libc crate);
 // everything else remains forbidden in practice via this deny.
 #![deny(unsafe_code)]
 
+mod cache;
 pub mod client;
 pub mod frame;
 pub mod poll;
@@ -96,5 +99,5 @@ pub mod server;
 
 pub use client::{redirect_addr, PushEvent, RemoteEngine, RemoteWalSource, SubscriptionClient};
 pub use frame::{decode_frame, encode_frame, FrameError, MAX_FRAME_BYTES};
-pub use proto::{Request, Response, WireError, PROTOCOL_REV};
+pub use proto::{Request, Response, SnapshotMark, WireError, PROTOCOL_REV};
 pub use server::{NetServer, NetServerConfig, NetStats};

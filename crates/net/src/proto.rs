@@ -33,15 +33,20 @@
 //! database current without downloading it again:
 //!
 //! ```text
-//! snapshot_since := 0xB7, 21, flag u8, [since u64]            (flag 0: none)
-//! answer         := 0xB7, 16, stamp u64, ndeltas u32, (table str, delta)*,
-//!                   flag u8, [database]                        (flag 1: whole)
+//! snapshot_since := 0xB7, 21, flag u8, [server u64, stamp u64] (flag 0: none)
+//! answer         := 0xB7, 16, server u64, stamp u64, changes
+//! changes        := 0, ndeltas u32, (table str, delta)*
+//!                 | 1, database                                (the whole one)
 //! ```
 //!
-//! The deltas are the base-table changes committed after `since`, one
-//! coalesced delta per table; the whole database comes back instead
-//! when the server's log no longer covers `since`. The old whole-database
-//! `snapshot` request (tag 3) is gone.
+//! A client names the database it holds by the server instance that
+//! answered for it and the commit stamp it reflects ([`SnapshotMark`]).
+//! The deltas are the base-table changes committed after that stamp,
+//! one coalesced delta per table; the whole database comes back instead
+//! when the server's log no longer covers the stamp, or when the mark
+//! was minted by another server instance (one that listened on the same
+//! address before), whose stamps mean nothing here. The old
+//! whole-database `snapshot` request (tag 3) is gone.
 //!
 //! Encoders write a payload straight after a reserved frame header
 //! ([`Request::framed_with_trace`], [`Response::framed`]), so a frame is
@@ -54,7 +59,7 @@
 
 use esm_engine::{
     EngineError, FileEntry, MetricsSnapshot, ReplManifest, ReplStats, ReplicaLag, ShardLoad,
-    ShardManifest, ShardStats, SnapshotSince, ViewStats, WalStats,
+    ShardManifest, ShardStats, SnapshotChanges, SnapshotSince, ViewStats, WalStats,
 };
 use esm_obs::{
     HistogramSnapshot, Phase, SlowOp, SpanRecord, TelemetrySnapshot, TraceId, TraceRecord,
@@ -107,9 +112,9 @@ pub enum Request {
     /// commit stamp, as the changes since `since` when the server's log
     /// still holds them. Answered with [`Response::SnapshotSince`].
     SnapshotSince {
-        /// The commit stamp of the database the client holds, or `None`
-        /// for a client that holds none.
-        since: Option<u64>,
+        /// Where the database the client holds stands, or `None` for a
+        /// client that holds none.
+        since: Option<SnapshotMark>,
     },
     /// `Engine::define_view` (the handle stays client-side).
     DefineView {
@@ -285,10 +290,29 @@ pub enum Response {
     ReplManifest(ReplManifest),
     /// One ranged WAL read (revision 4, [`Request::ReplFetch`]).
     ReplChunk(Vec<u8>),
-    /// The answer to [`Request::SnapshotSince`] (revision 6): the new
-    /// stamp, then the coalesced base-table deltas since the requested
-    /// one, or the whole database behind a flag byte.
-    SnapshotSince(SnapshotSince),
+    /// The answer to [`Request::SnapshotSince`] (revision 6): the
+    /// answering server instance, the new stamp, then a tag byte and
+    /// either the coalesced base-table deltas since the requested stamp
+    /// or the whole database.
+    SnapshotSince {
+        /// The answering server instance: with `answer.stamp`, the
+        /// client's next [`SnapshotMark`].
+        server: u64,
+        /// The database at the new stamp, as changes or whole.
+        answer: SnapshotSince,
+    },
+}
+
+/// Where a client's cached database stands: the server instance that
+/// answered for it, and the commit stamp it reflects. Stamps count one
+/// engine's commits, so a mark only means something to the instance
+/// that minted it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotMark {
+    /// The instance id of the server that answered.
+    pub server: u64,
+    /// The commit stamp the database reflects.
+    pub stamp: u64,
 }
 
 /// The wire protocol revision this build speaks, surfaced by
@@ -359,6 +383,11 @@ const RESP_PUSH: u8 = 13;
 const RESP_REPL_MANIFEST: u8 = 14;
 const RESP_REPL_CHUNK: u8 = 15;
 const RESP_SNAPSHOT_SINCE: u8 = 16;
+
+/// The tag byte of a snapshot answer's body: the deltas since the
+/// caller's stamp, or the whole database.
+const SNAPSHOT_DELTAS: u8 = 0;
+const SNAPSHOT_FULL: u8 = 1;
 
 /// A reader over the body of a wire payload (everything after the
 /// magic byte); a payload without the magic is refused.
@@ -1031,7 +1060,14 @@ impl Request {
             }
             Request::SnapshotSince { since } => {
                 out.push(REQ_SNAPSHOT_SINCE);
-                put_flagged_u64(out, *since);
+                match since {
+                    Some(mark) => {
+                        out.push(1);
+                        codec::put_u64(out, mark.server);
+                        codec::put_u64(out, mark.stamp);
+                    }
+                    None => out.push(0),
+                }
             }
             Request::DefineView { name, table, def } => {
                 out.push(REQ_DEFINE_VIEW);
@@ -1122,7 +1158,14 @@ impl Request {
             REQ_TABLE_NAMES => Request::TableNames,
             REQ_TABLE => Request::Table(r.str()?),
             REQ_SNAPSHOT_SINCE => Request::SnapshotSince {
-                since: read_flagged_u64(&mut r, "since")?,
+                since: match r.u8()? {
+                    0 => None,
+                    1 => Some(SnapshotMark {
+                        server: r.u64()?,
+                        stamp: r.u64()?,
+                    }),
+                    other => return Err(err(format!("bad since flag {other}"))),
+                },
             },
             REQ_DEFINE_VIEW => Request::DefineView {
                 name: r.str()?,
@@ -1302,20 +1345,23 @@ impl Response {
                 out.push(RESP_REPL_CHUNK);
                 codec::put_bytes(out, bytes);
             }
-            Response::SnapshotSince(answer) => {
+            Response::SnapshotSince { server, answer } => {
                 out.push(RESP_SNAPSHOT_SINCE);
+                codec::put_u64(out, *server);
                 codec::put_u64(out, answer.stamp);
-                codec::put_u32(out, answer.deltas.len() as u32);
-                for (name, delta) in &answer.deltas {
-                    codec::put_str(out, name);
-                    codec::put_delta(out, delta);
-                }
-                match &answer.full {
-                    Some(db) => {
-                        out.push(1);
+                match &answer.changes {
+                    SnapshotChanges::Deltas(deltas) => {
+                        out.push(SNAPSHOT_DELTAS);
+                        codec::put_u32(out, deltas.len() as u32);
+                        for (name, delta) in deltas {
+                            codec::put_str(out, name);
+                            codec::put_delta(out, delta);
+                        }
+                    }
+                    SnapshotChanges::Full(db) => {
+                        out.push(SNAPSHOT_FULL);
                         codec::put_database(out, db);
                     }
-                    None => out.push(0),
                 }
             }
         }
@@ -1381,21 +1427,23 @@ impl Response {
             RESP_REPL_MANIFEST => Response::ReplManifest(read_manifest(&mut r)?),
             RESP_REPL_CHUNK => Response::ReplChunk(r.bytes()?),
             RESP_SNAPSHOT_SINCE => {
+                let server = r.u64()?;
                 let stamp = r.u64()?;
-                let mut deltas = Vec::new();
-                for _ in 0..r.count()? {
-                    deltas.push((r.str()?, r.delta()?));
-                }
-                let full = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.database()?),
-                    other => return Err(err(format!("bad snapshot flag {other}"))),
+                let changes = match r.u8()? {
+                    SNAPSHOT_DELTAS => {
+                        let mut deltas = Vec::new();
+                        for _ in 0..r.count()? {
+                            deltas.push((r.str()?, r.delta()?));
+                        }
+                        SnapshotChanges::Deltas(deltas)
+                    }
+                    SNAPSHOT_FULL => SnapshotChanges::Full(r.database()?),
+                    other => return Err(err(format!("bad snapshot tag {other}"))),
                 };
-                Response::SnapshotSince(SnapshotSince {
-                    stamp,
-                    deltas,
-                    full,
-                })
+                Response::SnapshotSince {
+                    server,
+                    answer: SnapshotSince { stamp, changes },
+                }
             }
             other => return Err(err(format!("unknown response tag {other}"))),
         };
@@ -1408,10 +1456,11 @@ impl Response {
 // The server-side request handler.
 // ---------------------------------------------------------------------
 
-/// Execute one request against a per-connection [`esm_engine::Session`].
-/// Every engine error becomes a structured [`Response::Err`]; transport
-/// problems never reach here.
-pub fn handle(session: &esm_engine::Session, req: Request) -> Response {
+/// Execute one request against a per-connection [`esm_engine::Session`]
+/// on behalf of server instance `server` (the id snapshot marks are
+/// checked against). Every engine error becomes a structured
+/// [`Response::Err`]; transport problems never reach here.
+pub fn handle(session: &esm_engine::Session, server: u64, req: Request) -> Response {
     let engine = session.engine();
     let result: Result<Response, EngineError> = (|| {
         Ok(match req {
@@ -1419,7 +1468,13 @@ pub fn handle(session: &esm_engine::Session, req: Request) -> Response {
             Request::TableNames => Response::Names(engine.table_names()?),
             Request::Table(name) => Response::Table(engine.table(&name)?),
             Request::SnapshotSince { since } => {
-                Response::SnapshotSince(engine.snapshot_since(since)?)
+                // A mark minted by another server instance names another
+                // engine's stamp: answer with the whole database.
+                let since = since.filter(|mark| mark.server == server);
+                Response::SnapshotSince {
+                    server,
+                    answer: engine.snapshot_since(since.map(|mark| mark.stamp))?,
+                }
             }
             Request::DefineView { name, table, def } => {
                 session.define_view(&name, &table, &def)?;
@@ -1622,7 +1677,10 @@ mod tests {
             Request::Table("ta ble".into()),
             Request::SnapshotSince { since: None },
             Request::SnapshotSince {
-                since: Some(u64::MAX),
+                since: Some(SnapshotMark {
+                    server: u64::MAX,
+                    stamp: 7,
+                }),
             },
             Request::DefineView {
                 name: "v\tiew".into(),
@@ -1888,26 +1946,43 @@ mod tests {
             Response::ReplManifest(ReplManifest::default()),
             Response::ReplChunk(vec![0xB7, 0x00, 0xFF, 1, 2, 3]),
             Response::ReplChunk(vec![]),
-            Response::SnapshotSince(SnapshotSince {
-                stamp: 42,
-                deltas: vec![
-                    (
-                        "t".into(),
-                        Delta {
-                            inserted: vec![row![9, "i"]],
-                            deleted: vec![row![1, "a\tb"]],
-                        },
-                    ),
-                    ("u\nv".into(), Delta::empty()),
-                ],
-                full: None,
-            }),
-            Response::SnapshotSince(SnapshotSince {
-                stamp: u64::MAX,
-                deltas: vec![],
-                full: Some(db.clone()),
-            }),
-            Response::SnapshotSince(SnapshotSince::default()),
+            Response::SnapshotSince {
+                server: 3,
+                answer: SnapshotSince {
+                    stamp: 42,
+                    changes: SnapshotChanges::Deltas(vec![
+                        (
+                            "t".into(),
+                            Delta {
+                                inserted: vec![row![9, "i"]],
+                                deleted: vec![row![1, "a\tb"]],
+                            },
+                        ),
+                        ("u\nv".into(), Delta::empty()),
+                    ]),
+                },
+            },
+            Response::SnapshotSince {
+                server: u64::MAX,
+                answer: SnapshotSince {
+                    stamp: u64::MAX,
+                    changes: SnapshotChanges::Full(db.clone()),
+                },
+            },
+            Response::SnapshotSince {
+                server: 0,
+                answer: SnapshotSince {
+                    stamp: 0,
+                    changes: SnapshotChanges::Deltas(vec![]),
+                },
+            },
+            Response::SnapshotSince {
+                server: 0,
+                answer: SnapshotSince {
+                    stamp: 0,
+                    changes: SnapshotChanges::Full(Database::new()),
+                },
+            },
             Response::Err(EngineError::NotPrimary {
                 primary: "10.0.0.2:4400".into(),
             }),

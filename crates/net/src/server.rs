@@ -133,6 +133,20 @@ impl NetServerConfig {
 struct ServerIdentity {
     started: Instant,
     workers: u32,
+    /// This server's instance id: clients mark their cached snapshots
+    /// with it (see [`crate::proto::SnapshotMark`]).
+    instance: u64,
+}
+
+/// A fresh server instance id: random keys from the standard library's
+/// hasher seeding, mixed with the clock, so two servers that take turns
+/// on one address do not share an id.
+fn fresh_instance() -> u64 {
+    use std::hash::{BuildHasher, Hasher};
+    let mut h = std::collections::hash_map::RandomState::new().build_hasher();
+    let now = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
+    h.write_u128(now.map_or(0, |d| d.as_nanos()));
+    h.finish()
 }
 
 /// Counters the server keeps about itself (the engine keeps its own).
@@ -470,6 +484,7 @@ struct Job {
 /// joins every thread.
 pub struct NetServer {
     addr: SocketAddr,
+    instance: u64,
     shutdown: Arc<AtomicBool>,
     counters: Arc<NetCounters>,
     telemetry: Arc<Telemetry>,
@@ -502,7 +517,9 @@ impl NetServer {
         let identity = Arc::new(ServerIdentity {
             started: Instant::now(),
             workers: u32::try_from(config.workers.max(1)).unwrap_or(u32::MAX),
+            instance: fresh_instance(),
         });
+        let instance = identity.instance;
         let poller = Arc::new(Poller::new()?);
         poller.register(poll_fd(&listener), LISTENER_TOKEN)?;
         let registry = Arc::new(SubRegistry::default());
@@ -592,6 +609,7 @@ impl NetServer {
 
         Ok(NetServer {
             addr,
+            instance,
             shutdown,
             counters,
             telemetry,
@@ -603,6 +621,14 @@ impl NetServer {
     /// The bound address (with the real port when bound to port 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// This server's instance id, which marks the snapshots its clients
+    /// cache ([`crate::proto::SnapshotMark`]): random per server, so a
+    /// mark from a server that listened on the same address before is
+    /// recognised as foreign.
+    pub fn instance(&self) -> u64 {
+        self.instance
     }
 
     /// Lifetime connection/request counters.
@@ -838,7 +864,7 @@ fn worker_loop(
                                         | Request::Commit { .. }
                                 );
                                 let hspan = esm_obs::trace::span("net_handler");
-                                let resp = handle(&job.shared.session, req);
+                                let resp = handle(&job.shared.session, identity.instance, req);
                                 drop(hspan);
                                 // Fan out this commit's pushes NOW,
                                 // inside the request's trace, so the

@@ -9,10 +9,10 @@ use proptest::prelude::*;
 
 use esm_engine::{
     EngineError, FileEntry, MetricsSnapshot, ReplManifest, ReplStats, ReplicaLag, ShardLoad,
-    ShardManifest, ShardStats, SnapshotSince, ViewStats, WalStats,
+    ShardManifest, ShardStats, SnapshotChanges, SnapshotSince, ViewStats, WalStats,
 };
 use esm_net::frame::{decode_frame, encode_frame};
-use esm_net::{Request, Response};
+use esm_net::{Request, Response, SnapshotMark};
 use esm_obs::{Phase, SpanRecord, Telemetry, TelemetrySnapshot, TraceId, TraceRecord, TraceReport};
 use esm_relational::ViewDef;
 use esm_store::{
@@ -571,13 +571,15 @@ proptest! {
         // Revision 6: the request, and an answer carrying deltas or the
         // whole database, survive frames built in place — byte for byte
         // the frames of the encoded payloads.
-        let req = Request::SnapshotSince { since: since_some.then_some(since) };
+        let req = Request::SnapshotSince {
+            since: since_some.then_some(SnapshotMark { server: stamp ^ since, stamp: since }),
+        };
         let deltas: Vec<(String, Delta)> = names
             .into_iter()
             .map(|n| (n, Delta { inserted: inserted.clone(), deleted: deleted.clone() }))
             .collect();
-        let (deltas, full) = if whole { (vec![], Some(db.clone())) } else { (deltas, None) };
-        let resp = Response::SnapshotSince(SnapshotSince { stamp, deltas, full });
+        let changes = if whole { SnapshotChanges::Full(db.clone()) } else { SnapshotChanges::Deltas(deltas) };
+        let resp = Response::SnapshotSince { server: since, answer: SnapshotSince { stamp, changes } };
         prop_assert_eq!(req.framed_with_trace(None), encode_frame(&req.encode()));
         prop_assert_eq!(resp.framed(), encode_frame(&resp.encode()));
         prop_assert_eq!(Response::Database(db.clone()).framed(), encode_frame(&Response::Database(db).encode()));
@@ -603,13 +605,16 @@ proptest! {
             }
         }
 
-        // A flag byte other than 0 or 1 is refused in both directions.
+        // A flag or tag byte other than 0 or 1 is refused in both
+        // directions: the request's `since` flag, and the answer's tag
+        // choosing deltas or the whole database.
         let mut bad_req = req.encode();
         bad_req.truncate(2);
         bad_req.push(flag);
         prop_assert!(Request::decode(&bad_req).is_err());
-        let mut bad_resp = Response::SnapshotSince(SnapshotSince { stamp, deltas: vec![], full: None }).encode();
-        *bad_resp.last_mut().expect("flag byte") = flag;
+        let empty = SnapshotSince { stamp, changes: SnapshotChanges::Deltas(vec![]) };
+        let mut bad_resp = Response::SnapshotSince { server: since, answer: empty }.encode();
+        bad_resp[18] = flag; // magic, tag, server and stamp u64s, then the changes tag
         prop_assert!(Response::decode(&bad_resp).is_err());
     }
 }

@@ -292,9 +292,10 @@ fn remote_commit_checked_is_one_request_at_16k_rows() {
 }
 
 /// A warm remote `transact` ships what changed, not the database: the
-/// first one-row transaction fills the connection's cached snapshot
-/// (the whole table), the second catches up with `SNAPSHOT_SINCE` and
-/// moves under 1% of the first's bytes.
+/// first one-row transaction fills the process's cached snapshot of the
+/// server (the whole table), the second catches up with `SNAPSHOT_SINCE`
+/// and moves under 1% of the first's bytes. Another connection to the
+/// same server shares the cache, so its first transaction is warm too.
 #[test]
 fn remote_transact_ships_deltas_at_16k_rows() {
     const ROWS: i64 = 16_384;
@@ -308,12 +309,11 @@ fn remote_transact_ships_deltas_at_16k_rows() {
     .expect("fresh");
     let engine = EngineServer::new(db);
     let (server, addr) = serve(engine.as_engine());
-    let remote = connect(addr);
     let bytes = || {
         let s = server.stats();
         s.bytes_read + s.bytes_written
     };
-    let set = |id: i64, val: i64| {
+    let set = |remote: &RemoteEngine, id: i64, val: i64| {
         let before = bytes();
         remote
             .transact(4, &move |db: &mut esm_store::Database| {
@@ -323,13 +323,59 @@ fn remote_transact_ships_deltas_at_16k_rows() {
             .expect("commits");
         bytes() - before
     };
-    let cold = set(7, -7);
-    let warm = set(9_000, -9);
-    assert!(
-        warm * 100 < cold,
-        "a warm one-row transact moved {warm} bytes, the cold one {cold}"
-    );
+    let remote = connect(addr);
+    let cold = set(&remote, 7, -7);
+    let warm = set(&remote, 9_000, -9);
+    let other = connect(addr);
+    let shared = set(&other, 12_000, -12);
+    for moved in [warm, shared] {
+        assert!(
+            moved * 100 < cold,
+            "a warm one-row transact moved {moved} bytes, the cold one {cold}"
+        );
+    }
     assert_eq!(remote.snapshot().expect("snapshot"), engine.snapshot());
+    assert_eq!(other.snapshot().expect("snapshot"), engine.snapshot());
+    server.shutdown();
+}
+
+/// A snapshot mark only means something to the server instance that
+/// minted it: under this server's id a current stamp gets no changes,
+/// under another instance's id (a server that once listened on the same
+/// address) the same stamp gets the whole database.
+#[test]
+fn snapshot_marks_from_another_server_instance_get_the_whole_database() {
+    use esm_engine::SnapshotChanges;
+    use esm_net::{frame::read_frame, Request, Response, SnapshotMark};
+    use std::io::Write;
+
+    let engine = EngineServer::new(seed_db());
+    let (server, addr) = serve(engine.as_engine());
+    let mut wire = std::net::TcpStream::connect(addr).expect("loopback connect");
+    let mut ask = |since: Option<SnapshotMark>| {
+        let req = Request::SnapshotSince { since };
+        wire.write_all(&req.framed_with_trace(None)).expect("sent");
+        let payload = read_frame(&mut wire).expect("answered");
+        match Response::decode(&payload).expect("decodes") {
+            Response::SnapshotSince { server, answer } => (server, answer),
+            other => panic!("unexpected answer {other:?}"),
+        }
+    };
+    let (instance, first) = ask(None);
+    assert_eq!(instance, server.instance());
+    assert_eq!(first.changes, SnapshotChanges::Full(engine.snapshot()));
+    let mark = SnapshotMark {
+        server: instance,
+        stamp: first.stamp,
+    };
+    let (_, current) = ask(Some(mark));
+    assert_eq!(current.changes, SnapshotChanges::Deltas(Vec::new()));
+    let foreign = SnapshotMark {
+        server: instance ^ 1,
+        ..mark
+    };
+    let (_, whole) = ask(Some(foreign));
+    assert_eq!(whole.changes, SnapshotChanges::Full(engine.snapshot()));
     server.shutdown();
 }
 
@@ -445,11 +491,11 @@ fn change_layout(host: &ShardedEngineServer, phase: usize) -> Result<(), EngineE
     }
 }
 
-/// Remote clients whose cached snapshots follow random concurrent
+/// Remote clients whose shared cached snapshot follows random concurrent
 /// remote and in-process commits, 2PC transfers, a split, a merge and a
 /// burst of more than `WAL_RETAINED_RECORDS` commits on one shard: every
 /// refresh reads a consistent state, and once nothing is in flight every
-/// client's cache equals the engine's snapshot.
+/// client's snapshot equals the engine's.
 fn check_cached_snapshots_follow(shards: usize, seed: u64) {
     let host = ShardedEngineServer::with_router(
         sum_db(),
@@ -658,4 +704,48 @@ fn getters_surface_transport_failure_as_errors_not_panics() {
     let dyn_engine: ArcEngine = remote.as_engine();
     assert!(dyn_engine.table_names().is_err());
     assert!(dyn_engine.metrics().is_err());
+}
+
+/// Connections share one cached snapshot, yet each snapshot reflects
+/// every commit that finished before it was asked for: a thread that
+/// commits — remotely over its own connection, or in-process — and then
+/// takes a snapshot over its connection always finds its row, however
+/// the refreshes of the other connections interleave.
+#[test]
+fn shared_snapshots_see_every_commit_that_finished_before_them() {
+    let engine = EngineServer::new(seed_db());
+    let (server, addr) = serve(engine.as_engine());
+    std::thread::scope(|scope| {
+        for t in 0..8i64 {
+            let remote = connect(addr);
+            let engine = &engine;
+            scope.spawn(move || {
+                for i in 0..40i64 {
+                    let id = 10_000 + t * 1_000 + i;
+                    let row = row![id, format!("t{t}"), i];
+                    if i % 2 == 0 {
+                        let row = row.clone();
+                        remote
+                            .transact(8, &move |db: &mut esm_store::Database| {
+                                db.table_mut("t")?.upsert(row.clone())?;
+                                Ok(())
+                            })
+                            .expect("remote commit");
+                    } else {
+                        let row = row.clone();
+                        engine
+                            .transact_keys(&[row![id]], 8, move |db| {
+                                db.table_mut("t")?.upsert(row.clone())?;
+                                Ok(())
+                            })
+                            .expect("in-process commit");
+                    }
+                    let seen = remote.snapshot().expect("snapshot");
+                    let table = seen.table("t").expect("table");
+                    assert_eq!(table.get_by_key(&row![id]), Some(&row), "thread {t} op {i}");
+                }
+            });
+        }
+    });
+    server.shutdown();
 }

@@ -28,6 +28,7 @@
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
@@ -157,40 +158,72 @@ impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
     /// Insert `value` under `key`, returning the value it replaced.
     /// Copies the target chunk if a clone shares it.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        match self.put(key, value, |_, _| false) {
+            Ok(replaced) => replaced,
+            Err(_) => unreachable!("every value counts as a change"),
+        }
+    }
+
+    /// [`CowMap::insert`] that writes nothing when `key` already maps to
+    /// an equal value: `Ok` with the replaced value after a write, `Err`
+    /// handing `value` back when nothing changed. A shared chunk is
+    /// looked up before it is copied; a chunk this map owns alone is
+    /// searched once.
+    pub fn insert_changed(&mut self, key: K, value: V) -> Result<Option<V>, V>
+    where
+        V: PartialEq,
+    {
+        self.put(key, value, |old, new| old == new)
+    }
+
+    /// Write `value` under `key` unless `unchanged(old, &value)` holds
+    /// for the value already there.
+    fn put(
+        &mut self,
+        key: K,
+        value: V,
+        unchanged: impl Fn(&V, &V) -> bool,
+    ) -> Result<Option<V>, V> {
         if self.chunks.is_empty() {
             self.chunks_mut()
                 .extend(Chunk::new(BTreeMap::from([(key, value)])));
             self.len = 1;
-            return None;
+            return Ok(None);
         }
         let i = self.chunk_of(&key);
+        let shared = Arc::strong_count(&self.chunks) > 1 || Arc::strong_count(&self.chunks[i]) > 1;
+        if shared && (self.chunks[i].entries.get(&key)).is_some_and(|old| unchanged(old, &value)) {
+            return Err(value);
+        }
         let is_last = i + 1 == self.chunks.len();
         let chunk = Arc::make_mut(&mut Arc::make_mut(&mut self.chunks)[i]);
+        // A key past the end of the last chunk is an append: when that
+        // chunk overflows, the new key starts the next chunk and the full
+        // one stays full, so ordered bulk loads pack their chunks. Only a
+        // full chunk can overflow, so only a full one is asked.
+        let appending = is_last
+            && chunk.entries.len() >= CHUNK
+            && (chunk.entries.last_key_value()).is_some_and(|(last, _)| *last < key);
         if key < chunk.first {
             chunk.first = key.clone();
         }
-        // A key past the end of the last chunk is an append: when that
-        // chunk overflows, the new key starts the next chunk and the full
-        // one stays full, so ordered bulk loads pack their chunks.
-        let appending = is_last
-            && chunk
-                .entries
-                .keys()
-                .next_back()
-                .is_some_and(|last| *last < key);
-        let replaced = chunk.entries.insert(key, value);
-        if replaced.is_none() {
-            self.len += 1;
-            if chunk.entries.len() > CHUNK {
-                if appending {
-                    let last = chunk.entries.keys().next_back().cloned();
-                    self.split_at(i, last.expect("an overflowing chunk is not empty"));
-                } else {
-                    self.split(i);
-                }
+        match chunk.entries.entry(key) {
+            Entry::Occupied(slot) if unchanged(slot.get(), &value) => return Err(value),
+            Entry::Occupied(mut slot) => return Ok(Some(slot.insert(value))),
+            Entry::Vacant(slot) => {
+                slot.insert(value);
             }
         }
-        replaced
+        self.len += 1;
+        if chunk.entries.len() > CHUNK {
+            if appending {
+                let last = chunk.entries.keys().next_back().cloned();
+                self.split_at(i, last.expect("an overflowing chunk is not empty"));
+            } else {
+                self.split(i);
+            }
+        }
+        Ok(None)
     }
 
     /// Remove the entry under `key`, returning its value. An absent key

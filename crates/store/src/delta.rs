@@ -1,11 +1,13 @@
 //! Row-level deltas: the difference between two table states, applicable
 //! and invertible. Used to report what a bx update actually changed.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
 
 use crate::error::StoreError;
-use crate::row::{project_row, Row};
+use crate::row::Row;
 use crate::table::Table;
+use crate::value::Value;
 
 /// A set-difference delta between two table states.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -104,24 +106,40 @@ impl Delta {
     /// replaces it, so an update leaves the indexes on columns it kept
     /// untouched. Same result as deleting every row, then upserting.
     pub fn apply_in_place(&self, table: &mut Table) -> Result<(), StoreError> {
-        let arity = table.schema().arity();
-        let replaced: BTreeSet<Row> = if self.deleted.is_empty() {
-            BTreeSet::new()
-        } else {
-            (self.inserted.iter())
-                .filter(|row| row.len() == arity)
-                .map(|row| table.key_of(row))
-                .collect()
-        };
-        for row in &self.deleted {
-            if !replaced.contains(&table.key_of(row)) {
-                table.delete(row);
-            }
-        }
+        self.delete_unreplaced(table);
         for row in &self.inserted {
             table.upsert(row.clone())?;
         }
         Ok(())
+    }
+
+    /// [`Delta::apply_in_place`] for a delta the caller is done with:
+    /// the inserted rows move into the table instead of being copied.
+    pub fn apply_owned(self, table: &mut Table) -> Result<(), StoreError> {
+        self.delete_unreplaced(table);
+        for row in self.inserted {
+            table.upsert(row)?;
+        }
+        Ok(())
+    }
+
+    /// The deleting half of an application: every deleted row whose key
+    /// no inserted row takes.
+    fn delete_unreplaced(&self, table: &mut Table) {
+        if self.deleted.is_empty() {
+            return;
+        }
+        let arity = table.schema().arity();
+        let key_idx = table.schema().key_indices().to_vec();
+        let replaced: BTreeSet<ByKey> = (self.inserted.iter())
+            .filter(|row| row.len() == arity)
+            .map(|row| ByKey::new(row, &key_idx))
+            .collect();
+        for row in &self.deleted {
+            if !replaced.contains(&ByKey::new(row, &key_idx)) {
+                table.delete(row);
+            }
+        }
     }
 
     /// Sequence two deltas into one: if `self` takes `t0` to `t1` and
@@ -135,49 +153,53 @@ impl Delta {
     /// this (see [`Delta::coalesce`]) into one application against the
     /// materialized window.
     pub fn compose(&self, later: &Delta, key_idx: &[usize]) -> Delta {
-        Delta::coalesce([self.clone(), later.clone()], key_idx)
+        Delta::coalesce([self, later], key_idx)
     }
 
     /// Coalesce an ordered run of deltas into one (the empty run
     /// coalesces to the empty delta): applying the result equals
     /// applying the run in order, in a single pass over the target. One
-    /// accumulating sweep — O(total change · log) regardless of run
-    /// length, never re-cloning the survivors per step — so the
-    /// materialized-view drains can fold an arbitrarily long pending run
-    /// before touching the window. Rows are matched by their key
-    /// projection (`key_idx`); an insert cancelled by a later delete of
-    /// the same key drops out, and a delete-then-reinsert of an
-    /// identical row nets to nothing.
-    pub fn coalesce(deltas: impl IntoIterator<Item = Delta>, key_idx: &[usize]) -> Delta {
-        let key = |r: &Row| project_row(r, key_idx);
-        let mut deleted: BTreeMap<Row, Row> = BTreeMap::new();
-        let mut inserted: BTreeMap<Row, Row> = BTreeMap::new();
+    /// sort of the run's changes by key, then one sweep — O(total change
+    /// · log) regardless of run length, building no key and copying only
+    /// the rows that survive — so the materialized-view drains and
+    /// snapshot catch-ups can fold an arbitrarily long pending run before
+    /// touching their target. Rows are matched by their key projection
+    /// (`key_idx`); an insert cancelled by a later delete of the same key
+    /// drops out, and a delete-then-reinsert of an identical row nets to
+    /// nothing.
+    pub fn coalesce<'a>(deltas: impl IntoIterator<Item = &'a Delta>, key_idx: &[usize]) -> Delta {
+        // Every change in application order (a delta deletes before it
+        // inserts); the stable sort keeps that order within each key.
+        let mut changes: Vec<(ByKey, bool, &Row)> = Vec::new();
         for delta in deltas {
-            for r in delta.deleted {
-                let k = key(&r);
-                // Deleting a row an earlier delta inserted cancels the
-                // insert; a row the run left untouched so far picks up a
-                // plain deletion.
-                if inserted.remove(&k).is_none() {
-                    deleted.entry(k).or_insert(r);
+            let deleted = delta
+                .deleted
+                .iter()
+                .map(|r| (ByKey::new(r, key_idx), false, r));
+            let inserted = delta
+                .inserted
+                .iter()
+                .map(|r| (ByKey::new(r, key_idx), true, r));
+            changes.extend(deleted.chain(inserted));
+        }
+        changes.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut out = Delta::empty();
+        for run in changes.chunk_by(|a, b| a.0 == b.0) {
+            // The key's row before the run — its first deletion, unless
+            // an insert it cancels came first — and after it: its last
+            // insertion, unless a later deletion cancelled it.
+            let (mut before, mut after) = (None, None);
+            for &(_, inserted, row) in run {
+                if inserted {
+                    after = Some(row);
+                } else if after.take().is_none() {
+                    before.get_or_insert(row);
                 }
             }
-            for r in delta.inserted {
-                inserted.insert(key(&r), r);
+            if before != after {
+                out.deleted.extend(before.cloned());
+                out.inserted.extend(after.cloned());
             }
-        }
-        let mut out = Delta::empty();
-        for (k, r) in &deleted {
-            if inserted.get(k) == Some(r) {
-                continue; // delete + reinsert of the identical row
-            }
-            out.deleted.push(r.clone());
-        }
-        for (k, r) in inserted {
-            if deleted.get(&k) == Some(&r) {
-                continue;
-            }
-            out.inserted.push(r);
         }
         out
     }
@@ -203,6 +225,44 @@ impl std::fmt::Display for Delta {
         Ok(())
     }
 }
+
+/// A row ordered by its key projection (`idx`), compared cell by cell
+/// in place, so keyed sets and maps of borrowed rows build no key.
+/// Only rows keyed by the same indices are compared.
+struct ByKey<'a> {
+    row: &'a Row,
+    idx: &'a [usize],
+}
+
+impl<'a> ByKey<'a> {
+    fn new(row: &'a Row, idx: &'a [usize]) -> ByKey<'a> {
+        ByKey { row, idx }
+    }
+
+    fn cells(&self) -> impl Iterator<Item = &'a Value> + '_ {
+        self.idx.iter().map(|&i| &self.row[i])
+    }
+}
+
+impl Ord for ByKey<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.cells().cmp(other.cells())
+    }
+}
+
+impl PartialOrd for ByKey<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for ByKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for ByKey<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -283,7 +343,7 @@ mod tests {
         let d1 = Delta::between(&t0, &t1).unwrap();
         let d2 = Delta::between(&t1, &t2).unwrap();
         let key_idx = t0.schema().key_indices();
-        let composed = d1.compose(&d2, &key_idx);
+        let composed = d1.compose(&d2, key_idx);
         assert_eq!(composed.apply(&t0).unwrap(), t2);
         // The insert of row 3 was cancelled by its later delete.
         assert!(!composed.inserted.iter().any(|r| r[0] == 3.into()));
@@ -301,9 +361,9 @@ mod tests {
             Delta::between(&t1, &t2).unwrap(),
             Delta::between(&t2, &t3).unwrap(),
         ];
-        let combined = Delta::coalesce(run, &key_idx);
+        let combined = Delta::coalesce(&run, key_idx);
         assert_eq!(combined.apply(&t0).unwrap(), t3);
-        assert!(Delta::coalesce(vec![], &key_idx).is_empty());
+        assert!(Delta::coalesce([], key_idx).is_empty());
     }
 
     #[test]
@@ -313,11 +373,11 @@ mod tests {
         let d1 = Delta::between(&t0, &t1).unwrap();
         let d2 = Delta::between(&t1, &t0).unwrap(); // reinsert identical row
         let key_idx = t0.schema().key_indices();
-        let composed = d1.compose(&d2, &key_idx);
+        let composed = d1.compose(&d2, key_idx);
         assert!(composed.is_empty());
         // Composing with the empty delta is the identity either way.
-        assert_eq!(d1.compose(&Delta::empty(), &key_idx), d1);
-        assert_eq!(Delta::empty().compose(&d1, &key_idx), d1);
+        assert_eq!(d1.compose(&Delta::empty(), key_idx), d1);
+        assert_eq!(Delta::empty().compose(&d1, key_idx), d1);
     }
 
     #[test]

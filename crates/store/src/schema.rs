@@ -30,6 +30,9 @@ impl Column {
 pub struct Schema {
     columns: Vec<Column>,
     key: Vec<String>,
+    /// Positions of the key columns (every column when `key` is empty),
+    /// resolved once here: rows are keyed on every write and lookup.
+    key_idx: Vec<usize>,
 }
 
 impl Schema {
@@ -61,7 +64,19 @@ impl Schema {
                 return Err(StoreError::BadSchema(format!("duplicate key column {k}")));
             }
         }
-        Ok(Schema { columns, key })
+        let key_idx = if key.is_empty() {
+            (0..columns.len()).collect()
+        } else {
+            (key.iter())
+                .map(|k| columns.iter().position(|c| &c.name == k))
+                .collect::<Option<_>>()
+                .expect("key columns checked above")
+        };
+        Ok(Schema {
+            columns,
+            key,
+            key_idx,
+        })
     }
 
     /// Convenience constructor from `(name, type)` pairs and key names.
@@ -106,15 +121,8 @@ impl Schema {
     }
 
     /// Indices of the key columns (all columns if the key is empty).
-    pub fn key_indices(&self) -> Vec<usize> {
-        if self.key.is_empty() {
-            (0..self.columns.len()).collect()
-        } else {
-            self.key
-                .iter()
-                .map(|k| self.index_of(k).expect("validated at construction"))
-                .collect()
-        }
+    pub fn key_indices(&self) -> &[usize] {
+        &self.key_idx
     }
 
     /// Validate one row against this schema (arity and cell types).
@@ -256,8 +264,8 @@ mod tests {
     #[test]
     fn key_indices_default_to_whole_row() {
         let s = Schema::build(&[("a", ValueType::Int), ("b", ValueType::Int)], &[]).unwrap();
-        assert_eq!(s.key_indices(), vec![0, 1]);
-        assert_eq!(people().key_indices(), vec![0]);
+        assert_eq!(s.key_indices(), [0, 1]);
+        assert_eq!(people().key_indices(), [0]);
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl Table {
         let mut stray = None;
         for row in rows.by_ref() {
             t.schema.check_row(&row)?;
-            if let Err((_, row)) = load.push(project_row(&row, &key_idx), row) {
+            if let Err((_, row)) = load.push(project_row(&row, key_idx), row) {
                 stray = Some(row);
                 break;
             }
@@ -133,7 +133,7 @@ impl Table {
 
     /// The key values of a row under this schema.
     pub fn key_of(&self, row: &Row) -> Row {
-        project_row(row, &self.schema.key_indices())
+        project_row(row, self.schema.key_indices())
     }
 
     /// Does an identical row exist?
@@ -172,6 +172,9 @@ impl Table {
     pub fn upsert(&mut self, row: Row) -> Result<Option<Row>, StoreError> {
         self.schema.check_row(&row)?;
         let key = self.key_of(&row);
+        if self.indexes.is_empty() {
+            return Ok(self.rows.insert_changed(key, row).unwrap_or_else(Some));
+        }
         let old = self.rows.get(&key);
         if old == Some(&row) {
             return Ok(Some(row));
@@ -360,9 +363,10 @@ impl Table {
         let key_idx = schema.key_indices();
         let rows = self.rows.values().map(|row| {
             let projected = project_row(row, &indices);
-            (project_row(&projected, &key_idx), projected)
+            (project_row(&projected, key_idx), projected)
         });
-        Ok(Table::derived(schema, rows.collect()))
+        let rows = rows.collect();
+        Ok(Table::derived(schema, rows))
     }
 
     /// ρ: rename columns according to `(old, new)` pairs.

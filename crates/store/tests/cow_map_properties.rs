@@ -1,7 +1,8 @@
 //! Differential properties of the copy-on-write storage: `CowMap` against
 //! `std::collections::BTreeMap`, chunk-skipping diffs against diffs of
-//! deep rebuilds, index probes against predicate scans, and one-pass
-//! table builds against per-row inserts.
+//! deep rebuilds, index probes against predicate scans, one-pass table
+//! builds against per-row inserts, and coalesced delta runs against the
+//! diff of their end points.
 
 use std::collections::BTreeMap;
 use std::ops::{Bound, RangeBounds};
@@ -115,7 +116,13 @@ proptest! {
         let mut clones: Vec<(CowMap<i64, i64>, BTreeMap<i64, i64>)> = Vec::new();
         for (step, &(kind, k, v)) in ops.iter().enumerate() {
             match kind {
-                0..=2 => prop_assert_eq!(map.insert(k, v), model.insert(k, v)),
+                0 | 1 => prop_assert_eq!(map.insert(k, v), model.insert(k, v)),
+                2 => {
+                    // An equal value writes nothing and comes back.
+                    let v = if v % 2 == 0 { model.get(&k).copied().unwrap_or(v) } else { v };
+                    let want = if model.get(&k) == Some(&v) { Err(v) } else { Ok(model.insert(k, v)) };
+                    prop_assert_eq!(map.insert_changed(k, v), want);
+                }
                 3 | 4 => prop_assert_eq!(map.remove(&k), model.remove(&k)),
                 5 => {
                     // Bounds may cross: such a range selects nothing.
@@ -239,5 +246,38 @@ proptest! {
         let model: BTreeMap<Row, Row> = rows.iter().map(|r| (vec![r[0].clone()], r.clone())).collect();
         prop_assert!(map.iter().eq(model.iter()));
         prop_assert_eq!(map.len(), model.len());
+    }
+
+    #[test]
+    fn coalesced_runs_equal_the_diff_of_their_end_points(
+        n in 0i64..600,
+        steps in proptest::collection::vec(
+            proptest::collection::vec((0u8..4, 0i64..700, 0i64..1_000), 0..12),
+            0..24,
+        ),
+    ) {
+        // A run of committed deltas over a small key space, so keys are
+        // inserted, updated, deleted and restored many times over.
+        let start = indexed_table(n);
+        let mut t = start.clone();
+        let mut run = Vec::new();
+        for step in &steps {
+            let before = t.clone();
+            for &(kind, id, v) in step {
+                edit(&mut t, kind, id, v);
+            }
+            run.push(Delta::between(&before, &t).expect("same schema"));
+        }
+        let key = start.schema().key_indices();
+        let coalesced = Delta::coalesce(&run, key);
+        prop_assert_eq!(&coalesced, &Delta::between(&start, &t).expect("same schema"));
+        let mut applied = start.clone();
+        coalesced.apply_owned(&mut applied).expect("applies");
+        prop_assert_eq!(&applied, &t);
+        let mut stepwise = start;
+        for delta in &run {
+            delta.apply_in_place(&mut stepwise).expect("applies");
+        }
+        prop_assert_eq!(stepwise, t);
     }
 }
