@@ -1,7 +1,7 @@
-//! Network front-end perf trajectory: view-read and commit (optimistic
-//! view edit) throughput, in-process vs loopback socket, at 1 / 16 /
-//! 256 concurrent clients, plus the subscription push path against
-//! 64-client polling. Emits `BENCH_net.json`.
+//! Network front-end perf trajectory: view-read and commit (a one-row
+//! delta-direct `transact` per op) throughput, in-process vs loopback
+//! socket, at 1 / 16 / 256 concurrent clients, plus the subscription
+//! push path against 64-client polling. Emits `BENCH_net.json`.
 //!
 //! What multiplexing buys: a single socket client is latency-bound —
 //! every operation pays a full request/response round trip before the
@@ -160,9 +160,9 @@ fn read_op(engine: &dyn Engine, client: usize, _i: usize) {
 
 /// One delta-direct checked commit per op: each client writes its own
 /// key range, so throughput measures the commit path (frame decode,
-/// queue, pre-image validation, apply) rather than window-CAS retry
-/// amplification — 256 optimistic editors fighting over 8 windows
-/// measure conflict storms, not the server.
+/// queue, pre-image validation, apply) rather than retry amplification
+/// — 256 optimistic editors fighting over 8 windows would measure
+/// conflict storms, not the server.
 fn commit_op(engine: &dyn Engine, client: usize, i: usize) {
     let band = client as i64 % VIEWS;
     let id = 1_000_000 + (client * 10_000 + i) as i64;

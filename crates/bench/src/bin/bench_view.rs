@@ -30,8 +30,12 @@
 //! copies the chunk it writes). Each op is the median of 41, and keeps
 //! its best of 3 rounds that interleave the sizes. Its gates: a
 //! `transact` and a 16-row-window edit at 65,536 rows cost within 2x of
-//! 256 rows, `commit_checked` stays within 3x across the sweep, and a
-//! `snapshot` at 65,536 rows costs at most 0.05 of a deep copy.
+//! 256 rows, a band edit at 65,536 rows (a 4,096-row window) within 2x
+//! of 4,096 rows (a 256-row window, the first that fills a chunk) —
+//! an edit ships and commits its window delta, so its cost follows the
+//! change, not the window — `commit_checked` stays within 3x across the
+//! sweep, and a `snapshot` at 65,536 rows costs at most 0.05 of a deep
+//! copy.
 //!
 //! Usage: `cargo run --release -p esm-bench --bin bench_view [dir]`
 
@@ -473,6 +477,10 @@ fn main() {
     }
     let (small, large) = (&sweep[0], &sweep[SWEEP_ROWS.len() - 1]);
     let slope = |op: usize| large[op] / small[op];
+    // The band window is 1/16 of the table, so at 256 rows the edit
+    // copies a 16-row chunk; its gate starts at 4,096 rows, the first
+    // size whose window fills a chunk.
+    let band_edit_slope = large[2] / sweep[1][2];
     let snapshot_copies = large[4] / large[6];
 
     // The acceptance gates: maintained windows must beat whole-base
@@ -504,6 +512,13 @@ fn main() {
             slope(op)
         );
     }
+    assert!(
+        band_edit_slope <= SWEEP_MAX_SLOPE,
+        "a one-row band edit at {} rows must cost <= {SWEEP_MAX_SLOPE}x the same edit at {} rows \
+         (got {band_edit_slope:.2}x)",
+        SWEEP_ROWS[2],
+        SWEEP_ROWS[1]
+    );
     assert!(
         snapshot_copies <= SNAPSHOT_GATE_MAX_COPIES,
         "a snapshot at {} rows must cost <= {SNAPSHOT_GATE_MAX_COPIES} deep table copies \

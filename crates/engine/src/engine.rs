@@ -190,6 +190,53 @@ pub fn apply_deltas_checked(
     Ok(())
 }
 
+/// The view-edit loop behind [`Engine::edit_view_optimistic`] on every
+/// host: read the maintained window, run `edit` on a chunk-sharing
+/// clone, diff the two ([`Delta::between`], O(chunks the edit wrote))
+/// and hand the window delta to [`Engine::edit_view_delta`]. A conflict
+/// retries from a fresh read, up to `attempts` attempts; `on_retry` runs
+/// before each retry. An edit that leaves a table of another schema is
+/// refused with [`EngineError::Store`].
+pub(crate) fn edit_view_with<E: Engine + ?Sized>(
+    engine: &E,
+    name: &str,
+    attempts: u32,
+    edit: &dyn Fn(&mut Table) -> Result<(), EngineError>,
+    on_retry: impl Fn(),
+) -> Result<Delta, EngineError> {
+    let budget = attempts.max(1);
+    for attempt in 1..=budget {
+        let window = engine.read_view(name)?;
+        let mut edited = window.clone();
+        edit(&mut edited)?;
+        if edited.schema() != window.schema() {
+            return Err(EngineError::Store(esm_store::StoreError::SchemaMismatch(
+                format!(
+                    "view edit rejected: the edited table {} does not have view {name}'s schema {}",
+                    edited.schema(),
+                    window.schema()
+                ),
+            )));
+        }
+        let delta = Delta::between(&window, &edited)?;
+        // Let go of both copies before the commit, so a read that drains
+        // into the maintained window meanwhile copies no chunk for them.
+        drop((window, edited));
+        if delta.is_empty() {
+            return Ok(delta);
+        }
+        match engine.edit_view_delta(name, &delta) {
+            Err(EngineError::Conflict { .. }) if attempt < budget => on_retry(),
+            Err(EngineError::Conflict { .. }) => break,
+            committed => return committed,
+        }
+    }
+    Err(EngineError::RetriesExhausted {
+        view: name.to_string(),
+        attempts,
+    })
+}
+
 /// A concurrent, transactional, bidirectional database engine.
 ///
 /// One trait, three hosts (in-process, replica, remote): every method a
@@ -256,15 +303,31 @@ pub trait Engine: Send + Sync + std::fmt::Debug {
     /// base-table delta the write committed.
     fn write_view(&self, name: &str, view: Table) -> Result<Delta, EngineError>;
 
-    /// Transactionally edit a view: read, apply `edit`, write back,
-    /// revalidating first-committer-wins, retrying up to `attempts`
-    /// times. Returns the committed base-table delta.
+    /// Commit a view edit given as a window delta: `delta` takes the
+    /// window as the caller read it to the window it wants, so its
+    /// deleted rows are the pre-images the edit read (what
+    /// [`Delta::between`] emits). Every touched row of the view must
+    /// still hold its pre-image — first-committer-wins per key, as in
+    /// [`Engine::commit_checked`]; a stale one is an
+    /// [`EngineError::Conflict`] — and a row that does not fit the view's
+    /// schema is an [`EngineError::Store`]. The delta then goes through
+    /// the view's lens `put` over just the base rows it touches and
+    /// commits. Returns the committed base-table delta.
+    fn edit_view_delta(&self, name: &str, delta: &Delta) -> Result<Delta, EngineError>;
+
+    /// Transactionally edit a view: read it, run `edit` on a copy, and
+    /// commit the difference with [`Engine::edit_view_delta`], retrying
+    /// from a fresh read on a conflict, up to `attempts` attempts. Returns
+    /// the committed base-table delta. Every host runs this one loop
+    /// (`edit_view_with`).
     fn edit_view_optimistic(
         &self,
         name: &str,
         attempts: u32,
         edit: &dyn Fn(&mut Table) -> Result<(), EngineError>,
-    ) -> Result<Delta, EngineError>;
+    ) -> Result<Delta, EngineError> {
+        edit_view_with(self, name, attempts, edit, || {})
+    }
 
     /// Run `body` in a snapshot transaction over the whole database,
     /// retrying first-committer-wins conflicts up to `max_attempts`
@@ -417,6 +480,10 @@ impl Engine for crate::shard::ShardedEngineServer {
 
     fn write_view(&self, name: &str, view: Table) -> Result<Delta, EngineError> {
         crate::shard::ShardedEngineServer::write_view(self, name, view)
+    }
+
+    fn edit_view_delta(&self, name: &str, delta: &Delta) -> Result<Delta, EngineError> {
+        crate::shard::ShardedEngineServer::edit_view_delta(self, name, delta)
     }
 
     fn edit_view_optimistic(

@@ -30,7 +30,7 @@
 //!  │  ├ retry policy│    │  define_view / view   │   │  ├ Shard ×N: db + wal +  │──▶ shard-<id>/
 //!  │  └ commit stamp│    │  read_view            │   │  │   stamp index each    │    wal-*.seg
 //!  ├────────────────┤    │  write_view           │   │  ├ views: DeltaLens +    │    checkpoint-*.ckpt
-//!  │ EntangledView  ├───▶│  edit_view_optimistic │   │  │   per-shard windows   │──▶ topology.esm
+//!  │ EntangledView  ├───▶│  edit_view_delta      │   │  │   per-shard windows   │──▶ topology.esm
 //!  │  .get/.put     │    │  metrics / checkpoint │   │  ├ ShardCoordinator (2PC)│
 //!  │  .edit(f)      │    │  snapshot / sync_wal  │   │  └ rebalance split/merge │
 //!  └────────────────┘    └───────────┬───────────┘   ├──────────────────────────┤
@@ -39,8 +39,8 @@
 //!        a wire (esm-net):                           │  shard serving engine    │
 //!  ┌────────────────┐  frames   ┌────────────────┐   ├──────────────────────────┤
 //!  │ RemoteEngine   ├─[len|crc|─▶ NetServer      │   │ RemoteEngine (esm-net)   │
-//!  │ impl Engine    │  payload] │  poller+workers├──▶│  CAS edits, pre-image-   │
-//!  └────────────────┘◀──────────┤  Session/conn  │   │  validated transactions  │
+//!  │ impl Engine    │  payload] │  poller+workers├──▶│  window-delta edits and  │
+//!  └────────────────┘◀──────────┤  Session/conn  │   │  delta transactions      │
 //!                               └────────────────┘   └──────────────────────────┘
 //! ```
 //!
@@ -116,8 +116,8 @@
 //!    [`esm_store::Predicate::value_bounds`]); the router maps them to
 //!    the contiguous shard run the window can touch
 //!    ([`shard::ShardRouter::shards_in_value_range`]). Reads consult
-//!    only that run, and view writes snapshot only those shards
-//!    (widening automatically if an edit strays outside). Untouched
+//!    only that run, and whole-window writes snapshot only those shards
+//!    (widening automatically if a put strays outside). Untouched
 //!    shards are never locked, drained or cloned.
 //! 4. **Rebuild** (the escape hatch): a delta the lens cannot translate
 //!    ([`esm_lens::DeltaOutcome::Rebuild`]), or a topology change
@@ -201,7 +201,7 @@
 //! its map and the one chunk it touches, and the diff skips every chunk
 //! the two copies still share: a one-row transaction costs
 //! O(chunks + delta), not O(rows). The same holds for a view edit's
-//! base and `put` result, a `read_view` window, a checkpoint capture and
+//! copy of its window, a `read_view` window, a checkpoint capture and
 //! each replayed WAL record, which applies in place. The price moves to
 //! the writer: while any reader holds a snapshot, the next write to a
 //! chunk it shares copies that chunk (at most 256 entries). A
@@ -413,10 +413,22 @@
 //!
 //! The shard is the lock: reads take its read lock, commits its write
 //! lock, and traffic on different shards never shares one. View writes
-//! come in a last-writer-wins flavour ([`ShardedEngineServer::write_view`])
-//! and an optimistic flavour with first-committer-wins retries
+//! come in a last-writer-wins flavour ([`ShardedEngineServer::write_view`],
+//! a whole-window `put`) and an optimistic flavour with
+//! first-committer-wins retries
 //! ([`ShardedEngineServer::edit_view_optimistic`]); both report the
 //! base-table [`esm_store::Delta`] they committed.
+//!
+//! An optimistic edit is one loop on every host
+//! (`engine::edit_view_with`): read the maintained window, run the
+//! edit on a chunk-sharing clone, diff the two, and commit the window
+//! delta ([`Engine::edit_view_delta`]). The engine takes the base rows
+//! at the keys the delta touches, checks the delta's pre-images against
+//! their view, runs the lens `put` over just those rows — every view
+//! stage keeps the base key and puts key by key, so that equals the
+//! whole-window `put` there — and commits the base delta with the same
+//! pre-image check as [`Engine::commit_checked`]. An edit therefore
+//! costs its delta, not its window, in process and over the wire.
 //!
 //! ## Quickstart
 //!

@@ -696,12 +696,7 @@ impl Engine for ReplicaEngine {
         self.not_primary()
     }
 
-    fn edit_view_optimistic(
-        &self,
-        _name: &str,
-        _attempts: u32,
-        _edit: &dyn Fn(&mut Table) -> Result<(), EngineError>,
-    ) -> Result<Delta, EngineError> {
+    fn edit_view_delta(&self, _name: &str, _delta: &Delta) -> Result<Delta, EngineError> {
         self.not_primary()
     }
 

@@ -1070,11 +1070,12 @@ impl ShardedEngineServer {
                 drop(topo);
                 return self.transact_keys(&keys, 1, |db| {
                     crate::engine::apply_deltas_checked(db, deltas)
+                        .inspect_err(|e| self.note_conflict(e))
                 });
             }
         };
         let stamp = self.commit_on_shard(index, &topo.shards[index], &nonempty, |state| {
-            state.check_pre_images(&nonempty)
+            (state.check_pre_images(&nonempty)).inspect_err(|e| self.note_conflict(e))
         })?;
         let mut merged: BTreeMap<String, Delta> = BTreeMap::new();
         for (name, delta) in nonempty {
@@ -1623,18 +1624,19 @@ impl ShardedEngineServer {
                 }
             }
 
-            // Concatenate the windows (disjoint keys: the lens retains
-            // the base key, and shards own disjoint key ranges).
-            let mut parts = mat.windows.iter();
-            let mut out = match parts.next() {
-                Some(w) => w.table.clone(),
-                None => Table::new(reg.schema.clone()),
-            };
-            for w in parts {
-                for row in w.table.rows() {
-                    out.upsert(row.clone())?;
+            // Concatenate the windows chunk-wise: the lens retains the
+            // base key, and the run's shards own disjoint, ascending key
+            // ranges, so each window's chunks append whole (O(chunks)).
+            let out = match mat.windows.as_slice() {
+                [only] => only.table.clone(),
+                windows => {
+                    let mut out = Table::new(reg.schema.clone());
+                    for w in windows {
+                        out.append(&w.table)?;
+                    }
+                    out
                 }
-            }
+            };
             Ok((out, stamp))
         })
     }
@@ -1770,63 +1772,78 @@ impl ShardedEngineServer {
         })
     }
 
-    /// Transactionally edit a view: snapshot, apply `edit`, run the lens
-    /// `put`, then commit iff no record since the snapshot touches a
-    /// primary key this edit touches (first-committer-wins), retrying
-    /// with a fresh snapshot up to `attempts` times. Snapshots are
-    /// pruned like [`ShardedEngineServer::write_view`]'s, with the same
-    /// widen-on-stray fallback, and an edit that leaves a table that does
-    /// not fit the view is rejected with an error, as there.
+    /// Transactionally edit a view: the one edit loop
+    /// (`engine::edit_view_with`) — read the maintained window,
+    /// run `edit` on a clone, and commit the window delta with
+    /// [`Self::edit_view_delta`], retrying from a fresh read on a
+    /// conflict up to `attempts` times. Each retry counts in
+    /// `metrics().retries`.
     pub fn edit_view_optimistic(
         &self,
         name: &str,
         attempts: u32,
         edit: impl Fn(&mut Table) -> Result<(), EngineError>,
     ) -> Result<Delta, EngineError> {
-        self.with_view(name, |reg| {
-            let mut pruned = true;
-            let mut attempt = 0;
-            while attempt < attempts.max(1) {
-                let topo = self.topology();
-                let participants = if pruned {
-                    self.view_write_participants(&topo, reg)
-                } else {
-                    None
-                };
-                let (mut snapshot, snap_seqs) =
-                    self.snapshot_with_seqs(&topo, participants.as_ref())?;
-                let base = snapshot.table(&reg.table)?;
-                let mut view = reg.lens.get(base);
-                edit(&mut view)?;
-                let new_base = reg.put(name, base, view)?;
-                let delta = Delta::between(base, &new_base)?;
-                if delta.is_empty() {
-                    return Ok(delta);
-                }
-                drop(new_base);
-                release_rows(&mut snapshot);
-                let deltas = BTreeMap::from([(reg.table.clone(), delta.clone())]);
-                match self.commit_deltas(&topo, &snapshot, &snap_seqs, &deltas, FailPoint::None) {
-                    Ok(_) => return Ok(delta),
-                    Err(EngineError::Conflict { .. }) => {
-                        attempt += 1;
-                        if attempt < attempts.max(1) {
-                            self.inner.metrics.retry();
-                        }
-                    }
-                    // A stray write widens the snapshot without burning
-                    // an optimistic attempt.
-                    Err(EngineError::ShardTopology(_)) if participants.is_some() => {
-                        pruned = false;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Err(EngineError::RetriesExhausted {
-                view: name.to_string(),
-                attempts,
-            })
-        })
+        crate::engine::edit_view_with(self, name, attempts, &edit, || self.inner.metrics.retry())
+    }
+
+    /// Commit a window delta of view `name` — O(delta), whatever the
+    /// window or table size. Under the read locks of the shards owning
+    /// the keys the delta touches, the base rows at those keys are taken
+    /// as a slice; the delta's pre-images are checked against the slice's
+    /// view (a stale one is a conflict, counted in `metrics().conflicts`)
+    /// and the lens `put` runs over the slice
+    /// ([`crate::view::window_delta_to_base`]). The base delta it makes
+    /// commits through [`Self::commit_deltas_checked`], whose pre-image
+    /// check catches any commit to those rows in between. Returns the
+    /// committed base-table delta.
+    pub fn edit_view_delta(&self, name: &str, delta: &Delta) -> Result<Delta, EngineError> {
+        if delta.is_empty() {
+            return self.with_view(name, |_| Ok(Delta::empty()));
+        }
+        let (table, base_delta) = self.with_view(name, |reg| {
+            let base_delta =
+                crate::view::window_delta_to_base(&reg.lens, &reg.schema, name, delta, |keys| {
+                    self.rows_at_keys(&reg.table, keys)
+                })
+                .inspect_err(|e| self.note_conflict(e))?;
+            Ok((reg.table.clone(), base_delta))
+        })?;
+        if !base_delta.is_empty() {
+            self.commit_deltas_checked(&[(table, base_delta.clone())])?;
+        }
+        Ok(base_delta)
+    }
+
+    /// The rows of base table `table` at `keys`, as a table of its
+    /// schema, read under the owning shards' read locks (taken in index
+    /// order, as every multi-shard reader does).
+    fn rows_at_keys(&self, table: &str, keys: &BTreeSet<Row>) -> Result<Table, EngineError> {
+        let topo = self.topology();
+        let owners: BTreeSet<usize> = keys.iter().map(|k| topo.router.shard_of(k)).collect();
+        let guards: BTreeMap<usize, _> = owners
+            .into_iter()
+            .map(|i| (i, topo.shards[i].read()))
+            .collect();
+        let schema = match guards.values().next() {
+            Some(guard) => guard.db.table(table)?.schema().clone(),
+            None => return Err(EngineError::NoSuchTable(table.to_string())),
+        };
+        let mut rows = Vec::with_capacity(keys.len());
+        for key in keys {
+            let piece = guards[&topo.router.shard_of(key)].db.table(table)?;
+            rows.extend(piece.get_by_key(key).cloned());
+        }
+        Ok(Table::from_rows(schema, rows)?)
+    }
+
+    /// Count `e` in `metrics().conflicts` when it is a first-committer-
+    /// wins conflict: every check that refuses a stale pre-image reports
+    /// here.
+    fn note_conflict(&self, e: &EngineError) {
+        if matches!(e, EngineError::Conflict { .. }) {
+            self.inner.metrics.conflict();
+        }
     }
 }
 
@@ -2318,9 +2335,9 @@ mod tests {
         assert!(window.contains(&row![6, "via-view", 2]));
         assert_eq!(engine.metrics().view.rebuilds, 2);
 
-        // An insert through the view that strays outside the key bounds
-        // widens the snapshot and still commits (pruning is never a
-        // behaviour change).
+        // An insert through the view outside its key bounds routes to
+        // the shard that owns the key and still commits (pruning is
+        // never a behaviour change).
         low.edit(|v| Ok(v.upsert(row![25, "stray", 9]).map(|_| ())?))
             .unwrap();
         assert!(engine

@@ -24,6 +24,7 @@
 //! adopting `resync` wholesale) yields the window at `to_seq`, the
 //! subscriber's next cursor.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -64,12 +65,28 @@ impl CommitNotifier {
     /// `seen`). The timeout keeps pumps responsive to shutdown and to
     /// retry backpressure-stalled subscribers without a commit.
     pub fn wait_past(&self, seen: u64, timeout: Duration) -> u64 {
+        self.wait_past_unless(seen, &AtomicBool::new(false), timeout)
+    }
+
+    /// [`Self::wait_past`] for a waiter that must also leave as soon as
+    /// `stop` is set: whoever sets it then calls [`Self::wake`].
+    pub fn wait_past_unless(&self, seen: u64, stop: &AtomicBool, timeout: Duration) -> u64 {
         let guard = self.seq.lock().expect("notifier lock poisoned");
         let (guard, _) = self
             .cv
-            .wait_timeout_while(guard, timeout, |cur| *cur <= seen)
+            .wait_timeout_while(guard, timeout, |cur| {
+                *cur <= seen && !stop.load(Ordering::SeqCst)
+            })
             .expect("notifier lock poisoned");
         *guard
+    }
+
+    /// Wake every parked waiter to re-check its stop flag. Taking the
+    /// lock first means a waiter that read its flag before it was set
+    /// has parked by now, so the wake-up cannot miss it.
+    pub fn wake(&self) {
+        let _parked = self.seq.lock().expect("notifier lock poisoned");
+        self.cv.notify_all();
     }
 }
 
@@ -138,6 +155,25 @@ mod tests {
         assert_eq!(n.wait_past(1, Duration::from_secs(10)), 2);
         // Not past: times out at the current signal.
         assert_eq!(n.wait_past(2, Duration::from_millis(10)), 2);
+    }
+
+    #[test]
+    fn a_stopped_waiter_leaves_without_a_commit() {
+        let n = Arc::new(CommitNotifier::new());
+        let stop = Arc::new(AtomicBool::new(false));
+        let waiter = {
+            let (n, stop) = (Arc::clone(&n), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let start = std::time::Instant::now();
+                n.wait_past_unless(0, &stop, Duration::from_secs(10));
+                start.elapsed()
+            })
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        stop.store(true, Ordering::SeqCst);
+        n.wake();
+        assert!(waiter.join().unwrap() < Duration::from_secs(5));
+        assert_eq!(n.last(), 0);
     }
 
     #[test]

@@ -271,8 +271,8 @@ pub fn check_concurrent_edits(clients: Vec<ArcEngine>, edits_per_client: usize) 
                     for i in 0..edits_per_client {
                         let private_id = PRIVATE_BASE + (client * edits_per_client + i) as i64;
                         // The attempt budget covers the worst case: every
-                        // other client's commit can fail one CAS/validation
-                        // round, so total-commits + 1 attempts always
+                        // other client's commit can fail one pre-image
+                        // check, so total-commits + 1 attempts always
                         // suffice; 4096 dominates every suite size used.
                         let result =
                             engine.edit_view_optimistic("all", 4096, &move |v: &mut Table| {

@@ -2,12 +2,14 @@
 //! a bijection on keys — every key routes to exactly one shard, the
 //! shard's range contains it (and no other shard's does), and the
 //! ranges respect key order — and partitioning a database across a
-//! sharded engine loses and duplicates nothing.
+//! sharded engine loses and duplicates nothing, nor does concatenating
+//! its shards' view windows back into one read.
 
 use proptest::prelude::*;
 
 use esm_engine::{ShardRouter, ShardedEngineServer};
-use esm_store::{row, Database, Row, Schema, Table, Value, ValueType};
+use esm_relational::ViewDef;
+use esm_store::{row, Database, Operand, Predicate, Row, Schema, Table, Value, ValueType};
 
 /// Sorted, distinct split points from an arbitrary int set.
 fn arb_splits() -> impl Strategy<Value = Vec<Row>> {
@@ -133,6 +135,88 @@ proptest! {
                 })
                 .expect("commits");
             prop_assert_eq!(receipt.shards, vec![router.shard_of(&row![i])]);
+        }
+    }
+}
+
+/// Rows of the read-equality property: enough that every shard's window
+/// spans several chunks.
+const READ_ROWS: i64 = 2_000;
+
+fn read_engine(router: ShardRouter) -> ShardedEngineServer {
+    let schema = Schema::build(
+        &[
+            ("id", ValueType::Int),
+            ("grp", ValueType::Int),
+            ("v", ValueType::Int),
+        ],
+        &["id"],
+    )
+    .expect("valid schema");
+    let rows = (0..READ_ROWS).map(|i| row![i, i % 7, i]);
+    let mut db = Database::new();
+    db.create_table("kv", Table::from_rows(schema, rows).expect("valid"))
+        .expect("fresh");
+    let engine = ShardedEngineServer::with_router(db, router).expect("engine");
+    let views = [
+        ("all", ViewDef::base()),
+        (
+            "grp3",
+            ViewDef::base().select(Predicate::eq(Operand::col("grp"), Operand::val(3i64))),
+        ),
+        (
+            "pairs",
+            ViewDef::base()
+                .select(Predicate::ge(Operand::col("v"), Operand::val(100i64)))
+                .project(&["id", "v"], &[("grp", Value::Int(0))]),
+        ),
+    ];
+    for (name, def) in views {
+        engine.define_view(name, "kv", &def).expect("compiles");
+    }
+    engine
+}
+
+proptest! {
+    /// A read of a 4-shard engine concatenates its shard windows chunk by
+    /// chunk; it equals the read of a 1-shard engine over the same rows
+    /// after random commits, a split and a merge.
+    #[test]
+    fn four_shard_reads_equal_one_shard_reads(
+        commits in proptest::collection::vec((0i64..READ_ROWS + 50, 0i64..7, 0u8..4), 1..60),
+        split in 1i64..READ_ROWS,
+        merge in 0usize..4,
+    ) {
+        let one = read_engine(ShardRouter::single());
+        let four = read_engine(ShardRouter::uniform_int(4, 0, READ_ROWS).expect("router"));
+        let third = commits.len() / 3;
+        for (step, &(id, grp, kind)) in commits.iter().enumerate() {
+            if step == third {
+                let _ = four.split_shard(row![split]);
+            }
+            if step == 2 * third && four.shard_count() > 1 {
+                four.merge_shards(merge % (four.shard_count() - 1)).expect("adjacent shards merge");
+            }
+            for engine in [&one, &four] {
+                engine
+                    .transact(1, |db| {
+                        let t = db.table_mut("kv")?;
+                        if kind == 0 {
+                            t.delete_by_key(&row![id]);
+                        } else {
+                            t.upsert(row![id, grp, id * 10 + kind as i64])?;
+                        }
+                        Ok(())
+                    })
+                    .expect("uncontended commits");
+            }
+            for name in ["all", "grp3", "pairs"] {
+                prop_assert_eq!(
+                    four.read_view(name).expect("readable"),
+                    one.read_view(name).expect("readable"),
+                    "view {} at step {}", name, step
+                );
+            }
         }
     }
 }

@@ -27,13 +27,15 @@
 //!
 //! Two trait methods take closures; both are driven from the client:
 //!
-//! * [`Engine::edit_view_optimistic`] becomes a read/edit/compare-and-
-//!   swap loop: read the view, run the edit locally, then ask the
-//!   server to install the edited window *iff* the view still equals
-//!   the one the edit was computed against. A CAS failure is a
-//!   first-committer-wins conflict; the client retries with a fresh
-//!   read, up to the caller's attempt budget — optimistic concurrency
-//!   with the validation done where the authoritative state lives.
+//! * [`Engine::edit_view_optimistic`] is the engine's one edit loop
+//!   (read, edit, diff, `EDIT_VIEW_DELTA`), run client-side: read the
+//!   view, run the edit on a chunk-sharing clone of the window, diff the
+//!   two ([`Delta::between`], O(chunks the edit wrote)) and send the
+//!   window delta. Its deleted rows are the pre-images the edit read;
+//!   the server commits the delta iff every touched row still holds
+//!   its pre-image, and a stale one is a first-committer-wins conflict
+//!   that the client retries from a fresh read, up to the caller's
+//!   attempt budget. The request carries the delta, not the window.
 //! * [`Engine::transact`] becomes refresh/execute/commit-deltas: the
 //!   body runs on a chunk-sharing clone of the freshly caught-up cached
 //!   database, so diffing it against the cache costs the chunks the
@@ -350,39 +352,16 @@ impl Engine for RemoteEngine {
         }
     }
 
-    fn edit_view_optimistic(
-        &self,
-        name: &str,
-        attempts: u32,
-        edit: &dyn Fn(&mut Table) -> Result<(), EngineError>,
-    ) -> Result<Delta, EngineError> {
-        for _ in 0..attempts.max(1) {
-            let expect = self.read_view(name)?;
-            let mut edited = expect.clone();
-            edit(&mut edited)?;
-            if edited == expect {
-                return Ok(Delta::empty());
-            }
-            match self.call(&Request::EditViewCas {
-                name: name.to_string(),
-                expect,
-                edited,
-            }) {
-                Ok(Response::Delta(d)) => return Ok(d),
-                Ok(other) => return Err(unexpected(other)),
-                // A CAS miss surfaces as a conflict (or as the server's
-                // single attempt reporting exhaustion): retry with a
-                // fresh read.
-                Err(EngineError::Conflict { .. }) | Err(EngineError::RetriesExhausted { .. }) => {
-                    continue
-                }
-                Err(e) => return Err(e),
-            }
+    /// One `EDIT_VIEW_DELTA` request carrying the window delta; a stale
+    /// pre-image comes back as [`EngineError::Conflict`].
+    fn edit_view_delta(&self, name: &str, delta: &Delta) -> Result<Delta, EngineError> {
+        match self.call(&Request::EditViewDelta {
+            name: name.to_string(),
+            delta: delta.clone(),
+        })? {
+            Response::Delta(d) => Ok(d),
+            other => Err(unexpected(other)),
         }
-        Err(EngineError::RetriesExhausted {
-            view: name.to_string(),
-            attempts,
-        })
     }
 
     fn transact(

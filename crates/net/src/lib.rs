@@ -37,8 +37,8 @@
 //! * [`server`] — the readiness-driven, thread-pooled front end; one
 //!   [`esm_engine::Session`] per connection.
 //! * [`client`] — [`RemoteEngine`]; client-driven optimistic loops
-//!   (compare-and-swap edits, pre-image-validated transactions)
-//!   replace the closures that cannot cross the wire. Plus
+//!   (window-delta edits and delta transactions, both pre-image
+//!   validated) replace the closures that cannot cross the wire. Plus
 //!   [`SubscriptionClient`] for the push side of the protocol.
 //!
 //! ## Real-time subscriptions: subscribe → commit → drain → push
@@ -84,6 +84,11 @@
 //! catches it up with the base-table deltas committed since, so a remote
 //! transaction ships what changed since the process last asked, not the
 //! database.
+//!
+//! Protocol rev 7 replaces the whole-window `edit_view_cas` with
+//! `edit_view_delta`: a view edit ships the window delta it made, and
+//! the server checks and commits it key by key, so an edit's request
+//! costs its delta, not its window.
 
 #![warn(missing_docs)]
 // Unsafe is confined to the raw epoll FFI in `poll` (no libc crate);

@@ -48,6 +48,23 @@
 //! address before), whose stamps mean nothing here. The old
 //! whole-database `snapshot` request (tag 3) is gone.
 //!
+//! Revision 7 makes a view edit a window delta:
+//!
+//! ```text
+//! edit_view_delta := 0xB7, 22, name str, delta
+//! answer          := 0xB7, 4, delta                (the committed base delta)
+//! ```
+//!
+//! The client reads the window, runs its edit on a copy and sends the
+//! difference, whose deleted rows are the pre-images it read. The server
+//! checks them against the base rows at the keys the delta touches, puts
+//! the delta through the view's lens over just those rows, and commits
+//! the base delta with the same pre-image check as `commit` — so an edit
+//! ships and costs its delta, not its window. A stale pre-image comes
+//! back as a conflict, and the client retries from a fresh read. The
+//! whole-window `edit_view_cas` request (tag 9), which shipped the window
+//! twice and had the server compare whole windows, is gone.
+//!
 //! Encoders write a payload straight after a reserved frame header
 //! ([`Request::framed_with_trace`], [`Response::framed`]), so a frame is
 //! one buffer, never a payload copied into a second one.
@@ -138,18 +155,18 @@ pub enum Request {
         /// The edited view table.
         view: Table,
     },
-    /// One optimistic-edit attempt as a compare-and-swap: commit the
-    /// edited window iff the view still reads as `expect`. The client
-    /// drives the retry loop (`Engine::edit_view_optimistic` needs a
-    /// closure; closures do not serialize — equality of the observed
-    /// window does).
-    EditViewCas {
+    /// `Engine::edit_view_delta` (revision 7): one view-edit attempt as
+    /// the window delta the client's edit made, whose deleted rows are
+    /// the pre-images it read. The server commits it iff every touched
+    /// row still holds its pre-image, and answers with the committed
+    /// base-table delta ([`Response::Delta`]). The client drives the
+    /// retry loop: `Engine::edit_view_optimistic` takes a closure, and
+    /// closures do not serialize — the delta they made does.
+    EditViewDelta {
         /// View name.
         name: String,
-        /// The window the client's edit was computed against.
-        expect: Table,
-        /// The edited window to install.
-        edited: Table,
+        /// The window delta.
+        delta: Delta,
     },
     /// One snapshot-transaction commit attempt: per-table deltas whose
     /// `deleted` rows are the client's pre-images (exactly what
@@ -326,9 +343,11 @@ pub struct SnapshotMark {
 /// is refused. Revision 6 replaced the whole-database `snapshot` with
 /// `snapshot_since(stamp?)`, answered with the base-table deltas
 /// committed since the client's stamp (or the whole database when the
-/// server's log no longer covers it). The revision is informational,
-/// not a handshake.
-pub const PROTOCOL_REV: u32 = 6;
+/// server's log no longer covers it). Revision 7 replaced the
+/// whole-window `edit_view_cas` with `edit_view_delta`, which ships the
+/// window delta an edit made. The revision is informational, not a
+/// handshake.
+pub const PROTOCOL_REV: u32 = 7;
 
 /// First byte of every wire payload.
 pub const BINARY_WIRE_MAGIC: u8 = 0xB7;
@@ -347,7 +366,7 @@ const REQ_OPEN_VIEW: u8 = 5;
 const REQ_VIEW_NAMES: u8 = 6;
 const REQ_READ_VIEW: u8 = 7;
 const REQ_WRITE_VIEW: u8 = 8;
-const REQ_EDIT_CAS: u8 = 9;
+// Tag 9 was the whole-window `EDIT_VIEW_CAS` (revisions 1–6).
 const REQ_COMMIT: u8 = 10;
 const REQ_METRICS: u8 = 11;
 const REQ_STATS: u8 = 12;
@@ -360,6 +379,7 @@ const REQ_UNSUBSCRIBE: u8 = 18;
 const REQ_REPL_MANIFEST: u8 = 19;
 const REQ_REPL_FETCH: u8 = 20;
 const REQ_SNAPSHOT_SINCE: u8 = 21;
+const REQ_EDIT_VIEW_DELTA: u8 = 22;
 
 /// Byte length of the optional trace-context suffix on requests: a u64
 /// trace id plus a u32 parent span id. A decoder that finds exactly
@@ -1089,15 +1109,10 @@ impl Request {
                 codec::put_str(out, name);
                 codec::put_table(out, view);
             }
-            Request::EditViewCas {
-                name,
-                expect,
-                edited,
-            } => {
-                out.push(REQ_EDIT_CAS);
+            Request::EditViewDelta { name, delta } => {
+                out.push(REQ_EDIT_VIEW_DELTA);
                 codec::put_str(out, name);
-                codec::put_table(out, expect);
-                codec::put_table(out, edited);
+                codec::put_delta(out, delta);
             }
             Request::Commit { deltas } => {
                 out.push(REQ_COMMIT);
@@ -1179,10 +1194,9 @@ impl Request {
                 name: r.str()?,
                 view: r.table()?,
             },
-            REQ_EDIT_CAS => Request::EditViewCas {
+            REQ_EDIT_VIEW_DELTA => Request::EditViewDelta {
                 name: r.str()?,
-                expect: r.table()?,
-                edited: r.table()?,
+                delta: r.delta()?,
             },
             REQ_COMMIT => {
                 let mut deltas = Vec::new();
@@ -1487,23 +1501,8 @@ pub fn handle(session: &esm_engine::Session, server: u64, req: Request) -> Respo
             Request::ViewNames => Response::Names(engine.view_names()?),
             Request::ReadView(name) => Response::Table(engine.read_view(&name)?),
             Request::WriteView { name, view } => Response::Delta(engine.write_view(&name, view)?),
-            Request::EditViewCas {
-                name,
-                expect,
-                edited,
-            } => {
-                let table = name.clone();
-                let delta = engine.edit_view_optimistic(&name, 1, &move |v: &mut Table| {
-                    if *v != expect {
-                        return Err(EngineError::Conflict {
-                            table: table.clone(),
-                            detail: "view window changed since the client's read".into(),
-                        });
-                    }
-                    *v = edited.clone();
-                    Ok(())
-                })?;
-                Response::Delta(delta)
+            Request::EditViewDelta { name, delta } => {
+                Response::Delta(engine.edit_view_delta(&name, &delta)?)
             }
             Request::Commit { deltas } => {
                 // Delta-direct checked commit: pre-image validation is
@@ -1694,10 +1693,12 @@ mod tests {
                 name: "v".into(),
                 view: table(),
             },
-            Request::EditViewCas {
+            Request::EditViewDelta {
                 name: "v".into(),
-                expect: table(),
-                edited: table(),
+                delta: Delta {
+                    inserted: vec![row![3, "c"]],
+                    deleted: vec![row![1, "a\tb"]],
+                },
             },
             Request::Commit {
                 deltas: vec![(

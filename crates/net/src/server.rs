@@ -58,7 +58,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use esm_engine::{ArcEngine, Session};
+use esm_engine::{ArcEngine, CommitNotifier, Session};
 use esm_obs::{Phase, Span, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceId};
 use esm_store::Delta;
 
@@ -489,6 +489,8 @@ pub struct NetServer {
     counters: Arc<NetCounters>,
     telemetry: Arc<Telemetry>,
     poller: Arc<Poller>,
+    /// The engine's commit signal the push pump parks on, woken at stop.
+    notifier: Option<Arc<CommitNotifier>>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -530,6 +532,7 @@ impl NetServer {
             push_highwater: config.outbuf_limit / 2,
         });
 
+        let notifier = engine.commit_notifier();
         let (jobs_tx, jobs_rx) = channel::<Job>();
         let jobs_rx = Arc::new(Mutex::new(jobs_rx));
         let (done_tx, done_rx) = channel::<u64>();
@@ -562,13 +565,14 @@ impl NetServer {
             let counters = Arc::clone(&counters);
             let poller = Arc::clone(&poller);
             let pump = Arc::clone(&pump);
-            let notifier = engine.commit_notifier();
+            let notifier = notifier.clone();
             threads.push(std::thread::spawn(move || {
                 let mut seen = 0u64;
                 while !shutdown.load(Ordering::SeqCst) {
                     match &notifier {
                         Some(n) => {
-                            let cur = n.wait_past(seen, Duration::from_millis(50));
+                            let cur =
+                                n.wait_past_unless(seen, &shutdown, Duration::from_millis(50));
                             if shutdown.load(Ordering::SeqCst) {
                                 return;
                             }
@@ -614,6 +618,7 @@ impl NetServer {
             counters,
             telemetry,
             poller,
+            notifier,
             threads,
         })
     }
@@ -659,6 +664,11 @@ impl NetServer {
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.poller.notify();
+        // The push pump parks on the commit signal, which shutdown does
+        // not move: wake it to see the flag.
+        if let Some(n) = &self.notifier {
+            n.wake();
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -689,7 +699,7 @@ fn op_name(req: &Request) -> &'static str {
         Request::ViewNames => "net:view_names",
         Request::ReadView(_) => "net:read_view",
         Request::WriteView { .. } => "net:write_view",
-        Request::EditViewCas { .. } => "net:edit_view_cas",
+        Request::EditViewDelta { .. } => "net:edit_view_delta",
         Request::Commit { .. } => "net:commit",
         Request::Metrics => "net:metrics",
         Request::Stats => "net:stats",
@@ -860,7 +870,7 @@ fn worker_loop(
                                 let commitish = matches!(
                                     req,
                                     Request::WriteView { .. }
-                                        | Request::EditViewCas { .. }
+                                        | Request::EditViewDelta { .. }
                                         | Request::Commit { .. }
                                 );
                                 let hspan = esm_obs::trace::span("net_handler");

@@ -348,10 +348,9 @@ proptest! {
             0 => Request::Table(name.clone()),
             1 => Request::DefineView { name: name.clone(), table: "t".into(), def: def.clone() },
             2 => Request::WriteView { name: name.clone(), view: table.clone() },
-            3 => Request::EditViewCas {
+            3 => Request::EditViewDelta {
                 name: name.clone(),
-                expect: table.clone(),
-                edited: table.clone(),
+                delta: Delta { inserted: inserted.clone(), deleted: deleted.clone() },
             },
             4 => Request::Commit {
                 deltas: vec![(name.clone(), Delta { inserted, deleted })],
@@ -557,6 +556,38 @@ proptest! {
     }
 
     #[test]
+    fn edit_view_delta_round_trips_and_refuses_garbage(
+        name in nasty_string(),
+        inserted in arb_rows(),
+        deleted in arb_rows(),
+        trace_id in arb_u64(),
+        parent in any::<i64>().prop_map(|n| n as u32),
+        carry in any::<bool>(),
+    ) {
+        // Revision 7: a view edit ships its window delta.
+        let req = Request::EditViewDelta { name, delta: Delta { inserted, deleted } };
+        let ctx = carry.then_some((trace_id, parent));
+        prop_assert_eq!(req.framed_with_trace(ctx), encode_frame(&req.encode_with_trace(ctx)));
+        let (payload, _) = decode_frame(&req.framed_with_trace(ctx)).unwrap().expect("complete");
+        let (back, got) = Request::decode_with_trace(&payload).expect("round-trips");
+        prop_assert_eq!(back, req.clone());
+        prop_assert_eq!(got, ctx);
+
+        // Every truncation is refused, and a count cut in anywhere that
+        // promises more items than bytes follow is refused before it
+        // sizes an allocation: at most the bytes sent come back.
+        let bytes = req.encode();
+        for cut in 0..bytes.len() {
+            prop_assert!(Request::decode(&bytes[..cut]).is_err(), "cut at {}", cut);
+            let mut absurd = bytes[..cut].to_vec();
+            absurd.extend_from_slice(&u32::MAX.to_le_bytes());
+            if let Ok(back) = Request::decode(&absurd) {
+                prop_assert_eq!(back.encode(), absurd);
+            }
+        }
+    }
+
+    #[test]
     fn snapshot_since_round_trips_and_refuses_garbage(
         since in arb_u64(),
         since_some in any::<bool>(),
@@ -616,5 +647,45 @@ proptest! {
         let mut bad_resp = Response::SnapshotSince { server: since, answer: empty }.encode();
         bad_resp[18] = flag; // magic, tag, server and stamp u64s, then the changes tag
         prop_assert!(Response::decode(&bad_resp).is_err());
+    }
+}
+
+/// A window delta announcing more rows than the bytes left is refused
+/// from the count alone (no row is decoded, nothing is sized by it).
+#[test]
+fn edit_view_delta_row_counts_beyond_the_bytes_left_are_refused() {
+    let req = Request::EditViewDelta {
+        name: "v".into(),
+        delta: Delta {
+            inserted: vec![row![1, "a"]],
+            deleted: vec![],
+        },
+    };
+    let bytes = req.encode();
+    // magic, tag, the name (u32 length + 1 byte): the inserted-row count.
+    let at = 2 + 4 + 1;
+    assert_eq!(bytes[at..at + 4], 1u32.to_le_bytes());
+    for count in [1u32 << 20, u32::MAX] {
+        let mut bad = bytes.clone();
+        bad[at..at + 4].copy_from_slice(&count.to_le_bytes());
+        assert!(
+            Request::decode(&bad).is_err(),
+            "{count} rows must not decode"
+        );
+    }
+}
+
+/// Tag 9 was the whole-window `EDIT_VIEW_CAS` of revisions 1–6: it now
+/// decodes as an unknown request, whatever follows it.
+#[test]
+fn the_old_edit_view_cas_tag_is_an_unknown_request() {
+    let table = Table::new(Schema::build(&[("id", ValueType::Int)], &["id"]).expect("schema"));
+    let mut payload = vec![0xB7, 9];
+    esm_store::codec::put_str(&mut payload, "v");
+    esm_store::codec::put_table(&mut payload, &table);
+    esm_store::codec::put_table(&mut payload, &table);
+    for cut in [2, payload.len()] {
+        let err = Request::decode(&payload[..cut]).expect_err("tag 9 is gone");
+        assert!(err.0.contains("unknown request tag 9"), "{err}");
     }
 }

@@ -14,6 +14,8 @@ use esm_engine::{
 use esm_net::{NetServer, NetServerConfig, RemoteEngine};
 use esm_relational::ViewDef;
 use esm_store::{row, Delta, Operand, Predicate, Schema, Table, ValueType};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 fn serve(engine: ArcEngine) -> (NetServer, std::net::SocketAddr) {
     let server =
@@ -289,6 +291,167 @@ fn remote_commit_checked_is_one_request_at_16k_rows() {
     assert_eq!(base.get_by_key(&row![7]), Some(&row![7, -7]));
     assert_eq!(base.len() as i64, ROWS);
     server.shutdown();
+}
+
+/// A stale remote `commit_checked` is one first-committer-wins conflict
+/// in the server's counters, whether one shard checks its pre-images or
+/// a cross-shard transaction does.
+#[test]
+fn a_stale_remote_commit_counts_one_conflict_on_one_shard_and_across_two() {
+    for router in [
+        ShardRouter::single(),
+        ShardRouter::uniform_int(2, 0, KEYS).expect("router"),
+    ] {
+        let shards = router.shard_count();
+        let host = ShardedEngineServer::with_router(seed_db(), router).expect("engine");
+        let (server, addr) = serve(host.as_engine());
+        let remote = connect(addr);
+        // Rows 0 and 78 sit on different shards when there are two; the
+        // pre-image of row 0 is stale.
+        let stale = vec![(
+            "t".to_string(),
+            Delta {
+                inserted: vec![row![0, "x", 1], row![78, "x", 1]],
+                deleted: vec![row![0, "g0", 99], row![78, "g3", 234]],
+            },
+        )];
+        let before = host.metrics().conflicts;
+        let refused = remote.commit_checked(&stale);
+        assert!(
+            matches!(refused, Err(EngineError::Conflict { .. })),
+            "{shards} shards: {refused:?}"
+        );
+        assert_eq!(host.metrics().conflicts - before, 1, "{shards} shards");
+        server.shutdown();
+    }
+}
+
+/// A remote edit ships its window delta: the window read answers with
+/// the whole window, and the edit's requests after it — its own read and
+/// one `EDIT_VIEW_DELTA` carrying a one-row change — stay under 1% of
+/// that answer at 16,384 rows.
+#[test]
+fn remote_edit_ships_a_window_delta_at_16k_rows() {
+    const ROWS: i64 = 16_384;
+    let schema = Schema::build(&[("id", ValueType::Int), ("val", ValueType::Int)], &["id"])
+        .expect("valid schema");
+    let mut db = esm_store::Database::new();
+    db.create_table(
+        "kv",
+        Table::from_rows(schema, (0..ROWS).map(|i| row![i, i])).expect("valid rows"),
+    )
+    .expect("fresh");
+    let (server, addr) = serve(EngineServer::new(db).as_engine());
+    let remote = connect(addr);
+    remote.define_view("all", "kv", &ViewDef::base()).unwrap();
+
+    let before = server.stats();
+    assert_eq!(remote.read_view("all").unwrap().len() as i64, ROWS);
+    let read = server.stats();
+    let window_bytes = read.bytes_written - before.bytes_written;
+    let delta = remote
+        .edit_view_optimistic("all", 4, &|v: &mut Table| {
+            v.upsert(row![7, -7])?;
+            Ok(())
+        })
+        .expect("commits");
+    let edited = server.stats();
+    assert_eq!(
+        delta,
+        Delta {
+            inserted: vec![row![7, -7]],
+            deleted: vec![row![7, 7]],
+        }
+    );
+    assert_eq!(edited.requests - read.requests, 2, "a read, then the delta");
+    let sent = edited.bytes_read - read.bytes_read;
+    assert!(
+        sent * 100 < window_bytes,
+        "the edit sent {sent} bytes, the window read answered {window_bytes}"
+    );
+    server.shutdown();
+}
+
+/// Two connections edit different rows of one window, the second
+/// between the first's read and its commit: both commit on their first
+/// attempt, because each checks only the rows it touched.
+#[test]
+fn remote_edits_of_different_rows_of_one_window_both_commit() {
+    let host = EngineServer::new(seed_db());
+    let (server, addr) = serve(host.as_engine());
+    let (a, b) = (connect(addr), connect(addr));
+    a.define_view("all", "t", &ViewDef::base()).unwrap();
+    let runs = AtomicUsize::new(0);
+    a.edit_view_optimistic("all", 1, &|v: &mut Table| {
+        if runs.fetch_add(1, Ordering::SeqCst) == 0 {
+            b.edit_view_optimistic("all", 1, &|w: &mut Table| {
+                w.upsert(row![2, "b", 2])?;
+                Ok(())
+            })
+            .expect("b commits first time");
+        }
+        v.upsert(row![4, "a", 4])?;
+        Ok(())
+    })
+    .expect("a commits first time");
+    assert_eq!(runs.load(Ordering::SeqCst), 1);
+    assert_eq!(host.metrics().conflicts, 0);
+    let base = host.table("t").unwrap();
+    assert_eq!(base.get_by_key(&row![2]), Some(&row![2, "b", 2]));
+    assert_eq!(base.get_by_key(&row![4]), Some(&row![4, "a", 4]));
+    server.shutdown();
+}
+
+/// Two connections increment one row, the second between the first's
+/// read and its commit: the first's stale pre-image conflicts, it
+/// retries from a fresh read, and neither increment is lost.
+#[test]
+fn remote_edits_of_one_row_from_two_connections_lose_no_update() {
+    let host = EngineServer::new(seed_db());
+    let (server, addr) = serve(host.as_engine());
+    let (a, b) = (connect(addr), connect(addr));
+    a.define_view("all", "t", &ViewDef::base()).unwrap();
+    let bump = |v: &mut Table| -> Result<(), EngineError> {
+        let current = v.get_by_key(&row![0]).and_then(|r| r[2].as_int());
+        v.upsert(row![0, "g0", current.unwrap_or(0) + 1])?;
+        Ok(())
+    };
+    let runs = AtomicUsize::new(0);
+    a.edit_view_optimistic("all", 4, &|v: &mut Table| {
+        if runs.fetch_add(1, Ordering::SeqCst) == 0 {
+            b.edit_view_optimistic("all", 4, &bump).expect("b commits");
+        }
+        bump(v)
+    })
+    .expect("a commits on a retry");
+    assert_eq!(
+        runs.load(Ordering::SeqCst),
+        2,
+        "a retried from a fresh read"
+    );
+    assert_eq!(host.metrics().conflicts, 1);
+    let base = host.table("t").unwrap();
+    assert_eq!(base.get_by_key(&row![0]), Some(&row![0, "g0", 2]));
+    server.shutdown();
+}
+
+/// Dropping a server is prompt: its push pump leaves its park on the
+/// commit signal as soon as the server stops, instead of waiting out the
+/// park's timeout.
+#[test]
+fn ten_servers_bind_connect_and_drop_within_250_ms() {
+    let engine = EngineServer::new(seed_db()).as_engine();
+    let start = Instant::now();
+    for _ in 0..10 {
+        let (server, addr) = serve(engine.clone());
+        connect(addr).ping().expect("served");
+        drop(server);
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(250),
+        "ten bind/connect/drop cycles took {took:?}"
+    );
 }
 
 /// A warm remote `transact` ships what changed, not the database: the

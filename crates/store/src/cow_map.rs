@@ -320,6 +320,32 @@ impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
         out
     }
 
+    /// Append `other`, whose keys all sort after this map's: its chunks
+    /// join this map's list shared with `other`, not copied, so the
+    /// concatenation costs O(chunks). The two chunks that meet fold into
+    /// one when either is undersized, which copies at most those two.
+    /// Returns `false`, changing nothing, when `other`'s first key does
+    /// not follow this map's last.
+    pub fn append(&mut self, other: &CowMap<K, V>) -> bool {
+        let (Some(tail), Some(head)) = (self.chunks.last(), other.chunks.first()) else {
+            if self.is_empty() {
+                *self = other.clone();
+            }
+            return true;
+        };
+        if (tail.entries.keys().next_back()).is_some_and(|last| *last >= head.first) {
+            return false;
+        }
+        let junction = self.chunks.len();
+        self.len += other.len;
+        self.chunks_mut().extend(other.chunks.iter().cloned());
+        let small = |i: usize| self.chunks[i].entries.len() < MIN_CHUNK;
+        if small(junction - 1) || small(junction) {
+            self.fold(junction);
+        }
+        true
+    }
+
     /// The entries of `self` and of `other` outside the chunks the two
     /// share, each in key order. Shared chunks — the same `Arc`, found by
     /// walking both chunk lists in key order — hold identical entries on
@@ -411,9 +437,15 @@ impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
         let left = i.saturating_sub(1);
         let chunks = self.chunks_mut();
         let right = chunks.remove(left + 1);
-        let mut moved = Arc::try_unwrap(right).map_or_else(|r| r.entries.clone(), |r| r.entries);
         let merged = Arc::make_mut(&mut chunks[left]);
-        merged.entries.append(&mut moved);
+        match Arc::try_unwrap(right) {
+            Ok(mut right) => merged.entries.append(&mut right.entries),
+            // Shared: clone its entries straight in; they all sort after
+            // the merged chunk's, so each insert lands on its right edge.
+            Err(right) => {
+                (merged.entries).extend(right.entries.iter().map(|(k, v)| (k.clone(), v.clone())))
+            }
+        }
         if merged.entries.len() > CHUNK {
             self.split(left);
         }
@@ -624,6 +656,46 @@ mod tests {
         assert_eq!(m.range(1190..).count(), 2);
         assert_eq!(m.range(1198..).count(), 0);
         assert_eq!(m.range(..=7).count(), 2);
+    }
+
+    #[test]
+    fn appends_share_chunks_and_fold_only_the_junction() {
+        let sizes = [0usize, 1, 10, 63, 64, 200, 256, 300, 1000];
+        for &a in &sizes {
+            for &b in &sizes {
+                let lower: CowMap<i64, i64> = (0..a as i64).map(|k| (k, k)).collect();
+                let upper: CowMap<i64, i64> = (0..b as i64).map(|k| (k + 5000, k)).collect();
+                let mut joined = lower.clone();
+                assert!(joined.append(&upper));
+                assert_well_formed(&joined);
+                assert!(joined.iter().eq(lower.iter().chain(upper.iter())));
+                // Every chunk but the two that met is the source's own.
+                let sources: Vec<_> = lower.chunks.iter().chain(upper.chunks.iter()).collect();
+                let copied = joined
+                    .chunks
+                    .iter()
+                    .filter(|c| !sources.iter().any(|s| Arc::ptr_eq(s, c)))
+                    .count();
+                assert!(copied <= 2, "{a} + {b}: {copied} chunks copied");
+                // The chunks that meet are both at least a quarter full,
+                // or folded into one.
+                if a > 0 && b > 0 {
+                    let at = joined.chunk_of(&5000);
+                    let folded = joined.chunks[at].entries.contains_key(&(a as i64 - 1));
+                    let len = |i: usize| joined.chunks[i].entries.len();
+                    assert!(
+                        folded || (len(at - 1) >= MIN_CHUNK && len(at) >= MIN_CHUNK),
+                        "{a} + {b}: junction chunks of {} and {}",
+                        len(at - 1),
+                        len(at)
+                    );
+                }
+            }
+        }
+        // Keys that do not follow are refused, and nothing moves.
+        let mut m = filled(10);
+        assert!(!m.append(&filled(3)));
+        assert_eq!(m, filled(10));
     }
 
     #[test]

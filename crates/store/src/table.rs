@@ -303,6 +303,30 @@ impl Table {
         out
     }
 
+    /// Append `other`'s rows, all keyed above this table's: the row
+    /// chunks join this table's shared ([`CowMap::append`]), so the
+    /// concatenation costs O(chunks). This table's secondary indexes
+    /// take `other`'s rows one by one. Refused when the schemas differ
+    /// or the key ranges overlap.
+    pub fn append(&mut self, other: &Table) -> Result<(), StoreError> {
+        if self.schema != other.schema {
+            return Err(StoreError::SchemaMismatch(
+                "append between different schemas".into(),
+            ));
+        }
+        if !self.rows.append(&other.rows) {
+            return Err(StoreError::KeyViolation(
+                "appended rows must all key above the table's".into(),
+            ));
+        }
+        for idx in &mut self.indexes {
+            for (key, row) in other.rows.iter() {
+                idx.add(key, row);
+            }
+        }
+        Ok(())
+    }
+
     /// The key of the row at position `idx` in key order (`None` when out
     /// of bounds). A rebalancer picks split points with this: `key_at(len
     /// / 2)` is the median key.
@@ -837,6 +861,31 @@ mod tests {
             .select(&Predicate::eq(Operand::col("age"), Operand::val(41)))
             .unwrap();
         assert!(miss.is_empty(), "moved rows left the source index");
+    }
+
+    #[test]
+    fn append_undoes_a_split_and_refuses_overlaps() {
+        let whole = people();
+        let mut lower = whole.clone();
+        lower.create_index("age").unwrap();
+        let upper = lower.split_off_key(&row![2]);
+        lower.append(&upper).unwrap();
+        assert_eq!(lower, whole);
+        // The lower side's index took the appended rows.
+        let hit = lower
+            .select(&Predicate::eq(Operand::col("age"), Operand::val(85)))
+            .unwrap();
+        assert_eq!(hit.to_rows(), vec![row![3, "grace", 85]]);
+        assert!(matches!(
+            lower.append(&upper),
+            Err(StoreError::KeyViolation(_))
+        ));
+        assert_eq!(lower, whole, "a refused append changes nothing");
+        let other = Table::new(Schema::build(&[("id", ValueType::Int)], &["id"]).unwrap());
+        assert!(matches!(
+            lower.append(&other),
+            Err(StoreError::SchemaMismatch(_))
+        ));
     }
 
     #[test]
