@@ -25,17 +25,19 @@
 //! The sweep times one-row in-process ops on one table
 //! `kv(id, band, val)` with a band view over 1/16 of the rows and a
 //! 16-row key-bounded view, at 256, 4,096 and 65,536 rows: `transact`,
-//! an edit through each view, `read_view`, `snapshot` and
-//! `commit_checked` (with a snapshot held across it, so the commit
-//! copies the chunk it writes). Each op is the median of 41, and keeps
-//! its best of 3 rounds that interleave the sizes. Its gates: a
-//! `transact` and a 16-row-window edit at 65,536 rows cost within 2x of
-//! 256 rows, a band edit at 65,536 rows (a 4,096-row window) within 2x
-//! of 4,096 rows (a 256-row window, the first that fills a chunk) —
-//! an edit ships and commits its window delta, so its cost follows the
-//! change, not the window — `commit_checked` stays within 3x across the
-//! sweep, and a `snapshot` at 65,536 rows costs at most 0.05 of a deep
-//! copy.
+//! an edit through each view, a `write_view` of the band window (read
+//! it, upsert one row, time only the put — the paper's `set`),
+//! `read_view`, `snapshot` and `commit_checked` (with a snapshot held
+//! across it, so the commit copies the chunk it writes). Each op is the
+//! median of 41, and keeps its best of 3 rounds that interleave the
+//! sizes. Its gates: a `transact` and a 16-row-window edit at 65,536
+//! rows cost within 2x of 256 rows; a band edit and a band `write_view`
+//! at 65,536 rows (a 4,096-row window) within 2x of 4,096 rows (a
+//! 256-row window, the first that fills a chunk) — both run the one
+//! edit loop, which ships and commits the window delta, so their cost
+//! follows the change, not the window; `commit_checked` stays within 3x
+//! across the sweep; and a `snapshot` at 65,536 rows costs at most 0.05
+//! of a deep copy.
 //!
 //! Usage: `cargo run --release -p esm-bench --bin bench_view [dir]`
 
@@ -238,10 +240,11 @@ fn define_vs_copy_ns(rows: i64) -> (f64, f64, f64) {
 }
 
 /// The sweep's ops, in report order.
-const SWEEP_NAMES: [&str; 7] = [
+const SWEEP_NAMES: [&str; 8] = [
     "transact",
     "window_edit",
     "band_edit",
+    "write_view",
     "read_view",
     "snapshot",
     "commit_checked",
@@ -253,7 +256,7 @@ const SWEEP_NAMES: [&str; 7] = [
 /// `kv(id, band, val)` (`band = id % 16`) with a band view `band = 3`
 /// and a 16-row view on an `id` range. Each op writes a different row,
 /// spread over the table.
-fn sweep_ns(rows: i64) -> [f64; 7] {
+fn sweep_ns(rows: i64) -> [f64; 8] {
     let schema = Schema::build(
         &[
             ("id", ValueType::Int),
@@ -319,6 +322,17 @@ fn sweep_ns(rows: i64) -> [f64; 7] {
             })
             .expect("commits");
     });
+    let mut puts = Vec::with_capacity(SWEEP_OPS);
+    for i in 0..SWEEP_OPS {
+        let key = spread(i) / BANDS * BANDS + 3;
+        let mut window = engine.read_view("band").expect("readable");
+        window
+            .upsert(row![key, 3i64, -(i as i64) - 4_000])
+            .expect("fits");
+        let start = Instant::now();
+        engine.write_view("band", window).expect("commits");
+        puts.push(start.elapsed().as_nanos() as f64);
+    }
     let read_view = time(&mut |_| {
         let w = engine.read_view("band").expect("readable");
         assert_eq!(w.len() as i64, rows / BANDS);
@@ -356,6 +370,7 @@ fn sweep_ns(rows: i64) -> [f64; 7] {
         transact,
         window_edit,
         band_edit,
+        median(puts),
         read_view,
         snapshot,
         median(checked),
@@ -449,7 +464,7 @@ fn main() {
 
     // Rounds interleave the sizes, and each op keeps its best round, so
     // a stretch of host contention cannot land on one size alone.
-    let mut sweep = vec![[f64::INFINITY; 7]; SWEEP_ROWS.len()];
+    let mut sweep = vec![[f64::INFINITY; 8]; SWEEP_ROWS.len()];
     for _ in 0..SWEEP_ROUNDS {
         for (best, &rows) in sweep.iter_mut().zip(&SWEEP_ROWS) {
             for (b, ns) in best.iter_mut().zip(sweep_ns(rows)) {
@@ -477,11 +492,11 @@ fn main() {
     }
     let (small, large) = (&sweep[0], &sweep[SWEEP_ROWS.len() - 1]);
     let slope = |op: usize| large[op] / small[op];
-    // The band window is 1/16 of the table, so at 256 rows the edit
-    // copies a 16-row chunk; its gate starts at 4,096 rows, the first
-    // size whose window fills a chunk.
-    let band_edit_slope = large[2] / sweep[1][2];
-    let snapshot_copies = large[4] / large[6];
+    // The band window is 1/16 of the table, so at 256 rows the edit and
+    // the put copy a 16-row chunk; their gates start at 4,096 rows, the
+    // first size whose window fills a chunk.
+    let band_slope = |op: usize| large[op] / sweep[1][op];
+    let snapshot_copies = large[5] / large[7];
 
     // The acceptance gates: maintained windows must beat whole-base
     // recomputation by at least 5x at 100k rows, and defining a view on
@@ -501,7 +516,7 @@ fn main() {
     for (op, name, bound) in [
         (0, "transact", SWEEP_MAX_SLOPE),
         (1, "16-row-window edit", SWEEP_MAX_SLOPE),
-        (5, "commit_checked", COMMIT_CHECKED_MAX_SLOPE),
+        (6, "commit_checked", COMMIT_CHECKED_MAX_SLOPE),
     ] {
         assert!(
             slope(op) <= bound,
@@ -512,13 +527,16 @@ fn main() {
             slope(op)
         );
     }
-    assert!(
-        band_edit_slope <= SWEEP_MAX_SLOPE,
-        "a one-row band edit at {} rows must cost <= {SWEEP_MAX_SLOPE}x the same edit at {} rows \
-         (got {band_edit_slope:.2}x)",
-        SWEEP_ROWS[2],
-        SWEEP_ROWS[1]
-    );
+    for (op, name) in [(2, "band edit"), (3, "band write_view")] {
+        assert!(
+            band_slope(op) <= SWEEP_MAX_SLOPE,
+            "a one-row {name} at {} rows must cost <= {SWEEP_MAX_SLOPE}x the same op at {} rows \
+             (got {:.2}x)",
+            SWEEP_ROWS[2],
+            SWEEP_ROWS[1],
+            band_slope(op)
+        );
+    }
     assert!(
         snapshot_copies <= SNAPSHOT_GATE_MAX_COPIES,
         "a snapshot at {} rows must cost <= {SNAPSHOT_GATE_MAX_COPIES} deep table copies \

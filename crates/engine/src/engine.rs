@@ -178,8 +178,8 @@ pub fn apply_table_delta_checked(
     Ok(())
 }
 
-/// [`apply_table_delta_checked`] over a whole database — the body the
-/// default [`Engine::commit_checked`] runs inside `transact`.
+/// [`apply_table_delta_checked`] over a whole database — the body a
+/// checked commit that spans shards runs inside `transact_keys`.
 pub fn apply_deltas_checked(
     db: &mut Database,
     deltas: &[(String, Delta)],
@@ -190,13 +190,14 @@ pub fn apply_deltas_checked(
     Ok(())
 }
 
-/// The view-edit loop behind [`Engine::edit_view_optimistic`] on every
-/// host: read the maintained window, run `edit` on a chunk-sharing
-/// clone, diff the two ([`Delta::between`], O(chunks the edit wrote))
-/// and hand the window delta to [`Engine::edit_view_delta`]. A conflict
-/// retries from a fresh read, up to `attempts` attempts; `on_retry` runs
-/// before each retry. An edit that leaves a table of another schema is
-/// refused with [`EngineError::Store`].
+/// The view-edit loop behind [`Engine::edit_view_optimistic`] and
+/// [`Engine::write_view`] on every host: read the maintained window, run
+/// `edit` on a chunk-sharing clone, diff the two ([`Delta::between`],
+/// O(chunks the edit wrote)) and hand the window delta to
+/// [`Engine::edit_view_delta`]. A conflict retries from a fresh read, up
+/// to `attempts` attempts; `on_retry` runs before each retry. An edit
+/// that leaves a table of another schema is refused with
+/// [`EngineError::Store`].
 pub(crate) fn edit_view_with<E: Engine + ?Sized>(
     engine: &E,
     name: &str,
@@ -235,6 +236,15 @@ pub(crate) fn edit_view_with<E: Engine + ?Sized>(
         view: name.to_string(),
         attempts,
     })
+}
+
+/// The edit behind [`Engine::write_view`]: replace the window by `view`.
+/// Each attempt takes a chunk-sharing clone.
+pub(crate) fn replace_window(view: Table) -> impl Fn(&mut Table) -> Result<(), EngineError> {
+    move |window| {
+        *window = view.clone();
+        Ok(())
+    }
 }
 
 /// A concurrent, transactional, bidirectional database engine.
@@ -298,10 +308,20 @@ pub trait Engine: Send + Sync + std::fmt::Debug {
     /// maintained materialized window — O(changes since the last read).
     fn read_view(&self, name: &str) -> Result<Table, EngineError>;
 
-    /// Write an edited view back (lens `put`, replaces the whole visible
-    /// window; last-writer-wins between racing putters). Returns the
-    /// base-table delta the write committed.
-    fn write_view(&self, name: &str, view: Table) -> Result<Delta, EngineError>;
+    /// The paper's `set`: replace view `name`'s window by `view` and
+    /// return the base-table delta that committed. It is the edit
+    /// "replace the window" run by [`Engine::edit_view_optimistic`]: diff
+    /// `view` against the maintained window ([`Delta::between`],
+    /// O(chunks that differ) when `view` came from a read of this engine)
+    /// and commit the difference with [`Engine::edit_view_delta`]. A
+    /// conflict re-reads and re-diffs until the put lands, so racing
+    /// putters are last-writer-wins; a read-modify-write that must not
+    /// lose concurrent updates belongs in an edit closure. Putting back
+    /// the window just read commits nothing, and a table of another
+    /// schema is an [`EngineError::Store`].
+    fn write_view(&self, name: &str, view: Table) -> Result<Delta, EngineError> {
+        self.edit_view_optimistic(name, u32::MAX, &replace_window(view))
+    }
 
     /// Commit a view edit given as a window delta: `delta` takes the
     /// window as the caller read it to the window it wants, so its
@@ -343,13 +363,12 @@ pub trait Engine: Send + Sync + std::fmt::Debug {
     /// transaction, validating each row against its pre-image
     /// ([`apply_table_delta_checked`]) — the wire protocol's commit
     /// primitive, where the client's snapshot cannot travel back with
-    /// the request. The default runs one `transact` attempt (a conflict
-    /// means the client must re-snapshot, so server-side retries are
-    /// useless); implementations may override with a delta-direct path
-    /// that avoids whole-database snapshots.
-    fn commit_checked(&self, deltas: &[(String, Delta)]) -> Result<CommitReceipt, EngineError> {
-        self.transact(1, &|db: &mut Database| apply_deltas_checked(db, deltas))
-    }
+    /// the request. Every deleted row must still be present exactly as
+    /// the client saw it, and every inserted key must be free once the
+    /// pre-images are gone; a stale pre-image is an
+    /// [`EngineError::Conflict`], and nothing is retried (the client must
+    /// re-read first).
+    fn commit_checked(&self, deltas: &[(String, Delta)]) -> Result<CommitReceipt, EngineError>;
 
     /// Current engine counters.
     fn metrics(&self) -> Result<MetricsSnapshot, EngineError>;
@@ -476,10 +495,6 @@ impl Engine for crate::shard::ShardedEngineServer {
 
     fn read_view(&self, name: &str) -> Result<Table, EngineError> {
         crate::shard::ShardedEngineServer::read_view(self, name)
-    }
-
-    fn write_view(&self, name: &str, view: Table) -> Result<Delta, EngineError> {
-        crate::shard::ShardedEngineServer::write_view(self, name, view)
     }
 
     fn edit_view_delta(&self, name: &str, delta: &Delta) -> Result<Delta, EngineError> {

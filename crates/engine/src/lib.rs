@@ -86,8 +86,8 @@
 //!   whatever a mid-rebalance crash left out of place.
 //! * **Routing-oblivious clients**: `define_view` hands out the same
 //!   [`EntangledView`] handles whatever the shard count; `get`/`put`/
-//!   `edit` assemble consistent cross-shard snapshots and coordinate
-//!   writes per key automatically.
+//!   `edit` read consistent cross-shard windows and coordinate writes
+//!   per key automatically.
 //!
 //! ### Materialized views (the read path)
 //!
@@ -116,8 +116,8 @@
 //!    [`esm_store::Predicate::value_bounds`]); the router maps them to
 //!    the contiguous shard run the window can touch
 //!    ([`shard::ShardRouter::shards_in_value_range`]). Reads consult
-//!    only that run, and whole-window writes snapshot only those shards
-//!    (widening automatically if a put strays outside). Untouched
+//!    only that run; writes, puts included, go through the one edit loop
+//!    and lock only the shards owning the keys they touch. Untouched
 //!    shards are never locked, drained or cloned.
 //! 4. **Rebuild** (the escape hatch): a delta the lens cannot translate
 //!    ([`esm_lens::DeltaOutcome::Rebuild`]), or a topology change
@@ -412,23 +412,24 @@
 //! ### Concurrency
 //!
 //! The shard is the lock: reads take its read lock, commits its write
-//! lock, and traffic on different shards never shares one. View writes
-//! come in a last-writer-wins flavour ([`ShardedEngineServer::write_view`],
-//! a whole-window `put`) and an optimistic flavour with
-//! first-committer-wins retries
-//! ([`ShardedEngineServer::edit_view_optimistic`]); both report the
-//! base-table [`esm_store::Delta`] they committed.
+//! lock, and traffic on different shards never shares one. Every view
+//! write is one edit loop on every host (`engine::edit_view_with`):
+//! read the maintained window, run the edit on a chunk-sharing clone,
+//! diff the two, and commit the window delta
+//! ([`Engine::edit_view_delta`]), re-reading on a conflict. An
+//! optimistic edit ([`ShardedEngineServer::edit_view_optimistic`]) runs
+//! its closure and retries up to a budget (first-committer-wins); the
+//! paper's `set` ([`ShardedEngineServer::write_view`]) is the edit
+//! "replace the window" and retries until it lands (last-writer-wins).
+//! Both report the base-table [`esm_store::Delta`] they committed.
 //!
-//! An optimistic edit is one loop on every host
-//! (`engine::edit_view_with`): read the maintained window, run the
-//! edit on a chunk-sharing clone, diff the two, and commit the window
-//! delta ([`Engine::edit_view_delta`]). The engine takes the base rows
-//! at the keys the delta touches, checks the delta's pre-images against
-//! their view, runs the lens `put` over just those rows — every view
-//! stage keeps the base key and puts key by key, so that equals the
-//! whole-window `put` there — and commits the base delta with the same
-//! pre-image check as [`Engine::commit_checked`]. An edit therefore
-//! costs its delta, not its window, in process and over the wire.
+//! To commit a window delta, the engine takes the base rows at the keys
+//! it touches, checks its pre-images against their view, runs the lens
+//! `put` over just those rows — every view stage keeps the base key and
+//! puts key by key, so that equals the whole-window `put` there — and
+//! commits the base delta with the same pre-image check as
+//! [`Engine::commit_checked`]. An edit or a put therefore costs its
+//! delta, not its window, in process and over the wire.
 //!
 //! ## Quickstart
 //!

@@ -129,7 +129,7 @@ struct ViewReg {
     table: String,
     lens: DeltaLens<Table, Table, Delta>,
     /// The tightest first-key-component bounds the view definition's
-    /// base-schema selects imply: the pruning hint for reads and writes.
+    /// base-schema selects imply: the pruning hint for reads.
     bounds: (Bound<Value>, Bound<Value>),
     /// The view's output schema (for assembling an empty result when the
     /// bounds prune every shard).
@@ -141,24 +141,6 @@ struct ViewReg {
     /// rebuilt on the first read after a topology epoch change. Lock
     /// order is always view windows → topology → shard locks.
     mat: Mutex<ShardedMat>,
-}
-
-impl ViewReg {
-    /// The lens `put` of an edited window into `base`, for view `name`.
-    /// The compiler types every stage, so a window of the view's schema
-    /// always puts back; any other table is refused up front.
-    fn put(&self, name: &str, base: &Table, window: Table) -> Result<Table, EngineError> {
-        if window.schema() != &self.schema {
-            return Err(EngineError::Store(esm_store::StoreError::SchemaMismatch(
-                format!(
-                    "view write rejected: the edited table {} does not have view {name}'s schema {}",
-                    window.schema(),
-                    self.schema
-                ),
-            )));
-        }
-        Ok(self.lens.put(base.clone(), window))
-    }
 }
 
 /// A sharded view's materialized state: one window per in-range shard,
@@ -1706,70 +1688,13 @@ impl ShardedEngineServer {
         Ok(clean)
     }
 
-    /// The participant set a view write snapshots: the shards the view's
-    /// key bounds can touch, or `None` (all shards) when the bounds
-    /// prune nothing — or everything (an edit can still insert rows
-    /// anywhere, and an empty snapshot could not even name the base
-    /// table).
-    fn view_write_participants(&self, topo: &Topology, reg: &ViewReg) -> Option<BTreeSet<usize>> {
-        let run = shard_run(topo, &reg.bounds);
-        if run.is_empty() || run.len() == topo.shards.len() {
-            None
-        } else {
-            Some(run.into_iter().collect())
-        }
-    }
-
-    /// Write an edited view back (the lens `put`). A `put` replaces the
-    /// view's whole visible window; the resulting base delta routes per
-    /// key and commits like any transaction (2PC when it spans shards),
-    /// retrying internally until it lands — concurrent putters are
-    /// last-writer-wins; use [`Self::edit_view_optimistic`] for
-    /// read-modify-write edits that must not lose concurrent updates.
-    /// A put that does not fit the view (a table of another schema) is
-    /// rejected with an error, never a panic. Returns the base-table delta.
-    ///
-    /// Snapshots are pruned to the shards the view's key bounds can
-    /// touch; a write that strays outside them (a client inserting an
-    /// out-of-window row) falls back to a whole-database snapshot and
-    /// retries, so pruning is an optimization, never a behaviour change.
+    /// The paper's `set` ([`crate::Engine::write_view`]): the edit
+    /// "replace the window" run by [`Self::edit_view_optimistic`] until
+    /// it lands, each retry counted in `metrics().retries`. A put costs
+    /// the rows it changes and routes them per key (2PC when they span
+    /// shards), wherever they land. Returns the base-table delta.
     pub fn write_view(&self, name: &str, view: Table) -> Result<Delta, EngineError> {
-        self.with_view(name, |reg| {
-            let mut pruned = true;
-            loop {
-                let topo = self.topology();
-                let participants = if pruned {
-                    self.view_write_participants(&topo, reg)
-                } else {
-                    None
-                };
-                let (mut snapshot, snap_seqs) =
-                    self.snapshot_with_seqs(&topo, participants.as_ref())?;
-                let base = snapshot.table(&reg.table)?;
-                let new_base = reg.put(name, base, view.clone())?;
-                let delta = Delta::between(base, &new_base)?;
-                if delta.is_empty() {
-                    return Ok(delta);
-                }
-                drop(new_base);
-                release_rows(&mut snapshot);
-                let deltas = BTreeMap::from([(reg.table.clone(), delta.clone())]);
-                match self.commit_deltas(&topo, &snapshot, &snap_seqs, &deltas, FailPoint::None) {
-                    Ok(_) => return Ok(delta),
-                    // Whole-window put semantics: a racing commit just
-                    // means our window is stale; re-put it (progress is
-                    // guaranteed — every conflict is someone else's
-                    // commit).
-                    Err(EngineError::Conflict { .. }) => continue,
-                    // The put strayed outside the pruned shards; widen.
-                    Err(EngineError::ShardTopology(_)) if participants.is_some() => {
-                        pruned = false;
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        })
+        self.edit_view_optimistic(name, u32::MAX, crate::engine::replace_window(view))
     }
 
     /// Transactionally edit a view: the one edit loop
@@ -2344,6 +2269,37 @@ mod tests {
             .table("accounts")
             .unwrap()
             .contains(&row![25, "stray", 9]));
+    }
+
+    #[test]
+    fn puts_that_stray_outside_the_view_run_commit_across_shards() {
+        let engine = sharded(40, 4); // splits at 10 / 20 / 30
+        let low_def = ViewDef::base().select(Predicate::lt(Operand::col("id"), Operand::val(10)));
+        let rich_def =
+            ViewDef::base().select(Predicate::ge(Operand::col("balance"), Operand::val(200)));
+        let low = engine.define_view("low", "accounts", &low_def).unwrap();
+        engine.define_view("rich", "accounts", &rich_def).unwrap();
+        let cross = engine.metrics().shard.cross_shard_commits;
+
+        // One row inside the view's key bounds (shard 0), one keyed to
+        // shard 2, outside the one-shard run the view reads.
+        let mut window = low.get().unwrap();
+        window.upsert(row![6, "inside", 1]).unwrap();
+        window.upsert(row![25, "stray", 9]).unwrap();
+        let delta = low.put(window).unwrap();
+        assert_eq!(delta.inserted.len(), 2, "{delta:?}");
+
+        let table = engine.table("accounts").unwrap();
+        assert!(table.contains(&row![6, "inside", 1]));
+        assert!(table.contains(&row![25, "stray", 9]));
+        assert_eq!(engine.metrics().shard.cross_shard_commits, cross + 1);
+        for (name, def) in [("low", &low_def), ("rich", &rich_def)] {
+            assert_eq!(
+                engine.read_view(name).unwrap(),
+                crate::testkit::recompute(def, &table),
+                "{name}"
+            );
+        }
     }
 
     #[test]

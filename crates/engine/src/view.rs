@@ -70,12 +70,15 @@ impl EntangledView {
         self.host.read_view(&self.name)
     }
 
-    /// Write an edited view back (lens `put`, pessimistic path); returns
-    /// the delta applied to the base table.
+    /// The paper's `set`: write an edited window back and return the
+    /// delta applied to the base table.
     ///
-    /// A `put` replaces the view's whole visible window (last-writer-wins
-    /// between racing putters); prefer [`EntangledView::edit`] for
-    /// read-modify-write edits that must not lose concurrent updates.
+    /// A `put` replaces the view's whole visible window. It runs the same
+    /// edit loop as [`EntangledView::edit`], with "replace the window" as
+    /// the edit, so it costs the rows that differ from the current window,
+    /// and racing putters are last-writer-wins; prefer
+    /// [`EntangledView::edit`] for read-modify-write edits that must not
+    /// lose concurrent updates.
     pub fn put(&self, view: Table) -> Result<Delta, EngineError> {
         self.host.write_view(&self.name, view)
     }

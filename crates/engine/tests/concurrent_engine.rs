@@ -12,7 +12,7 @@
 
 use std::thread;
 
-use esm_engine::{EngineError, EngineServer};
+use esm_engine::{EngineError, EngineServer, ShardedEngineServer};
 use esm_relational::ViewDef;
 use esm_store::{row, Database, Operand, Predicate, Schema, Table, Value, ValueType};
 
@@ -172,6 +172,69 @@ fn contended_increments_never_lose_an_update() {
     );
 
     assert_eq!(replayed(&engine), engine.snapshot());
+}
+
+/// Racing putters on `shards` shards: four threads each put the window
+/// of one all-rows view back 100 times with the same two rows upserted
+/// (rows 0 and 3, which sit on different shards when there are four).
+/// Every put lands (last-writer-wins), every conflict is retried and
+/// counted once, and every shard's log replays to the live state.
+fn racing_puts_count_every_retry(shards: usize) {
+    const THREADS: i64 = 4;
+    const PUTS: i64 = 100;
+
+    let engine = ShardedEngineServer::with_shards(accounts_db(), shards).expect("sharded");
+    assert_eq!(engine.shard_count(), shards);
+    let all = engine
+        .define_view("all", "accounts", &ViewDef::base())
+        .expect("view compiles");
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let all = all.clone();
+            thread::spawn(move || {
+                for i in 0..PUTS {
+                    // Each put writes a value no other put (nor the
+                    // seed) holds, so it changes both rows whatever
+                    // landed before it.
+                    let n = -1 - (t * PUTS + i);
+                    let mut window = all.get().expect("readable");
+                    window
+                        .upsert(row![0, "counter", "system", n])
+                        .expect("fits");
+                    window.upsert(row![3, "c", "grace", n]).expect("fits");
+                    let delta = all.put(window).expect("a put lands");
+                    assert_eq!(delta.inserted.len(), 2, "{delta:?}");
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("no putter panicked");
+    }
+
+    let m = engine.metrics();
+    assert_eq!(m.commits, (THREADS * PUTS) as u64);
+    assert_eq!(
+        m.retries, m.conflicts,
+        "every put conflict should count one retry"
+    );
+    // The shards hold disjoint keys, so their logs replay in any order.
+    let replayed = engine
+        .shard_wals()
+        .iter()
+        .try_fold(accounts_db(), |db, wal| wal.replay(&db))
+        .expect("replays");
+    assert_eq!(replayed, engine.snapshot());
+}
+
+#[test]
+fn racing_puts_count_every_retry_on_one_shard() {
+    racing_puts_count_every_retry(1);
+}
+
+#[test]
+fn racing_puts_count_every_retry_on_four_shards() {
+    racing_puts_count_every_retry(4);
 }
 
 #[test]

@@ -36,6 +36,9 @@
 //!   its pre-image, and a stale one is a first-committer-wins conflict
 //!   that the client retries from a fresh read, up to the caller's
 //!   attempt budget. The request carries the delta, not the window.
+//!   [`Engine::write_view`], the paper's `set`, runs the same loop
+//!   client-side with the edit "replace the window", retrying until it
+//!   lands, so a put ships a window delta too, not the window.
 //! * [`Engine::transact`] becomes refresh/execute/commit-deltas: the
 //!   body runs on a chunk-sharing clone of the freshly caught-up cached
 //!   database, so diffing it against the cache costs the chunks the
@@ -338,16 +341,6 @@ impl Engine for RemoteEngine {
     fn read_view(&self, name: &str) -> Result<Table, EngineError> {
         match self.call(&Request::ReadView(name.to_string()))? {
             Response::Table(t) => Ok(t),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    fn write_view(&self, name: &str, view: Table) -> Result<Delta, EngineError> {
-        match self.call(&Request::WriteView {
-            name: name.to_string(),
-            view,
-        })? {
-            Response::Delta(d) => Ok(d),
             other => Err(unexpected(other)),
         }
     }

@@ -89,6 +89,11 @@
 //! `edit_view_delta`: a view edit ships the window delta it made, and
 //! the server checks and commits it key by key, so an edit's request
 //! costs its delta, not its window.
+//!
+//! Protocol rev 8 deletes `write_view`: a put runs the same edit loop
+//! client-side, with the edit "replace the window", so it ships the
+//! window delta where it used to ship the window, and no server worker
+//! retries a put on a client's behalf.
 
 #![warn(missing_docs)]
 // Unsafe is confined to the raw epoll FFI in `poll` (no libc crate);

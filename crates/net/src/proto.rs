@@ -65,6 +65,12 @@
 //! whole-window `edit_view_cas` request (tag 9), which shipped the window
 //! twice and had the server compare whole windows, is gone.
 //!
+//! Revision 8 deletes `write_view` (tag 8), which shipped a whole window
+//! and had a server worker retry its put until it landed. A put is the
+//! edit "replace the window" now: the client reads the window, diffs the
+//! one it wants against it and sends `edit_view_delta`, retrying on a
+//! conflict itself. Tag 8 decodes as an unknown request.
+//!
 //! Encoders write a payload straight after a reserved frame header
 //! ([`Request::framed_with_trace`], [`Response::framed`]), so a frame is
 //! one buffer, never a payload copied into a second one.
@@ -148,13 +154,6 @@ pub enum Request {
     ViewNames,
     /// `Engine::read_view`.
     ReadView(String),
-    /// `Engine::write_view`.
-    WriteView {
-        /// View name.
-        name: String,
-        /// The edited view table.
-        view: Table,
-    },
     /// `Engine::edit_view_delta` (revision 7): one view-edit attempt as
     /// the window delta the client's edit made, whose deleted rows are
     /// the pre-images it read. The server commits it iff every touched
@@ -345,9 +344,10 @@ pub struct SnapshotMark {
 /// committed since the client's stamp (or the whole database when the
 /// server's log no longer covers it). Revision 7 replaced the
 /// whole-window `edit_view_cas` with `edit_view_delta`, which ships the
-/// window delta an edit made. The revision is informational, not a
-/// handshake.
-pub const PROTOCOL_REV: u32 = 7;
+/// window delta an edit made. Revision 8 deleted `write_view`: a put is
+/// an edit, so it ships a window delta too. The revision is
+/// informational, not a handshake.
+pub const PROTOCOL_REV: u32 = 8;
 
 /// First byte of every wire payload.
 pub const BINARY_WIRE_MAGIC: u8 = 0xB7;
@@ -365,7 +365,7 @@ const REQ_DEFINE_VIEW: u8 = 4;
 const REQ_OPEN_VIEW: u8 = 5;
 const REQ_VIEW_NAMES: u8 = 6;
 const REQ_READ_VIEW: u8 = 7;
-const REQ_WRITE_VIEW: u8 = 8;
+// Tag 8 was WRITE_VIEW (revisions 1–7).
 // Tag 9 was the whole-window `EDIT_VIEW_CAS` (revisions 1–6).
 const REQ_COMMIT: u8 = 10;
 const REQ_METRICS: u8 = 11;
@@ -1104,11 +1104,6 @@ impl Request {
                 out.push(REQ_READ_VIEW);
                 codec::put_str(out, name);
             }
-            Request::WriteView { name, view } => {
-                out.push(REQ_WRITE_VIEW);
-                codec::put_str(out, name);
-                codec::put_table(out, view);
-            }
             Request::EditViewDelta { name, delta } => {
                 out.push(REQ_EDIT_VIEW_DELTA);
                 codec::put_str(out, name);
@@ -1190,10 +1185,6 @@ impl Request {
             REQ_OPEN_VIEW => Request::OpenView(r.str()?),
             REQ_VIEW_NAMES => Request::ViewNames,
             REQ_READ_VIEW => Request::ReadView(r.str()?),
-            REQ_WRITE_VIEW => Request::WriteView {
-                name: r.str()?,
-                view: r.table()?,
-            },
             REQ_EDIT_VIEW_DELTA => Request::EditViewDelta {
                 name: r.str()?,
                 delta: r.delta()?,
@@ -1500,7 +1491,6 @@ pub fn handle(session: &esm_engine::Session, server: u64, req: Request) -> Respo
             }
             Request::ViewNames => Response::Names(engine.view_names()?),
             Request::ReadView(name) => Response::Table(engine.read_view(&name)?),
-            Request::WriteView { name, view } => Response::Delta(engine.write_view(&name, view)?),
             Request::EditViewDelta { name, delta } => {
                 Response::Delta(engine.edit_view_delta(&name, &delta)?)
             }
@@ -1689,10 +1679,6 @@ mod tests {
             Request::OpenView("v".into()),
             Request::ViewNames,
             Request::ReadView("v".into()),
-            Request::WriteView {
-                name: "v".into(),
-                view: table(),
-            },
             Request::EditViewDelta {
                 name: "v".into(),
                 delta: Delta {

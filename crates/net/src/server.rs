@@ -698,7 +698,6 @@ fn op_name(req: &Request) -> &'static str {
         Request::OpenView(_) => "net:open_view",
         Request::ViewNames => "net:view_names",
         Request::ReadView(_) => "net:read_view",
-        Request::WriteView { .. } => "net:write_view",
         Request::EditViewDelta { .. } => "net:edit_view_delta",
         Request::Commit { .. } => "net:commit",
         Request::Metrics => "net:metrics",
@@ -869,9 +868,7 @@ fn worker_loop(
                             req => {
                                 let commitish = matches!(
                                     req,
-                                    Request::WriteView { .. }
-                                        | Request::EditViewDelta { .. }
-                                        | Request::Commit { .. }
+                                    Request::EditViewDelta { .. } | Request::Commit { .. }
                                 );
                                 let hspan = esm_obs::trace::span("net_handler");
                                 let resp = handle(&job.shared.session, identity.instance, req);

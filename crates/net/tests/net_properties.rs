@@ -76,6 +76,17 @@ fn arb_database() -> impl Strategy<Value = Database> {
     })
 }
 
+/// A request carrying `table`'s rows: a window delta inserting them.
+fn inserting(name: String, table: &Table) -> Request {
+    Request::EditViewDelta {
+        name,
+        delta: Delta {
+            inserted: table.rows().cloned().collect(),
+            deleted: Vec::new(),
+        },
+    }
+}
+
 fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
     proptest::collection::vec(proptest::collection::vec(arb_value(), 0..4), 0..4)
 }
@@ -347,7 +358,7 @@ proptest! {
         let req = match kind {
             0 => Request::Table(name.clone()),
             1 => Request::DefineView { name: name.clone(), table: "t".into(), def: def.clone() },
-            2 => Request::WriteView { name: name.clone(), view: table.clone() },
+            2 => inserting(name.clone(), &table),
             3 => Request::EditViewDelta {
                 name: name.clone(),
                 delta: Delta { inserted: inserted.clone(), deleted: deleted.clone() },
@@ -422,7 +433,7 @@ proptest! {
         // Mirror the crash-recovery discipline: cut the framed bytes at
         // EVERY offset; each prefix must decode as "incomplete", never
         // as an error or (worse) a different message.
-        let req = Request::WriteView { name, view: table };
+        let req = inserting(name, &table);
         let framed = encode_frame(&req.encode());
         for cut in 0..framed.len() {
             prop_assert_eq!(
@@ -464,7 +475,7 @@ proptest! {
         // The context is a pure suffix: carrying one never changes how
         // the request body decodes, and omitting it is byte-identical
         // to the pre-context encoding.
-        let req = Request::WriteView { name, view: table };
+        let req = inserting(name, &table);
         let ctx = carry.then_some((trace_id, parent));
         let (back, got) = Request::decode_with_trace(&req.encode_with_trace(ctx))
             .expect("round-trips");
@@ -675,17 +686,25 @@ fn edit_view_delta_row_counts_beyond_the_bytes_left_are_refused() {
     }
 }
 
-/// Tag 9 was the whole-window `EDIT_VIEW_CAS` of revisions 1–6: it now
-/// decodes as an unknown request, whatever follows it.
+/// Tag 9 was the whole-window `EDIT_VIEW_CAS` of revisions 1–6, and tag
+/// 8 the whole-window `WRITE_VIEW` of revisions 1–7: each now decodes as
+/// an unknown request, whatever follows it.
 #[test]
 fn the_old_edit_view_cas_tag_is_an_unknown_request() {
     let table = Table::new(Schema::build(&[("id", ValueType::Int)], &["id"]).expect("schema"));
-    let mut payload = vec![0xB7, 9];
-    esm_store::codec::put_str(&mut payload, "v");
-    esm_store::codec::put_table(&mut payload, &table);
-    esm_store::codec::put_table(&mut payload, &table);
-    for cut in [2, payload.len()] {
-        let err = Request::decode(&payload[..cut]).expect_err("tag 9 is gone");
-        assert!(err.0.contains("unknown request tag 9"), "{err}");
+    // Tag, then how many windows followed the view name.
+    for (tag, windows) in [(9u8, 2), (8, 1)] {
+        let mut payload = vec![0xB7, tag];
+        esm_store::codec::put_str(&mut payload, "v");
+        for _ in 0..windows {
+            esm_store::codec::put_table(&mut payload, &table);
+        }
+        for cut in [2, payload.len()] {
+            let err = Request::decode(&payload[..cut]).expect_err("the tag is gone");
+            assert!(
+                err.0.contains(&format!("unknown request tag {tag}")),
+                "{err}"
+            );
+        }
     }
 }

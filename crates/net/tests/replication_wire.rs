@@ -1,7 +1,7 @@
-//! Protocol rev 4 end to end: a replica that has **never shared a
-//! disk** with its primary feeds over a real loopback socket
+//! Replication over the wire end to end: a replica that has **never
+//! shared a disk** with its primary feeds over a real loopback socket
 //! (`repl_manifest` / `repl_fetch` via [`RemoteWalSource`]), serves
-//! reads behind its own [`NetServer`], rejects writes with the
+//! reads behind its own [`NetServer`], rejects writes and puts with the
 //! `not_primary` redirect, and the client follows the redirect back to
 //! the primary and commits.
 
@@ -13,6 +13,7 @@ use esm_engine::{
     ShardedEngineServer,
 };
 use esm_net::{redirect_addr, NetServer, NetServerConfig, RemoteEngine};
+use esm_relational::ViewDef;
 use esm_store::{row, Database, Delta, Schema, Table, ValueType};
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -118,6 +119,23 @@ fn replica_feeds_over_the_wire_and_redirects_writes_to_the_primary() {
     );
     let err = bump(&reader, 990, 1).expect_err("replicas take no writes");
     assert_eq!(redirect_addr(&err), Some(primary_addr.to_string().as_str()));
+    // A put is an edit loop run by the client: putting back the window
+    // it read changes nothing and commits nothing, and a changed window
+    // is refused with the same redirect.
+    let all = reader
+        .define_view("all", "accounts", &ViewDef::base())
+        .expect("replicas define views");
+    let mut window = all.get().expect("replica serves the window");
+    assert!(all
+        .put(window.clone())
+        .expect("nothing to write")
+        .is_empty());
+    window.upsert(row![990, 0]).expect("fits");
+    let put_err = all.put(window).expect_err("replicas take no puts");
+    assert_eq!(
+        redirect_addr(&put_err),
+        Some(primary_addr.to_string().as_str())
+    );
 
     // Follow the redirect and the same write succeeds on the primary.
     let promoted_client = RemoteEngine::follow_redirect(&err)
