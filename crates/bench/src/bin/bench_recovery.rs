@@ -10,7 +10,9 @@
 //! whole run divided by the growth from building the table alone. Each
 //! engine runs in its own child process, because the allocator keeps
 //! freed memory resident. An in-memory engine must stay within 1.3
-//! copies, and a durable one (maintenance thread off) within 1.6.
+//! copies, and a durable one (maintenance thread off) within 1.6. The
+//! growth from building the table, per row, is gated too: at most 185
+//! resident bytes per row (in the in-memory engine's child).
 //!
 //! Usage: `cargo run --release -p esm-bench --bin bench_recovery [dir]`
 
@@ -34,6 +36,8 @@ const COPIES_STRIDE: usize = 128;
 const PROBE_FLAG: &str = "--copies-probe";
 const IN_MEMORY_MAX_COPIES: f64 = 1.3;
 const DURABLE_MAX_COPIES: f64 = 1.6;
+/// Resident bytes one row of the copies probe's table may cost.
+const MAX_BYTES_PER_ROW: f64 = 185.0;
 
 fn baseline() -> Database {
     let schema = Schema::build(
@@ -103,8 +107,9 @@ fn rss_kib() -> u64 {
 
 /// The copies probe, run as a child process: resident copies of one
 /// database an engine of `kind` (`in_memory` or `durable`, the latter
-/// logging into `dir`) holds after the probe workload.
-fn copies_probe(kind: &str, dir: &Path) -> f64 {
+/// logging into `dir`) holds after the probe workload, and the resident
+/// bytes per row of that one database.
+fn copies_probe(kind: &str, dir: &Path) -> (f64, f64) {
     let schema = Schema::build(
         &[
             ("id", ValueType::Int),
@@ -147,11 +152,12 @@ fn copies_probe(kind: &str, dir: &Path) -> f64 {
         }
     }
     engine.run_maintenance().expect("maintenance runs");
-    rss_kib().saturating_sub(before) as f64 / one_copy as f64
+    let copies = rss_kib().saturating_sub(before) as f64 / one_copy as f64;
+    (copies, (one_copy * 1024) as f64 / COPIES_ROWS as f64)
 }
 
 /// Run [`copies_probe`] for `kind` in a fresh child process.
-fn copies_in_child(kind: &str, dir: &Path) -> f64 {
+fn copies_in_child(kind: &str, dir: &Path) -> (f64, f64) {
     let out = Command::new(std::env::current_exe().expect("own path"))
         .args([PROBE_FLAG, kind])
         .arg(dir)
@@ -163,13 +169,18 @@ fn copies_in_child(kind: &str, dir: &Path) -> f64 {
         "{kind} probe failed: {stdout}{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    stdout.trim().parse().expect("the probe prints one ratio")
+    let mut figures = stdout.split_whitespace().map(|f| f.parse().ok());
+    match (figures.next().flatten(), figures.next().flatten()) {
+        (Some(copies), Some(bytes_per_row)) => (copies, bytes_per_row),
+        _ => panic!("the probe prints a ratio and bytes per row: {stdout}"),
+    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.get(1).map(String::as_str) == Some(PROBE_FLAG) {
-        println!("{}", copies_probe(&args[2], Path::new(&args[3])));
+        let (copies, bytes_per_row) = copies_probe(&args[2], Path::new(&args[3]));
+        println!("{copies} {bytes_per_row}");
         return;
     }
     let out_dir = args.get(1).cloned().unwrap_or_else(|| ".".to_string());
@@ -214,13 +225,28 @@ fn main() {
     );
 
     let mut copies = Vec::new();
+    let mut row_bytes = 0.0;
     for (kind, gate) in [
         ("in_memory", IN_MEMORY_MAX_COPIES),
         ("durable", DURABLE_MAX_COPIES),
     ] {
         let dir = scratch.join(format!("copies-{kind}"));
         let _ = std::fs::remove_dir_all(&dir);
-        let ratio = copies_in_child(kind, &dir);
+        let (ratio, bytes_per_row) = copies_in_child(kind, &dir);
+        if kind == "in_memory" {
+            results.record(
+                format!("memory/bytes_per_row/{COPIES_ROWS}"),
+                bytes_per_row,
+                format!(
+                    "resident growth from building one {COPIES_ROWS}-row (id, band, val, tag) \
+                     table, per row, in bytes (gate <= {MAX_BYTES_PER_ROW})"
+                ),
+            );
+            println!(
+                "one copy: {bytes_per_row:.1} resident bytes per row (gate <= {MAX_BYTES_PER_ROW})"
+            );
+            row_bytes = bytes_per_row;
+        }
         results.record(
             format!("memory/copies/{kind}/{COPIES_ROWS}"),
             ratio * 1000.0,
@@ -239,6 +265,11 @@ fn main() {
             "the {kind} engine holds {ratio:.2} resident copies of its data (gate <= {gate})"
         );
     }
+    assert!(
+        row_bytes <= MAX_BYTES_PER_ROW,
+        "one row of the {COPIES_ROWS}-row table costs {row_bytes:.1} resident bytes \
+         (gate <= {MAX_BYTES_PER_ROW})"
+    );
 
     std::fs::remove_dir_all(&scratch).ok();
     match results.write_json(&out_dir, "recovery") {

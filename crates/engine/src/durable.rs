@@ -72,7 +72,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use esm_store::{Database, Delta};
 
@@ -388,6 +388,11 @@ pub struct DurableWal {
     /// Phase-latency registry handed to every segment writer this log
     /// opens (appends → `CommitWalAppend`, syncs → `CommitFsync`).
     telemetry: Option<Arc<esm_obs::Telemetry>>,
+    /// Wakes the engine's maintenance thread once an append leaves a
+    /// checkpoint due; `woken` marks that it was woken since the last
+    /// checkpoint.
+    waker: Option<MaintenanceWaker>,
+    woken: bool,
 }
 
 impl DurableWal {
@@ -432,6 +437,8 @@ impl DurableWal {
             stats,
             poisoned: None,
             telemetry: None,
+            waker: None,
+            woken: false,
         })
     }
 
@@ -530,6 +537,8 @@ impl DurableWal {
                 stats: WalStats::default(),
                 poisoned: None,
                 telemetry: None,
+                waker: None,
+                woken: false,
             },
             db,
             resolved.in_doubt,
@@ -631,6 +640,12 @@ impl DurableWal {
         if self.writer.bytes() >= self.config.segment_bytes {
             self.rotate_inner()?;
         }
+        if let Some(waker) = self.waker.as_ref().filter(|_| !self.woken) {
+            if self.needs_checkpoint() {
+                waker.wake();
+                self.woken = true;
+            }
+        }
         Ok(())
     }
 
@@ -666,6 +681,13 @@ impl DurableWal {
     pub fn set_telemetry(&mut self, telemetry: Option<Arc<esm_obs::Telemetry>>) {
         self.writer.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
+    }
+
+    /// Wake `waker`'s maintenance thread whenever an append leaves a
+    /// checkpoint due ([`DurableWal::needs_checkpoint`]), instead of
+    /// leaving it to the thread's next tick.
+    pub(crate) fn set_waker(&mut self, waker: Option<MaintenanceWaker>) {
+        self.waker = waker;
     }
 
     /// Would [`DurableWal::maybe_checkpoint`] write a checkpoint right
@@ -737,6 +759,7 @@ impl DurableWal {
         if seq > self.checkpoint_seq {
             self.checkpoint_seq = seq;
             self.stats.checkpoints += 1;
+            self.woken = false;
         }
         // Compaction failures are not poisonous: a leftover covered
         // segment or old checkpoint wastes disk but corrupts nothing
@@ -968,13 +991,42 @@ pub(crate) fn checkpoint_off_lock(
     finish(seq).map(Some)
 }
 
-/// A background maintenance loop: wakes every `interval`, runs `tick`,
-/// exits (joining the thread) when dropped. The engine uses it to move
-/// checkpointing and compaction off the commit path.
+/// A background maintenance loop: wakes every `interval` or when woken
+/// ([`MaintenanceWaker`]), runs `tick`, exits (joining the thread) when
+/// dropped. The engine uses it to move checkpointing and compaction off
+/// the commit path.
 #[derive(Debug)]
 pub(crate) struct MaintenanceThread {
-    stop: Arc<(Mutex<bool>, Condvar)>,
+    signals: MaintenanceWaker,
     handle: Option<std::thread::JoinHandle<()>>,
+}
+
+/// A handle that wakes a [`MaintenanceThread`] for an early tick.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MaintenanceWaker(Arc<(Mutex<Signals>, Condvar)>);
+
+/// What a [`MaintenanceThread`] is asked to do. A wake that arrives
+/// while `tick` runs stays pending, and the next tick starts at once.
+#[derive(Debug, Default)]
+struct Signals {
+    stop: bool,
+    wake: bool,
+}
+
+impl MaintenanceWaker {
+    /// Ask for a tick now.
+    pub(crate) fn wake(&self) {
+        self.signal(|s| s.wake = true);
+    }
+
+    /// Set a signal. Every update leaves both flags valid, so a
+    /// poisoned lock is taken over: a commit's wake and `Drop` never
+    /// panic.
+    fn signal(&self, set: impl FnOnce(&mut Signals)) {
+        let (signals, cv) = &*self.0;
+        set(&mut signals.lock().unwrap_or_else(PoisonError::into_inner));
+        cv.notify_all();
+    }
 }
 
 impl MaintenanceThread {
@@ -984,42 +1036,44 @@ impl MaintenanceThread {
         interval: std::time::Duration,
         mut tick: impl FnMut() + Send + 'static,
     ) -> MaintenanceThread {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let stop_in_thread = Arc::clone(&stop);
+        let signals = MaintenanceWaker::default();
+        let in_thread = signals.clone();
         let handle = std::thread::Builder::new()
             .name("esm-maintenance".into())
             .spawn(move || {
-                let (flag, cv) = &*stop_in_thread;
-                let mut stopped = flag.lock().expect("maintenance stop lock");
+                let (lock, cv) = &*in_thread.0;
+                let mut signals = lock.lock().expect("maintenance signal lock");
                 loop {
-                    if *stopped {
+                    if !signals.wake && !signals.stop {
+                        signals = (cv.wait_timeout(signals, interval))
+                            .expect("maintenance signal lock")
+                            .0;
+                    }
+                    if signals.stop {
                         return;
                     }
-                    let (guard, _) = cv
-                        .wait_timeout(stopped, interval)
-                        .expect("maintenance stop lock");
-                    stopped = guard;
-                    if *stopped {
-                        return;
-                    }
-                    drop(stopped);
+                    signals.wake = false;
+                    drop(signals);
                     tick();
-                    stopped = flag.lock().expect("maintenance stop lock");
+                    signals = lock.lock().expect("maintenance signal lock");
                 }
             })
             .expect("spawn maintenance thread");
         MaintenanceThread {
-            stop,
+            signals,
             handle: Some(handle),
         }
+    }
+
+    /// A handle that wakes this thread for an early tick.
+    pub(crate) fn waker(&self) -> MaintenanceWaker {
+        self.signals.clone()
     }
 }
 
 impl Drop for MaintenanceThread {
     fn drop(&mut self) {
-        let (flag, cv) = &*self.stop;
-        *flag.lock().expect("maintenance stop lock") = true;
-        cv.notify_all();
+        self.signals.signal(|s| s.stop = true);
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }

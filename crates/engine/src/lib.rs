@@ -196,11 +196,12 @@
 //!
 //! A transaction's snapshot and working copy are not deep copies.
 //! Tables keep their rows and indexes in copy-on-write chunks
-//! ([`esm_store::CowMap`]), so a snapshot or the body's working copy
-//! costs O(tables) pointer copies, a write copies the chunk pointers of
-//! its map and the one chunk it touches, and the diff skips every chunk
-//! the two copies still share: a one-row transaction costs
-//! O(chunks + delta), not O(rows). The same holds for a view edit's
+//! ([`esm_store::CowMap`]: sorted vectors of at most 256 entries, each
+//! row stored once and ordered by its key cells in place), so a
+//! snapshot or the body's working copy costs O(tables) pointer copies,
+//! a write copies the chunk pointers of its map and the one chunk it
+//! touches, and the diff skips every chunk the two copies still share:
+//! a one-row transaction costs O(chunks + delta), not O(rows). The same holds for a view edit's
 //! copy of its window, a `read_view` window, a checkpoint capture and
 //! each replayed WAL record, which applies in place. The price moves to
 //! the writer: while any reader holds a snapshot, the next write to a
@@ -400,7 +401,7 @@
 //!
 //! ### Index maintenance
 //!
-//! Base tables carry secondary B-tree indexes
+//! Base tables carry secondary indexes
 //! ([`esm_store::Table::create_index`]) that every insert/upsert/delete
 //! maintains incrementally. Registering a view whose select predicate
 //! constrains base columns auto-indexes those columns, so view reads seek

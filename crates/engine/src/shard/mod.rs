@@ -185,7 +185,9 @@ pub(crate) struct ShardedInner {
     /// [`ShardedEngineServer::metrics`] so `STATS` exports it without
     /// new locks on the commit path.
     pub(crate) shard_load: Mutex<Vec<ShardLoad>>,
-    _maintenance: Option<MaintenanceThread>,
+    /// Checkpoints due shards off the commit path; a shard's durable log
+    /// wakes it once a checkpoint falls due.
+    pub(crate) maintenance: Option<MaintenanceThread>,
 }
 
 /// A concurrent, transactional, bidirectional engine whose tables are
@@ -570,15 +572,6 @@ impl ShardedEngineServer {
             None => Telemetry::new(),
         });
         let first_stamp = first_stamp();
-        for shard in &shards {
-            let mut state = shard.write();
-            if let Some(d) = state.durable.as_mut() {
-                d.set_telemetry(Some(Arc::clone(&telemetry)));
-            }
-            // Everything logged so far is this instance's starting state.
-            state.stamps.clear();
-            state.note_stamp(first_stamp - 1);
-        }
         let topology = Arc::new(RwLock::new(Topology {
             router,
             shards,
@@ -603,6 +596,17 @@ impl ShardedEngineServer {
                 },
             ))
         });
+        let waker = maintenance.as_ref().map(MaintenanceThread::waker);
+        for shard in &topology.read().expect("a fresh topology lock").shards {
+            let mut state = shard.write();
+            if let Some(d) = state.durable.as_mut() {
+                d.set_telemetry(Some(Arc::clone(&telemetry)));
+                d.set_waker(waker.clone());
+            }
+            // Everything logged so far is this instance's starting state.
+            state.stamps.clear();
+            state.note_stamp(first_stamp - 1);
+        }
         ShardedEngineServer {
             inner: Arc::new(ShardedInner {
                 topology,
@@ -617,7 +621,7 @@ impl ShardedEngineServer {
                 telemetry,
                 advertised: Mutex::new(None),
                 shard_load: Mutex::new(Vec::new()),
-                _maintenance: maintenance,
+                maintenance,
             }),
         }
     }
@@ -2665,6 +2669,42 @@ mod tests {
             .collect();
         assert_eq!(chained, vec![true, false]);
         assert_eq!(wal.replay(&db).unwrap(), engine.snapshot());
+    }
+
+    #[test]
+    fn a_due_checkpoint_wakes_the_maintenance_thread() {
+        let dir = std::env::temp_dir().join(format!("esm-shard-wake-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // The thread's own tick is a minute away: only a wake runs it.
+        let cfg = DurabilityConfig::new(&dir)
+            .checkpoint_every(8)
+            .maintenance_interval_ms(60_000);
+        let engine =
+            ShardedEngineServer::with_durability(seed_db(4), ShardRouter::single(), cfg).unwrap();
+        let commit = |i: i64| {
+            engine
+                .transact(1, |db| {
+                    db.table_mut("accounts")?.upsert(row![i, "r", i])?;
+                    Ok(())
+                })
+                .unwrap()
+        };
+        for i in 0..7i64 {
+            commit(i);
+        }
+        let genesis = engine.metrics().wal.checkpoints;
+        commit(7);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+        while engine.metrics().wal.checkpoints <= genesis && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(
+            engine.metrics().wal.checkpoints > genesis,
+            "the 8th commit's due checkpoint ran within 2 s: {:?}",
+            engine.metrics().wal
+        );
+        drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -37,6 +37,7 @@ use std::sync::atomic::Ordering;
 
 use esm_store::{Database, Delta, Row, Table};
 
+use crate::durable::MaintenanceThread;
 use crate::error::EngineError;
 use crate::shard::shard::{GroupEnd, Shard};
 use crate::shard::{shard_config, write_topology, ShardedEngineServer};
@@ -90,6 +91,12 @@ impl ShardedEngineServer {
         };
         if let Some(d) = new_shard.write().durable.as_mut() {
             d.set_telemetry(Some(std::sync::Arc::clone(&self.inner.telemetry)));
+            d.set_waker(
+                self.inner
+                    .maintenance
+                    .as_ref()
+                    .map(MaintenanceThread::waker),
+            );
         }
 
         // … ② the topology names it as the owner of [at, hi) …

@@ -1,36 +1,41 @@
 //! A copy-on-write ordered map: the storage under [`Table`](crate::Table)
 //! rows and [`ColumnIndex`](crate::ColumnIndex) entries.
 //!
-//! Entries sit in key-ordered chunks of at most [`CHUNK`] entries. A
-//! chunk is a `BTreeMap<K, V>` with its first key cached beside it,
-//! behind one `Arc`, and the list of chunk pointers sits behind an `Arc`
-//! of its own. Cloning the map copies that one pointer, and the clone
-//! shares the list and every chunk with the original. A write does
-//! `Arc::make_mut` on the list and on the one chunk it lands in: while
-//! a clone still shares them, it copies the chunk pointers (O(chunks),
-//! no entry and no key) and that one chunk, and never touches the other
-//! chunks. Removing an absent key copies nothing.
+//! Entries sit in order in chunks of at most [`CHUNK`] entries. An
+//! [`Order`] compares whole entries, so an entry carries its own key: a
+//! table's rows order by their key cells, compared in place, and no key
+//! is stored beside a row. A chunk is a sorted `Vec` with a copy of its
+//! first entry cached beside it, behind one `Arc`, and the list of chunk
+//! pointers sits behind an `Arc` of its own. Cloning the map copies that
+//! one pointer, and the clone shares the list and every chunk with the
+//! original. A write makes the list and the one chunk it lands in its
+//! own: while a clone still shares them, it copies the chunk pointers
+//! (O(chunks), no entry) and that one chunk, with room for the entry it
+//! adds, and never touches the other chunks. Removing an absent entry
+//! copies nothing.
 //!
 //! Two maps descended from one share every chunk neither side wrote, so
 //! [`CowMap::unshared`] finds what differs between them by pointer
 //! equality and walks only the entries outside the shared chunks.
 //!
-//! A chunk that grows past [`CHUNK`] splits in two; one that shrinks
-//! below a quarter of it folds into a neighbour. Lookups binary-search
-//! the cached first keys, then search one chunk.
+//! Lookups take a probe, `|entry| entry.cmp(sought)`: they binary-search
+//! the cached first entries, then the one chunk. Ranges and splits take
+//! the predicate "this entry sorts before the bound", as
+//! [`slice::partition_point`] does.
 //!
-//! Building a map from entries (`collect`) takes one pass: each run of
-//! up to [`CHUNK`] entries in strictly ascending key order becomes one
-//! chunk whose B-tree is built bottom-up with full nodes, where per-key
-//! inserts would leave its nodes about half full. The first entry that
-//! does not ascend, and every entry after it, goes through
-//! [`CowMap::insert`].
+//! A chunk that grows past [`CHUNK`] splits in two; one that shrinks
+//! below a quarter of it folds into a neighbour. A chunk's vector holds
+//! no spare slot beyond the one an insert is making: it grows by exactly
+//! one entry per insert, and a split or a cut leaves both halves at
+//! their length, so a 16-row window holds 16 slots, not 256. The price
+//! is a reallocation per insert into a chunk this map owns alone.
+//!
+//! Building a map from entries ([`CowMap::from_entries`]) takes one
+//! pass: each run of up to [`CHUNK`] entries in strictly ascending order
+//! becomes one chunk as it is. The first entry that does not ascend, and
+//! every entry after it, goes through [`CowMap::insert`].
 
-use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
-use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
 
 /// The most entries one chunk holds; a chunk that grows past it splits.
@@ -39,44 +44,59 @@ pub const CHUNK: usize = 256;
 /// A chunk with fewer entries than this folds into a neighbour.
 const MIN_CHUNK: usize = CHUNK / 4;
 
+/// How a [`CowMap`] orders its entries. Entries that compare equal are
+/// one key: the map holds at most one of them.
+pub trait Order<T>: Clone {
+    /// Compare two entries.
+    fn cmp(&self, a: &T, b: &T) -> Ordering;
+}
+
 /// A copy-on-write ordered map (see the [module docs](self)).
 #[derive(Clone)]
-pub struct CowMap<K, V> {
-    /// Non-empty chunks in key order; every key of a chunk is below the
-    /// next chunk's first key.
-    chunks: Arc<Vec<Arc<Chunk<K, V>>>>,
+pub struct CowMap<T, O> {
+    /// Non-empty chunks in order; every entry of a chunk sorts before the
+    /// next chunk's first entry.
+    chunks: Arc<Vec<Arc<Chunk<T>>>>,
     /// Total entries across the chunks.
     len: usize,
+    order: O,
 }
 
-#[derive(Clone)]
-struct Chunk<K, V> {
-    /// The smallest key in `entries`.
-    first: K,
-    entries: BTreeMap<K, V>,
+struct Chunk<T> {
+    /// A copy of the first entry, taken when it became first: it orders
+    /// as `entries[0]` does, which is all a search asks of it.
+    first: T,
+    /// The entries, sorted, with no spare capacity at rest.
+    entries: Vec<T>,
 }
 
-impl<K: Clone, V> Chunk<K, V> {
+impl<T: Clone> Chunk<T> {
     /// A chunk over `entries`; `None` when they are empty.
-    fn new(entries: BTreeMap<K, V>) -> Option<Arc<Chunk<K, V>>> {
-        let first = entries.keys().next()?.clone();
+    fn new(entries: Vec<T>) -> Option<Arc<Chunk<T>>> {
+        let first = entries.first()?.clone();
         Some(Arc::new(Chunk { first, entries }))
     }
 }
 
-impl<K, V> Default for CowMap<K, V> {
-    fn default() -> CowMap<K, V> {
-        CowMap {
-            chunks: Arc::default(),
-            len: 0,
-        }
+impl<T, O: Default> Default for CowMap<T, O> {
+    fn default() -> CowMap<T, O> {
+        CowMap::with_order(O::default())
     }
 }
 
-impl<K, V> CowMap<K, V> {
-    /// An empty map.
-    pub fn new() -> CowMap<K, V> {
-        CowMap::default()
+impl<T, O> CowMap<T, O> {
+    /// An empty map ordered by `order`.
+    pub fn with_order(order: O) -> CowMap<T, O> {
+        CowMap {
+            chunks: Arc::default(),
+            len: 0,
+            order,
+        }
+    }
+
+    /// The map's ordering.
+    pub fn order(&self) -> &O {
+        &self.order
     }
 
     /// Number of entries.
@@ -95,27 +115,17 @@ impl<K, V> CowMap<K, V> {
         self.len = 0;
     }
 
-    /// Iterate entries in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> + '_ {
+    /// Iterate entries in order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
         self.chunks.iter().flat_map(|c| c.entries.iter())
     }
 
-    /// Iterate keys in key order.
-    pub fn keys(&self) -> impl Iterator<Item = &K> + '_ {
-        self.iter().map(|(k, _)| k)
-    }
-
-    /// Iterate values in key order.
-    pub fn values(&self) -> impl Iterator<Item = &V> + '_ {
-        self.iter().map(|(_, v)| v)
-    }
-
-    /// The key at position `idx` in key order (`None` when out of
-    /// bounds): O(chunks) to find its chunk, then a walk inside it.
-    pub fn key_at(&self, mut idx: usize) -> Option<&K> {
+    /// The entry at position `idx` in order (`None` when out of bounds):
+    /// O(chunks) to find its chunk.
+    pub fn entry_at(&self, mut idx: usize) -> Option<&T> {
         for chunk in self.chunks.iter() {
             if idx < chunk.entries.len() {
-                return chunk.entries.keys().nth(idx);
+                return chunk.entries.get(idx);
             }
             idx -= chunk.entries.len();
         }
@@ -123,193 +133,189 @@ impl<K, V> CowMap<K, V> {
     }
 }
 
-impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
+impl<T: Clone, O: Order<T>> CowMap<T, O> {
+    /// A map of `entries` in one pass (see the [module docs](self)); of
+    /// entries that compare equal, the last one stays.
+    pub fn from_entries(order: O, entries: impl IntoIterator<Item = T>) -> CowMap<T, O> {
+        let mut entries = entries.into_iter();
+        let mut load = AscendingLoad::new(order);
+        let stray = entries.by_ref().find_map(|e| load.push(e).err());
+        let mut map = load.finish();
+        for entry in stray.into_iter().chain(entries) {
+            map.insert(entry);
+        }
+        map
+    }
+
     /// The chunk list, for a write: copied first (the chunk pointers
     /// only) if a clone shares it.
-    fn chunks_mut(&mut self) -> &mut Vec<Arc<Chunk<K, V>>> {
+    fn chunks_mut(&mut self) -> &mut Vec<Arc<Chunk<T>>> {
         Arc::make_mut(&mut self.chunks)
     }
 
-    /// The chunk that holds `key` if any chunk does: the last chunk whose
-    /// first key is at most `key`, or the first chunk when `key` precedes
-    /// them all. The map must not be empty.
-    fn chunk_of<Q>(&self, key: &Q) -> usize
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
+    /// Chunk `i`, for a write that adds `extra` entries: copied first,
+    /// with room for them, if a clone shares it, and otherwise grown by
+    /// exactly that room.
+    fn chunk_mut(&mut self, i: usize, extra: usize) -> &mut Chunk<T> {
+        let slot = &mut self.chunks_mut()[i];
+        if Arc::get_mut(slot).is_none() {
+            let mut entries = Vec::with_capacity(slot.entries.len() + extra);
+            entries.extend_from_slice(&slot.entries);
+            *slot = Arc::new(Chunk {
+                first: slot.first.clone(),
+                entries,
+            });
+        }
+        let chunk = Arc::get_mut(slot).expect("the chunk is this map's alone");
+        chunk.entries.reserve_exact(extra);
+        chunk
+    }
+
+    /// The chunk that holds the sought entry if any chunk does: the last
+    /// chunk whose first entry is at most it, or the first chunk when it
+    /// precedes them all. The map must not be empty.
+    fn chunk_of(&self, probe: impl Fn(&T) -> Ordering) -> usize {
         self.chunks
-            .partition_point(|c| c.first.borrow() <= key)
+            .partition_point(|c| probe(&c.first) != Ordering::Greater)
             .saturating_sub(1)
     }
 
-    /// The value under `key`.
-    pub fn get<Q>(&self, key: &Q) -> Option<&V>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
+    /// The entry `probe` seeks: `probe(e)` is `e` compared with it.
+    pub fn get(&self, probe: impl Fn(&T) -> Ordering) -> Option<&T> {
         if self.chunks.is_empty() {
             return None;
         }
-        self.chunks[self.chunk_of(key)].entries.get(key)
+        let chunk = &self.chunks[self.chunk_of(&probe)];
+        let at = chunk.entries.binary_search_by(probe).ok()?;
+        Some(&chunk.entries[at])
     }
 
-    /// Insert `value` under `key`, returning the value it replaced.
+    /// Insert `entry`, returning the entry equal to it that it replaced.
     /// Copies the target chunk if a clone shares it.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        match self.put(key, value, |_, _| false) {
+    pub fn insert(&mut self, entry: T) -> Option<T> {
+        match self.put(entry, |_, _| false) {
             Ok(replaced) => replaced,
-            Err(_) => unreachable!("every value counts as a change"),
+            Err(_) => unreachable!("every entry counts as a change"),
         }
     }
 
-    /// [`CowMap::insert`] that writes nothing when `key` already maps to
-    /// an equal value: `Ok` with the replaced value after a write, `Err`
-    /// handing `value` back when nothing changed. A shared chunk is
-    /// looked up before it is copied; a chunk this map owns alone is
-    /// searched once.
-    pub fn insert_changed(&mut self, key: K, value: V) -> Result<Option<V>, V>
+    /// [`CowMap::insert`] that writes nothing when an identical entry is
+    /// already there: `Ok` with the replaced entry after a write, `Err`
+    /// handing `entry` back when nothing changed. The chunk is searched
+    /// once, before it is copied.
+    pub fn insert_changed(&mut self, entry: T) -> Result<Option<T>, T>
     where
-        V: PartialEq,
+        T: PartialEq,
     {
-        self.put(key, value, |old, new| old == new)
+        self.put(entry, |old, new| old == new)
     }
 
-    /// Write `value` under `key` unless `unchanged(old, &value)` holds
-    /// for the value already there.
-    fn put(
-        &mut self,
-        key: K,
-        value: V,
-        unchanged: impl Fn(&V, &V) -> bool,
-    ) -> Result<Option<V>, V> {
+    /// Write `entry` unless `unchanged(old, &entry)` holds for the entry
+    /// equal to it already there.
+    fn put(&mut self, entry: T, unchanged: impl Fn(&T, &T) -> bool) -> Result<Option<T>, T> {
         if self.chunks.is_empty() {
-            self.chunks_mut()
-                .extend(Chunk::new(BTreeMap::from([(key, value)])));
+            self.chunks_mut().extend(Chunk::new(vec![entry]));
             self.len = 1;
             return Ok(None);
         }
-        let i = self.chunk_of(&key);
-        let shared = Arc::strong_count(&self.chunks) > 1 || Arc::strong_count(&self.chunks[i]) > 1;
-        if shared && (self.chunks[i].entries.get(&key)).is_some_and(|old| unchanged(old, &value)) {
-            return Err(value);
+        let i = self.chunk_of(|e| self.order.cmp(e, &entry));
+        let entries = &self.chunks[i].entries;
+        let at = entries.binary_search_by(|e| self.order.cmp(e, &entry));
+        if at.is_ok_and(|p| unchanged(&entries[p], &entry)) {
+            return Err(entry);
         }
-        let is_last = i + 1 == self.chunks.len();
-        let chunk = Arc::make_mut(&mut Arc::make_mut(&mut self.chunks)[i]);
-        // A key past the end of the last chunk is an append: when that
-        // chunk overflows, the new key starts the next chunk and the full
-        // one stays full, so ordered bulk loads pack their chunks. Only a
-        // full chunk can overflow, so only a full one is asked.
-        let appending = is_last
-            && chunk.entries.len() >= CHUNK
-            && (chunk.entries.last_key_value()).is_some_and(|(last, _)| *last < key);
-        if key < chunk.first {
-            chunk.first = key.clone();
+        self.len += usize::from(at.is_err());
+        if at == Err(CHUNK) && i + 1 == self.chunks.len() {
+            // Past the end of a full last chunk: an append. The entry
+            // starts the next chunk and the full one stays as it is, so
+            // ordered loads through inserts pack their chunks.
+            self.chunks_mut().extend(Chunk::new(vec![entry]));
+            return Ok(None);
         }
-        match chunk.entries.entry(key) {
-            Entry::Occupied(slot) if unchanged(slot.get(), &value) => return Err(value),
-            Entry::Occupied(mut slot) => return Ok(Some(slot.insert(value))),
-            Entry::Vacant(slot) => {
-                slot.insert(value);
+        let chunk = self.chunk_mut(i, usize::from(at.is_err()));
+        match at {
+            Ok(p) => Ok(Some(std::mem::replace(&mut chunk.entries[p], entry))),
+            Err(p) => {
+                if p == 0 {
+                    chunk.first = entry.clone();
+                }
+                chunk.entries.insert(p, entry);
+                if chunk.entries.len() > CHUNK {
+                    self.split(i);
+                }
+                Ok(None)
             }
         }
-        self.len += 1;
-        if chunk.entries.len() > CHUNK {
-            if appending {
-                let last = chunk.entries.keys().next_back().cloned();
-                self.split_at(i, last.expect("an overflowing chunk is not empty"));
-            } else {
-                self.split(i);
-            }
-        }
-        Ok(None)
     }
 
-    /// Remove the entry under `key`, returning its value. An absent key
-    /// copies nothing.
-    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
+    /// Remove the entry `probe` seeks (as in [`CowMap::get`]), returning
+    /// it. An absent entry copies nothing.
+    pub fn remove(&mut self, probe: impl Fn(&T) -> Ordering) -> Option<T> {
         if self.chunks.is_empty() {
             return None;
         }
-        let i = self.chunk_of(key);
-        if !self.chunks[i].entries.contains_key(key) {
-            return None;
+        let i = self.chunk_of(&probe);
+        let p = self.chunks[i].entries.binary_search_by(probe).ok()?;
+        let chunk = self.chunk_mut(i, 0);
+        let removed = chunk.entries.remove(p);
+        chunk.entries.shrink_to(chunk.entries.len() + 1);
+        if let (0, Some(first)) = (p, chunk.entries.first()) {
+            chunk.first = first.clone();
         }
-        let removed = Arc::make_mut(&mut self.chunks_mut()[i]).entries.remove(key);
         self.len -= 1;
         self.settle(i);
-        removed
+        Some(removed)
     }
 
-    /// Iterate the entries whose keys lie in `range`, in key order: a
-    /// seek to the range's start, then a walk that stops at its end.
-    pub fn range<'a, Q, R>(&'a self, range: R) -> impl Iterator<Item = (&'a K, &'a V)> + 'a
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-        R: RangeBounds<Q> + 'a,
-    {
-        let start = match range.start_bound() {
-            _ if self.chunks.is_empty() => 0,
-            Bound::Included(lo) | Bound::Excluded(lo) => self.chunk_of(lo),
-            Bound::Unbounded => 0,
-        };
-        let (head, tail) = match self.chunks.get(start) {
-            Some(chunk) => (
-                Some(
-                    chunk
-                        .entries
-                        .range::<Q, _>((range.start_bound(), Bound::Unbounded)),
-                ),
-                &self.chunks[start + 1..],
-            ),
-            None => (None, &self.chunks[..0]),
-        };
-        head.into_iter()
-            .flatten()
-            .chain(tail.iter().flat_map(|c| c.entries.iter()))
-            .take_while(move |(k, _)| match range.end_bound() {
-                Bound::Included(hi) => Borrow::<Q>::borrow(*k) <= hi,
-                Bound::Excluded(hi) => Borrow::<Q>::borrow(*k) < hi,
-                Bound::Unbounded => true,
-            })
-    }
-
-    /// Split off the entries with keys `>= at` into a new map. Chunks
-    /// wholly above `at` move without copying; only the chunk `at` falls
-    /// inside is cut. O(chunks + one chunk).
-    pub fn split_off<Q>(&mut self, at: &Q) -> CowMap<K, V>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        if self.chunks.is_empty() {
-            return CowMap::new();
-        }
-        let i = self.chunk_of(at);
-        let whole = self.chunks[i].first.borrow() >= at;
-        let chunks = self.chunks_mut();
-        let upper = if whole {
-            // `at` precedes the whole chunk (only possible for the first).
-            chunks.split_off(i)
-        } else {
-            let mut tail = chunks.split_off(i + 1);
-            let cut = Arc::make_mut(&mut chunks[i]).entries.split_off(at);
-            if let Some(chunk) = Chunk::new(cut) {
-                tail.insert(0, chunk);
+    /// Iterate, in order, the entries from the first one `before_start`
+    /// rejects to the last one `before_end` accepts: a seek to the start,
+    /// then a walk that stops at the end. Each predicate must hold on a
+    /// prefix of the entries, as for [`slice::partition_point`].
+    pub fn range<'a>(
+        &'a self,
+        before_start: impl Fn(&T) -> bool + 'a,
+        before_end: impl Fn(&T) -> bool + 'a,
+    ) -> impl Iterator<Item = &'a T> + 'a {
+        let start = self.chunks.partition_point(|c| before_start(&c.first));
+        let (head, tail): (&[T], _) = match &self.chunks[start.saturating_sub(1)..] {
+            [chunk, tail @ ..] => {
+                let from = chunk.entries.partition_point(&before_start);
+                (&chunk.entries[from..], tail)
             }
-            tail
+            [] => (&[], &[]),
         };
+        head.iter()
+            .chain(tail.iter().flat_map(|c| c.entries.iter()))
+            .take_while(move |e| before_end(e))
+    }
+
+    /// Split off the entries `before` rejects into a new map (`before`
+    /// holds on a prefix, as for [`slice::partition_point`]). Chunks
+    /// wholly past the cut move without copying; only the chunk it falls
+    /// inside is cut. O(chunks + one chunk).
+    pub fn split_off(&mut self, before: impl Fn(&T) -> bool) -> CowMap<T, O> {
+        let whole = self.chunks.partition_point(|c| before(&c.first));
+        let cut = whole.checked_sub(1).and_then(|i| {
+            let entries = &self.chunks[i].entries;
+            let p = entries.partition_point(&before);
+            (p < entries.len()).then_some((i, p))
+        });
+        let mut upper = Vec::new();
+        if whole < self.chunks.len() || cut.is_some() {
+            upper = self.chunks_mut().split_off(whole);
+            if let Some((i, p)) = cut {
+                let chunk = self.chunk_mut(i, 0);
+                let moved = chunk.entries.split_off(p);
+                chunk.entries.shrink_to_fit();
+                upper.insert(0, Chunk::new(moved).expect("the cut moves an entry"));
+            }
+        }
         let moved: usize = upper.iter().map(|c| c.entries.len()).sum();
         self.len -= moved;
         let mut out = CowMap {
             chunks: Arc::new(upper),
             len: moved,
+            order: self.order.clone(),
         };
         if let Some(last) = self.chunks.len().checked_sub(1) {
             self.settle(last);
@@ -320,20 +326,21 @@ impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
         out
     }
 
-    /// Append `other`, whose keys all sort after this map's: its chunks
-    /// join this map's list shared with `other`, not copied, so the
-    /// concatenation costs O(chunks). The two chunks that meet fold into
-    /// one when either is undersized, which copies at most those two.
-    /// Returns `false`, changing nothing, when `other`'s first key does
-    /// not follow this map's last.
-    pub fn append(&mut self, other: &CowMap<K, V>) -> bool {
+    /// Append `other`, whose entries all sort after this map's: its
+    /// chunks join this map's list shared with `other`, not copied, so
+    /// the concatenation costs O(chunks). The two chunks that meet fold
+    /// into one when either is undersized, which copies at most those
+    /// two. Returns `false`, changing nothing, when `other`'s first entry
+    /// does not follow this map's last.
+    pub fn append(&mut self, other: &CowMap<T, O>) -> bool {
         let (Some(tail), Some(head)) = (self.chunks.last(), other.chunks.first()) else {
             if self.is_empty() {
-                *self = other.clone();
+                self.chunks = other.chunks.clone();
+                self.len = other.len;
             }
             return true;
         };
-        if (tail.entries.keys().next_back()).is_some_and(|last| *last >= head.first) {
+        if (tail.entries.last()).is_some_and(|last| self.order.cmp(last, &head.first).is_ge()) {
             return false;
         }
         let junction = self.chunks.len();
@@ -347,16 +354,16 @@ impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
     }
 
     /// The entries of `self` and of `other` outside the chunks the two
-    /// share, each in key order. Shared chunks — the same `Arc`, found by
-    /// walking both chunk lists in key order — hold identical entries on
+    /// share, each in order. Shared chunks — the same `Arc`, found by
+    /// walking both chunk lists in order — hold identical entries on
     /// both sides, so an ordered merge of the two iterators sees exactly
     /// the entries that differ, at O(chunks + unshared entries).
     pub fn unshared<'a>(
         &'a self,
-        other: &'a CowMap<K, V>,
+        other: &'a CowMap<T, O>,
     ) -> (
-        impl Iterator<Item = (&'a K, &'a V)> + 'a,
-        impl Iterator<Item = (&'a K, &'a V)> + 'a,
+        impl Iterator<Item = &'a T> + 'a,
+        impl Iterator<Item = &'a T> + 'a,
     ) {
         let (mut mine, mut theirs) = (Vec::new(), Vec::new());
         let (mut i, mut j) = if Arc::ptr_eq(&self.chunks, &other.chunks) {
@@ -370,7 +377,7 @@ impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
                 j += 1;
                 continue;
             }
-            match a.first.cmp(&b.first) {
+            match self.order.cmp(&a.first, &b.first) {
                 Ordering::Less => {
                     mine.push(a);
                     i += 1;
@@ -396,55 +403,37 @@ impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
     }
 
     /// Restore chunk `i`'s bounds after a write: drop it when empty,
-    /// refresh its cached first key, split it when oversized, fold it
-    /// into a neighbour when undersized.
+    /// split it when oversized, fold it into a neighbour when undersized.
     fn settle(&mut self, i: usize) {
-        let chunk = &self.chunks[i];
-        let Some(first) = chunk.entries.keys().next() else {
-            self.chunks_mut().remove(i);
-            return;
-        };
-        if *first != chunk.first {
-            let first = first.clone();
-            Arc::make_mut(&mut self.chunks_mut()[i]).first = first;
-        }
         let len = self.chunks[i].entries.len();
-        if len > CHUNK {
+        if len == 0 {
+            self.chunks_mut().remove(i);
+        } else if len > CHUNK {
             self.split(i);
         } else if len < MIN_CHUNK && self.chunks.len() > 1 {
             self.fold(i);
         }
     }
 
-    /// Split chunk `i` at its middle key.
+    /// Split chunk `i` at its middle entry; both halves keep no spare
+    /// capacity.
     fn split(&mut self, i: usize) {
-        let entries = &self.chunks[i].entries;
-        let mid = entries.keys().nth(entries.len() / 2);
-        let mid = mid.expect("a chunk being split is not empty").clone();
-        self.split_at(i, mid);
-    }
-
-    /// Move chunk `i`'s keys `>= at` into a new chunk right after it.
-    fn split_at(&mut self, i: usize, at: K) {
-        let chunks = self.chunks_mut();
-        let entries = Arc::make_mut(&mut chunks[i]).entries.split_off(&at);
-        chunks.insert(i + 1, Arc::new(Chunk { first: at, entries }));
+        let chunk = self.chunk_mut(i, 0);
+        let upper = chunk.entries.split_off(chunk.entries.len() / 2);
+        chunk.entries.shrink_to_fit();
+        let upper = Chunk::new(upper).expect("a chunk being split holds two entries");
+        self.chunks_mut().insert(i + 1, upper);
     }
 
     /// Merge chunk `i` with its left neighbour (its right one for the
     /// first chunk), splitting the result again if it overflows.
     fn fold(&mut self, i: usize) {
         let left = i.saturating_sub(1);
-        let chunks = self.chunks_mut();
-        let right = chunks.remove(left + 1);
-        let merged = Arc::make_mut(&mut chunks[left]);
+        let right = self.chunks_mut().remove(left + 1);
+        let merged = self.chunk_mut(left, right.entries.len());
         match Arc::try_unwrap(right) {
-            Ok(mut right) => merged.entries.append(&mut right.entries),
-            // Shared: clone its entries straight in; they all sort after
-            // the merged chunk's, so each insert lands on its right edge.
-            Err(right) => {
-                (merged.entries).extend(right.entries.iter().map(|(k, v)| (k.clone(), v.clone())))
-            }
+            Ok(right) => merged.entries.extend(right.entries),
+            Err(right) => merged.entries.extend_from_slice(&right.entries),
         }
         if merged.entries.len() > CHUNK {
             self.split(left);
@@ -452,71 +441,43 @@ impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
     }
 }
 
-impl<K, Q, V> std::ops::Index<&Q> for CowMap<K, V>
-where
-    K: Ord + Clone + Borrow<Q>,
-    Q: Ord + ?Sized,
-    V: Clone,
-{
-    type Output = V;
-
-    fn index(&self, key: &Q) -> &V {
-        self.get(key).expect("no entry found for key")
+impl<T: Clone, O: Order<T> + Default> FromIterator<T> for CowMap<T, O> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> CowMap<T, O> {
+        CowMap::from_entries(O::default(), iter)
     }
 }
 
-impl<K: Ord + Clone, V: Clone> FromIterator<(K, V)> for CowMap<K, V> {
-    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> CowMap<K, V> {
-        let mut iter = iter.into_iter();
-        let mut load = AscendingLoad::default();
-        let stray = iter.by_ref().find_map(|(k, v)| load.push(k, v).err());
-        let mut map = load.finish();
-        for (k, v) in stray.into_iter().chain(iter) {
-            map.insert(k, v);
-        }
-        map
-    }
+/// A map under construction from entries in strictly ascending order,
+/// one chunk at a time: entries gather into a run, and each full run
+/// becomes one chunk as it is. At most one run of [`CHUNK`] entries is
+/// held besides the finished chunks.
+pub(crate) struct AscendingLoad<T, O> {
+    map: CowMap<T, O>,
+    run: Vec<T>,
 }
 
-/// A map under construction from entries in strictly ascending key
-/// order, one chunk at a time: entries gather into a run, and each full
-/// run becomes one chunk built bottom-up. At most one run of [`CHUNK`]
-/// entries is held besides the finished chunks.
-pub(crate) struct AscendingLoad<K, V> {
-    map: CowMap<K, V>,
-    run: Vec<(K, V)>,
-}
-
-impl<K, V> Default for AscendingLoad<K, V> {
-    fn default() -> AscendingLoad<K, V> {
+impl<T: Clone, O: Order<T>> AscendingLoad<T, O> {
+    /// An empty load ordered by `order`.
+    pub(crate) fn new(order: O) -> AscendingLoad<T, O> {
         AscendingLoad {
-            map: CowMap::new(),
+            map: CowMap::with_order(order),
             run: Vec::new(),
         }
     }
-}
 
-impl<K: Ord + Clone, V: Clone> AscendingLoad<K, V> {
-    /// Take the next entry, or hand it back when its key does not
-    /// follow every key taken so far.
-    pub(crate) fn push(&mut self, key: K, value: V) -> Result<(), (K, V)> {
-        let last = match self.run.last() {
-            Some((last, _)) => Some(last),
-            None => self
-                .map
-                .chunks
-                .last()
-                .and_then(|c| c.entries.keys().next_back()),
-        };
-        if last.is_some_and(|last| *last >= key) {
-            return Err((key, value));
+    /// Take the next entry, or hand it back when it does not follow
+    /// every entry taken so far.
+    pub(crate) fn push(&mut self, entry: T) -> Result<(), T> {
+        let last = (self.run.last()).or_else(|| self.map.chunks.last()?.entries.last());
+        if last.is_some_and(|last| self.map.order.cmp(last, &entry).is_ge()) {
+            return Err(entry);
         }
         if self.run.is_empty() && !self.map.is_empty() {
             // Past the first chunk the input is long: take a whole run's
             // room at once.
             self.run.reserve_exact(CHUNK);
         }
-        self.run.push((key, value));
+        self.run.push(entry);
         if self.run.len() == CHUNK {
             self.seal_run();
         }
@@ -524,26 +485,26 @@ impl<K: Ord + Clone, V: Clone> AscendingLoad<K, V> {
     }
 
     /// The map holding every entry taken.
-    pub(crate) fn finish(mut self) -> CowMap<K, V> {
+    pub(crate) fn finish(mut self) -> CowMap<T, O> {
         self.seal_run();
         self.map
     }
 
-    /// Turn the gathered run into the map's next chunk. A `BTreeMap`
-    /// collected from sorted entries is built bottom-up with full nodes
-    /// (it reuses the run's buffer and finds it already sorted).
+    /// Turn the gathered run into the map's next chunk, without spare
+    /// capacity.
     fn seal_run(&mut self) {
-        let run = std::mem::take(&mut self.run);
-        if let Some(chunk) = Chunk::new(BTreeMap::from_iter(run)) {
+        let mut run = std::mem::take(&mut self.run);
+        run.shrink_to_fit();
+        if let Some(chunk) = Chunk::new(run) {
             self.map.len += chunk.entries.len();
             self.map.chunks_mut().push(chunk);
         }
     }
 }
 
-impl<K: Ord + Clone, V: Clone + PartialEq> PartialEq for CowMap<K, V> {
+impl<T: Clone + PartialEq, O: Order<T>> PartialEq for CowMap<T, O> {
     /// Equal entries, compared outside the chunks the maps share.
-    fn eq(&self, other: &CowMap<K, V>) -> bool {
+    fn eq(&self, other: &CowMap<T, O>) -> bool {
         if self.len != other.len {
             return false;
         }
@@ -552,40 +513,56 @@ impl<K: Ord + Clone, V: Clone + PartialEq> PartialEq for CowMap<K, V> {
     }
 }
 
-impl<K: Ord + Clone, V: Clone + Eq> Eq for CowMap<K, V> {}
+impl<T: Clone + Eq, O: Order<T>> Eq for CowMap<T, O> {}
 
-impl<K: std::fmt::Debug, V: std::fmt::Debug> std::fmt::Debug for CowMap<K, V> {
+impl<T: std::fmt::Debug, O> std::fmt::Debug for CowMap<T, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_map().entries(self.iter()).finish()
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
-    fn filled(n: i64) -> CowMap<i64, i64> {
+    /// `(key, value)` pairs ordered by key: a map from `i64` to `i64`.
+    #[derive(Clone, Copy, Default)]
+    struct ByKey;
+
+    impl Order<(i64, i64)> for ByKey {
+        fn cmp(&self, a: &(i64, i64), b: &(i64, i64)) -> Ordering {
+            a.0.cmp(&b.0)
+        }
+    }
+
+    type Map = CowMap<(i64, i64), ByKey>;
+
+    fn key(k: i64) -> impl Fn(&(i64, i64)) -> Ordering {
+        move |e| e.0.cmp(&k)
+    }
+
+    fn filled(n: i64) -> Map {
         (0..n).map(|k| (k, k * 10)).collect()
     }
 
-    /// Every chunk is non-empty, within bounds, first-key-cached and in
-    /// order, and `len` is their sum.
-    fn assert_well_formed(m: &CowMap<i64, i64>) {
+    /// Every chunk is non-empty, within bounds, without spare capacity,
+    /// first-entry-cached and in order, and `len` is their sum.
+    fn assert_well_formed(m: &Map) {
         let mut prev: Option<i64> = None;
         for (i, c) in m.chunks.iter().enumerate() {
+            let n = c.entries.len();
+            assert!(n > 0 && n <= CHUNK, "chunk {i} size");
+            assert!(c.entries.capacity() <= n + 1, "chunk {i} spare capacity");
+            assert_eq!(c.entries[0].0, c.first.0, "chunk {i} first entry");
             assert!(
-                !c.entries.is_empty() && c.entries.len() <= CHUNK,
-                "chunk {i} size"
-            );
-            assert_eq!(
-                c.entries.keys().next(),
-                Some(&c.first),
-                "chunk {i} first key"
+                c.entries.windows(2).all(|w| w[0].0 < w[1].0),
+                "chunk {i} sorted"
             );
             if let Some(p) = prev {
-                assert!(p < c.first, "chunk {i} out of order");
+                assert!(p < c.first.0, "chunk {i} out of order");
             }
-            prev = c.entries.keys().next_back().copied();
+            prev = c.entries.last().map(|e| e.0);
         }
         assert_eq!(
             m.len(),
@@ -598,10 +575,10 @@ mod tests {
         let m = filled(1000);
         assert_well_formed(&m);
         assert_eq!(m.chunks.len(), 4);
-        assert_eq!(
-            m.keys().copied().collect::<Vec<_>>(),
-            (0..1000).collect::<Vec<_>>()
-        );
+        assert!(m.iter().map(|e| e.0).eq(0..1000));
+        // A small map holds only its own entries' slots.
+        let small = filled(16);
+        assert_eq!(small.chunks[0].entries.capacity(), 16);
     }
 
     #[test]
@@ -611,12 +588,25 @@ mod tests {
         let input = (0..600)
             .map(|k| (k, k))
             .chain([(5, -5), (1000, 1), (700, 7)]);
-        let m: CowMap<i64, i64> = input.clone().collect();
+        let m: Map = input.clone().collect();
         assert_well_formed(&m);
-        assert!(m.iter().eq(input.collect::<BTreeMap<_, _>>().iter()));
-        let loaded: CowMap<i64, i64> = (0..600).map(|k| (k, k)).collect();
+        assert!(m.iter().copied().eq(input.collect::<BTreeMap<_, _>>()));
+        let loaded: Map = (0..600).map(|k| (k, k)).collect();
         let sizes: Vec<usize> = loaded.chunks.iter().map(|c| c.entries.len()).collect();
         assert_eq!(sizes, vec![CHUNK, CHUNK, 600 - 2 * CHUNK]);
+    }
+
+    #[test]
+    fn inserts_keep_no_spare_capacity() {
+        let mut m = Map::default();
+        for k in (0..2000).rev() {
+            m.insert((k, k));
+            assert_well_formed(&m);
+        }
+        for k in (0..2000).step_by(3) {
+            m.remove(key(k));
+            assert_well_formed(&m);
+        }
     }
 
     #[test]
@@ -624,16 +614,16 @@ mod tests {
         let base = filled(2000);
         let mut copy = base.clone();
         assert!(base.unshared(&copy).0.next().is_none());
-        copy.insert(700, -1);
-        copy.remove(&1500);
-        copy.remove(&5000); // absent: copies nothing
+        copy.insert((700, -1));
+        copy.remove(key(1500));
+        copy.remove(key(5000)); // absent: copies nothing
         let (old, new): (Vec<_>, Vec<_>) = {
             let (a, b) = base.unshared(&copy);
             (a.collect(), b.collect())
         };
         assert!(old.len() <= 2 * CHUNK && new.len() <= 2 * CHUNK);
-        assert_eq!(base.get(&700), Some(&7000));
-        assert_eq!(copy.get(&700), Some(&-1));
+        assert_eq!(base.get(key(700)), Some(&(700, 7000)));
+        assert_eq!(copy.get(key(700)), Some(&(700, -1)));
         assert_eq!(base.len(), copy.len() + 1);
         assert_well_formed(&copy);
         assert_ne!(base, copy);
@@ -643,19 +633,20 @@ mod tests {
     fn removals_fold_and_ranges_respect_bounds() {
         let mut m = filled(1200);
         for k in (0..1200).filter(|k| k % 7 != 0) {
-            m.remove(&k);
+            m.remove(key(k));
             assert_well_formed(&m);
         }
-        let got: Vec<i64> = m
-            .range((Bound::Excluded(&14), Bound::Included(&70)))
-            .map(|(k, _)| *k)
-            .collect();
-        assert_eq!(got, vec![21, 28, 35, 42, 49, 56, 63, 70]);
-        assert_eq!(m.range(9..9).count(), 0);
-        assert_eq!(m.range((Bound::Excluded(9), Bound::Excluded(3))).count(), 0);
-        assert_eq!(m.range(1190..).count(), 2);
-        assert_eq!(m.range(1198..).count(), 0);
-        assert_eq!(m.range(..=7).count(), 2);
+        let keys = |lo: i64, hi: i64| -> Vec<i64> {
+            m.range(move |e| e.0 <= lo, move |e| e.0 <= hi)
+                .map(|e| e.0)
+                .collect()
+        };
+        assert_eq!(keys(14, 70), vec![21, 28, 35, 42, 49, 56, 63, 70]);
+        assert!(keys(9, 8).is_empty());
+        assert!(keys(9, 3).is_empty());
+        assert_eq!(keys(1189, i64::MAX).len(), 2);
+        assert!(keys(1197, i64::MAX).is_empty());
+        assert_eq!(keys(i64::MIN, 7).len(), 2);
     }
 
     #[test]
@@ -663,8 +654,8 @@ mod tests {
         let sizes = [0usize, 1, 10, 63, 64, 200, 256, 300, 1000];
         for &a in &sizes {
             for &b in &sizes {
-                let lower: CowMap<i64, i64> = (0..a as i64).map(|k| (k, k)).collect();
-                let upper: CowMap<i64, i64> = (0..b as i64).map(|k| (k + 5000, k)).collect();
+                let lower: Map = (0..a as i64).map(|k| (k, k)).collect();
+                let upper: Map = (0..b as i64).map(|k| (k + 5000, k)).collect();
                 let mut joined = lower.clone();
                 assert!(joined.append(&upper));
                 assert_well_formed(&joined);
@@ -680,8 +671,8 @@ mod tests {
                 // The chunks that meet are both at least a quarter full,
                 // or folded into one.
                 if a > 0 && b > 0 {
-                    let at = joined.chunk_of(&5000);
-                    let folded = joined.chunks[at].entries.contains_key(&(a as i64 - 1));
+                    let at = joined.chunk_of(key(5000));
+                    let folded = joined.chunks[at].entries[0].0 < 5000;
                     let len = |i: usize| joined.chunks[i].entries.len();
                     assert!(
                         folded || (len(at - 1) >= MIN_CHUNK && len(at) >= MIN_CHUNK),
@@ -702,14 +693,22 @@ mod tests {
     fn split_off_moves_whole_chunks() {
         let mut m = filled(1500);
         let shared = m.clone();
-        let upper = m.split_off(&600);
+        let upper = m.split_off(|e| e.0 < 600);
         assert_well_formed(&m);
         assert_well_formed(&upper);
         assert_eq!(m.len(), 600);
-        assert_eq!(upper.keys().next(), Some(&600));
+        assert_eq!(upper.iter().next(), Some(&(600, 6000)));
         assert_eq!(shared.len(), 1500, "the clone keeps every entry");
-        assert_eq!(m.key_at(599), Some(&599));
-        assert_eq!(upper.key_at(0), Some(&600));
-        assert_eq!(upper.key_at(900), None);
+        assert_eq!(m.entry_at(599), Some(&(599, 5990)));
+        assert_eq!(upper.entry_at(0), Some(&(600, 6000)));
+        assert_eq!(upper.entry_at(900), None);
+        // A cut at a chunk boundary, before everything, and past the end.
+        let mut m = filled(1024);
+        assert_eq!(m.split_off(|e| e.0 < 512).len(), 512);
+        assert_eq!(m.split_off(|_| false).len(), 512);
+        assert!(m.is_empty());
+        let mut m = filled(300);
+        assert!(m.split_off(|_| true).is_empty());
+        assert_well_formed(&m);
     }
 }

@@ -2,12 +2,11 @@
 //! and invertible. Used to report what a bx update actually changed.
 
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
 
+use crate::cow_map::Order;
 use crate::error::StoreError;
 use crate::row::Row;
-use crate::table::Table;
-use crate::value::Value;
+use crate::table::{RowOrder, Table};
 
 /// A set-difference delta between two table states.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -37,7 +36,7 @@ impl Delta {
     /// Compute the delta taking `old` to `new`. Schemas must match.
     ///
     /// When the tables also agree on their declared key, this is a single
-    /// ordered merge over the two key-sorted row maps that skips the
+    /// ordered merge over the two key-ordered row maps that skips the
     /// chunks they share ([`crate::cow_map::CowMap::unshared`]): a table
     /// and an edited clone of it diff in O(chunks + the chunks the edit
     /// copied). Tables with equal columns but different key declarations
@@ -56,34 +55,35 @@ impl Delta {
         }
         let mut inserted = Vec::new();
         let mut deleted = Vec::new();
+        let order = old.row_map().order();
         let (olds, news) = old.row_map().unshared(new.row_map());
         let (mut olds, mut news) = (olds.peekable(), news.peekable());
         loop {
             match (olds.peek(), news.peek()) {
-                (Some((ok, orow)), Some((nk, nrow))) => match ok.cmp(nk) {
-                    std::cmp::Ordering::Less => {
-                        deleted.push((*orow).clone());
+                (Some(&orow), Some(&nrow)) => match order.cmp(orow, nrow) {
+                    Ordering::Less => {
+                        deleted.push(orow.clone());
                         olds.next();
                     }
-                    std::cmp::Ordering::Greater => {
-                        inserted.push((*nrow).clone());
+                    Ordering::Greater => {
+                        inserted.push(nrow.clone());
                         news.next();
                     }
-                    std::cmp::Ordering::Equal => {
+                    Ordering::Equal => {
                         if orow != nrow {
-                            deleted.push((*orow).clone());
-                            inserted.push((*nrow).clone());
+                            deleted.push(orow.clone());
+                            inserted.push(nrow.clone());
                         }
                         olds.next();
                         news.next();
                     }
                 },
                 (Some(_), None) => {
-                    deleted.extend(olds.map(|(_, r)| r.clone()));
+                    deleted.extend(olds.cloned());
                     break;
                 }
                 (None, Some(_)) => {
-                    inserted.extend(news.map(|(_, r)| r.clone()));
+                    inserted.extend(news.cloned());
                     break;
                 }
                 (None, None) => break,
@@ -130,13 +130,15 @@ impl Delta {
             return;
         }
         let arity = table.schema().arity();
-        let key_idx = table.schema().key_indices().to_vec();
-        let replaced: BTreeSet<ByKey> = (self.inserted.iter())
+        let order = table.row_map().order().clone();
+        let mut replaced: Vec<&Row> = (self.inserted.iter())
             .filter(|row| row.len() == arity)
-            .map(|row| ByKey::new(row, &key_idx))
             .collect();
+        replaced.sort_unstable_by(|a, b| order.cmp(a, b));
         for row in &self.deleted {
-            if !replaced.contains(&ByKey::new(row, &key_idx)) {
+            let taken =
+                row.len() == arity && replaced.binary_search_by(|r| order.cmp(r, row)).is_ok();
+            if !taken {
                 table.delete(row);
             }
         }
@@ -170,26 +172,20 @@ impl Delta {
     pub fn coalesce<'a>(deltas: impl IntoIterator<Item = &'a Delta>, key_idx: &[usize]) -> Delta {
         // Every change in application order (a delta deletes before it
         // inserts); the stable sort keeps that order within each key.
-        let mut changes: Vec<(ByKey, bool, &Row)> = Vec::new();
+        let order = RowOrder::on(key_idx);
+        let mut changes: Vec<(bool, &Row)> = Vec::new();
         for delta in deltas {
-            let deleted = delta
-                .deleted
-                .iter()
-                .map(|r| (ByKey::new(r, key_idx), false, r));
-            let inserted = delta
-                .inserted
-                .iter()
-                .map(|r| (ByKey::new(r, key_idx), true, r));
-            changes.extend(deleted.chain(inserted));
+            changes.extend(delta.deleted.iter().map(|r| (false, r)));
+            changes.extend(delta.inserted.iter().map(|r| (true, r)));
         }
-        changes.sort_by(|a, b| a.0.cmp(&b.0));
+        changes.sort_by(|a, b| order.cmp(a.1, b.1));
         let mut out = Delta::empty();
-        for run in changes.chunk_by(|a, b| a.0 == b.0) {
+        for run in changes.chunk_by(|a, b| order.cmp(a.1, b.1).is_eq()) {
             // The key's row before the run — its first deletion, unless
             // an insert it cancels came first — and after it: its last
             // insertion, unless a later deletion cancelled it.
             let (mut before, mut after) = (None, None);
-            for &(_, inserted, row) in run {
+            for &(inserted, row) in run {
                 if inserted {
                     after = Some(row);
                 } else if after.take().is_none() {
@@ -225,44 +221,6 @@ impl std::fmt::Display for Delta {
         Ok(())
     }
 }
-
-/// A row ordered by its key projection (`idx`), compared cell by cell
-/// in place, so keyed sets and maps of borrowed rows build no key.
-/// Only rows keyed by the same indices are compared.
-struct ByKey<'a> {
-    row: &'a Row,
-    idx: &'a [usize],
-}
-
-impl<'a> ByKey<'a> {
-    fn new(row: &'a Row, idx: &'a [usize]) -> ByKey<'a> {
-        ByKey { row, idx }
-    }
-
-    fn cells(&self) -> impl Iterator<Item = &'a Value> + '_ {
-        self.idx.iter().map(|&i| &self.row[i])
-    }
-}
-
-impl Ord for ByKey<'_> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.cells().cmp(other.cells())
-    }
-}
-
-impl PartialOrd for ByKey<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for ByKey<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for ByKey<'_> {}
 
 #[cfg(test)]
 mod tests {

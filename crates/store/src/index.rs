@@ -1,12 +1,14 @@
-//! Secondary B-tree indexes on non-key columns.
+//! Secondary indexes on non-key columns.
 //!
 //! A [`ColumnIndex`] is one ordered set of `(value, primary key)` pairs
 //! for one column, held in a [`CowMap`]: the pairs of one value form one
 //! contiguous run, so both point lookups (`=`) and ordered range probes
-//! (`<`, `<=`, `>`, `>=`) are O(log n) seeks instead of full scans.
-//! Cloning an index shares its chunks, and one row's change touches the
-//! one or two chunks holding its pairs, however many rows share its
-//! value.
+//! (`<`, `<=`, `>`, `>=`) are O(log n) seeks (`partition_point` on the
+//! value) instead of full scans. A one-column primary key sits inline in
+//! its pair, so adding a row's pair allocates nothing beyond the cells'
+//! own strings. Cloning an index shares its chunks, and one row's change
+//! touches the one or two chunks holding its pairs, however many rows
+//! share its value.
 //!
 //! Indexes live *inside* [`Table`](crate::Table) (see
 //! [`Table::create_index`](crate::Table::create_index)) and are maintained
@@ -21,9 +23,11 @@
 //! predicate is still evaluated on each candidate row, so an index only
 //! ever *narrows* a scan — it can never change a query's meaning.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::ops::Bound;
 
-use crate::cow_map::CowMap;
+use crate::cow_map::{CowMap, Order};
 use crate::row::Row;
 use crate::value::Value;
 
@@ -32,46 +36,48 @@ use crate::value::Value;
 pub struct ColumnIndex {
     column: String,
     col_idx: usize,
-    entries: CowMap<IndexKey, ()>,
+    entries: CowMap<Entry, ByValue>,
 }
 
-/// One index entry. Entries order by value, then by primary key.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct IndexKey {
+/// One index entry: a row's value in the indexed column and its
+/// primary key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Entry {
     value: Value,
-    row_id: RowId,
+    key: PrimaryKey,
 }
 
-/// A primary key, or a bound sorting before or after every key of a
-/// value: the two ends of a value's run, which probes seek to. Only
-/// keys are ever stored.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum RowId {
-    Before,
-    Key(Row),
-    After,
+/// A primary key as an index holds it: one cell inline, several in a
+/// row of their own.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum PrimaryKey {
+    One(Value),
+    Cells(Row),
 }
 
-impl IndexKey {
-    fn entry(key: &Row, row: &Row, col_idx: usize) -> IndexKey {
-        IndexKey {
-            value: row[col_idx].clone(),
-            row_id: RowId::Key(key.clone()),
+impl PrimaryKey {
+    fn of(cells: &[Value]) -> PrimaryKey {
+        match cells {
+            [one] => PrimaryKey::One(one.clone()),
+            cells => PrimaryKey::Cells(cells.to_vec()),
         }
     }
 
-    fn bound(value: &Value, row_id: RowId) -> IndexKey {
-        IndexKey {
-            value: value.clone(),
-            row_id,
+    fn cells(&self) -> &[Value] {
+        match self {
+            PrimaryKey::One(cell) => std::slice::from_ref(cell),
+            PrimaryKey::Cells(cells) => cells,
         }
     }
+}
 
-    fn key(&self) -> Option<&Row> {
-        match &self.row_id {
-            RowId::Key(key) => Some(key),
-            RowId::Before | RowId::After => None,
-        }
+/// Index entries order by value, then by primary-key cells.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct ByValue;
+
+impl Order<Entry> for ByValue {
+    fn cmp(&self, a: &Entry, b: &Entry) -> Ordering {
+        (a.value.cmp(&b.value)).then_with(|| a.key.cells().cmp(b.key.cells()))
     }
 }
 
@@ -81,27 +87,30 @@ impl ColumnIndex {
         ColumnIndex {
             column: column.into(),
             col_idx,
-            entries: CowMap::new(),
+            entries: CowMap::default(),
         }
     }
 
     /// An index over column number `col_idx` named `column`, holding
-    /// the given `(primary key, row)` entries. Sorts the pairs first, so
-    /// they load in order into packed chunks.
+    /// the given `(primary key, row)` pairs, which arrive in primary-key
+    /// order: one stable sort on the value puts the entries in order,
+    /// and they load into packed chunks.
     pub(crate) fn build<'a>(
         column: impl Into<String>,
         col_idx: usize,
-        rows: impl IntoIterator<Item = (&'a Row, &'a Row)>,
+        rows: impl IntoIterator<Item = (Cow<'a, [Value]>, &'a Row)>,
     ) -> ColumnIndex {
-        let mut keys: Vec<IndexKey> = rows
-            .into_iter()
-            .map(|(key, row)| IndexKey::entry(key, row, col_idx))
+        let mut entries: Vec<Entry> = (rows.into_iter())
+            .map(|(key, row)| Entry {
+                value: row[col_idx].clone(),
+                key: PrimaryKey::of(&key),
+            })
             .collect();
-        keys.sort_unstable();
+        entries.sort_by(|a, b| a.value.cmp(&b.value));
         ColumnIndex {
             column: column.into(),
             col_idx,
-            entries: keys.into_iter().map(|k| (k, ())).collect(),
+            entries: CowMap::from_entries(ByValue, entries),
         }
     }
 
@@ -119,8 +128,8 @@ impl ColumnIndex {
     /// entry).
     pub fn distinct_values(&self) -> usize {
         let mut last: Option<&Value> = None;
-        (self.entries.keys())
-            .filter(|k| last.replace(&k.value) != Some(&k.value))
+        (self.entries.iter())
+            .filter(|e| last.replace(&e.value) != Some(&e.value))
             .count()
     }
 
@@ -129,16 +138,18 @@ impl ColumnIndex {
         self.entries.len()
     }
 
-    /// Record `row` (stored under primary key `key`).
-    pub fn add(&mut self, key: &Row, row: &Row) {
-        self.entries
-            .insert(IndexKey::entry(key, row, self.col_idx), ());
+    /// Record `row`, whose primary key has the cells `key`.
+    pub fn add(&mut self, key: &[Value], row: &Row) {
+        self.entries.insert(Entry {
+            value: row[self.col_idx].clone(),
+            key: PrimaryKey::of(key),
+        });
     }
 
-    /// Forget `row` (stored under primary key `key`).
-    pub fn remove(&mut self, key: &Row, row: &Row) {
-        self.entries
-            .remove(&IndexKey::entry(key, row, self.col_idx));
+    /// Forget `row`, whose primary key has the cells `key`.
+    pub fn remove(&mut self, key: &[Value], row: &Row) {
+        let value = &row[self.col_idx];
+        (self.entries).remove(|e| e.value.cmp(value).then_with(|| e.key.cells().cmp(key)));
     }
 
     /// Drop all entries.
@@ -155,33 +166,38 @@ impl ColumnIndex {
         self.keys_for(probe).take(cap).count()
     }
 
-    /// Primary keys of rows whose indexed column equals `v`.
-    pub fn keys_eq<'a>(&'a self, v: &Value) -> impl Iterator<Item = &'a Row> {
+    /// Primary keys (their cells) of rows whose indexed column equals `v`.
+    pub fn keys_eq<'a>(&'a self, v: &Value) -> impl Iterator<Item = &'a [Value]> {
         self.keys_range(Bound::Included(v), Bound::Included(v))
     }
 
-    /// Primary keys of rows whose indexed column lies in the given bounds,
-    /// in column-value order.
+    /// Primary keys (their cells) of rows whose indexed column lies in
+    /// the given bounds, in column-value order: a seek past the values
+    /// below `lo`, then a walk while the values stay within `hi`.
     pub fn keys_range<'a>(
         &'a self,
         lo: Bound<&Value>,
         hi: Bound<&Value>,
-    ) -> impl Iterator<Item = &'a Row> {
-        let lo = match lo {
-            Bound::Included(v) => Bound::Included(IndexKey::bound(v, RowId::Before)),
-            Bound::Excluded(v) => Bound::Excluded(IndexKey::bound(v, RowId::After)),
-            Bound::Unbounded => Bound::Unbounded,
+    ) -> impl Iterator<Item = &'a [Value]> {
+        let (lo, hi) = (lo.cloned(), hi.cloned());
+        let before_start = move |e: &Entry| match &lo {
+            Bound::Included(v) => e.value < *v,
+            Bound::Excluded(v) => e.value <= *v,
+            Bound::Unbounded => false,
         };
-        let hi = match hi {
-            Bound::Included(v) => Bound::Included(IndexKey::bound(v, RowId::After)),
-            Bound::Excluded(v) => Bound::Excluded(IndexKey::bound(v, RowId::Before)),
-            Bound::Unbounded => Bound::Unbounded,
+        let before_end = move |e: &Entry| match &hi {
+            Bound::Included(v) => e.value <= *v,
+            Bound::Excluded(v) => e.value < *v,
+            Bound::Unbounded => true,
         };
-        self.entries.range((lo, hi)).filter_map(|(k, ())| k.key())
+        (self.entries.range(before_start, before_end)).map(|e| e.key.cells())
     }
 
-    /// Primary keys served by `probe`.
-    pub fn keys_for<'a>(&'a self, probe: &IndexProbe) -> Box<dyn Iterator<Item = &'a Row> + 'a> {
+    /// Primary keys (their cells) served by `probe`.
+    pub fn keys_for<'a>(
+        &'a self,
+        probe: &IndexProbe,
+    ) -> Box<dyn Iterator<Item = &'a [Value]> + 'a> {
         match &probe.kind {
             ProbeKind::Eq(v) => Box::new(self.keys_eq(v)),
             ProbeKind::Range { lo, hi } => Box::new(self.keys_range(as_bound(lo), as_bound(hi))),
@@ -245,17 +261,17 @@ mod tests {
     #[test]
     fn add_remove_and_lookup() {
         let mut idx = ColumnIndex::new("grp", 1);
-        idx.add(&row![1], &row![1, 10]);
-        idx.add(&row![2], &row![2, 10]);
-        idx.add(&row![3], &row![3, 20]);
+        idx.add(&[Value::Int(1)], &row![1, 10]);
+        idx.add(&[Value::Int(2)], &row![2, 10]);
+        idx.add(&[Value::Int(3)], &row![3, 20]);
         assert_eq!(idx.distinct_values(), 2);
-        let keys: Vec<_> = idx.keys_eq(&Value::Int(10)).cloned().collect();
+        let keys: Vec<_> = idx.keys_eq(&Value::Int(10)).collect();
         assert_eq!(keys, vec![row![1], row![2]]);
 
-        idx.remove(&row![1], &row![1, 10]);
-        let keys: Vec<_> = idx.keys_eq(&Value::Int(10)).cloned().collect();
+        idx.remove(&[Value::Int(1)], &row![1, 10]);
+        let keys: Vec<_> = idx.keys_eq(&Value::Int(10)).collect();
         assert_eq!(keys, vec![row![2]]);
-        idx.remove(&row![2], &row![2, 10]);
+        idx.remove(&[Value::Int(2)], &row![2, 10]);
         assert_eq!(idx.distinct_values(), 1);
     }
 
@@ -263,14 +279,13 @@ mod tests {
     fn range_lookup_is_ordered_by_value() {
         let mut idx = ColumnIndex::new("age", 1);
         for (k, age) in [(1, 30), (2, 10), (3, 20), (4, 40)] {
-            idx.add(&row![k], &row![k, age]);
+            idx.add(&[Value::Int(k)], &row![k, age]);
         }
         let keys: Vec<_> = idx
             .keys_range(
                 Bound::Included(&Value::Int(15)),
                 Bound::Excluded(&Value::Int(40)),
             )
-            .cloned()
             .collect();
         assert_eq!(keys, vec![row![3], row![1]]);
     }
@@ -279,7 +294,7 @@ mod tests {
     fn probes_drive_keys_for() {
         let mut idx = ColumnIndex::new("age", 1);
         for (k, age) in [(1, 30), (2, 10)] {
-            idx.add(&row![k], &row![k, age]);
+            idx.add(&[Value::Int(k)], &row![k, age]);
         }
         let eq = IndexProbe::eq("age", Value::Int(10));
         assert!(eq.is_eq());

@@ -4,8 +4,8 @@
 //! files, abstract syntax trees, code". This crate supplies the database
 //! tables: typed schemas with candidate keys, set-semantics tables,
 //! a predicate language, relational algebra (select / project / join /
-//! union / difference / rename), row-level deltas, secondary B-tree
-//! indexes ([`index`]) turning predicate scans into seeks, and
+//! union / difference / rename), row-level deltas, secondary indexes
+//! ([`index`]) turning predicate scans into seeks, and
 //! multi-table databases with snapshots.
 //!
 //! `esm-relational` builds *relational lenses* on top of this substrate,
@@ -13,10 +13,12 @@
 //! monads.
 //!
 //! Design notes:
-//! - Tables are **sets** of rows ordered by key (a copy-on-write
-//!   [`CowMap`] keyed on the key columns), so iteration is deterministic,
-//!   a clone shares its chunks with the original, and diffing a table
-//!   against an edited clone skips the chunks they still share.
+//! - Tables are **sets** of rows ordered by key: a copy-on-write
+//!   [`CowMap`] of sorted chunks holds each row once, ordered by its key
+//!   cells compared in place (the whole row when no key is declared), so
+//!   iteration is deterministic, no key is stored beside a row, a clone
+//!   shares its chunks with the original, and diffing a table against an
+//!   edited clone skips the chunks they still share.
 //! - Every mutation validates arity, column types and key uniqueness,
 //!   returning [`StoreError`] rather than corrupting the table.
 
@@ -37,7 +39,7 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use cow_map::CowMap;
+pub use cow_map::{CowMap, Order};
 pub use csv::{from_csv, to_csv};
 pub use database::Database;
 pub use delta::Delta;

@@ -8,9 +8,11 @@
 //! (see [`crate::cow_map`]). Snapshots, transaction working copies and
 //! lens `put` inputs are such clones.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use crate::cow_map::{AscendingLoad, CowMap};
+use crate::cow_map::{AscendingLoad, CowMap, Order};
 use crate::error::StoreError;
 use crate::index::ColumnIndex;
 use crate::predicate::Predicate;
@@ -21,11 +23,11 @@ use crate::value::Value;
 /// A relational table: a [`Schema`] plus a set of rows indexed by their
 /// key values.
 ///
-/// Rows are stored in a [`CowMap`] keyed by the key-column values (the
-/// whole row when the schema has no declared key), giving set semantics,
-/// deterministic iteration order, O(log n) point operations, clones
-/// that share every chunk, and ordered diffs that skip the chunks two
-/// copies share.
+/// Rows are stored once each, in a [`CowMap`] ordered by their
+/// key-column cells compared in place (the whole row when the schema has
+/// no declared key), giving set semantics, deterministic iteration
+/// order, O(log n) point operations, clones that share every chunk, and
+/// ordered diffs that skip the chunks two copies share.
 ///
 /// A table may additionally carry secondary [`ColumnIndex`]es (see
 /// [`Table::create_index`]); they are maintained by every mutation and
@@ -35,8 +37,68 @@ use crate::value::Value;
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Schema,
-    rows: CowMap<Row, Row>,
+    rows: CowMap<Row, RowOrder>,
     indexes: Vec<ColumnIndex>,
+}
+
+/// How a table orders its rows: by the schema's key cells, read from
+/// each row in place.
+#[derive(Debug, Clone)]
+pub(crate) enum RowOrder {
+    /// One key column.
+    Column(usize),
+    /// Several key columns, compared in key order.
+    Columns(Arc<[usize]>),
+    /// No declared key: whole rows compare.
+    Whole,
+}
+
+impl RowOrder {
+    fn of(schema: &Schema) -> RowOrder {
+        match schema.key() {
+            [] => RowOrder::Whole,
+            _ => RowOrder::on(schema.key_indices()),
+        }
+    }
+
+    /// Rows ordered by their cells at `key_idx`, compared in that order.
+    pub(crate) fn on(key_idx: &[usize]) -> RowOrder {
+        match key_idx {
+            [column] => RowOrder::Column(*column),
+            columns => RowOrder::Columns(columns.into()),
+        }
+    }
+
+    /// Compare `row`'s key cells with the key `key`.
+    fn cmp_key(&self, row: &Row, key: &[Value]) -> Ordering {
+        match self {
+            RowOrder::Column(i) => match key {
+                [cell] => row[*i].cmp(cell),
+                _ => std::slice::from_ref(&row[*i]).cmp(key),
+            },
+            RowOrder::Columns(idx) => idx.iter().map(|&i| &row[i]).cmp(key),
+            RowOrder::Whole => row.as_slice().cmp(key),
+        }
+    }
+
+    /// `row`'s key cells: borrowed, but for a key of several columns.
+    fn key<'a>(&self, row: &'a Row) -> std::borrow::Cow<'a, [Value]> {
+        match self {
+            RowOrder::Column(i) => std::slice::from_ref(&row[*i]).into(),
+            RowOrder::Columns(idx) => project_row(row, idx).into(),
+            RowOrder::Whole => row.as_slice().into(),
+        }
+    }
+}
+
+impl Order<Row> for RowOrder {
+    fn cmp(&self, a: &Row, b: &Row) -> Ordering {
+        match self {
+            RowOrder::Column(i) => a[*i].cmp(&b[*i]),
+            RowOrder::Columns(idx) => (idx.iter().map(|&i| &a[i])).cmp(idx.iter().map(|&i| &b[i])),
+            RowOrder::Whole => a.cmp(b),
+        }
+    }
 }
 
 impl PartialEq for Table {
@@ -50,52 +112,53 @@ impl Eq for Table {}
 impl Table {
     /// An empty table with the given schema.
     pub fn new(schema: Schema) -> Table {
-        Table {
-            schema,
-            rows: CowMap::new(),
-            indexes: Vec::new(),
-        }
+        let rows = CowMap::with_order(RowOrder::of(&schema));
+        Table::derived(schema, rows)
     }
 
     /// Build a table from rows, validating each and rejecting key clashes,
     /// in one pass: rows arriving in ascending key order load chunk by
-    /// chunk into full B-tree nodes ([`crate::cow_map`]); from the first
-    /// row that does not ascend on, rows go through [`Table::insert`], so
-    /// the result — or the [`StoreError::KeyViolation`] — is the same as
+    /// chunk as they come ([`crate::cow_map`]); from the first row that
+    /// does not ascend on, rows go through [`Table::insert`], so the
+    /// result — or the [`StoreError::KeyViolation`] — is the same as
     /// inserting every row in turn.
     pub fn from_rows(
         schema: Schema,
         rows: impl IntoIterator<Item = Row>,
     ) -> Result<Table, StoreError> {
-        let mut t = Table::new(schema);
-        let key_idx = t.schema.key_indices();
+        let mut load = AscendingLoad::new(RowOrder::of(&schema));
         let mut rows = rows.into_iter();
-        let mut load = AscendingLoad::default();
         let mut stray = None;
         for row in rows.by_ref() {
-            t.schema.check_row(&row)?;
-            if let Err((_, row)) = load.push(project_row(&row, key_idx), row) {
+            schema.check_row(&row)?;
+            if let Err(row) = load.push(row) {
                 stray = Some(row);
                 break;
             }
         }
-        t.rows = load.finish();
+        let mut t = Table::derived(schema, load.finish());
         for row in stray.into_iter().chain(rows) {
             t.insert(row)?;
         }
         Ok(t)
     }
 
-    /// A table of `schema` over `rows`, whose entries were already
-    /// checked against it: the relational operators' output. They
-    /// `collect` it in one pass, so rows emitted in key order load into
-    /// full chunks ([`crate::cow_map`]).
-    fn derived(schema: Schema, rows: CowMap<Row, Row>) -> Table {
+    /// A table of `schema` over `rows`, with no index.
+    fn derived(schema: Schema, rows: CowMap<Row, RowOrder>) -> Table {
         Table {
             schema,
             rows,
             indexes: Vec::new(),
         }
+    }
+
+    /// A table of `schema` over `rows`, whose entries were already
+    /// checked against it: the relational operators' output. They load
+    /// in one pass, so rows emitted in key order fill whole chunks
+    /// ([`crate::cow_map`]).
+    fn collected(schema: Schema, rows: impl IntoIterator<Item = Row>) -> Table {
+        let rows = CowMap::from_entries(RowOrder::of(&schema), rows);
+        Table::derived(schema, rows)
     }
 
     /// The table's schema.
@@ -115,20 +178,12 @@ impl Table {
 
     /// Iterate rows in key order.
     pub fn rows(&self) -> impl Iterator<Item = &Row> {
-        self.rows.values()
-    }
-
-    /// Iterate `(key, row)` pairs in key order. The key is the projection
-    /// of the row onto the schema's key columns (the whole row when the
-    /// schema declares no key), so two tables with equal schemas can be
-    /// diffed by a single ordered merge over this iterator.
-    pub fn entries(&self) -> impl Iterator<Item = (&Row, &Row)> {
         self.rows.iter()
     }
 
     /// All rows, cloned, in key order.
     pub fn to_rows(&self) -> Vec<Row> {
-        self.rows.values().cloned().collect()
+        self.rows.iter().cloned().collect()
     }
 
     /// The key values of a row under this schema.
@@ -136,31 +191,47 @@ impl Table {
         project_row(row, self.schema.key_indices())
     }
 
+    /// The stored row whose key cells equal `row`'s; a row of another
+    /// arity has none.
+    fn same_key(&self, row: &Row) -> Option<&Row> {
+        if row.len() != self.schema.arity() {
+            return None;
+        }
+        self.rows.get(|r| self.rows.order().cmp(r, row))
+    }
+
     /// Does an identical row exist?
     pub fn contains(&self, row: &Row) -> bool {
-        self.rows.get(&self.key_of(row)) == Some(row)
+        self.same_key(row) == Some(row)
     }
 
     /// Look up a row by its key values.
     pub fn get_by_key(&self, key: &Row) -> Option<&Row> {
-        self.rows.get(key)
+        self.keyed(key)
+    }
+
+    /// The row whose key cells are `key`.
+    fn keyed(&self, key: &[Value]) -> Option<&Row> {
+        self.rows.get(|r| self.rows.order().cmp_key(r, key))
     }
 
     /// Insert a row. Inserting an identical row is a no-op; a row whose
     /// key matches a *different* existing row is a [`StoreError::KeyViolation`].
     pub fn insert(&mut self, row: Row) -> Result<(), StoreError> {
         self.schema.check_row(&row)?;
-        let key = self.key_of(&row);
-        match self.rows.get(&key) {
+        match self.same_key(&row) {
             Some(existing) if *existing != row => Err(StoreError::KeyViolation(format!(
-                "key {key:?} already bound to a different row"
+                "key {:?} already bound to a different row",
+                self.key_of(&row)
             ))),
             Some(_) => Ok(()), // identical row: no-op, indexes already current
             None => {
+                let key = self.rows.order().key(&row);
                 for idx in &mut self.indexes {
                     idx.add(&key, &row);
                 }
-                self.rows.insert(key, row);
+                drop(key);
+                self.rows.insert(row);
                 Ok(())
             }
         }
@@ -171,14 +242,15 @@ impl Table {
     /// column kept its value is not touched.
     pub fn upsert(&mut self, row: Row) -> Result<Option<Row>, StoreError> {
         self.schema.check_row(&row)?;
-        let key = self.key_of(&row);
         if self.indexes.is_empty() {
-            return Ok(self.rows.insert_changed(key, row).unwrap_or_else(Some));
+            return Ok(self.rows.insert_changed(row).unwrap_or_else(Some));
         }
-        let old = self.rows.get(&key);
+        let order = self.rows.order();
+        let old = self.rows.get(|r| order.cmp(r, &row));
         if old == Some(&row) {
             return Ok(Some(row));
         }
+        let key = order.key(&row);
         for idx in &mut self.indexes {
             let c = idx.col_idx();
             match old {
@@ -190,33 +262,33 @@ impl Table {
                 None => idx.add(&key, &row),
             }
         }
-        Ok(self.rows.insert(key, row))
+        drop(key);
+        Ok(self.rows.insert(row))
     }
 
     /// Delete an identical row; returns whether it was present. Deleting
     /// an absent row writes nothing.
     pub fn delete(&mut self, row: &Row) -> bool {
-        let key = self.key_of(row);
-        if self.rows.get(&key) == Some(row) {
-            self.rows.remove(&key);
-            for idx in &mut self.indexes {
-                idx.remove(&key, row);
-            }
-            true
-        } else {
-            false
+        if !self.contains(row) {
+            return false;
         }
+        let order = self.rows.order().clone();
+        let key = order.key(row);
+        for idx in &mut self.indexes {
+            idx.remove(&key, row);
+        }
+        self.rows.remove(|r| order.cmp(r, row));
+        true
     }
 
     /// Delete by key values; returns the removed row if any.
     pub fn delete_by_key(&mut self, key: &Row) -> Option<Row> {
-        let removed = self.rows.remove(key);
-        if let Some(row) = &removed {
-            for idx in &mut self.indexes {
-                idx.remove(key, row);
-            }
+        let order = self.rows.order().clone();
+        let removed = self.rows.remove(|r| order.cmp_key(r, key))?;
+        for idx in &mut self.indexes {
+            idx.remove(key, &removed);
         }
-        removed
+        Some(removed)
     }
 
     /// Remove all rows.
@@ -239,7 +311,9 @@ impl Table {
         if self.indexes.iter().any(|i| i.column() == column) {
             return Ok(());
         }
-        let idx = ColumnIndex::build(column, col_idx, self.rows.iter());
+        let order = self.rows.order();
+        let rows = self.rows.iter().map(|row| (order.key(row), row));
+        let idx = ColumnIndex::build(column, col_idx, rows);
         self.indexes.push(idx);
         Ok(())
     }
@@ -274,10 +348,11 @@ impl Table {
         lo: Option<&'a Row>,
         hi: Option<&'a Row>,
     ) -> impl Iterator<Item = &'a Row> + 'a {
-        use std::ops::Bound;
-        let lo = lo.map_or(Bound::Unbounded, Bound::Included);
-        let hi = hi.map_or(Bound::Unbounded, Bound::Excluded);
-        self.rows.range::<Row, _>((lo, hi)).map(|(_, row)| row)
+        let order = self.rows.order();
+        let below = move |r: &Row, bound: Option<&Row>| {
+            bound.is_some_and(|key| order.cmp_key(r, key).is_lt())
+        };
+        (self.rows).range(move |r| below(r, lo), move |r| hi.is_none() || below(r, hi))
     }
 
     /// Split off the upper key range: rows with key `>= at` move into the
@@ -285,19 +360,16 @@ impl Table {
     /// sides); rows with key `< at` stay. O(chunks) for the row split
     /// plus O(moved) index maintenance.
     pub fn split_off_key(&mut self, at: &Row) -> Table {
-        let moved = self.rows.split_off(at);
+        let order = self.rows.order().clone();
+        let moved = self.rows.split_off(|r| order.cmp_key(r, at).is_lt());
         for idx in &mut self.indexes {
-            for (key, row) in moved.iter() {
-                idx.remove(key, row);
+            for row in moved.iter() {
+                idx.remove(&order.key(row), row);
             }
         }
-        let mut out = Table {
-            schema: self.schema.clone(),
-            rows: moved,
-            indexes: Vec::new(),
-        };
-        for column in self.indexed_columns().into_iter().map(String::from) {
-            out.create_index(&column)
+        let mut out = Table::derived(self.schema.clone(), moved);
+        for column in self.indexed_columns() {
+            out.create_index(column)
                 .expect("column exists: it was indexed on the source table");
         }
         out
@@ -319,9 +391,10 @@ impl Table {
                 "appended rows must all key above the table's".into(),
             ));
         }
+        let order = self.rows.order();
         for idx in &mut self.indexes {
-            for (key, row) in other.rows.iter() {
-                idx.add(key, row);
+            for row in other.rows.iter() {
+                idx.add(&order.key(row), row);
             }
         }
         Ok(())
@@ -331,11 +404,11 @@ impl Table {
     /// of bounds). A rebalancer picks split points with this: `key_at(len
     /// / 2)` is the median key.
     pub fn key_at(&self, idx: usize) -> Option<Row> {
-        self.rows.key_at(idx).cloned()
+        self.rows.entry_at(idx).map(|row| self.key_of(row))
     }
 
     /// The row map, for diffs that skip the chunks two tables share.
-    pub(crate) fn row_map(&self) -> &CowMap<Row, Row> {
+    pub(crate) fn row_map(&self) -> &CowMap<Row, RowOrder> {
         &self.rows
     }
 
@@ -351,30 +424,30 @@ impl Table {
     /// the one estimating the fewest rows
     /// ([`Predicate::index_probe_with`]), so a tight range on a
     /// high-cardinality column beats an equality probe on a skewed one.
-    /// The complete predicate is still evaluated on each candidate, so the
+    /// The candidates are put back in key order before they load. The
+    /// complete predicate is still evaluated on each candidate, so the
     /// result is identical either way.
     pub fn select(&self, pred: &Predicate) -> Result<Table, StoreError> {
         pred.validate(&self.schema)?;
-        let keep = |(key, row): (&Row, &Row)| match pred.eval(&self.schema, row) {
-            Ok(true) => Some(Ok((key.clone(), row.clone()))),
-            Ok(false) => None,
-            Err(e) => Some(Err(e)),
-        };
-        let rows = match pred.index_probe_with(&self.indexes) {
-            Some(probe) => {
-                let idx = self
-                    .index(&probe.column)
-                    .expect("probe only names indexed columns");
-                let candidates = idx.keys_for(&probe).map(|key| (key, &self.rows[key]));
-                candidates.filter_map(keep).collect::<Result<_, _>>()?
+        let mut kept = Vec::new();
+        let keep = |row: &Row| -> Result<(), StoreError> {
+            if pred.eval(&self.schema, row)? {
+                kept.push(row.clone());
             }
-            None => self
-                .rows
-                .iter()
-                .filter_map(keep)
-                .collect::<Result<_, _>>()?,
+            Ok(())
         };
-        Ok(Table::derived(self.schema.clone(), rows))
+        match pred.index_probe_with(&self.indexes) {
+            Some(probe) => {
+                let idx = (self.index(&probe.column)).expect("probe only names indexed columns");
+                let mut candidates: Vec<&Row> = (idx.keys_for(&probe))
+                    .map(|key| self.keyed(key).expect("index keys name stored rows"))
+                    .collect();
+                candidates.sort_unstable_by(|a, b| self.rows.order().cmp(a, b));
+                candidates.into_iter().try_for_each(keep)?;
+            }
+            None => self.rows.iter().try_for_each(keep)?,
+        }
+        Ok(Table::collected(self.schema.clone(), kept))
     }
 
     /// π: project onto named columns, deduplicating (set semantics).
@@ -384,21 +457,16 @@ impl Table {
     pub fn project(&self, names: &[String]) -> Result<Table, StoreError> {
         let schema = self.schema.project(names)?;
         let indices = self.schema.indices_of(names)?;
-        let key_idx = schema.key_indices();
-        let rows = self.rows.values().map(|row| {
-            let projected = project_row(row, &indices);
-            (project_row(&projected, key_idx), projected)
-        });
-        let rows = rows.collect();
-        Ok(Table::derived(schema, rows))
+        let rows = self.rows.iter().map(|row| project_row(row, &indices));
+        Ok(Table::collected(schema, rows))
     }
 
     /// ρ: rename columns according to `(old, new)` pairs.
     pub fn rename(&self, renames: &[(String, String)]) -> Result<Table, StoreError> {
         let schema = self.schema.rename(renames)?;
-        // Renaming keeps every key column in place, so keys carry over.
-        let rows = self.rows.iter().map(|(k, r)| (k.clone(), r.clone()));
-        Ok(Table::derived(schema, rows.collect()))
+        // Renaming keeps every key column in place, so the rows keep
+        // their order, and the result shares every chunk.
+        Ok(Table::derived(schema, self.rows.clone()))
     }
 
     /// ∪: set union. Schemas must match exactly; key clashes between
@@ -410,7 +478,7 @@ impl Table {
             ));
         }
         let mut out = self.clone();
-        for row in other.rows.values() {
+        for row in other.rows.iter() {
             out.insert(row.clone())?;
         }
         Ok(out)
@@ -423,9 +491,8 @@ impl Table {
                 "difference of different schemas".into(),
             ));
         }
-        let rows = self.rows.iter().filter(|(_, row)| !other.contains(row));
-        let rows = rows.map(|(k, r)| (k.clone(), r.clone())).collect();
-        Ok(Table::derived(self.schema.clone(), rows))
+        let rows = self.rows.iter().filter(|row| !other.contains(row));
+        Ok(Table::collected(self.schema.clone(), rows.cloned()))
     }
 
     /// ∩: set intersection.
@@ -435,9 +502,8 @@ impl Table {
                 "intersection of different schemas".into(),
             ));
         }
-        let rows = self.rows.iter().filter(|(_, row)| other.contains(row));
-        let rows = rows.map(|(k, r)| (k.clone(), r.clone())).collect();
-        Ok(Table::derived(self.schema.clone(), rows))
+        let rows = self.rows.iter().filter(|row| other.contains(row));
+        Ok(Table::collected(self.schema.clone(), rows.cloned()))
     }
 
     /// ⋈: natural join on the shared column names.
@@ -480,7 +546,7 @@ impl Table {
         };
         let mut right_index: BTreeMap<Row, Vec<&Row>> = BTreeMap::new();
         if reusable.is_none() {
-            for row in other.rows.values() {
+            for row in other.rows.iter() {
                 right_index
                     .entry(project_row(row, &right_shared))
                     .or_default()
@@ -489,28 +555,27 @@ impl Table {
         }
         let matches_of = |lkey: &Row| -> Vec<&Row> {
             match reusable {
-                Some(idx) => idx.keys_eq(&lkey[0]).map(|k| &other.rows[k]).collect(),
+                Some(idx) => (idx.keys_eq(&lkey[0]))
+                    .map(|key| other.keyed(key).expect("index keys name stored rows"))
+                    .collect(),
                 None => right_index.get(lkey).cloned().unwrap_or_default(),
             }
         };
 
         let mut out = Table::new(schema);
-        for lrow in self.rows.values() {
+        for lrow in self.rows.iter() {
             let lkey = project_row(lrow, &left_shared);
             for rrow in matches_of(&lkey) {
                 let mut joined = lrow.clone();
                 for &i in &right_rest {
                     joined.push(rrow[i].clone());
                 }
-                let key = out.key_of(&joined);
-                if let Some(existing) = out.rows.get(&key) {
-                    if *existing != joined {
-                        return Err(StoreError::KeyViolation(format!(
-                            "join produced two rows with key {key:?}"
-                        )));
-                    }
+                if let Ok(Some(replaced)) = out.rows.insert_changed(joined) {
+                    return Err(StoreError::KeyViolation(format!(
+                        "join produced two rows with key {:?}",
+                        out.key_of(&replaced)
+                    )));
                 }
-                out.rows.insert(key, joined);
             }
         }
         Ok(out)
@@ -522,7 +587,7 @@ impl Table {
         let mut widths: Vec<usize> = names.iter().map(|n| n.len()).collect();
         let rendered: Vec<Vec<String>> = self
             .rows
-            .values()
+            .iter()
             .map(|r| r.iter().map(Value::to_string).collect())
             .collect();
         for row in &rendered {

@@ -4,14 +4,61 @@
 //! builds against per-row inserts, and coalesced delta runs against the
 //! diff of their end points.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::{Bound, RangeBounds};
 
 use proptest::prelude::*;
 
 use esm_store::{
-    CowMap, Delta, IndexProbe, Operand, Predicate, Row, Schema, Table, Value, ValueType,
+    CowMap, Delta, IndexProbe, Operand, Order, Predicate, Row, Schema, Table, Value, ValueType,
 };
+
+/// `(key, value)` pairs ordered by key: a `CowMap` from `i64` to `i64`.
+#[derive(Clone, Copy, Default)]
+struct ByKey;
+
+impl Order<(i64, i64)> for ByKey {
+    fn cmp(&self, a: &(i64, i64), b: &(i64, i64)) -> Ordering {
+        a.0.cmp(&b.0)
+    }
+}
+
+/// A `CowMap` from `i64` to `i64`.
+type PairMap = CowMap<(i64, i64), ByKey>;
+
+/// Rows ordered by their first cell.
+#[derive(Clone, Copy, Default)]
+struct ByFirstCell;
+
+impl Order<Row> for ByFirstCell {
+    fn cmp(&self, a: &Row, b: &Row) -> Ordering {
+        a[0].cmp(&b[0])
+    }
+}
+
+/// The `CowMap` probe seeking key `k`.
+fn key(k: i64) -> impl Fn(&(i64, i64)) -> Ordering {
+    move |e| e.0.cmp(&k)
+}
+
+/// Does key `k` sort before `bound`, taken as a range's start?
+fn before_start(bound: Bound<i64>, k: i64) -> bool {
+    match bound {
+        Bound::Included(b) => k < b,
+        Bound::Excluded(b) => k <= b,
+        Bound::Unbounded => false,
+    }
+}
+
+/// Does key `k` sort before `bound`, taken as a range's end?
+fn before_end(bound: Bound<i64>, k: i64) -> bool {
+    match bound {
+        Bound::Included(b) => k <= b,
+        Bound::Excluded(b) => k < b,
+        Bound::Unbounded => true,
+    }
+}
 
 /// Long enough, over a small enough key space, that chunks of 256 split
 /// and fold many times per case.
@@ -95,7 +142,7 @@ fn assert_probes_match_scans(t: &Table, probes: &[(u8, i64, i64)]) {
     for &(kind, a, b) in probes {
         let (probe, range) = probe_of(kind, a, b);
         let idx = t.index(&probe.column).expect("indexed");
-        let mut served: Vec<Row> = idx.keys_for(&probe).cloned().collect();
+        let mut served: Vec<Row> = idx.keys_for(&probe).map(<[Value]>::to_vec).collect();
         served.sort();
         let col = t.schema().index_of(&probe.column).expect("column exists");
         let scanned: Vec<Row> = t
@@ -111,48 +158,60 @@ fn assert_probes_match_scans(t: &Table, probes: &[(u8, i64, i64)]) {
 proptest! {
     #[test]
     fn cow_map_matches_btree_map_and_clones_stay_put(ops in arb_ops()) {
-        let mut map: CowMap<i64, i64> = CowMap::new();
+        let mut map = PairMap::default();
         let mut model: BTreeMap<i64, i64> = BTreeMap::new();
-        let mut clones: Vec<(CowMap<i64, i64>, BTreeMap<i64, i64>)> = Vec::new();
+        let mut clones: Vec<(PairMap, BTreeMap<i64, i64>)> = Vec::new();
+        let pairs = |m: &BTreeMap<i64, i64>| m.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>();
         for (step, &(kind, k, v)) in ops.iter().enumerate() {
             match kind {
-                0 | 1 => prop_assert_eq!(map.insert(k, v), model.insert(k, v)),
+                0 | 1 => prop_assert_eq!(map.insert((k, v)), model.insert(k, v).map(|old| (k, old))),
                 2 => {
                     // An equal value writes nothing and comes back.
                     let v = if v % 2 == 0 { model.get(&k).copied().unwrap_or(v) } else { v };
-                    let want = if model.get(&k) == Some(&v) { Err(v) } else { Ok(model.insert(k, v)) };
-                    prop_assert_eq!(map.insert_changed(k, v), want);
+                    let want = if model.get(&k) == Some(&v) {
+                        Err((k, v))
+                    } else {
+                        Ok(model.insert(k, v).map(|old| (k, old)))
+                    };
+                    prop_assert_eq!(map.insert_changed((k, v)), want);
                 }
-                3 | 4 => prop_assert_eq!(map.remove(&k), model.remove(&k)),
+                3 | 4 => prop_assert_eq!(map.remove(key(k)), model.remove(&k).map(|old| (k, old))),
                 5 => {
                     // Bounds may cross: such a range selects nothing.
                     let range = (bound(v, k), bound(v / 3, k + v - 300));
-                    let got: Vec<_> = map.range(range).collect();
-                    let want: Vec<_> = model.iter().filter(|(key, _)| range.contains(*key)).collect();
+                    let got: Vec<_> = map
+                        .range(move |e| before_start(range.0, e.0), move |e| before_end(range.1, e.0))
+                        .copied()
+                        .collect();
+                    let want: Vec<_> = model
+                        .iter()
+                        .filter(|(key, _)| range.contains(*key))
+                        .map(|(&k, &v)| (k, v))
+                        .collect();
                     prop_assert_eq!(got, want);
                 }
                 6 => {
                     if step % 7 == 0 {
                         // Keep the lower half, and check the upper one.
-                        let upper = map.split_off(&k);
+                        let upper = map.split_off(|e| e.0 < k);
                         let model_upper = model.split_off(&k);
-                        prop_assert!(upper.iter().eq(model_upper.iter()));
+                        prop_assert!(upper.iter().copied().eq(pairs(&model_upper)));
                         prop_assert_eq!(upper.len(), model_upper.len());
                     }
                 }
                 _ => clones.push((map.clone(), model.clone())),
             }
             prop_assert_eq!(map.len(), model.len());
-            prop_assert_eq!(map.get(&k), model.get(&k));
+            prop_assert_eq!(map.get(key(k)).map(|e| e.1), model.get(&k).copied());
         }
-        prop_assert!(map.iter().eq(model.iter()));
+        prop_assert!(map.iter().copied().eq(pairs(&model)));
         let mid = model.len() / 2;
-        prop_assert_eq!(map.key_at(mid), model.keys().nth(mid));
+        prop_assert_eq!(map.entry_at(mid).map(|e| e.0), model.keys().nth(mid).copied());
         for (clone, expected) in &clones {
-            prop_assert!(clone.iter().eq(expected.iter()));
+            prop_assert!(clone.iter().copied().eq(pairs(expected)));
             prop_assert_eq!(clone.len(), expected.len());
         }
-        let rebuilt: CowMap<i64, i64> = model.into_iter().collect();
+        let rebuilt: PairMap = model.into_iter().collect();
         prop_assert_eq!(&map, &rebuilt);
     }
 
@@ -242,9 +301,9 @@ proptest! {
             let keep = Predicate::ne(Operand::col("grp"), Operand::val(3i64));
             prop_assert_eq!(t.select(&keep).expect("valid"), rebuild(t).select(&keep).expect("valid"));
         }
-        let map: CowMap<Row, Row> = rows.iter().map(|r| (vec![r[0].clone()], r.clone())).collect();
+        let map: CowMap<Row, ByFirstCell> = rows.iter().cloned().collect();
         let model: BTreeMap<Row, Row> = rows.iter().map(|r| (vec![r[0].clone()], r.clone())).collect();
-        prop_assert!(map.iter().eq(model.iter()));
+        prop_assert!(map.iter().eq(model.values()));
         prop_assert_eq!(map.len(), model.len());
     }
 

@@ -22,7 +22,7 @@
 //! - [`algebraic`] — Stevens-style algebraic bx (Lemma 5).
 //! - [`symmetric`] — Hofmann–Pierce–Wagner symmetric lenses (Lemma 6).
 //! - [`store`] — an in-memory relational database substrate (tables,
-//!   predicates, deltas, secondary B-tree indexes).
+//!   predicates, deltas, secondary indexes).
 //! - [`relational`] — relational lenses over [`store`] (select / project /
 //!   join views as bx).
 //! - [`engine`] — the concurrent, transactional bidirectional database
