@@ -9,10 +9,9 @@
 //! pointers sits behind an `Arc` of its own. Cloning the map copies that
 //! one pointer, and the clone shares the list and every chunk with the
 //! original. A write makes the list and the one chunk it lands in its
-//! own: while a clone still shares them, it copies the chunk pointers
-//! (O(chunks), no entry) and that one chunk, with room for the entry it
-//! adds, and never touches the other chunks. Removing an absent entry
-//! copies nothing.
+//! own (`Arc::make_mut`): while a clone still shares them, it copies the
+//! chunk pointers (O(chunks), no entry) and that one chunk, and never
+//! touches the other chunks. Removing an absent entry copies nothing.
 //!
 //! Two maps descended from one share every chunk neither side wrote, so
 //! [`CowMap::unshared`] finds what differs between them by pointer
@@ -24,11 +23,11 @@
 //! [`slice::partition_point`] does.
 //!
 //! A chunk that grows past [`CHUNK`] splits in two; one that shrinks
-//! below a quarter of it folds into a neighbour. A chunk's vector holds
-//! no spare slot beyond the one an insert is making: it grows by exactly
-//! one entry per insert, and a split or a cut leaves both halves at
-//! their length, so a 16-row window holds 16 slots, not 256. The price
-//! is a reallocation per insert into a chunk this map owns alone.
+//! below a quarter of it folds into a neighbour. A chunk's vector grows
+//! as any `Vec` does, by doubling, so its reallocations amortize over
+//! the inserts. A load, a split and a cut leave each chunk they make at
+//! its length, and a copy is made at its length: a 16-row window holds
+//! 16 slots, and 32 after its first insert, never 256.
 //!
 //! Building a map from entries ([`CowMap::from_entries`]) takes one
 //! pass: each run of up to [`CHUNK`] entries in strictly ascending order
@@ -62,11 +61,12 @@ pub struct CowMap<T, O> {
     order: O,
 }
 
+#[derive(Clone)]
 struct Chunk<T> {
     /// A copy of the first entry, taken when it became first: it orders
     /// as `entries[0]` does, which is all a search asks of it.
     first: T,
-    /// The entries, sorted, with no spare capacity at rest.
+    /// The entries, sorted.
     entries: Vec<T>,
 }
 
@@ -153,22 +153,9 @@ impl<T: Clone, O: Order<T>> CowMap<T, O> {
         Arc::make_mut(&mut self.chunks)
     }
 
-    /// Chunk `i`, for a write that adds `extra` entries: copied first,
-    /// with room for them, if a clone shares it, and otherwise grown by
-    /// exactly that room.
-    fn chunk_mut(&mut self, i: usize, extra: usize) -> &mut Chunk<T> {
-        let slot = &mut self.chunks_mut()[i];
-        if Arc::get_mut(slot).is_none() {
-            let mut entries = Vec::with_capacity(slot.entries.len() + extra);
-            entries.extend_from_slice(&slot.entries);
-            *slot = Arc::new(Chunk {
-                first: slot.first.clone(),
-                entries,
-            });
-        }
-        let chunk = Arc::get_mut(slot).expect("the chunk is this map's alone");
-        chunk.entries.reserve_exact(extra);
-        chunk
+    /// Chunk `i`, for a write: copied first if a clone shares it.
+    fn chunk_mut(&mut self, i: usize) -> &mut Chunk<T> {
+        Arc::make_mut(&mut self.chunks_mut()[i])
     }
 
     /// The chunk that holds the sought entry if any chunk does: the last
@@ -232,7 +219,7 @@ impl<T: Clone, O: Order<T>> CowMap<T, O> {
             self.chunks_mut().extend(Chunk::new(vec![entry]));
             return Ok(None);
         }
-        let chunk = self.chunk_mut(i, usize::from(at.is_err()));
+        let chunk = self.chunk_mut(i);
         match at {
             Ok(p) => Ok(Some(std::mem::replace(&mut chunk.entries[p], entry))),
             Err(p) => {
@@ -256,9 +243,8 @@ impl<T: Clone, O: Order<T>> CowMap<T, O> {
         }
         let i = self.chunk_of(&probe);
         let p = self.chunks[i].entries.binary_search_by(probe).ok()?;
-        let chunk = self.chunk_mut(i, 0);
+        let chunk = self.chunk_mut(i);
         let removed = chunk.entries.remove(p);
-        chunk.entries.shrink_to(chunk.entries.len() + 1);
         if let (0, Some(first)) = (p, chunk.entries.first()) {
             chunk.first = first.clone();
         }
@@ -304,7 +290,7 @@ impl<T: Clone, O: Order<T>> CowMap<T, O> {
         if whole < self.chunks.len() || cut.is_some() {
             upper = self.chunks_mut().split_off(whole);
             if let Some((i, p)) = cut {
-                let chunk = self.chunk_mut(i, 0);
+                let chunk = self.chunk_mut(i);
                 let moved = chunk.entries.split_off(p);
                 chunk.entries.shrink_to_fit();
                 upper.insert(0, Chunk::new(moved).expect("the cut moves an entry"));
@@ -418,7 +404,7 @@ impl<T: Clone, O: Order<T>> CowMap<T, O> {
     /// Split chunk `i` at its middle entry; both halves keep no spare
     /// capacity.
     fn split(&mut self, i: usize) {
-        let chunk = self.chunk_mut(i, 0);
+        let chunk = self.chunk_mut(i);
         let upper = chunk.entries.split_off(chunk.entries.len() / 2);
         chunk.entries.shrink_to_fit();
         let upper = Chunk::new(upper).expect("a chunk being split holds two entries");
@@ -430,7 +416,7 @@ impl<T: Clone, O: Order<T>> CowMap<T, O> {
     fn fold(&mut self, i: usize) {
         let left = i.saturating_sub(1);
         let right = self.chunks_mut().remove(left + 1);
-        let merged = self.chunk_mut(left, right.entries.len());
+        let merged = self.chunk_mut(left);
         match Arc::try_unwrap(right) {
             Ok(right) => merged.entries.extend(right.entries),
             Err(right) => merged.entries.extend_from_slice(&right.entries),
@@ -546,14 +532,13 @@ mod tests {
         (0..n).map(|k| (k, k * 10)).collect()
     }
 
-    /// Every chunk is non-empty, within bounds, without spare capacity,
-    /// first-entry-cached and in order, and `len` is their sum.
+    /// Every chunk is non-empty, within bounds, first-entry-cached and
+    /// in order, and `len` is their sum.
     fn assert_well_formed(m: &Map) {
         let mut prev: Option<i64> = None;
         for (i, c) in m.chunks.iter().enumerate() {
             let n = c.entries.len();
             assert!(n > 0 && n <= CHUNK, "chunk {i} size");
-            assert!(c.entries.capacity() <= n + 1, "chunk {i} spare capacity");
             assert_eq!(c.entries[0].0, c.first.0, "chunk {i} first entry");
             assert!(
                 c.entries.windows(2).all(|w| w[0].0 < w[1].0),
@@ -576,9 +561,15 @@ mod tests {
         assert_well_formed(&m);
         assert_eq!(m.chunks.len(), 4);
         assert!(m.iter().map(|e| e.0).eq(0..1000));
-        // A small map holds only its own entries' slots.
-        let small = filled(16);
+        // A small map holds only its own entries' slots, and an insert,
+        // into a copy or in place, at most doubles them.
+        let mut small = filled(16);
         assert_eq!(small.chunks[0].entries.capacity(), 16);
+        let mut copy = small.clone();
+        copy.insert((100, 0));
+        small.insert((100, 0));
+        assert!(copy.chunks[0].entries.capacity() <= 32);
+        assert!(small.chunks[0].entries.capacity() <= 32);
     }
 
     #[test]
@@ -597,11 +588,14 @@ mod tests {
     }
 
     #[test]
-    fn inserts_keep_no_spare_capacity() {
+    fn inserts_grow_chunks_at_most_twofold() {
         let mut m = Map::default();
         for k in (0..2000).rev() {
             m.insert((k, k));
             assert_well_formed(&m);
+            for c in m.chunks.iter() {
+                assert!(c.entries.capacity() <= 2 * c.entries.len());
+            }
         }
         for k in (0..2000).step_by(3) {
             m.remove(key(k));

@@ -206,12 +206,8 @@ impl Table {
     }
 
     /// Look up a row by its key values.
-    pub fn get_by_key(&self, key: &Row) -> Option<&Row> {
-        self.keyed(key)
-    }
-
-    /// The row whose key cells are `key`.
-    fn keyed(&self, key: &[Value]) -> Option<&Row> {
+    pub fn get_by_key(&self, key: &(impl AsRef<[Value]> + ?Sized)) -> Option<&Row> {
+        let key = key.as_ref();
         self.rows.get(|r| self.rows.order().cmp_key(r, key))
     }
 
@@ -440,7 +436,7 @@ impl Table {
             Some(probe) => {
                 let idx = (self.index(&probe.column)).expect("probe only names indexed columns");
                 let mut candidates: Vec<&Row> = (idx.keys_for(&probe))
-                    .map(|key| self.keyed(key).expect("index keys name stored rows"))
+                    .map(|key| self.get_by_key(key).expect("index keys name stored rows"))
                     .collect();
                 candidates.sort_unstable_by(|a, b| self.rows.order().cmp(a, b));
                 candidates.into_iter().try_for_each(keep)?;
@@ -556,7 +552,7 @@ impl Table {
         let matches_of = |lkey: &Row| -> Vec<&Row> {
             match reusable {
                 Some(idx) => (idx.keys_eq(&lkey[0]))
-                    .map(|key| other.keyed(key).expect("index keys name stored rows"))
+                    .map(|key| other.get_by_key(key).expect("index keys name stored rows"))
                     .collect(),
                 None => right_index.get(lkey).cloned().unwrap_or_default(),
             }
