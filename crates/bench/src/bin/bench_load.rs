@@ -245,9 +245,9 @@ fn main() {
                 span_ns(r, &["commit_fsync"]) / 1000,
                 span_ns(r, &["group_commit_wait"]) / 1000,
                 span_ns(r, &["commit_wal_append"]) / 1000,
-                span_ns(r, &["commit_validate"]) / 1000,
-                span_ns(r, &["commit_snapshot"]) / 1000,
-                span_ns(r, &["net_handler"]) / 1000,
+                span_ns(r, &["commit_fcw_validate"]) / 1000,
+                span_ns(r, &["commit_snapshot_acquire"]) / 1000,
+                span_ns(r, &["net_handler_execute"]) / 1000,
             );
         }
     }

@@ -109,9 +109,9 @@ pub struct DurabilityConfig {
     /// thread (embedders then drive `run_maintenance` themselves — the
     /// deterministic choice for tests).
     pub maintenance_interval_ms: u64,
-    /// Telemetry tuning for the engine this config builds: slow-op
-    /// threshold, ring and trace-buffer capacities, trace sampling
-    /// rate. Defaults preserve the zero-config behavior.
+    /// Telemetry tuning for the engine this config builds: slow-trace
+    /// threshold, trace-buffer capacity, trace sampling rate. Defaults
+    /// preserve the zero-config behavior.
     pub telemetry: esm_obs::TelemetryConfig,
     /// Chaos knob: extra nanoseconds every disk fsync sleeps before
     /// issuing, read live from the shared atomic. The load/chaos

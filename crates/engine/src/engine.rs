@@ -374,9 +374,9 @@ pub trait Engine: Send + Sync + std::fmt::Debug {
     fn metrics(&self) -> Result<MetricsSnapshot, EngineError>;
 
     /// A point-in-time copy of the engine's phase-latency histograms
-    /// and slow-op ring ([`esm_obs::TelemetrySnapshot`]). In-process
-    /// engines snapshot their live registry; the remote engine fetches
-    /// the server's snapshot over the wire (`STATS`).
+    /// and slow-trace threshold ([`esm_obs::TelemetrySnapshot`]).
+    /// In-process engines snapshot their live registry; the remote
+    /// engine fetches the server's snapshot over the wire (`STATS`).
     fn telemetry(&self) -> Result<esm_obs::TelemetrySnapshot, EngineError>;
 
     /// A copy of the engine's trace rings ([`esm_obs::TraceReport`]):

@@ -364,40 +364,40 @@
 //! ### Observability ([`esm_obs`])
 //!
 //! Every engine owns an [`esm_obs::Telemetry`] registry — one lock-free
-//! log-bucketed histogram per instrumented phase — threaded through the
-//! hot paths in three layers: **recorders** ([`esm_obs::Span`] /
-//! [`esm_obs::Timer`]) time the phase at the call site (commit snapshot
-//! acquire, FCW validate, WAL append, fsync, shard-lock hold, the 2PC
-//! prepare/resolve/fsync trio, view drain/fold/rebuild) and cost one
-//! relaxed atomic add each; the **registry** aggregates them and keeps a
-//! bounded **slow-op ring** (operations crossing
-//! [`esm_obs::Telemetry::set_slow_threshold_ns`], captured with their
-//! per-phase breakdown, oldest evicted first — reads are non-draining,
-//! so the wire surface is idempotent); **exposition** is
-//! [`Engine::telemetry`] returning a mergeable
-//! [`esm_obs::TelemetrySnapshot`], renderable as Prometheus-style text
-//! ([`esm_obs::render_prometheus`]) and fetchable over the wire via the
-//! esm-net `STATS` verb. The WAL append and fsync phases are recorded
-//! inside [`segment::SegmentWriter`] — the one place the two costs are
-//! separable — so a slow disk is distinguishable from a fat record, and
-//! from lock contention, by histogram alone.
+//! log-bucketed histogram per instrumented [`Phase`] plus a trace
+//! store. A timed region is one [`esm_obs::PhaseGuard`]
+//! ([`esm_obs::Telemetry::start`]): commit snapshot acquire, FCW
+//! validate and shard-lock hold, WAL append and fsync, the 2PC
+//! prepare/resolve/fsync trio, view drain/fold/rebuild, subscription
+//! drain, and replica ship/apply. When the guard drops it records the
+//! phase histogram (one relaxed atomic add) and, inside a trace, files
+//! a span under the phase's name, so every phase reaches both export
+//! surfaces from one line of code. [`Engine::telemetry`] returns a
+//! mergeable [`esm_obs::TelemetrySnapshot`], renderable as
+//! Prometheus-style text ([`esm_obs::render_prometheus`]) and fetchable
+//! over the wire via the esm-net `STATS` verb. The WAL append and fsync
+//! phases are timed inside [`segment::SegmentWriter`] — the one place
+//! the two costs are separable — so a slow disk is distinguishable from
+//! a fat record, and from lock contention, by histogram alone.
 //!
 //! Histograms aggregate; **causal traces** explain. [`Session`] offers
 //! every operation to the engine's registry for head sampling
 //! (1-in-N, [`esm_obs::Telemetry::set_trace_sample_every`]); an elected
-//! request mints an [`esm_obs::TraceId`] and every instrumented layer
-//! below attaches [`esm_obs::SpanRecord`]s to it via a thread-local
-//! context — commit snapshot/validate, WAL append (with frame bytes),
-//! group-commit wait (tagged `leader`/`follower`), fsync, per-shard 2PC
-//! umbrellas with prepare/fsync/resolve children, view
-//! drain/fold/rebuild. Finished traces land in bounded rings (all
-//! recent, plus a tail-capture ring for traces crossing the slow-op
-//! threshold) read via [`Engine::traces`] and rendered as a causally
-//! indented tree ([`esm_obs::render_trace`]). Untraced operations pay
-//! one thread-local read and allocate nothing. Over the wire, the
-//! trace context rides binary request frames, so one `TraceId` spans
-//! client, server and fsync (the esm-net `TRACE` verb fetches the
-//! server's rings).
+//! request mints an [`esm_obs::TraceId`] and every phase below attaches
+//! an [`esm_obs::SpanRecord`] to it via a thread-local context, with
+//! the WAL append's frame bytes. Four trace-only spans have no
+//! histogram: the group-commit wait (tagged `leader`/`follower`), the
+//! `twopc` umbrella, one `twopc_participant` umbrella per shard over
+//! its prepare/fsync/resolve children, and the client's
+//! `net_round_trip`. Finished traces land in bounded rings (all recent,
+//! plus a tail-capture ring for traces crossing
+//! [`esm_obs::Telemetry::set_slow_threshold_ns`]) read via
+//! [`Engine::traces`] and rendered as a causally indented tree
+//! ([`esm_obs::render_trace`]). Untraced operations pay one
+//! thread-local read and allocate nothing. Over the wire, the trace
+//! context rides binary request frames, so one `TraceId` spans client,
+//! server and fsync (the esm-net `TRACE` verb fetches the server's
+//! rings).
 //!
 //! ### Index maintenance
 //!
@@ -490,8 +490,7 @@ pub use engine::{
 };
 pub use error::EngineError;
 pub use esm_obs::{
-    render_prometheus, Histogram, HistogramSnapshot, Phase, SlowOp, Span, Telemetry,
-    TelemetrySnapshot, Timer,
+    render_prometheus, Histogram, HistogramSnapshot, Phase, Telemetry, TelemetrySnapshot,
 };
 pub use metrics::{
     Metrics, MetricsSnapshot, ReplStats, ReplicaLag, ShardLoad, ShardStats, ViewStats, WalStats,

@@ -235,7 +235,7 @@ impl ReplicaEngine {
         let mut report = ReplSyncReport::default();
 
         let telemetry = Arc::clone(self.inner.serving.telemetry_registry());
-        let ship_timer = telemetry.timer(Phase::ReplShip);
+        let ship = telemetry.start(Phase::ReplShip);
         let manifest = self.inner.source.manifest()?;
         if !manifest.primary_addr.is_empty() {
             if let Ok(mut a) = self.inner.primary_addr.lock() {
@@ -249,9 +249,9 @@ impl ReplicaEngine {
             self.inner.chunk_bytes,
             &mut report.bytes_shipped,
         )?;
-        drop(ship_timer);
+        drop(ship);
 
-        let _apply_timer = telemetry.timer(Phase::ReplApply);
+        let _apply = telemetry.start(Phase::ReplApply);
         let topology_changed = state.topology != manifest.topology;
         let mut need_reconcile = structural || topology_changed;
         if !need_reconcile {

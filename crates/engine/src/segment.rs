@@ -53,7 +53,7 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use esm_obs::{Phase, Span, Telemetry};
+use esm_obs::{Phase, PhaseGuard, Telemetry};
 use esm_store::codec;
 
 use crate::error::EngineError;
@@ -499,18 +499,12 @@ impl<F: SegmentFile> SegmentWriter<F> {
     /// [`SegmentWriter::sync`]). Returns the appended size in bytes,
     /// frame included.
     pub fn append(&mut self, record: &WalRecord) -> Result<u64, EngineError> {
-        let span = Span::start();
-        let mut tspan = esm_obs::trace::span("commit_wal_append");
+        let mut append = PhaseGuard::open(self.telemetry.as_deref(), Phase::CommitWalAppend);
         let framed = encode_framed_binary(record);
         self.file.append(&framed)?;
         self.bytes += framed.len() as u64;
         self.pending += 1;
-        if let Some(t) = tspan.as_mut() {
-            t.set_bytes(framed.len() as u64);
-        }
-        if let Some(tel) = &self.telemetry {
-            tel.record(Phase::CommitWalAppend, span.elapsed_ns());
-        }
+        append.set_bytes(framed.len() as u64);
         Ok(framed.len() as u64)
     }
 
@@ -520,12 +514,8 @@ impl<F: SegmentFile> SegmentWriter<F> {
         if self.pending == 0 {
             return Ok(false);
         }
-        let span = Span::start();
-        let _tspan = esm_obs::trace::span("commit_fsync");
+        let _fsync = PhaseGuard::open(self.telemetry.as_deref(), Phase::CommitFsync);
         self.file.sync()?;
-        if let Some(tel) = &self.telemetry {
-            tel.record(Phase::CommitFsync, span.elapsed_ns());
-        }
         self.pending = 0;
         Ok(true)
     }

@@ -40,7 +40,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use esm_obs::{Phase, Span, Telemetry};
+use esm_obs::{Phase, PhaseGuard, Telemetry};
 use esm_store::Delta;
 
 use crate::error::EngineError;
@@ -103,10 +103,11 @@ impl ShardCoordinator {
     /// position in the engine-wide serialization order, and each
     /// participant records it in its stamp index at its resolution.
     ///
-    /// With `telemetry`, each participant's prepare append, resolve
-    /// append and both fsyncs time into the `Twopc*` phases — one
-    /// sample per participant per phase, so the histograms expose the
-    /// per-shard cost, not just the transaction total.
+    /// Each participant's prepare append, resolve append and both
+    /// fsyncs are `Twopc*` phase regions: with `telemetry` one sample
+    /// per participant per phase, so the histograms expose the per-shard
+    /// cost, not just the transaction total; inside a trace one span
+    /// each, under the participant's umbrella.
     pub(crate) fn commit_cross(
         &self,
         participants: &[Participant<'_>],
@@ -127,11 +128,12 @@ impl ShardCoordinator {
 
         // With an active trace, each participant gets an *umbrella* span
         // covering its whole share of the protocol; the prepare, fsync
-        // and resolve children below parent under it, so the rendered
-        // tree groups per shard even though the phases interleave across
-        // participants. Within one participant the children are
-        // time-disjoint; across participants the umbrellas overlap (the
-        // prepare fsyncs run in parallel).
+        // and resolve regions below run inside it (`under(i)` is the
+        // context to enter), so the rendered tree groups per shard even
+        // though the phases interleave across participants. Within one
+        // participant the children are time-disjoint; across
+        // participants the umbrellas overlap (the prepare fsyncs run in
+        // parallel).
         let trace = esm_obs::trace::current();
         let umbrellas: Option<Vec<esm_obs::SpanGuard>> = trace.as_ref().map(|t| {
             participants
@@ -144,6 +146,9 @@ impl ShardCoordinator {
                 (Some(t), Some(us)) => Some(t.under(us[i].id())),
                 _ => None,
             }
+        };
+        let fsync = |role: &'static str| {
+            PhaseGuard::open(telemetry, Phase::TwopcParticipantFsync).tag(|| role.to_string())
         };
 
         // Validate first-committer-wins on every participant before
@@ -169,17 +174,15 @@ impl ShardCoordinator {
         // best-effort abort the shards already prepared (a poisoned
         // shard refuses and recovery will presume abort for it anyway).
         for i in 0..participants.len() {
-            let prep_span = Span::start();
-            let prep_tspan = under(i).map(|ctx| ctx.child("twopc_prepare", ""));
-            let appended = guards[i].append_group(
-                &participants[i].deltas,
-                GroupEnd::Prepare(gtx.clone()),
-                true,
-            );
-            drop(prep_tspan);
-            if let Some(tel) = telemetry {
-                tel.record(Phase::TwopcPrepare, prep_span.elapsed_ns());
-            }
+            let appended = {
+                let _in = under(i).map(esm_obs::trace::enter);
+                let _prepare = PhaseGuard::open(telemetry, Phase::TwopcPrepare);
+                guards[i].append_group(
+                    &participants[i].deltas,
+                    GroupEnd::Prepare(gtx.clone()),
+                    true,
+                )
+            };
             if let Err(e) = appended {
                 for j in 0..i {
                     let _ = guards[j].resolve(&gtx, false, &participants[j].deltas, false);
@@ -193,19 +196,14 @@ impl ShardCoordinator {
                 .enumerate()
                 .map(|(i, guard)| {
                     let state: &mut ShardState = guard;
-                    // The scoped thread has no thread-local trace;
-                    // parent its fsync span explicitly under the
-                    // participant's umbrella.
+                    // The scoped thread has no thread-local trace: it
+                    // enters the participant's umbrella first.
                     let ctx = under(i);
+                    let fsync = &fsync;
                     scope.spawn(move || {
-                        let sync_span = Span::start();
-                        let sync_tspan = ctx.map(|c| c.child("twopc_fsync", "prepare"));
-                        let synced = state.sync();
-                        drop(sync_tspan);
-                        if let Some(tel) = telemetry {
-                            tel.record(Phase::TwopcParticipantFsync, sync_span.elapsed_ns());
-                        }
-                        synced
+                        let _in = ctx.map(esm_obs::trace::enter);
+                        let _fsync = fsync("prepare");
+                        state.sync()
                     })
                 })
                 .collect();
@@ -248,21 +246,14 @@ impl ShardCoordinator {
                     "failpoint: coordinator crashed after {i} resolutions of {gtx}"
                 )));
             }
-            let resolve_span = Span::start();
-            let resolve_tspan = under(i).map(|ctx| ctx.child("twopc_resolve", ""));
-            guard.resolve(&gtx, true, &p.deltas, true)?;
-            guard.note_stamp(receipt);
-            drop(resolve_tspan);
-            if let Some(tel) = telemetry {
-                tel.record(Phase::TwopcResolve, resolve_span.elapsed_ns());
+            let _in = under(i).map(esm_obs::trace::enter);
+            {
+                let _resolve = PhaseGuard::open(telemetry, Phase::TwopcResolve);
+                guard.resolve(&gtx, true, &p.deltas, true)?;
+                guard.note_stamp(receipt);
             }
-            let sync_span = Span::start();
-            let sync_tspan = under(i).map(|ctx| ctx.child("twopc_fsync", "resolve"));
+            let _fsync = fsync("resolve");
             guard.sync()?;
-            drop(sync_tspan);
-            if let Some(tel) = telemetry {
-                tel.record(Phase::TwopcParticipantFsync, sync_span.elapsed_ns());
-            }
         }
         Ok((gtx, receipt))
     }

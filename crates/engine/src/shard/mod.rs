@@ -63,7 +63,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use esm_lens::{DeltaLens, DeltaOutcome};
-use esm_obs::{Phase, Span, Telemetry, TelemetrySnapshot};
+use esm_obs::{Phase, Telemetry, TelemetrySnapshot};
 use esm_relational::ViewDef;
 use esm_store::codec::{self, BinReader};
 use esm_store::{Database, Delta, Row, Schema, Table, Value};
@@ -172,7 +172,7 @@ pub(crate) struct ShardedInner {
     /// in-memory engines. Shard `id` logs into `dir/shard-<id>`.
     pub(crate) durable_base: Option<DurabilityConfig>,
     pub(crate) next_shard_id: AtomicU64,
-    /// Phase-latency histograms + slow-op ring, shared with every
+    /// Phase-latency histograms + trace store, shared with every
     /// shard's durable WAL (and handed to shards created later by the
     /// rebalancer).
     pub(crate) telemetry: Arc<Telemetry>,
@@ -894,15 +894,15 @@ impl ShardedEngineServer {
     }
 
     /// The live phase-latency registry (shared with every shard's
-    /// durable WAL). Exposed so embedders can tune the slow-op
-    /// threshold; take [`ShardedEngineServer::telemetry`] for a
-    /// snapshot.
+    /// durable WAL). Exposed so embedders can tune the slow threshold
+    /// and the trace sampling rate; take
+    /// [`ShardedEngineServer::telemetry`] for a snapshot.
     pub fn telemetry_registry(&self) -> &Arc<Telemetry> {
         &self.inner.telemetry
     }
 
     /// A point-in-time copy of the phase-latency histograms and the
-    /// slow-op ring.
+    /// slow-trace threshold.
     pub fn telemetry(&self) -> TelemetrySnapshot {
         self.inner.telemetry.snapshot()
     }
@@ -1089,19 +1089,15 @@ impl ShardedEngineServer {
         validate: impl FnOnce(&shard::ShardState) -> Result<(), EngineError>,
     ) -> Result<u64, EngineError> {
         let tel = &self.inner.telemetry;
+        // The lock-hold region ends where the write guard drops, on
+        // every path (it is declared after the guard, so it drops first).
         let mut guard = shard.write();
-        let lock_span = Span::start();
-        let validate_span = Span::start();
-        let validate_tspan =
-            esm_obs::trace::span_tagged("commit_validate", format!("shard:{index}"));
-        let validated = validate(&guard);
-        let validate_ns = validate_span.elapsed_ns();
-        drop(validate_tspan);
-        tel.record(Phase::CommitValidate, validate_ns);
-        if let Err(e) = validated {
-            drop(guard);
-            tel.record(Phase::CommitLockHold, lock_span.elapsed_ns());
-            return Err(e);
+        let lock_hold = tel.start(Phase::CommitLockHold);
+        {
+            let _validate = tel
+                .start(Phase::CommitValidate)
+                .tag(|| format!("shard:{index}"));
+            validate(&guard)?;
         }
         // Defer the fsync when the shard has a group-commit gate: after
         // the lock drops, this session parks on the gate and one leader
@@ -1109,18 +1105,9 @@ impl ShardedEngineServer {
         let appended = guard.append_group(deltas, GroupEnd::Commit, shard.has_group_commit())?;
         let stamp = self.inner.stamp.fetch_add(1, Ordering::SeqCst);
         guard.note_stamp(stamp);
+        drop(lock_hold);
         drop(guard);
         shard.wait_group(appended.end.saturating_sub(1))?;
-        let lock_ns = lock_span.elapsed_ns();
-        tel.record(Phase::CommitLockHold, lock_ns);
-        tel.record_slow(
-            "commit:single-shard",
-            lock_ns,
-            &[
-                (Phase::CommitValidate, validate_ns),
-                (Phase::CommitLockHold, lock_ns),
-            ],
-        );
         self.inner
             .metrics
             .commit(deltas.iter().map(|(_, d)| d.len() as u64).sum());
@@ -1185,8 +1172,7 @@ impl ShardedEngineServer {
                 return Err(EngineError::ShardTopology(format!("no shard {i}")));
             }
         }
-        let _snapshot = self.inner.telemetry.timer(Phase::CommitSnapshot);
-        let _tspan = esm_obs::trace::span("commit_snapshot");
+        let _snapshot = self.inner.telemetry.start(Phase::CommitSnapshot);
         let guards: Vec<_> = indexes.iter().map(|&i| topo.shards[i].read()).collect();
         let snap_seqs = indexes
             .iter()
@@ -1301,20 +1287,14 @@ impl ShardedEngineServer {
             });
         }
         let n = participants.len() as u64;
-        let twopc_span = Span::start();
-        let twopc_tspan = esm_obs::trace::span_tagged("twopc", format!("participants:{n}"));
+        let twopc = esm_obs::trace::span_tagged("twopc", || format!("participants:{n}"));
         let result = self.inner.coordinator.commit_cross(
             &participants,
             failpoint,
             Some(&self.inner.telemetry),
             || self.inner.stamp.fetch_add(1, Ordering::SeqCst),
         );
-        drop(twopc_tspan);
-        self.inner.telemetry.record_slow(
-            "commit:cross-shard",
-            twopc_span.elapsed_ns(),
-            &[(Phase::CommitLockHold, twopc_span.elapsed_ns())],
-        );
+        drop(twopc);
         match result {
             Ok((gtx, stamp)) => {
                 self.inner.metrics.commit(rows);
@@ -1466,8 +1446,11 @@ impl ShardedEngineServer {
     /// ahead of the last stamp, or before the last split/merge) or a
     /// record hits the propagation escape hatch.
     pub fn view_deltas_since(&self, name: &str, cursor: u64) -> Result<ViewDeltas, EngineError> {
-        let drain_span = Span::start();
-        let tspan = esm_obs::trace::span_tagged("sub_drain", name);
+        let sub_drain = self
+            .inner
+            .telemetry
+            .start(Phase::SubDrain)
+            .tag(|| name.to_string());
         let drained = self.with_view(name, |reg| {
             let topo = self.topology();
             let run = shard_run(&topo, &reg.bounds);
@@ -1495,10 +1478,7 @@ impl ShardedEngineServer {
                 resync: None,
             }))
         });
-        self.inner
-            .telemetry
-            .record(Phase::SubDrain, drain_span.elapsed_ns());
-        drop(tspan);
+        drop(sub_drain);
         match drained? {
             Some(batch) => Ok(batch),
             None => {
@@ -1546,7 +1526,7 @@ impl ShardedEngineServer {
         epoch: u64,
         guards: &[std::sync::RwLockReadGuard<'_, shard::ShardState>],
     ) -> Result<ShardedMat, EngineError> {
-        let _rebuild = self.inner.telemetry.timer(Phase::ViewRebuild);
+        let _rebuild = self.inner.telemetry.start(Phase::ViewRebuild);
         let mut windows = Vec::with_capacity(guards.len());
         for guard in guards {
             windows.push(Window {
@@ -1649,30 +1629,29 @@ impl ShardedEngineServer {
             // the retained records committed since its last read): the
             // records it needs are gone, so rebuild from the live shard
             // piece instead of silently serving a stale window.
-            let _rebuild = tel.timer(Phase::ViewRebuild);
+            let _rebuild = tel.start(Phase::ViewRebuild);
             window.table = reg.lens.get(shard.db.table(&reg.table)?);
             window.applied_seq = shard.wal.last_seq();
             self.inner.metrics.view_rebuild();
             return Ok(false);
         }
-        let drain_span = Span::start();
+        let drain = tel.start(Phase::ViewDrain);
         let records = shard.wal.records_after(window.applied_seq);
         if records.is_empty() {
-            tel.record(Phase::ViewDrain, drain_span.elapsed_ns());
             return Ok(true);
         }
         let deltas = committed_deltas(records);
-        tel.record(Phase::ViewDrain, drain_span.elapsed_ns());
+        drop(drain);
         let Some(deltas) = deltas else {
             return Ok(true); // unsettled tail: serve the last settled state
         };
         let deltas = deltas.into_iter().filter(|(t, _)| *t == reg.table);
         // `deltas_applied` counts only changes that actually survive
         // into the window (a rebuild discards the whole run).
-        let fold_span = Span::start();
+        let fold = tel.start(Phase::ViewDeltaFold);
         let folded =
             crate::view::drain_into_window(&reg.lens, deltas.map(|(_, d)| d), &mut window.table);
-        tel.record(Phase::ViewDeltaFold, fold_span.elapsed_ns());
+        drop(fold);
         let clean = match folded {
             Some(drained) => {
                 self.inner.metrics.view_deltas(drained);
@@ -1682,7 +1661,7 @@ impl ShardedEngineServer {
                 // Escape hatch: re-run the lens get on this shard's
                 // live piece (consistent with the WAL position under
                 // the held read lock).
-                let _rebuild = tel.timer(Phase::ViewRebuild);
+                let _rebuild = tel.start(Phase::ViewRebuild);
                 window.table = reg.lens.get(shard.db.table(&reg.table)?);
                 self.inner.metrics.view_rebuild();
                 false

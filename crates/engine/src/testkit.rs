@@ -556,7 +556,7 @@ pub fn check_surface_smoke(engine: &dyn Engine) {
         tel.count(esm_obs::Phase::CommitLockHold) >= 1,
         "commit lock-hold phase never recorded"
     );
-    assert!(tel.slow_threshold_ns > 0, "slow-op capture disabled");
+    assert!(tel.slow_threshold_ns > 0, "slow-trace capture disabled");
 }
 
 /// The replay law's witness on a durable engine: what recovering its

@@ -8,14 +8,19 @@
 //! paths: durable single-engine commits record every commit phase,
 //! cross-shard commits record the 2PC phases per participant, and
 //! `Engine::metrics()` on durable hosts (through the trait object, as
-//! remote callers see it) carries the merged WAL sub-struct.
+//! remote callers see it) carries the merged WAL sub-struct. Every
+//! phase also reaches the trace surface: a traced commit or view read
+//! carries one span per phase it ran, named as the phase is, and a slow
+//! one lands in the slow-trace ring with them.
 
 use std::path::PathBuf;
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 use std::time::Duration;
 
 use esm_engine::{
-    DurabilityConfig, Engine, EngineServer, Phase, SegmentWriter, ShardRouter, ShardedEngineServer,
-    SimFile, Telemetry, Wal, WalRecord,
+    DurabilityConfig, Engine, EngineServer, Phase, SegmentWriter, Session, ShardRouter,
+    ShardedEngineServer, SimFile, Telemetry, Wal, WalRecord,
 };
 use esm_store::{row, Database, Delta, Row, Schema, Table, ValueType};
 
@@ -219,32 +224,158 @@ fn dyn_engine_metrics_merge_wal_stats_on_durable_hosts() {
 }
 
 #[test]
-fn slow_ops_capture_phase_breakdowns_and_stay_bounded() {
+fn slow_traces_capture_phase_spans_and_stay_bounded() {
     let engine = EngineServer::new(seed_db(8));
-    // Force everything to qualify as slow.
-    engine.telemetry_registry().set_slow_threshold_ns(0);
+    // Trace every request, and force every trace to qualify as slow.
+    let registry = engine.telemetry_registry();
+    registry.set_trace_sample_every(1);
+    registry.set_slow_threshold_ns(0);
+    let session = Session::new(engine.as_engine());
     for i in 0..100i64 {
-        engine
-            .transact(4, move |db| {
+        session
+            .transact(move |db| {
                 db.table_mut("kv")?.upsert(row![200 + i, "s"])?;
                 Ok(())
             })
             .unwrap();
     }
+    let slow = engine.traces().unwrap().slow;
+    assert!(!slow.is_empty(), "threshold 0 captured nothing");
+    assert!(
+        slow.len() <= esm_obs::TRACE_BUFFER_CAPACITY,
+        "slow-trace ring exceeded its bound"
+    );
+    for trace in &slow {
+        assert_eq!(trace.root, "session:transact");
+        assert!(
+            trace.find(Phase::CommitLockHold.name()).is_some(),
+            "a slow commit trace lost its lock-hold span: {trace:?}"
+        );
+    }
+    // Reads are non-draining: a second report still sees them.
+    assert_eq!(engine.traces().unwrap().slow.len(), slow.len());
+}
+
+/// The span names in the one trace `engine` holds under `root`.
+fn span_names(engine: &ShardedEngineServer, root: &str) -> Vec<String> {
+    let report = engine.traces().unwrap();
+    let traces: Vec<_> = report.recent.iter().filter(|t| t.root == root).collect();
+    assert_eq!(traces.len(), 1, "expected one `{root}` trace");
+    traces[0].spans.iter().map(|s| s.name.clone()).collect()
+}
+
+fn traced(engine: &ShardedEngineServer) -> Session {
+    engine.telemetry_registry().set_trace_sample_every(1);
+    Session::new(engine.as_engine())
+}
+
+fn upsert(id: i64) -> impl Fn(&mut Database) -> Result<(), esm_engine::EngineError> {
+    move |db| {
+        db.table_mut("kv")?.upsert(row![id, "t"])?;
+        Ok(())
+    }
+}
+
+fn assert_has(names: &[String], phases: &[Phase]) {
+    for phase in phases {
+        assert!(
+            names.iter().any(|n| n == phase.name()),
+            "trace lost its {} span: {names:?}",
+            phase.name()
+        );
+    }
+}
+
+#[test]
+fn single_shard_commits_trace_every_commit_phase() {
+    let in_memory = EngineServer::new(seed_db(8));
+    traced(&in_memory).transact(upsert(100)).unwrap();
+    let commit = [
+        Phase::CommitSnapshot,
+        Phase::CommitValidate,
+        Phase::CommitLockHold,
+    ];
+    assert_has(&span_names(&in_memory, "session:transact"), &commit);
+
+    let dir = fresh_dir("traced-commit");
+    let durable = ShardedEngineServer::with_durability(
+        seed_db(8),
+        ShardRouter::single(),
+        DurabilityConfig::new(&dir)
+            .group_commit(1)
+            .checkpoint_every(0)
+            .maintenance_interval_ms(0),
+    )
+    .unwrap();
+    traced(&durable).transact(upsert(100)).unwrap();
+    let names = span_names(&durable, "session:transact");
+    assert_has(&names, &commit);
+    assert_has(&names, &[Phase::CommitWalAppend, Phase::CommitFsync]);
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_traced_read_carries_its_drain_and_fold_spans() {
+    let engine = EngineServer::new(seed_db(8));
+    let session = traced(&engine);
+    session
+        .define_view("all", "kv", &esm_relational::ViewDef::base())
+        .unwrap();
+    session.transact(upsert(100)).unwrap();
+    assert_eq!(session.read("all").unwrap().len(), 9);
+    let names = span_names(&engine, "session:read");
+    assert_has(&names, &[Phase::ViewDrain, Phase::ViewDeltaFold]);
+    assert!(!names.iter().any(|n| n == Phase::ViewRebuild.name()));
+}
+
+#[test]
+fn the_first_read_after_a_split_carries_view_rebuild() {
+    let engine = EngineServer::new(seed_db(8));
+    let session = traced(&engine);
+    session
+        .define_view("all", "kv", &esm_relational::ViewDef::base())
+        .unwrap();
+    engine.split_shard(row![4]).unwrap();
+    assert_eq!(session.read("all").unwrap().len(), 8);
+    assert_has(&span_names(&engine, "session:read"), &[Phase::ViewRebuild]);
+}
+
+#[test]
+fn commit_lock_hold_excludes_the_group_fsync_wait() {
+    const DELAY: Duration = Duration::from_millis(5);
+    let dir = fresh_dir("lock-hold");
+    let delay = Arc::new(AtomicU64::new(DELAY.as_nanos() as u64));
+    let engine = ShardedEngineServer::with_durability(
+        seed_db(8),
+        ShardRouter::single(),
+        DurabilityConfig::new(&dir)
+            .group_commit(1)
+            .checkpoint_every(0)
+            .maintenance_interval_ms(0)
+            .sync_delay_handle(delay),
+    )
+    .unwrap();
+    for i in 0..8i64 {
+        engine.transact(4, upsert(400 + i)).unwrap();
+    }
     let tel = engine.telemetry();
-    assert!(!tel.slow_ops.is_empty(), "threshold 0 captured nothing");
+    let delay_ns = DELAY.as_nanos() as u64;
+    let fsync = tel.phase(Phase::CommitFsync).unwrap();
+    let hold = tel.phase(Phase::CommitLockHold).unwrap();
+    assert_eq!(hold.count, 8);
     assert!(
-        tel.slow_ops.len() <= esm_obs::SLOW_OP_CAPACITY,
-        "slow-op ring exceeded its bound"
+        fsync.quantile(0.5) >= delay_ns,
+        "fsync p50 {} under the {delay_ns}ns delay",
+        fsync.quantile(0.5)
     );
     assert!(
-        tel.slow_ops
-            .iter()
-            .any(|op| op.phases.iter().any(|(p, _)| *p == Phase::CommitLockHold)),
-        "no slow op carried a lock-hold breakdown"
+        hold.max < delay_ns,
+        "lock hold max {} includes the group fsync wait",
+        hold.max
     );
-    // Reads are non-draining: a second snapshot still sees them.
-    assert!(!engine.telemetry().slow_ops.is_empty());
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

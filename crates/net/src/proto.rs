@@ -21,10 +21,10 @@
 //!   `rename` with its pairs; a predicate is prefix-ordered: a tag
 //!   byte, then its comparison and operands or its sub-predicates;
 //! * metrics are a fixed run of `u64` counters followed by the per-shard
-//!   load and replica-lag lists; telemetry is the slow-op threshold, the
-//!   populated phase histograms (phase name, count, sum, max, sparse
-//!   bins), the slow-op ring and the gauges; a trace report is the
-//!   recent and the slow trace lists, each trace with its spans;
+//!   load and replica-lag lists; telemetry is the slow-trace threshold,
+//!   the populated phase histograms (phase name, count, sum, max, sparse
+//!   bins) and the gauges; a trace report is the recent and the slow
+//!   trace lists, each trace with its spans;
 //! * a replication manifest is the topology bytes, the primary address
 //!   and the per-shard file listings;
 //! * an engine error is one tag byte per variant, then its fields.
@@ -71,6 +71,11 @@
 //! one it wants against it and sends `edit_view_delta`, retrying on a
 //! conflict itself. Tag 8 decodes as an unknown request.
 //!
+//! Revision 9 drops the slow-op ring from the telemetry payload: a
+//! snapshot is the threshold, the phase histograms and the gauges, and
+//! a slow request is read as a trace from the slow-trace ring
+//! (`traces`).
+//!
 //! Encoders write a payload straight after a reserved frame header
 //! ([`Request::framed_with_trace`], [`Response::framed`]), so a frame is
 //! one buffer, never a payload copied into a second one.
@@ -85,8 +90,7 @@ use esm_engine::{
     ShardManifest, ShardStats, SnapshotChanges, SnapshotSince, ViewStats, WalStats,
 };
 use esm_obs::{
-    HistogramSnapshot, Phase, SlowOp, SpanRecord, TelemetrySnapshot, TraceId, TraceRecord,
-    TraceReport,
+    HistogramSnapshot, Phase, SpanRecord, TelemetrySnapshot, TraceId, TraceRecord, TraceReport,
 };
 use esm_relational::ViewDef;
 use esm_store::codec::{self, BinReader};
@@ -178,9 +182,9 @@ pub enum Request {
     },
     /// `Engine::metrics`.
     Metrics,
-    /// `Engine::telemetry` — the phase-latency histograms and slow-op
-    /// log. On the wire the server's net-layer phases ride along merged
-    /// into the engine's snapshot.
+    /// `Engine::telemetry` — the phase-latency histograms, the slow
+    /// threshold and the gauges. On the wire the server's net-layer
+    /// phases ride along merged into the engine's snapshot.
     Stats,
     /// `Engine::checkpoint`.
     Checkpoint,
@@ -259,7 +263,7 @@ pub enum Response {
     },
     /// Engine counters.
     Metrics(MetricsSnapshot),
-    /// Phase-latency telemetry (histograms + slow-op log).
+    /// Phase-latency telemetry (histograms, threshold, gauges).
     Stats(TelemetrySnapshot),
     /// A checkpoint floor (`None` for in-memory engines).
     Seq(Option<u64>),
@@ -345,9 +349,10 @@ pub struct SnapshotMark {
 /// server's log no longer covers it). Revision 7 replaced the
 /// whole-window `edit_view_cas` with `edit_view_delta`, which ships the
 /// window delta an edit made. Revision 8 deleted `write_view`: a put is
-/// an edit, so it ships a window delta too. The revision is
-/// informational, not a handshake.
-pub const PROTOCOL_REV: u32 = 8;
+/// an edit, so it ships a window delta too. Revision 9 dropped the
+/// slow-op ring from the `stats` payload; slow requests are read from
+/// the slow-trace ring. The revision is informational, not a handshake.
+pub const PROTOCOL_REV: u32 = 9;
 
 /// First byte of every wire payload.
 pub const BINARY_WIRE_MAGIC: u8 = 0xB7;
@@ -776,9 +781,8 @@ fn read_phase(r: &mut BinReader<'_>) -> Result<Phase, WireError> {
     Phase::from_name(&name).ok_or_else(|| err(format!("unknown phase `{name}`")))
 }
 
-/// Append a telemetry snapshot: the slow-op threshold, then the
-/// populated phase histograms (sparse bins), the slow-op ring and the
-/// gauges. Phases travel by name, so the codec does not depend on the
+/// Append a telemetry snapshot: the slow-trace threshold, then the
+/// populated phase histograms (sparse bins) and the gauges. Phases travel by name, so the codec does not depend on the
 /// order of [`Phase::ALL`].
 fn put_telemetry(out: &mut Vec<u8>, t: &TelemetrySnapshot) {
     codec::put_u64(out, t.slow_threshold_ns);
@@ -792,16 +796,6 @@ fn put_telemetry(out: &mut Vec<u8>, t: &TelemetrySnapshot) {
         for (idx, n) in &h.bins {
             codec::put_u32(out, *idx);
             codec::put_u64(out, *n);
-        }
-    }
-    codec::put_u32(out, t.slow_ops.len() as u32);
-    for slow in &t.slow_ops {
-        codec::put_str(out, &slow.op);
-        codec::put_u64(out, slow.total_ns);
-        codec::put_u32(out, slow.phases.len() as u32);
-        for (phase, ns) in &slow.phases {
-            codec::put_str(out, phase.name());
-            codec::put_u64(out, *ns);
         }
     }
     codec::put_u32(out, t.gauges.len() as u32);
@@ -831,20 +825,6 @@ fn read_telemetry(r: &mut BinReader<'_>) -> Result<TelemetrySnapshot, WireError>
             },
         ));
     }
-    let mut slow_ops = Vec::new();
-    for _ in 0..r.count()? {
-        let op = r.str()?;
-        let total_ns = r.u64()?;
-        let mut slow_phases = Vec::new();
-        for _ in 0..r.count()? {
-            slow_phases.push((read_phase(r)?, r.u64()?));
-        }
-        slow_ops.push(SlowOp {
-            op,
-            total_ns,
-            phases: slow_phases,
-        });
-    }
     let mut gauges = Vec::new();
     for _ in 0..r.count()? {
         gauges.push((r.str()?, r.u64()?));
@@ -852,7 +832,6 @@ fn read_telemetry(r: &mut BinReader<'_>) -> Result<TelemetrySnapshot, WireError>
     Ok(TelemetrySnapshot {
         phases,
         slow_threshold_ns,
-        slow_ops,
         gauges,
     })
 }
@@ -1579,12 +1558,7 @@ mod tests {
             tel.record(Phase::CommitFsync, v);
             tel.record(Phase::NetHandler, v / 3);
         }
-        tel.record_slow(
-            "commit:we\tird\nop".to_string(),
-            77_000_000,
-            &[(Phase::CommitFsync, 70_000_000), (Phase::CommitLockHold, 5)],
-        );
-        tel.record_slow("plain".to_string(), 12_345_678, &[]);
+        tel.set_slow_threshold_ns(12_345_678);
         tel.snapshot()
     }
 
@@ -1826,7 +1800,6 @@ mod tests {
             Response::Stats(TelemetrySnapshot {
                 phases: vec![],
                 slow_threshold_ns: 1,
-                slow_ops: vec![],
                 gauges: vec![],
             }),
             Response::Stats({

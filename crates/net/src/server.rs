@@ -59,7 +59,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use esm_engine::{ArcEngine, CommitNotifier, Session};
-use esm_obs::{Phase, Span, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceId};
+use esm_obs::{Phase, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceId};
 use esm_store::Delta;
 
 use crate::frame::decode_frame;
@@ -82,8 +82,8 @@ pub struct NetServerConfig {
     /// it (the push high-water mark) stalls that connection's
     /// subscription pushes; crossing all of it drops the connection.
     pub outbuf_limit: usize,
-    /// Knobs for the server's own telemetry registry: slow-op
-    /// threshold, ring capacities, trace sampling. The default keeps
+    /// Knobs for the server's own telemetry registry: slow-trace
+    /// threshold, trace ring capacity, trace sampling. The default keeps
     /// zero-config behavior identical to before the knob existed.
     pub telemetry: TelemetryConfig,
 }
@@ -435,15 +435,13 @@ impl PushPump {
                     }
                     continue;
                 };
-                let write_span = Span::start();
-                let mut tspan = esm_obs::trace::span_tagged("net_push_write", view.clone());
-                if let Some(s) = tspan.as_mut() {
-                    s.set_bytes(frame.len() as u64);
-                }
+                let mut push = self
+                    .telemetry
+                    .start(Phase::NetPushWrite)
+                    .tag(|| view.clone());
+                push.set_bytes(frame.len() as u64);
                 let ok = entry.shared.send(&frame, poller, counters);
-                drop(tspan);
-                self.telemetry
-                    .record(Phase::NetPushWrite, write_span.elapsed_ns());
+                drop(push);
                 if ok {
                     counters.pushes.fetch_add(1, Ordering::Relaxed);
                     entry.cursor = to_seq;
@@ -808,7 +806,6 @@ fn worker_loop(
         // cost an error response, not this worker thread (a dead worker
         // shrinks the pool and wedges the connection whose completion
         // token it never sent).
-        let handler_span = Span::start();
         let (mut response, trace_root, post) =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 match Request::decode_with_trace(&job.payload) {
@@ -838,7 +835,10 @@ fn worker_loop(
                             root.record_span("net_queue_wait", "", job.decode_ns, queue_ns, 0);
                             root
                         });
-                        match req {
+                        let commitish =
+                            matches!(req, Request::EditViewDelta { .. } | Request::Commit { .. });
+                        let handler = telemetry.start(Phase::NetHandler);
+                        let (resp, post) = match req {
                             // SERVER_PING is answered right here: no
                             // engine call, no engine lock — it stays
                             // honest even while the engine is wedged.
@@ -851,38 +851,31 @@ fn worker_loop(
                                     protocol_rev: PROTOCOL_REV,
                                     workers: identity.workers,
                                 },
-                                root,
                                 Post::None,
                             ),
                             // Subscribe/Unsubscribe are connection
                             // state, so the net layer owns them.
                             Request::Subscribe { view, cursor } => {
-                                let (resp, post) =
-                                    subscribe_prep(job.shared.session.engine(), &view, cursor);
-                                (resp, root, post)
+                                subscribe_prep(job.shared.session.engine(), &view, cursor)
                             }
                             Request::Unsubscribe(view) => {
                                 registry.remove(job.token, &view);
-                                (Response::Unit, root, Post::None)
+                                (Response::Unit, Post::None)
                             }
-                            req => {
-                                let commitish = matches!(
-                                    req,
-                                    Request::EditViewDelta { .. } | Request::Commit { .. }
-                                );
-                                let hspan = esm_obs::trace::span("net_handler");
-                                let resp = handle(&job.shared.session, identity.instance, req);
-                                drop(hspan);
-                                // Fan out this commit's pushes NOW,
-                                // inside the request's trace, so the
-                                // sub_drain / net_push_write spans hang
-                                // off the commit that caused them.
-                                if commitish && !matches!(resp, Response::Err(_)) {
-                                    pump.fan_out(poller, counters);
-                                }
-                                (resp, root, Post::None)
-                            }
+                            req => (
+                                handle(&job.shared.session, identity.instance, req),
+                                Post::None,
+                            ),
+                        };
+                        drop(handler);
+                        // Fan out this commit's pushes NOW, inside the
+                        // request's trace, so the sub_drain /
+                        // net_push_write spans hang off the commit that
+                        // caused them.
+                        if commitish && !matches!(resp, Response::Err(_)) {
+                            pump.fan_out(poller, counters);
                         }
+                        (resp, root, post)
                     }
                     Err(WireError(msg)) => (
                         Response::Err(esm_engine::EngineError::Io(format!("bad request: {msg}"))),
@@ -900,7 +893,6 @@ fn worker_loop(
                     Post::None,
                 )
             });
-        telemetry.record(Phase::NetHandler, handler_span.elapsed_ns());
         // A STATS response carries the engine's phases; fold in the
         // server's own net-layer phases (disjoint sets — the engine
         // never records `net_*`, the server never records engine
@@ -913,20 +905,16 @@ fn worker_loop(
         if let Response::Traces(report) = &mut response {
             report.merge(&telemetry.traces_report());
         }
-        let write_span = Span::start();
-        let mut wspan = esm_obs::trace::span("net_response_write");
+        let mut write = telemetry.start(Phase::NetResponseWrite);
         let framed = response.framed();
-        if let Some(s) = wspan.as_mut() {
-            s.set_bytes(framed.len() as u64);
-        }
+        write.set_bytes(framed.len() as u64);
         // Direct write: the response goes to the socket from this
         // thread; only a partial write leaves bytes for the poller.
         let mut alive = job.shared.send(&framed, poller, counters);
-        drop(wspan);
+        drop(write);
         // Files the trace (the root drop snapshots every span recorded
         // under it, response write included).
         drop(trace_root);
-        telemetry.record(Phase::NetResponseWrite, write_span.elapsed_ns());
         if alive {
             if let Post::Subscribe {
                 view,
@@ -1178,10 +1166,11 @@ fn service_readable(
     // Extract complete frames (torn prefixes wait; corruption drops
     // the connection).
     loop {
-        let decode_span = Span::start();
+        let decode_start = Instant::now();
         match decode_frame(&conn.inbuf) {
             Ok(Some((payload, consumed))) => {
-                let decode_ns = decode_span.elapsed_ns();
+                let decode_ns =
+                    u64::try_from(decode_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 telemetry.record(Phase::NetFrameDecode, decode_ns);
                 conn.inbuf.drain(..consumed);
                 conn.pending.push_back((payload, decode_ns));

@@ -237,28 +237,19 @@ fn arb_phase() -> impl Strategy<Value = Phase> {
     (0usize..Phase::ALL.len()).prop_map(|i| Phase::ALL[i])
 }
 
-/// Phase histograms, slow ops with their phase breakdowns, and gauges.
+/// Phase histograms, a slow threshold, and gauges.
 fn arb_telemetry() -> impl Strategy<Value = TelemetrySnapshot> {
     (
         proptest::collection::vec((arb_phase(), arb_u64()), 0..12),
-        proptest::collection::vec(
-            (
-                nasty_string(),
-                arb_u64(),
-                proptest::collection::vec((arb_phase(), arb_u64()), 0..3),
-            ),
-            0..3,
-        ),
+        arb_u64(),
         proptest::collection::vec((nasty_string(), arb_u64()), 0..3),
     )
-        .prop_map(|(samples, slow, gauges)| {
+        .prop_map(|(samples, slow_threshold_ns, gauges)| {
             let tel = Telemetry::new();
             for (phase, ns) in samples {
                 tel.record(phase, ns);
             }
-            for (op, total_ns, phases) in slow {
-                tel.record_slow(op, total_ns | 1 << 63, &phases);
-            }
+            tel.set_slow_threshold_ns(slow_threshold_ns);
             let mut snapshot = tel.snapshot();
             for (name, value) in gauges {
                 snapshot.set_gauge(&name, value);

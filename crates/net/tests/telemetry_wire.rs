@@ -7,7 +7,7 @@
 use esm_engine::testkit::seed_db;
 use esm_engine::{ArcEngine, Engine, EngineServer, ShardRouter, ShardedEngineServer};
 use esm_net::{NetServer, NetServerConfig, RemoteEngine, Request, Response};
-use esm_obs::{Phase, SlowOp, Telemetry, TelemetrySnapshot};
+use esm_obs::{Phase, Telemetry, TelemetrySnapshot};
 use esm_store::{row, Database};
 
 fn serve(engine: ArcEngine) -> (NetServer, std::net::SocketAddr) {
@@ -18,8 +18,8 @@ fn serve(engine: ArcEngine) -> (NetServer, std::net::SocketAddr) {
 }
 
 /// A snapshot exercising the codec's whole surface: sparse bins across
-/// the full value range, a max that caps quantiles, slow ops with and
-/// without phase breakdowns, escapes in op names.
+/// the full value range, a max that caps quantiles, a threshold, and
+/// gauges with escapes in their names.
 fn exercised_snapshot() -> TelemetrySnapshot {
     let tel = Telemetry::new();
     for phase in Phase::ALL {
@@ -28,13 +28,10 @@ fn exercised_snapshot() -> TelemetrySnapshot {
         }
     }
     tel.set_slow_threshold_ns(123_456_789);
-    tel.record_slow(
-        "read_view:ta\tb\\new\nline".to_string(),
-        500_000_000,
-        &[(Phase::ViewDrain, 100), (Phase::ViewDeltaFold, 400_000_000)],
-    );
-    tel.record_slow("bare".to_string(), 200_000_000, &[]);
-    tel.snapshot()
+    let mut snap = tel.snapshot();
+    snap.set_gauge("repl_lag:ta\tb\\new\nline", u64::MAX);
+    snap.set_gauge("bare", 0);
+    snap
 }
 
 #[test]
@@ -46,16 +43,8 @@ fn the_stats_payload_round_trips_bit_identically() {
     };
     assert_eq!(back.slow_threshold_ns, snap.slow_threshold_ns);
     assert_eq!(back.phases, snap.phases, "histograms mutated in flight");
-    assert_eq!(
-        back.slow_ops
-            .iter()
-            .map(|s: &SlowOp| (s.op.clone(), s.total_ns, s.phases.clone()))
-            .collect::<Vec<_>>(),
-        snap.slow_ops
-            .iter()
-            .map(|s| (s.op.clone(), s.total_ns, s.phases.clone()))
-            .collect::<Vec<_>>(),
-    );
+    assert_eq!(back.gauges, snap.gauges, "gauges mutated in flight");
+    assert_eq!(back, snap);
     // And the request side is a plain verb.
     assert_eq!(
         Request::decode(&Request::Stats.encode()).expect("decodes"),

@@ -84,7 +84,7 @@ fn cross_shard_commit_traces_causally_over_loopback() {
         .expect("server-side commit tree missing or not correlated by trace id");
 
     // The wire plumbing filed its backdated spans.
-    for name in ["net_frame_decode", "net_queue_wait", "net_handler"] {
+    for name in ["net_frame_decode", "net_queue_wait", "net_handler_execute"] {
         assert!(
             server_rec.find(name).is_some(),
             "server tree lost its {name} span"
@@ -112,7 +112,7 @@ fn cross_shard_commit_traces_causally_over_loopback() {
             umbrella.tag
         );
         assert!(
-            names.contains(&"twopc_fsync"),
+            names.contains(&"twopc_participant_fsync"),
             "participant {} lost its fsync span ({names:?})",
             umbrella.tag
         );

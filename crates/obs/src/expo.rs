@@ -3,10 +3,10 @@
 //! The renderer emits the classic `# TYPE` / `# HELP` framed families:
 //! one `histogram` family per populated [`Phase`] (cumulative `_bucket`
 //! lines with `le` labels from the log-bucket upper bounds, plus
-//! `_sum`/`_count`), gauge-style quantile convenience lines, and the
-//! slow-op log as comments at the tail (Prometheus has no string
-//! sample type; scrapers that want slow ops use the structured
-//! snapshot instead).
+//! `_sum`/`_count`), gauge-style quantile convenience lines, one
+//! `gauge` family per named gauge, and the slow threshold as a comment
+//! at the tail. Slow requests are traces, not samples: read them
+//! through `TRACE` ([`crate::TraceReport`]).
 
 use crate::histogram::bucket_bounds;
 use crate::telemetry::TelemetrySnapshot;
@@ -46,23 +46,9 @@ pub fn render_prometheus(prefix: &str, snap: &TelemetrySnapshot) -> String {
         out.push_str(&format!("{family} {value}\n"));
     }
     out.push_str(&format!(
-        "# slow ops (threshold {} ns, {} captured)\n",
-        snap.slow_threshold_ns,
-        snap.slow_ops.len()
+        "# slow threshold {} ns (slow requests: the TRACE slow ring)\n",
+        snap.slow_threshold_ns
     ));
-    for op in &snap.slow_ops {
-        let breakdown: Vec<String> = op
-            .phases
-            .iter()
-            .map(|(p, ns)| format!("{}={ns}", p.name()))
-            .collect();
-        out.push_str(&format!(
-            "# slow: {} total={}ns {}\n",
-            op.op,
-            op.total_ns,
-            breakdown.join(" ")
-        ));
-    }
     out
 }
 
@@ -72,18 +58,15 @@ mod tests {
     use crate::telemetry::{Phase, Telemetry};
 
     #[test]
-    fn exposition_has_families_buckets_and_slow_ops() {
+    fn exposition_has_families_and_buckets() {
         let tel = Telemetry::new();
         tel.record(Phase::CommitFsync, 100);
         tel.record(Phase::CommitFsync, 200_000);
-        tel.set_slow_threshold_ns(1);
-        tel.record_slow("transact", 250_000, &[(Phase::CommitFsync, 200_000)]);
         let text = render_prometheus("esm", &tel.snapshot());
         assert!(text.contains("# TYPE esm_commit_fsync_ns histogram"));
         assert!(text.contains("esm_commit_fsync_ns_count 2"));
         assert!(text.contains("le=\"+Inf\"} 2"));
         assert!(text.contains("esm_commit_fsync_ns_quantile{q=\"0.99\"}"));
-        assert!(text.contains("# slow: transact total=250000ns commit_fsync=200000"));
         // Cumulative bucket counts never regress.
         let mut last = 0u64;
         for line in text
@@ -109,6 +92,6 @@ mod tests {
     fn empty_snapshot_renders_only_the_slow_header() {
         let text = render_prometheus("esm", &Telemetry::new().snapshot());
         assert_eq!(text.lines().count(), 1);
-        assert!(text.starts_with("# slow ops"));
+        assert!(text.starts_with("# slow threshold 10000000 ns"));
     }
 }

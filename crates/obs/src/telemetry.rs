@@ -2,27 +2,19 @@
 //!
 //! One `Telemetry` owns a [`Histogram`] per [`Phase`] — the fixed set
 //! of hot-path stages the engines and the network front end time — and
-//! a bounded **slow-op ring**: operations whose total latency crossed a
-//! configurable threshold, recorded with their per-phase breakdown so a
-//! tail-latency spike names the phase that caused it. Recording is a
-//! relaxed atomic add ([`Histogram::record`]); only slow-op capture
-//! takes a (rare) lock.
+//! the [`TraceStore`] its requests' span trees file into. Recording is a
+//! relaxed atomic add ([`Histogram::record`]).
 //!
-//! The recorder API is two shapes:
-//!
-//! * [`Telemetry::timer`] — an RAII guard recording its elapsed time
-//!   into one phase on drop (early-exit friendly);
-//! * [`Span`] — a bare stopwatch for call sites that want the elapsed
-//!   nanoseconds for themselves (to feed a slow-op breakdown) and then
-//!   record explicitly.
+//! A timed region is one [`PhaseGuard`] ([`Telemetry::start`]): when it
+//! drops it records the phase histogram and, when a trace is active on
+//! the thread, files a span named [`Phase::name`] — so every phase
+//! reaches `STATS` and `TRACE` from one line of code.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::histogram::{Histogram, HistogramSnapshot};
-use crate::trace::{TraceId, TraceReport, TraceRoot, TraceStore};
+use crate::trace::{SpanGuard, TraceId, TraceReport, TraceRoot, TraceStore};
 use crate::{DEFAULT_TRACE_SAMPLE_EVERY, TRACE_BUFFER_CAPACITY};
 
 /// One instrumented hot-path stage. The set is closed on purpose: a
@@ -135,10 +127,7 @@ impl Phase {
     }
 
     fn index(self) -> usize {
-        Phase::ALL
-            .iter()
-            .position(|&p| p == self)
-            .expect("every phase is in ALL")
+        self as usize
     }
 
     /// Is this a phase the network front end records (as opposed to an
@@ -156,10 +145,8 @@ impl Phase {
     }
 }
 
-/// Default slow-op threshold: 10ms.
+/// Default slow threshold: 10ms.
 pub const DEFAULT_SLOW_THRESHOLD_NS: u64 = 10_000_000;
-/// Default slow-op ring capacity.
-pub const SLOW_OP_CAPACITY: usize = 64;
 
 /// Runtime tuning for a [`Telemetry`] registry. The defaults reproduce
 /// the historical zero-config behavior exactly; embedders (and the
@@ -167,11 +154,9 @@ pub const SLOW_OP_CAPACITY: usize = 64;
 /// deployment instead of recompiling constants.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Ops at or above this total latency enter the slow-op ring and
-    /// the slow-trace ring (`u64::MAX` disables capture).
+    /// Traces at or above this total latency enter the slow-trace
+    /// ring (`u64::MAX` disables capture).
     pub slow_threshold_ns: u64,
-    /// Slow-op ring capacity (oldest entries fall off).
-    pub slow_capacity: usize,
     /// Capacity of each trace ring (recent and slow).
     pub trace_capacity: usize,
     /// Head-sampling rate for traces: 1-in-N rooted requests trace
@@ -183,7 +168,6 @@ impl Default for TelemetryConfig {
     fn default() -> TelemetryConfig {
         TelemetryConfig {
             slow_threshold_ns: DEFAULT_SLOW_THRESHOLD_NS,
-            slow_capacity: SLOW_OP_CAPACITY,
             trace_capacity: TRACE_BUFFER_CAPACITY,
             trace_sample_every: DEFAULT_TRACE_SAMPLE_EVERY,
         }
@@ -191,15 +175,9 @@ impl Default for TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Set the slow-op (and slow-trace) threshold in nanoseconds.
+    /// Set the slow-trace threshold in nanoseconds.
     pub fn slow_threshold_ns(mut self, ns: u64) -> TelemetryConfig {
         self.slow_threshold_ns = ns;
-        self
-    }
-
-    /// Set the slow-op ring capacity.
-    pub fn slow_capacity(mut self, cap: usize) -> TelemetryConfig {
-        self.slow_capacity = cap.max(1);
         self
     }
 
@@ -216,28 +194,12 @@ impl TelemetryConfig {
     }
 }
 
-/// One operation that crossed the slow threshold, with its locally
-/// measured phase breakdown.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlowOp {
-    /// What ran (e.g. `transact`, `read_view:hot`, `net:commit`).
-    pub op: String,
-    /// Total wall-clock nanoseconds.
-    pub total_ns: u64,
-    /// Per-phase nanoseconds the op measured about itself (phases it
-    /// did not touch are absent; the phases need not sum to the total).
-    pub phases: Vec<(Phase, u64)>,
-}
-
 /// The phase-latency registry an engine (or network server) owns: one
-/// lock-free [`Histogram`] per [`Phase`] plus the bounded slow-op ring.
-/// Share it as an `Arc`; recording never blocks.
+/// lock-free [`Histogram`] per [`Phase`] plus the trace store. Share it
+/// as an `Arc`; recording never blocks.
 #[derive(Debug)]
 pub struct Telemetry {
     phases: [Histogram; Phase::ALL.len()],
-    slow_threshold_ns: AtomicU64,
-    slow_capacity: usize,
-    slow: Mutex<VecDeque<SlowOp>>,
     traces: Arc<TraceStore>,
 }
 
@@ -253,8 +215,8 @@ impl Telemetry {
         Telemetry::default()
     }
 
-    /// A registry with explicit tuning (thresholds and ring/trace
-    /// capacities; see [`TelemetryConfig`]). The `ESM_TRACE_SAMPLE_EVERY`
+    /// A registry with explicit tuning (slow threshold, trace ring
+    /// capacity and sampling rate; see [`TelemetryConfig`]). The `ESM_TRACE_SAMPLE_EVERY`
     /// environment variable, when set to an integer, overrides the
     /// configured head-sampling rate at construction (`1` = trace every
     /// request, `0` = off) — how CI runs the bench gates fully traced
@@ -267,9 +229,6 @@ impl Telemetry {
             .unwrap_or(config.trace_sample_every);
         Telemetry {
             phases: std::array::from_fn(|_| Histogram::new()),
-            slow_threshold_ns: AtomicU64::new(config.slow_threshold_ns),
-            slow_capacity: config.slow_capacity.max(1),
-            slow: Mutex::new(VecDeque::with_capacity(config.slow_capacity.max(1))),
             traces: Arc::new(TraceStore::new(
                 config.trace_capacity,
                 sample_every,
@@ -288,55 +247,21 @@ impl Telemetry {
         self.phase(phase).record(ns);
     }
 
-    /// An RAII timer recording its elapsed time into `phase` on drop.
-    pub fn timer(&self, phase: Phase) -> Timer<'_> {
-        Timer {
-            telemetry: self,
-            phase,
-            start: Instant::now(),
-            armed: true,
-        }
+    /// Open a timed region of `phase`: see [`PhaseGuard`].
+    pub fn start(&self, phase: Phase) -> PhaseGuard<'_> {
+        PhaseGuard::open(Some(self), phase)
     }
 
-    /// Time `f`, record its duration into `phase`, return its result.
-    pub fn time<R>(&self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        let span = Span::start();
-        let out = f();
-        self.record(phase, span.elapsed_ns());
-        out
-    }
-
-    /// The current slow-op threshold in nanoseconds.
+    /// The current slow threshold in nanoseconds.
     pub fn slow_threshold_ns(&self) -> u64 {
-        self.slow_threshold_ns.load(Ordering::Relaxed)
+        self.traces.slow_ns()
     }
 
-    /// Set the slow-op threshold (nanoseconds). Ops at or above it are
-    /// captured in the ring (and finished traces tail-captured);
-    /// `u64::MAX` disables capture.
+    /// Set the slow threshold (nanoseconds): finished traces at or
+    /// above it are tail-captured into the slow ring; `u64::MAX`
+    /// disables capture.
     pub fn set_slow_threshold_ns(&self, ns: u64) {
-        self.slow_threshold_ns.store(ns, Ordering::Relaxed);
         self.traces.set_slow_ns(ns);
-    }
-
-    /// Offer one finished operation to the slow-op ring: recorded iff
-    /// `total_ns` reaches the threshold. The ring is bounded (see
-    /// [`TelemetryConfig::slow_capacity`]) — the oldest entry falls off.
-    pub fn record_slow(&self, op: impl Into<String>, total_ns: u64, phases: &[(Phase, u64)]) {
-        if total_ns < self.slow_threshold_ns() {
-            return;
-        }
-        let Ok(mut ring) = self.slow.lock() else {
-            return;
-        };
-        if ring.len() == self.slow_capacity {
-            ring.pop_front();
-        }
-        ring.push_back(SlowOp {
-            op: op.into(),
-            total_ns,
-            phases: phases.to_vec(),
-        });
     }
 
     // ------------------------------------------------------------------
@@ -390,26 +315,9 @@ impl Telemetry {
         self.traces.report()
     }
 
-    /// A copy of the slow-op ring, oldest first (non-draining — reads
-    /// are idempotent, which the wire surface relies on).
-    pub fn slow_ops(&self) -> Vec<SlowOp> {
-        self.slow
-            .lock()
-            .map(|ring| ring.iter().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    /// Drain the slow-op ring, returning everything captured so far.
-    pub fn drain_slow_ops(&self) -> Vec<SlowOp> {
-        self.slow
-            .lock()
-            .map(|mut ring| ring.drain(..).collect())
-            .unwrap_or_default()
-    }
-
     /// A point-in-time copy of everything: per-phase histogram
-    /// snapshots (populated phases only, in [`Phase::ALL`] order), the
-    /// slow threshold, and the slow-op ring.
+    /// snapshots (populated phases only, in [`Phase::ALL`] order) and
+    /// the slow threshold.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let mut phases = Vec::new();
         for p in Phase::ALL {
@@ -421,7 +329,6 @@ impl Telemetry {
         TelemetrySnapshot {
             phases,
             slow_threshold_ns: self.slow_threshold_ns(),
-            slow_ops: self.slow_ops(),
             gauges: Vec::new(),
         }
     }
@@ -434,10 +341,8 @@ impl Telemetry {
 pub struct TelemetrySnapshot {
     /// Populated phases only, in [`Phase::ALL`] order.
     pub phases: Vec<(Phase, HistogramSnapshot)>,
-    /// The slow-op threshold at snapshot time (nanoseconds).
+    /// The slow-trace threshold at snapshot time (nanoseconds).
     pub slow_threshold_ns: u64,
-    /// The slow-op ring at snapshot time, oldest first.
-    pub slow_ops: Vec<SlowOp>,
     /// Named point-in-time values (replication lag, queue depths, …)
     /// that are levels rather than durations, so they don't fit the
     /// phase histograms. Empty for plain engines; replicas and fleet
@@ -459,8 +364,8 @@ impl TelemetrySnapshot {
         self.phase(phase).map_or(0, |h| h.count)
     }
 
-    /// Fold `other` into `self`: histograms merge bin-wise, slow-op
-    /// lists concatenate, the larger threshold wins (a merged view
+    /// Fold `other` into `self`: histograms merge bin-wise, the larger
+    /// threshold wins (a merged view
     /// should not claim a stricter capture policy than either source
     /// enforced).
     pub fn merge(&mut self, other: &TelemetrySnapshot) {
@@ -472,7 +377,6 @@ impl TelemetrySnapshot {
         }
         self.phases.sort_by_key(|(p, _)| p.index());
         self.slow_threshold_ns = self.slow_threshold_ns.max(other.slow_threshold_ns);
-        self.slow_ops.extend(other.slow_ops.iter().cloned());
         for (name, value) in &other.gauges {
             self.set_gauge(name, *value);
         }
@@ -494,58 +398,56 @@ impl TelemetrySnapshot {
     }
 }
 
-/// An RAII phase timer: records elapsed nanoseconds on drop. Obtain
-/// via [`Telemetry::timer`].
+/// One timed region of one [`Phase`]: when it drops it records the
+/// elapsed nanoseconds into the phase histogram and, when a trace is
+/// active on the thread, files a span named [`Phase::name`] (regions
+/// opened while it lives nest under that span). Open it with
+/// [`Telemetry::start`], or with [`PhaseGuard::open`] where the
+/// registry is optional: without one only the span is filed.
 #[derive(Debug)]
-pub struct Timer<'a> {
-    telemetry: &'a Telemetry,
+#[must_use = "a phase guard times its region until it drops"]
+pub struct PhaseGuard<'a> {
+    telemetry: Option<&'a Telemetry>,
     phase: Phase,
     start: Instant,
-    armed: bool,
+    span: Option<SpanGuard>,
 }
 
-impl Timer<'_> {
-    /// Record now and return the elapsed nanoseconds (instead of
-    /// recording at scope end).
-    pub fn stop(mut self) -> u64 {
-        let ns = elapsed_ns(self.start);
-        self.telemetry.record(self.phase, ns);
-        self.armed = false;
-        ns
-    }
-
-    /// Forget the measurement (nothing is recorded).
-    pub fn cancel(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for Timer<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.telemetry.record(self.phase, elapsed_ns(self.start));
-        }
-    }
-}
-
-/// A bare stopwatch for call sites that need the elapsed nanoseconds
-/// themselves (slow-op breakdowns) and record explicitly.
-#[derive(Debug, Clone, Copy)]
-pub struct Span {
-    start: Instant,
-}
-
-impl Span {
-    /// Start the stopwatch.
-    pub fn start() -> Span {
-        Span {
+impl<'a> PhaseGuard<'a> {
+    /// Open a timed region of `phase`, recording into `telemetry` when
+    /// there is one.
+    pub fn open(telemetry: Option<&'a Telemetry>, phase: Phase) -> PhaseGuard<'a> {
+        PhaseGuard {
+            telemetry,
+            phase,
             start: Instant::now(),
+            span: crate::trace::span(phase.name()),
         }
     }
 
-    /// Nanoseconds since [`Span::start`].
-    pub fn elapsed_ns(&self) -> u64 {
-        elapsed_ns(self.start)
+    /// Tag the span (shard, view, role); `tag` runs only when a span is
+    /// filed, so an untraced region allocates nothing.
+    pub fn tag(mut self, tag: impl FnOnce() -> String) -> PhaseGuard<'a> {
+        if let Some(span) = &mut self.span {
+            span.set_tag(tag());
+        }
+        self
+    }
+
+    /// Attach the payload bytes the region moved to its span.
+    pub fn set_bytes(&mut self, bytes: u64) {
+        if let Some(span) = &mut self.span {
+            span.set_bytes(bytes);
+        }
+    }
+}
+
+impl Drop for PhaseGuard<'_> {
+    fn drop(&mut self) {
+        if let Some(telemetry) = self.telemetry {
+            telemetry.record(self.phase, elapsed_ns(self.start));
+        }
+        // The span, if any, files itself as the fields drop.
     }
 }
 
@@ -559,56 +461,79 @@ mod tests {
 
     #[test]
     fn phase_names_round_trip() {
-        for p in Phase::ALL {
+        for (i, p) in Phase::ALL.into_iter().enumerate() {
             assert_eq!(Phase::from_name(p.name()), Some(p));
+            assert_eq!(p as usize, i, "Phase::ALL is in discriminant order");
         }
         assert_eq!(Phase::from_name("nope"), None);
     }
 
     #[test]
     fn timer_and_span_record_into_the_right_phase() {
-        let tel = Telemetry::new();
+        let tel = Telemetry::with_config(TelemetryConfig::default().trace_sample_every(1));
+        // Untraced: the histogram alone.
+        drop(tel.start(Phase::CommitFsync));
+        drop(PhaseGuard::open(None, Phase::CommitFsync));
+        // Traced: the histogram and a span under the phase's name, with
+        // the guard's tag and bytes; nested guards nest their spans.
         {
-            let _t = tel.timer(Phase::CommitFsync);
+            let _root = tel.start_trace("op").expect("sampled");
+            let mut append = tel
+                .start(Phase::CommitWalAppend)
+                .tag(|| "shard:0".to_string());
+            append.set_bytes(64);
+            drop(tel.start(Phase::CommitFsync));
         }
-        let span = Span::start();
-        tel.record(Phase::CommitWalAppend, span.elapsed_ns());
-        tel.time(Phase::CommitWalAppend, || ());
         let snap = tel.snapshot();
-        assert_eq!(snap.count(Phase::CommitFsync), 1);
-        assert_eq!(snap.count(Phase::CommitWalAppend), 2);
+        assert_eq!(snap.count(Phase::CommitFsync), 2);
+        assert_eq!(snap.count(Phase::CommitWalAppend), 1);
         assert_eq!(snap.count(Phase::CommitLockHold), 0);
+        let report = tel.traces_report();
+        assert_eq!(report.recent.len(), 1);
+        let rec = &report.recent[0];
+        let append = rec.find("commit_wal_append").expect("append span");
+        assert_eq!((append.tag.as_str(), append.bytes), ("shard:0", 64));
+        assert_eq!(append.parent, rec.find("op").unwrap().id);
+        assert_eq!(rec.find("commit_fsync").unwrap().parent, append.id);
+        assert_eq!(rec.spans.len(), 3, "root, append and one fsync span");
     }
 
     #[test]
-    fn timer_stop_and_cancel() {
+    fn untraced_guards_never_build_their_tag() {
         let tel = Telemetry::new();
-        let ns = tel.timer(Phase::NetHandler).stop();
-        tel.timer(Phase::NetHandler).cancel();
-        assert_eq!(tel.snapshot().count(Phase::NetHandler), 1);
-        assert!(ns < 1_000_000_000, "a stop() measurement is sane");
+        drop(
+            tel.start(Phase::NetPushWrite)
+                .tag(|| unreachable!("no trace is active")),
+        );
+        assert_eq!(tel.snapshot().count(Phase::NetPushWrite), 1);
     }
 
     #[test]
-    fn slow_ops_respect_threshold_and_capacity() {
-        let tel = Telemetry::new();
-        tel.set_slow_threshold_ns(1_000);
-        tel.record_slow("fast", 999, &[]);
-        assert!(tel.slow_ops().is_empty());
-        for i in 0..(SLOW_OP_CAPACITY + 5) {
-            tel.record_slow(
-                format!("slow{i}"),
-                1_000 + i as u64,
-                &[(Phase::CommitFsync, 900)],
-            );
+    fn slow_traces_respect_threshold_and_capacity() {
+        let config = TelemetryConfig::default()
+            .trace_sample_every(1)
+            .trace_capacity(4)
+            .slow_threshold_ns(u64::MAX);
+        let tel = Telemetry::with_config(config);
+        drop(tel.start_trace("fast"));
+        assert!(tel.traces_report().slow.is_empty());
+        // The threshold is held once, in the trace store.
+        tel.set_slow_threshold_ns(0);
+        assert_eq!(tel.slow_threshold_ns(), 0);
+        assert_eq!(tel.snapshot().slow_threshold_ns, 0);
+        for i in 0..9 {
+            let name = format!("slow{i}");
+            drop(TraceRoot::open(
+                Arc::clone(tel.trace_store()),
+                TraceId::mint(),
+                name,
+                Instant::now(),
+                false,
+            ));
         }
-        let ops = tel.slow_ops();
-        assert_eq!(ops.len(), SLOW_OP_CAPACITY);
-        assert_eq!(ops[0].op, "slow5", "the oldest entries fell off");
-        // Reads are idempotent; drain empties.
-        assert_eq!(tel.slow_ops().len(), SLOW_OP_CAPACITY);
-        assert_eq!(tel.drain_slow_ops().len(), SLOW_OP_CAPACITY);
-        assert!(tel.slow_ops().is_empty());
+        let slow = tel.traces_report().slow;
+        assert_eq!(slow.len(), 4, "the slow ring holds trace_capacity traces");
+        assert_eq!(slow[0].root, "slow5", "the oldest entries fell off");
     }
 
     #[test]

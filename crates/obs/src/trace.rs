@@ -14,20 +14,20 @@
 //!   the wire, so client- and server-side trees share one identity.
 //! * [`TraceSink`] — the per-trace collector: allocates span ids and
 //!   buffers finished [`SpanRecord`]s until the root finishes.
-//! * A **thread-local context stack** — instrumented call sites ask
-//!   [`span`] for a child of whatever trace is active on the current
+//! * A **thread-local context stack** — a phase's
+//!   [`crate::PhaseGuard`] (and [`span`], for the few trace-only
+//!   stages) opens a child of whatever trace is active on the current
 //!   thread; untraced requests pay one thread-local read and allocate
 //!   nothing. Cross-thread fan-out (the 2PC coordinator's parallel
-//!   participant fsyncs) captures [`current`] and opens children on the
-//!   worker threads explicitly via [`ActiveTrace::child`].
+//!   participant fsyncs) captures [`current`] and [`enter`]s it on the
+//!   worker threads.
 //! * [`TraceBuffer`] — a bounded ring of finished [`TraceRecord`]s: an
 //!   atomic cursor claims a slot, a per-slot mutex guards only that
 //!   slot, so concurrent finishers never serialize behind one lock.
 //! * **Sampling** — head sampling at a configurable 1-in-N rate roots
 //!   traces cheaply under load, *plus* tail capture: any finished trace
-//!   whose total crosses the slow-op threshold is copied into a
-//!   separate slow ring, so the slow-op entries' flat phase breakdowns
-//!   gain a full causal tree.
+//!   whose total crosses the slow threshold is copied into a separate
+//!   slow ring, so a slow request keeps its whole causal tree.
 //!
 //! [`render_trace`] prints the tree with durations for humans; the wire
 //! layer ships [`TraceReport`]s with the same sparse discipline as the
@@ -200,8 +200,9 @@ impl ActiveTrace {
     }
 
     /// Open a child span under this context *without* touching the
-    /// thread-local stack — the cross-thread form (2PC participant work
-    /// on scoped threads). The span finishes when the guard drops.
+    /// thread-local stack — for spans that overlap their siblings (the
+    /// per-participant 2PC umbrellas), whose children run under
+    /// [`ActiveTrace::under`]. The span finishes when the guard drops.
     pub fn child(&self, name: &'static str, tag: impl Into<String>) -> SpanGuard {
         SpanGuard::open(Arc::clone(&self.sink), self.parent, name, tag.into(), false)
     }
@@ -231,17 +232,18 @@ pub fn current() -> Option<ActiveTrace> {
 /// no trace is active. Children opened while the guard lives nest
 /// under it.
 pub fn span(name: &'static str) -> Option<SpanGuard> {
-    span_tagged(name, "")
+    span_tagged(name, String::new)
 }
 
-/// [`span`] with a contextual tag (shard index, view name, role).
-pub fn span_tagged(name: &'static str, tag: impl Into<String>) -> Option<SpanGuard> {
+/// [`span`] with a contextual tag (participant count, role); `tag`
+/// runs only when a trace is active, so untraced requests build none.
+pub fn span_tagged(name: &'static str, tag: impl FnOnce() -> String) -> Option<SpanGuard> {
     let active = current()?;
     Some(SpanGuard::open(
         active.sink,
         active.parent,
         name,
-        tag.into(),
+        tag(),
         true,
     ))
 }
@@ -483,8 +485,13 @@ impl TraceStore {
         self.sample_every.store(every, Ordering::Relaxed);
     }
 
-    /// Set the tail-capture threshold (kept in step with the slow-op
-    /// threshold by [`crate::Telemetry::set_slow_threshold_ns`]).
+    /// The tail-capture threshold in nanoseconds.
+    pub fn slow_ns(&self) -> u64 {
+        self.slow_ns.load(Ordering::Relaxed)
+    }
+
+    /// Set the tail-capture threshold (what
+    /// [`crate::Telemetry::set_slow_threshold_ns`] sets).
     pub fn set_slow_ns(&self, ns: u64) {
         self.slow_ns.store(ns, Ordering::Relaxed);
     }
@@ -503,7 +510,7 @@ impl TraceStore {
     /// File one finished trace: always into the recent ring, and into
     /// the slow ring too when its total crosses the threshold.
     pub fn offer(&self, record: TraceRecord) {
-        if record.duration_ns >= self.slow_ns.load(Ordering::Relaxed) {
+        if record.duration_ns >= self.slow_ns() {
             self.slow.push(record.clone());
         }
         self.recent.push(record);
@@ -728,7 +735,7 @@ mod tests {
             );
             {
                 let _outer = span("outer").expect("trace is active");
-                let _inner = span_tagged("inner", "t").expect("still active");
+                let _inner = span_tagged("inner", || "t".into()).expect("still active");
             }
             assert!(current().is_some());
         }

@@ -4,16 +4,17 @@
 //! the `STATS` verb — commit phases (snapshot, validate, WAL append,
 //! fsync, lock hold), 2PC phases, view maintenance phases, and the
 //! net layer's own frame-decode/queue-wait/handler/response-write
-//! breakdown, all in one Prometheus-style exposition plus the slow-op
-//! log.
+//! breakdown, all in one Prometheus-style exposition. Then a `TRACE`
+//! fetch prints the server's slow-trace ring: every sampled request
+//! slower than 1 ms, as its causal span tree.
 //!
 //! Run with: `cargo run --release --example telemetry`
 
 use std::thread;
 
-use esm::engine::{Engine, ShardRouter, ShardedEngineServer};
+use esm::engine::{Engine, RetryPolicy, Session, ShardRouter, ShardedEngineServer};
 use esm::net::{NetServer, NetServerConfig, RemoteEngine};
-use esm::obs::render_prometheus;
+use esm::obs::{render_prometheus, render_trace, TelemetryConfig};
 use esm::relational::ViewDef;
 use esm::store::{row, Database, Operand, Predicate, Schema, Table, ValueType};
 
@@ -41,13 +42,13 @@ fn main() {
     let engine =
         ShardedEngineServer::with_router(db, ShardRouter::uniform_int(4, 0, KEYS).expect("router"))
             .expect("sharded engine");
-    // Capture anything slower than 1 ms in the slow-op ring.
-    engine.telemetry_registry().set_slow_threshold_ns(1_000_000);
-
+    // The server roots a trace for every request that carries a trace
+    // context, and tail-captures those slower than 1 ms.
     let server = NetServer::bind(
         engine.as_engine(),
         "127.0.0.1:0",
-        NetServerConfig::default(),
+        NetServerConfig::default()
+            .telemetry_config(TelemetryConfig::default().slow_threshold_ns(1_000_000)),
     )
     .expect("bind loopback");
     let addr = server.local_addr();
@@ -64,23 +65,26 @@ fn main() {
         .expect("view compiles");
 
     // The swarm: each connection alternates cross-key transactions
-    // (some spanning shards → 2PC) with view reads.
+    // (some spanning shards → 2PC) with view reads, through a session
+    // that traces one operation in four.
     thread::scope(|scope| {
         for client in 0..CLIENTS {
             scope.spawn(move || {
                 let remote = RemoteEngine::connect(addr).expect("connect");
+                remote.telemetry_registry().set_trace_sample_every(4);
+                let session = Session::with_retry(remote.as_engine(), RetryPolicy { attempts: 64 });
                 for i in 0..OPS_PER_CLIENT {
                     let a = (client as i64 * 37 + i * 11) % KEYS;
                     let b = (a + KEYS / 2) % KEYS; // other half → other shards
-                    remote
-                        .transact(64, &move |db: &mut Database| {
+                    session
+                        .transact(move |db: &mut Database| {
                             let t = db.table_mut("stock")?;
                             t.upsert(row![a, format!("o{client}"), i])?;
                             t.upsert(row![b, format!("o{client}"), i + 1])?;
                             Ok(())
                         })
                         .expect("commits");
-                    remote.read_view("low").expect("readable");
+                    session.read("low").expect("readable");
                 }
             });
         }
@@ -93,18 +97,20 @@ fn main() {
     let snapshot = admin.telemetry().expect("stats over the wire");
     println!("{}", render_prometheus("esm", &snapshot));
 
-    if snapshot.slow_ops.is_empty() {
-        println!("# no operation crossed the 1ms slow-op threshold");
+    // The slow-trace ring: each server-side tree names the phase that
+    // held the request up.
+    let slow = admin.traces().expect("traces over the wire").slow;
+    if slow.is_empty() {
+        println!("# no traced request crossed the 1ms slow threshold");
     } else {
-        println!("# slow-op log ({} captured):", snapshot.slow_ops.len());
-        for op in &snapshot.slow_ops {
-            let phases = op
-                .phases
-                .iter()
-                .map(|(p, ns)| format!("{}={}us", p.name(), ns / 1_000))
-                .collect::<Vec<_>>()
-                .join(" ");
-            println!("#   {} total={}us {}", op.op, op.total_ns / 1_000, phases);
+        println!(
+            "# slow-trace ring ({} captured), slowest three:",
+            slow.len()
+        );
+        let mut slowest: Vec<_> = slow.iter().collect();
+        slowest.sort_by_key(|t| std::cmp::Reverse(t.duration_ns));
+        for trace in slowest.into_iter().take(3) {
+            print!("{}", render_trace(trace));
         }
     }
 
