@@ -231,11 +231,8 @@ mod tests {
             engine.shard_wals()[0].replay(&seed).unwrap(),
             engine.snapshot()
         );
-        // The band views auto-indexed the age column.
-        assert_eq!(
-            engine.table("people").unwrap().indexed_columns(),
-            vec!["age"]
-        );
+        // Registering the band views indexed no column of the base.
+        assert!(engine.table("people").unwrap().indexed_columns().is_empty());
     }
 
     #[test]

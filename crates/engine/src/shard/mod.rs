@@ -1326,11 +1326,12 @@ impl ShardedEngineServer {
     /// Compile and register a named entangled view over `table`.
     ///
     /// The definition is compiled against the table's schema (read from
-    /// the first shard piece; no rows are copied), and base columns its
-    /// select stages constrain get secondary indexes on every shard's
-    /// piece (reads seek instead of scanning). Registration runs the one
-    /// sanctioned full lens `get`: the view's windows are materialized
-    /// here, and every later read maintains them from committed deltas.
+    /// the first shard piece; no rows are copied). Registration runs the
+    /// one sanctioned full lens `get`, under read locks only: the view's
+    /// windows are materialized here, each by one pass over its shard's
+    /// piece ([`Table::select`]: a key-range seek, a probe of an index
+    /// the table already carries, or a scan), and every later read
+    /// maintains them from committed deltas. It builds no index.
     pub fn define_view(
         &self,
         name: impl Into<String>,
@@ -1371,12 +1372,6 @@ impl ShardedEngineServer {
         };
         let mat = {
             let topo = self.topology();
-            for col in def.index_candidates() {
-                for shard in &topo.shards {
-                    let mut state = shard.write();
-                    state.db.table_mut(&table)?.create_index(&col)?;
-                }
-            }
             let guards: Vec<_> = shard_run(&topo, &bounds)
                 .into_iter()
                 .map(|i| topo.shards[i].read())
@@ -2175,17 +2170,79 @@ mod tests {
         assert_eq!(rich.engine().table_names().unwrap(), vec!["accounts"]);
         assert!(rich.engine().metrics().unwrap().shard.cross_shard_commits >= 1);
         assert_eq!(replayed_over_seed(&engine, seed_db(40)), engine.snapshot());
-        // Select-view registration auto-indexed each shard's piece.
-        let topo = engine.topology();
-        assert_eq!(
-            topo.shards[0]
-                .read()
+        // Registering a select view indexed no shard's piece.
+        for shard in &engine.topology().shards {
+            let piece = shard.read();
+            assert!(piece
                 .db
                 .table("accounts")
                 .unwrap()
-                .indexed_columns(),
-            vec!["balance"]
-        );
+                .indexed_columns()
+                .is_empty());
+        }
+    }
+
+    #[test]
+    fn seed_indexes_survive_views_commits_splits_and_merges() {
+        let mut seed = seed_db(40);
+        seed.table_mut("accounts")
+            .unwrap()
+            .create_index("balance")
+            .unwrap();
+        let engine = ShardedEngineServer::with_router(
+            seed,
+            ShardRouter::uniform_int(4, 0, 40).unwrap(), // splits at 10 / 20 / 30
+        )
+        .unwrap();
+        let rich_pred = Predicate::ge(Operand::col("balance"), Operand::val(200));
+        let rich = engine
+            .define_view(
+                "rich",
+                "accounts",
+                &ViewDef::base().select(rich_pred.clone()),
+            )
+            .unwrap();
+        engine
+            .transact_keys(&[row![5]], 4, |db| {
+                db.table_mut("accounts")?.upsert(row![5, "o5", 555])?;
+                Ok(())
+            })
+            .unwrap();
+        rich.edit(|v| {
+            v.delete_by_key(&row![30]);
+            v.upsert(row![12, "o12", 999])?;
+            Ok(())
+        })
+        .unwrap();
+        let at = engine.split_shard(row![25]).unwrap();
+        engine.merge_shards(at - 1).unwrap();
+        engine.merge_shards(0).unwrap();
+        assert_eq!(engine.shard_count(), 3);
+
+        // Every piece still carries the seed's index, kept current, and a
+        // select probing it equals a scan of the same rows.
+        let probes = [
+            rich_pred.clone(),
+            Predicate::eq(Operand::col("balance"), Operand::val(999)),
+            Predicate::lt(Operand::col("balance"), Operand::val(120))
+                .and(Predicate::ne(Operand::col("owner"), Operand::val("o3"))),
+        ];
+        for shard in &engine.topology().shards {
+            let piece = shard.read();
+            let table = piece.db.table("accounts").unwrap();
+            assert_eq!(table.indexed_columns(), vec!["balance"]);
+            let plain = Table::from_rows(table.schema().clone(), table.rows().cloned()).unwrap();
+            for pred in &probes {
+                assert_eq!(
+                    table.select(pred).unwrap(),
+                    plain.select(pred).unwrap(),
+                    "{pred}"
+                );
+            }
+        }
+        let base = engine.table("accounts").unwrap();
+        assert!(base.contains(&row![5, "o5", 555]) && base.get_by_key(&row![30]).is_none());
+        assert_eq!(rich.get().unwrap(), base.select(&rich_pred).unwrap());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use esm_lens::{DeltaLens, DeltaOutcome, Lens};
 use esm_store::row::project_row;
-use esm_store::{Delta, Predicate, Schema, StoreError, Table, Value};
+use esm_store::{BoundPredicate, Delta, Predicate, Row, Schema, StoreError, Table, Value};
 
 use crate::project::project_lens_checked;
 use crate::rename::rename_lens;
@@ -70,8 +70,10 @@ impl ViewDef {
     /// Base-table columns that this view's select stages constrain with
     /// index-servable comparisons (`col ⋈ literal` conjuncts), collected
     /// only from stages that still see the base schema (i.e. before any
-    /// project/rename). A session can create secondary indexes on these
-    /// columns so reading the view seeks instead of scanning.
+    /// project/rename). [`crate::RelationalSession`], whose every read
+    /// re-runs the lens `get`, indexes these columns so its reads probe
+    /// instead of scanning. An engine that maintains its windows from
+    /// deltas runs `get` only to build a window, and builds no index.
     pub fn index_candidates(&self) -> Vec<String> {
         // Returns whether `def`'s output schema is still the base schema.
         fn collect(def: &ViewDef, out: &mut Vec<String>) -> bool {
@@ -177,11 +179,8 @@ impl ViewDef {
             ViewDef::Base => return Ok((None, base.clone())),
             ViewDef::Select(inner, pred) => {
                 let (prefix, mid) = inner.compile_stages(base)?;
-                pred.validate(&mid)?;
-                let stage = DeltaLens::new(
-                    select_lens(pred.clone()),
-                    select_delta(pred.clone(), mid.clone()),
-                );
+                let stage =
+                    DeltaLens::new(select_lens(pred.clone()), select_delta(pred.bind(&mid)?));
                 (prefix, stage, mid)
             }
             ViewDef::Project(inner, cols, defaults) => {
@@ -245,29 +244,17 @@ fn rows_unchanged(d: &Delta) -> DeltaOutcome<Delta> {
 /// The select stage's delta propagator: a base change enters the view iff
 /// it satisfies the predicate — inserted rows that satisfy it appear,
 /// deleted rows that satisfied it disappear, everything else is invisible.
-/// A predicate evaluation error (impossible for a validated predicate on
-/// rows of its schema) conservatively asks for a rebuild.
+/// The predicate comes bound to the stage's input schema, so each row is
+/// decided in place.
 fn select_delta(
-    pred: Predicate,
-    schema: Schema,
+    pred: BoundPredicate,
 ) -> impl Fn(&Delta) -> DeltaOutcome<Delta> + Send + Sync + 'static {
     move |d: &Delta| {
-        let mut out = Delta::empty();
-        for row in &d.inserted {
-            match pred.eval(&schema, row) {
-                Ok(true) => out.inserted.push(row.clone()),
-                Ok(false) => {}
-                Err(_) => return DeltaOutcome::Rebuild,
-            }
-        }
-        for row in &d.deleted {
-            match pred.eval(&schema, row) {
-                Ok(true) => out.deleted.push(row.clone()),
-                Ok(false) => {}
-                Err(_) => return DeltaOutcome::Rebuild,
-            }
-        }
-        DeltaOutcome::View(out)
+        let visible = |rows: &[Row]| rows.iter().filter(|r| pred.eval(r)).cloned().collect();
+        DeltaOutcome::View(Delta {
+            inserted: visible(&d.inserted),
+            deleted: visible(&d.deleted),
+        })
     }
 }
 

@@ -70,8 +70,9 @@ pub fn select_lens(p: Predicate) -> Lens<Table, Table> {
 /// Check the select lens's view-typing obligation: every row of `v` must
 /// satisfy `p`. Returns the offending rows.
 pub fn validate_select_view(p: &Predicate, v: &Table) -> Result<(), StoreError> {
+    let bound = p.bind(v.schema())?;
     for row in v.rows() {
-        if !p.eval(v.schema(), row)? {
+        if !bound.eval(row) {
             return Err(StoreError::BadQuery(format!(
                 "view row {row:?} does not satisfy the selection predicate {p}"
             )));

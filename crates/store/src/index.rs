@@ -180,17 +180,12 @@ impl ColumnIndex {
         hi: Bound<&Value>,
     ) -> impl Iterator<Item = &'a [Value]> {
         let (lo, hi) = (lo.cloned(), hi.cloned());
-        let before_start = move |e: &Entry| match &lo {
-            Bound::Included(v) => e.value < *v,
-            Bound::Excluded(v) => e.value <= *v,
-            Bound::Unbounded => false,
-        };
-        let before_end = move |e: &Entry| match &hi {
-            Bound::Included(v) => e.value <= *v,
-            Bound::Excluded(v) => e.value < *v,
-            Bound::Unbounded => true,
-        };
-        (self.entries.range(before_start, before_end)).map(|e| e.key.cells())
+        (self.entries)
+            .range(
+                move |e| before_start(lo.as_ref(), &e.value),
+                move |e| before_end(hi.as_ref(), &e.value),
+            )
+            .map(|e| e.key.cells())
     }
 
     /// Primary keys (their cells) served by `probe`.
@@ -200,16 +195,26 @@ impl ColumnIndex {
     ) -> Box<dyn Iterator<Item = &'a [Value]> + 'a> {
         match &probe.kind {
             ProbeKind::Eq(v) => Box::new(self.keys_eq(v)),
-            ProbeKind::Range { lo, hi } => Box::new(self.keys_range(as_bound(lo), as_bound(hi))),
+            ProbeKind::Range { lo, hi } => Box::new(self.keys_range(lo.as_ref(), hi.as_ref())),
         }
     }
 }
 
-fn as_bound(b: &Bound<Value>) -> Bound<&Value> {
-    match b {
-        Bound::Included(v) => Bound::Included(v),
-        Bound::Excluded(v) => Bound::Excluded(v),
-        Bound::Unbounded => Bound::Unbounded,
+/// Does `v` sort before the range whose lower bound is `lo`?
+pub(crate) fn before_start(lo: Bound<&Value>, v: &Value) -> bool {
+    match lo {
+        Bound::Included(lo) => v < lo,
+        Bound::Excluded(lo) => v <= lo,
+        Bound::Unbounded => false,
+    }
+}
+
+/// Does `v` sort before the end of the range whose upper bound is `hi`?
+pub(crate) fn before_end(hi: Bound<&Value>, v: &Value) -> bool {
+    match hi {
+        Bound::Included(hi) => v <= hi,
+        Bound::Excluded(hi) => v < hi,
+        Bound::Unbounded => true,
     }
 }
 

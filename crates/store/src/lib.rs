@@ -45,7 +45,7 @@ pub use database::Database;
 pub use delta::Delta;
 pub use error::StoreError;
 pub use index::{ColumnIndex, IndexProbe};
-pub use predicate::{Cmp, Operand, Predicate};
+pub use predicate::{BoundPredicate, Cmp, Operand, Predicate};
 pub use query::Query;
 pub use row::Row;
 pub use schema::{Column, Schema};

@@ -1,5 +1,7 @@
 //! A small predicate language over rows, used by σ (select) and the
-//! relational select lens.
+//! relational select lens. A predicate names columns; binding it to a
+//! schema ([`Predicate::bind`]) resolves them to positions and checks
+//! its types once, and the [`BoundPredicate`] decides each row.
 
 use crate::error::StoreError;
 use crate::row::Row;
@@ -33,12 +35,22 @@ impl Operand {
         }
     }
 
-    fn value_type(&self, schema: &Schema) -> Result<ValueType, StoreError> {
+    /// The operand under `schema`, with its type.
+    fn bind(&self, schema: &Schema) -> Result<(Term<'_>, ValueType), StoreError> {
         match self {
-            Operand::Col(name) => Ok(schema.columns()[schema.index_of(name)?].ty),
-            Operand::Const(v) => Ok(v.value_type()),
+            Operand::Col(name) => {
+                let at = schema.index_of(name)?;
+                Ok((Term::Cell(at), schema.columns()[at].ty))
+            }
+            Operand::Const(v) => Ok((Term::Literal(v), v.value_type())),
         }
     }
+}
+
+/// A bound operand: a column's position, or a literal.
+enum Term<'a> {
+    Cell(usize),
+    Literal(&'a Value),
 }
 
 /// The comparison operators.
@@ -115,26 +127,51 @@ impl Predicate {
     }
 
     /// Check that every referenced column exists and that both sides of
-    /// each comparison have the same type. A predicate that passes never
-    /// fails to evaluate on a row of `schema`.
+    /// each comparison have the same type: [`Predicate::bind`], with the
+    /// result dropped. A predicate that passes never fails to evaluate on
+    /// a row of `schema`.
     pub fn validate(&self, schema: &Schema) -> Result<(), StoreError> {
-        match self {
-            Predicate::True | Predicate::False => Ok(()),
-            Predicate::Compare(_, l, r) => {
-                let (lt, rt) = (l.value_type(schema)?, r.value_type(schema)?);
+        self.bind(schema).map(drop)
+    }
+
+    /// Bind the predicate to `schema`: resolve every column to its
+    /// position and check that both sides of each comparison have the
+    /// same type, once. The result decides a row of `schema` by reading
+    /// its cells in place ([`BoundPredicate::eval`]), and agrees with
+    /// [`Predicate::eval`] on every such row. Fails where
+    /// [`Predicate::validate`] does, with the same error.
+    pub fn bind(&self, schema: &Schema) -> Result<BoundPredicate, StoreError> {
+        self.bind_node(schema).map(BoundPredicate)
+    }
+
+    fn bind_node(&self, schema: &Schema) -> Result<Node, StoreError> {
+        Ok(match self {
+            Predicate::True => Node::Const(true),
+            Predicate::False => Node::Const(false),
+            Predicate::Compare(op, l, r) => {
+                let ((l, lt), (r, rt)) = (l.bind(schema)?, r.bind(schema)?);
                 if lt != rt {
                     return Err(StoreError::BadQuery(format!(
                         "cannot compare {lt} with {rt}"
                     )));
                 }
-                Ok(())
+                match (l, r) {
+                    (Term::Cell(l), Term::Cell(r)) => Node::Cells(*op, l, r),
+                    (Term::Cell(col), Term::Literal(v)) => Node::Cell(*op, col, v.clone()),
+                    (Term::Literal(v), Term::Cell(col)) => Node::Cell(flip(*op), col, v.clone()),
+                    (Term::Literal(l), Term::Literal(r)) => Node::Const(op.holds(l, r)),
+                }
             }
-            Predicate::And(l, r) | Predicate::Or(l, r) => {
-                l.validate(schema)?;
-                r.validate(schema)
-            }
-            Predicate::Not(p) => p.validate(schema),
-        }
+            Predicate::And(l, r) => Node::And(
+                Box::new(l.bind_node(schema)?),
+                Box::new(r.bind_node(schema)?),
+            ),
+            Predicate::Or(l, r) => Node::Or(
+                Box::new(l.bind_node(schema)?),
+                Box::new(r.bind_node(schema)?),
+            ),
+            Predicate::Not(p) => Node::Not(Box::new(p.bind_node(schema)?)),
+        })
     }
 
     /// Every single-column constraint a secondary index could serve,
@@ -369,18 +406,66 @@ impl Predicate {
                         rv.value_type()
                     )));
                 }
-                Ok(match op {
-                    Cmp::Eq => lv == rv,
-                    Cmp::Ne => lv != rv,
-                    Cmp::Lt => lv < rv,
-                    Cmp::Le => lv <= rv,
-                    Cmp::Gt => lv > rv,
-                    Cmp::Ge => lv >= rv,
-                })
+                Ok(op.holds(lv, rv))
             }
             Predicate::And(l, r) => Ok(l.eval(schema, row)? && r.eval(schema, row)?),
             Predicate::Or(l, r) => Ok(l.eval(schema, row)? || r.eval(schema, row)?),
             Predicate::Not(p) => Ok(!p.eval(schema, row)?),
+        }
+    }
+}
+
+impl Cmp {
+    /// Does `l ⋈ r` hold?
+    fn holds(self, l: &Value, r: &Value) -> bool {
+        match self {
+            Cmp::Eq => l == r,
+            Cmp::Ne => l != r,
+            Cmp::Lt => l < r,
+            Cmp::Le => l <= r,
+            Cmp::Gt => l > r,
+            Cmp::Ge => l >= r,
+        }
+    }
+}
+
+/// A [`Predicate`] bound to one schema by [`Predicate::bind`]: each
+/// column is a position and each comparison is type-checked, so deciding
+/// a row reads its cells in place and cannot fail.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BoundPredicate(Node);
+
+/// A bound predicate's tree. A comparison with a literal keeps the
+/// column on the left; one between two literals is decided at binding.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Node {
+    Const(bool),
+    /// `row[col] ⋈ literal`.
+    Cell(Cmp, usize, Value),
+    /// `row[l] ⋈ row[r]`.
+    Cells(Cmp, usize, usize),
+    And(Box<Node>, Box<Node>),
+    Or(Box<Node>, Box<Node>),
+    Not(Box<Node>),
+}
+
+impl BoundPredicate {
+    /// Does `row`, a row of the schema this predicate was bound to,
+    /// satisfy it?
+    pub fn eval(&self, row: &Row) -> bool {
+        self.0.eval(row)
+    }
+}
+
+impl Node {
+    fn eval(&self, row: &Row) -> bool {
+        match self {
+            Node::Const(b) => *b,
+            Node::Cell(op, col, v) => op.holds(&row[*col], v),
+            Node::Cells(op, l, r) => op.holds(&row[*l], &row[*r]),
+            Node::And(l, r) => l.eval(row) && r.eval(row),
+            Node::Or(l, r) => l.eval(row) || r.eval(row),
+            Node::Not(p) => !p.eval(row),
         }
     }
 }

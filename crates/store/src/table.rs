@@ -10,11 +10,12 @@
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use crate::cow_map::{AscendingLoad, CowMap, Order};
 use crate::error::StoreError;
-use crate::index::ColumnIndex;
+use crate::index::{before_end, before_start, ColumnIndex};
 use crate::predicate::Predicate;
 use crate::row::{project_row, Row};
 use crate::schema::Schema;
@@ -351,6 +352,33 @@ impl Table {
         (self.rows).range(move |r| below(r, lo), move |r| hi.is_none() || below(r, hi))
     }
 
+    /// Iterate rows whose leading key cell lies within `lo` and `hi`, in
+    /// key order: a seek to the first, then a walk while the cell stays
+    /// in bounds. The leading key cell is the first key column's, or
+    /// column 0's when the schema declares no key; rows order by it
+    /// first, so the rows within bounds are contiguous. Unlike
+    /// [`Table::rows_in_key_range`], either bound may be inclusive or
+    /// exclusive. A table of no columns has no cell to bound: every row
+    /// is within.
+    pub fn rows_in_lead_range<'a>(
+        &'a self,
+        lo: Bound<&'a Value>,
+        hi: Bound<&'a Value>,
+    ) -> impl Iterator<Item = &'a Row> + 'a {
+        let lead = self.lead_column();
+        (self.rows).range(
+            move |r| lead.is_some_and(|c| before_start(lo, &r[c])),
+            move |r| lead.is_none_or(|c| before_end(hi, &r[c])),
+        )
+    }
+
+    /// The leading key cell's column: the first key column, or column 0
+    /// when the schema declares no key (`None` for a table of no
+    /// columns).
+    fn lead_column(&self) -> Option<usize> {
+        self.schema.key_indices().first().copied()
+    }
+
     /// Split off the upper key range: rows with key `>= at` move into the
     /// returned table (same schema, secondary indexes rebuilt on both
     /// sides); rows with key `< at` stay. O(chunks) for the row split
@@ -414,34 +442,44 @@ impl Table {
 
     /// σ: the rows satisfying `pred`. Same schema.
     ///
-    /// When the predicate constrains an indexed column (see
-    /// [`Table::create_index`]), candidates come from an index seek rather
-    /// than a full scan; with several candidate probes the planner picks
-    /// the one estimating the fewest rows
-    /// ([`Predicate::index_probe_with`]), so a tight range on a
-    /// high-cardinality column beats an equality probe on a skewed one.
-    /// The candidates are put back in key order before they load. The
-    /// complete predicate is still evaluated on each candidate, so the
-    /// result is identical either way.
+    /// One pass: `pred` is bound to the schema once ([`Predicate::bind`]),
+    /// and the bound predicate decides every row the pass reads, so the
+    /// result is the same whichever rows it reads:
+    /// - when `pred` bounds the leading key cell, a seek
+    ///   ([`Table::rows_in_lead_range`]) reads the rows in those bounds;
+    /// - otherwise, when the table carries a secondary index that `pred`
+    ///   constrains ([`Table::create_index`]), an index probe reads the
+    ///   rows it names: the planner picks the probe estimating the fewest
+    ///   rows ([`Predicate::index_probe_with`]), and a range probe's rows
+    ///   are put back in key order (an equality probe's arrive in it,
+    ///   since index entries of one value order by key);
+    /// - otherwise, a scan reads every row.
     pub fn select(&self, pred: &Predicate) -> Result<Table, StoreError> {
-        pred.validate(&self.schema)?;
+        let bound = pred.bind(&self.schema)?;
         let mut kept = Vec::new();
-        let keep = |row: &Row| -> Result<(), StoreError> {
-            if pred.eval(&self.schema, row)? {
+        let keep = |row: &Row| {
+            if bound.eval(row) {
                 kept.push(row.clone());
             }
-            Ok(())
         };
-        match pred.index_probe_with(&self.indexes) {
-            Some(probe) => {
-                let idx = (self.index(&probe.column)).expect("probe only names indexed columns");
-                let mut candidates: Vec<&Row> = (idx.keys_for(&probe))
-                    .map(|key| self.get_by_key(key).expect("index keys name stored rows"))
-                    .collect();
+        let (lo, hi) = match self.lead_column() {
+            Some(lead) => pred.value_bounds(&self.schema.columns()[lead].name),
+            None => (Bound::Unbounded, Bound::Unbounded),
+        };
+        if (&lo, &hi) != (&Bound::Unbounded, &Bound::Unbounded) {
+            self.rows_in_lead_range(lo.as_ref(), hi.as_ref())
+                .for_each(keep);
+        } else if let Some(probe) = pred.index_probe_with(&self.indexes) {
+            let idx = (self.index(&probe.column)).expect("probe only names indexed columns");
+            let mut candidates: Vec<&Row> = (idx.keys_for(&probe))
+                .map(|key| self.get_by_key(key).expect("index keys name stored rows"))
+                .collect();
+            if !probe.is_eq() {
                 candidates.sort_unstable_by(|a, b| self.rows.order().cmp(a, b));
-                candidates.into_iter().try_for_each(keep)?;
             }
-            None => self.rows.iter().try_for_each(keep)?,
+            candidates.into_iter().for_each(keep);
+        } else {
+            self.rows.iter().for_each(keep);
         }
         Ok(Table::collected(self.schema.clone(), kept))
     }

@@ -40,8 +40,9 @@ fn main() {
     let engine = EngineServer::new(db.clone());
 
     // Entangled views: three regional selections plus a directory
-    // projection that hides balances. Select predicates auto-index the
-    // `region` column, so view reads seek instead of scanning.
+    // projection that hides balances. Registering one builds its window
+    // in one pass over the table; every later read folds in the commits
+    // made since the last one.
     for region in ["emea", "apac", "amer"] {
         engine
             .define_view(
